@@ -14,10 +14,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-from fractions import Fraction
 from typing import List, Optional
 
 from .catalog import HYPERSURFACES, PROFILES
@@ -228,7 +226,9 @@ def cmd_derham(args) -> int:
         if f_text is None:
             raise _InputError("rank-one connections need --f with the connection polynomial")
         p = parse_poly(f_text, 1)
-        precision = args.prec if args.prec is not None else 12
+        # the default adapts to deg p the way derham_truncated does
+        default = max(12, int(max(p.degree(), 0)) + 3)
+        precision = args.prec if args.prec is not None else default
         dims = derham_rank_one(p, precision=precision)
         lines = [
             "module: rank-one connection (d/dx + p) on one variable",
@@ -295,10 +295,6 @@ def cmd_derham(args) -> int:
 
 
 # ---------------------------------------------------------------- decompose
-
-
-def _fraction_str(value) -> str:
-    return str(value)
 
 
 def cmd_decompose(args) -> int:
@@ -541,7 +537,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_dr.add_argument("--f", metavar="EXPR", help="polynomial (or connection p for rank-one)")
     p_dr.add_argument("--vars", type=int, metavar="N", help="ambient variable count")
-    p_dr.add_argument("--prec", type=int, metavar="K", help="series precision (rank-one)")
+    p_dr.add_argument(
+        "--prec", type=int, metavar="K",
+        help="series precision (rank-one; default max(12, deg p + 3))",
+    )
     p_dr.add_argument(
         "--pole-cutoff", type=int, metavar="K", help="pole-order cutoff (default 6)"
     )

@@ -5,7 +5,8 @@ Two independent routes are provided and cross-checked in the test suite:
 * closed forms, where a formula is known (polynomial ring, injective hull of
   the origin, localization at a squarefree monomial, direct sums);
 * a truncated complex engine that assembles the actual graded pieces of the
-  de Rham complex and computes ranks with exact rational elimination.
+  de Rham complex and computes ranks with exact fraction-free elimination
+  over the integers.
 
 The truncation engine filters by pole order: the subcomplex F_K allows pole
 order at most K + j in form degree j, which is stable under d, and raising K
@@ -73,6 +74,10 @@ class DeRhamDims:
         if isinstance(other, (list, tuple)):
             return list(self.dims) == list(other)
         return NotImplemented
+
+    def __hash__(self):
+        # equal to tuples, so it must hash like one
+        return hash(self.dims)
 
 
 @dataclass(frozen=True)
@@ -442,7 +447,7 @@ def plain_complex_dims(bases, diffs, incls=None) -> List[int]:
     return out
 
 
-def _embed_columns(spec: ModuleSpec, base_from, index_to, position_unused=None):
+def _embed_columns(spec: ModuleSpec, base_from, index_to):
     """Columns of the cutoff-raising chain map on one position's basis.
 
     For pole complexes the map multiplies the numerator by f; for the
@@ -461,12 +466,13 @@ def _embed_columns(spec: ModuleSpec, base_from, index_to, position_unused=None):
     return [{index_to[lab]: Fraction(1)} for lab in base_from]
 
 
-def _apply_matrix(columns, vec_index: int):
-    return columns[vec_index]
-
-
-def _persistent_tau_dims(spec: ModuleSpec, lo_cut: int, hi_cut: int, tau: int) -> Tuple[List[int], int]:
+def _persistent_tau_dims(
+    spec: ModuleSpec, lo_cut: int, hi_cut: int, tau: int, assembled: Dict[Tuple[int, int], tuple]
+) -> Tuple[List[int], int]:
     """Ranks of H^j(F_lo) -> H^j(F_hi) for the weight-tau piece.
+
+    ``assembled`` maps (cutoff, tau) to the complex already assembled for
+    this spec, so successive cutoff pairs share their common complex.
 
     Uses only matrix ranks: writing Z for cycles of the low complex, B' for
     boundaries of the high one, and A for the polynomial subcomplex in
@@ -481,14 +487,17 @@ def _persistent_tau_dims(spec: ModuleSpec, lo_cut: int, hi_cut: int, tau: int) -
     """
     if isinstance(spec, MonomialLocalization):
         if not spec.inverted:
-            return _persistent_tau_dims(PolynomialRing(spec.n_vars), lo_cut, hi_cut, tau)
+            return _persistent_tau_dims(PolynomialRing(spec.n_vars), lo_cut, hi_cut, tau, assembled)
         f = MultiPoly.one(spec.n_vars)
         for i in sorted(spec.inverted):
             f = f * MultiPoly.variable(spec.n_vars, i)
-        return _persistent_tau_dims(HypersurfaceLocalization(f), lo_cut, hi_cut, tau)
+        return _persistent_tau_dims(HypersurfaceLocalization(f), lo_cut, hi_cut, tau, assembled)
 
-    bases_lo, diffs_lo, incls_lo = assemble_complex(spec, lo_cut, tau)
-    bases_hi, diffs_hi, incls_hi = assemble_complex(spec, hi_cut, tau)
+    for cut in (lo_cut, hi_cut):
+        if (cut, tau) not in assembled:
+            assembled[(cut, tau)] = assemble_complex(spec, cut, tau)
+    bases_lo, diffs_lo, incls_lo = assembled[(lo_cut, tau)]
+    bases_hi, diffs_hi, incls_hi = assembled[(hi_cut, tau)]
     n_pos = len(bases_lo)
     count = sum(len(b) for b in bases_lo) + sum(len(b) for b in bases_hi)
     index_hi = [{lab: i for i, lab in enumerate(b)} for b in bases_hi]
@@ -557,12 +566,18 @@ def _persistent_tau_dims(spec: ModuleSpec, lo_cut: int, hi_cut: int, tau: int) -
     return dims, count
 
 
-def _dims_for_pair(spec: ModuleSpec, lo_cut: int, hi_cut: int, window: Tuple[int, int]) -> Tuple[Tuple[int, ...], int]:
+def _dims_for_pair(
+    spec: ModuleSpec,
+    lo_cut: int,
+    hi_cut: int,
+    window: Tuple[int, int],
+    assembled: Dict[Tuple[int, int], tuple],
+) -> Tuple[Tuple[int, ...], int]:
     n = ambient_vars(spec)
     total = [0] * (n + 1)
     basis_count = 0
     for tau in range(window[0], window[1] + 1):
-        piece, count = _persistent_tau_dims(spec, lo_cut, hi_cut, tau)
+        piece, count = _persistent_tau_dims(spec, lo_cut, hi_cut, tau, assembled)
         basis_count += count
         for j in range(n + 1):
             total[j] += piece[j]
@@ -666,11 +681,12 @@ def derham_truncated(
 
     # certified route: ranks of the maps H(F_{K-2}) -> H(F_{K-1}) -> H(F_K);
     # agreement of the two persistent tables is the stabilization signal
+    assembled: Dict[Tuple[int, int], tuple] = {}
     high_pair = (max(1, pole_cutoff - 1), pole_cutoff)
-    dims_high, count_high = _dims_for_pair(spec, *high_pair, window)
+    dims_high, count_high = _dims_for_pair(spec, *high_pair, window, assembled)
     if pole_cutoff >= 3:
         low_pair = (pole_cutoff - 2, pole_cutoff - 1)
-        dims_low, count_low = _dims_for_pair(spec, *low_pair, window)
+        dims_low, count_low = _dims_for_pair(spec, *low_pair, window, assembled)
         stabilized = dims_low == dims_high
     else:
         low_pair = high_pair

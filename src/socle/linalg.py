@@ -1,14 +1,19 @@
 """Exact sparse linear algebra over the rationals.
 
-The central routine is a column-space elimination that keeps pivot vectors
-fully reduced against one another.  It returns the rank together with the set
-of pivot rows, which is all the cohomology computations need: cokernel
-representatives are the non-pivot rows, kernels come from rank-nullity.
+The central routine is a fraction-free column-space elimination over the
+integers: every column is scaled to a primitive integer vector (which keeps
+its span) and reduced by cross-multiplication, with pivot vectors kept fully
+reduced against one another.  Being exact by construction, it needs no
+certificate.  It returns the rank together with the set of pivot rows, which
+is all the cohomology computations need: cokernel representatives are the
+non-pivot rows, kernels come from rank-nullity.  ``eliminate_columns``
+normalizes the integer basis to rational vectors with 1 at each pivot.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
 from .errors import DimensionMismatch, DomainError
@@ -91,9 +96,75 @@ class GradedMatrix:
         return f"GradedMatrix({len(self.rows)}x{len(self.cols)}, nnz={len(self.entries)})"
 
 
-def _pivot_row(v: SparseColumn) -> int:
-    """Deterministic pivot choice: smallest coefficient complexity, then row index."""
-    return min(v, key=lambda r: (v[r].numerator.bit_length() + v[r].denominator.bit_length(), r))
+def _content_free(v: Dict[int, int]) -> Dict[int, int]:
+    g = gcd(*v.values())
+    return v if g == 1 else {r: x // g for r, x in v.items()}
+
+
+def _integer_pivots(columns: Iterable[SparseColumn]) -> Dict[int, Dict[int, int]]:
+    """Fraction-free column-space elimination over the integers.
+
+    Returns {pivot_row: primitive integer vector}; each vector is nonzero at
+    its pivot row and has no entry at any other pivot row, so it is a
+    multiple of the reduced rational vector ``eliminate_columns`` returns.
+    Each column is first scaled to integers, which keeps its span.  Reducing
+    v by a pivot vector w with pivot entry p cross-multiplies,
+    v <- (p/g) v - (c/g) w with c = v[pivot] and g = gcd(p, c), and the
+    content is stripped after every column and every back-substitution.
+    """
+    pivots: Dict[int, Dict[int, int]] = {}
+    # occurrence index: row -> pivot rows whose vectors touch it
+    occur: Dict[int, set] = {}
+    for col in columns:
+        den = lcm(*(c.denominator for c in col.values()))
+        v = {r: c.numerator * (den // c.denominator) for r, c in col.items() if c}
+        for pr in [r for r in v if r in pivots]:
+            c = v.pop(pr)
+            w = pivots[pr]
+            g = gcd(w[pr], c)
+            a, b = w[pr] // g, c // g
+            if a != 1:
+                v = {r: a * x for r, x in v.items()}
+            for r, x in w.items():
+                if r == pr:
+                    continue
+                s = v.get(r, 0) - b * x
+                if s:
+                    v[r] = s
+                else:
+                    v.pop(r, None)
+        if not v:
+            continue
+        v = _content_free(v)
+        pr = min(v, key=lambda r: (abs(v[r]).bit_length(), r))
+        p = v[pr]
+        # keep older pivot vectors free of the new pivot row
+        for other in list(occur.get(pr, ())):
+            w = pivots[other]
+            c = w.pop(pr)
+            occur[pr].discard(other)
+            g = gcd(p, c)
+            a, b = p // g, c // g
+            if a != 1:
+                for r in w:
+                    w[r] *= a
+            for r, x in v.items():
+                if r == pr:
+                    continue
+                s = w.get(r, 0) - b * x
+                if s:
+                    if r not in w:
+                        occur.setdefault(r, set()).add(other)
+                    w[r] = s
+                elif r in w:
+                    del w[r]
+                    occur[r].discard(other)
+            pivots[other] = _content_free(w)
+        pivots[pr] = v
+        for r in v:
+            if r != pr:
+                occur.setdefault(r, set()).add(pr)
+    return pivots
 
 
 def eliminate_columns(columns: Iterable[SparseColumn]) -> Dict[int, SparseColumn]:
@@ -103,51 +174,14 @@ def eliminate_columns(columns: Iterable[SparseColumn]) -> Dict[int, SparseColumn
     pivot row and carries no entry at any other pivot row, so the vectors
     form a reduced basis of the column space.
     """
-    pivots: Dict[int, SparseColumn] = {}
-    # occurrence index: row -> pivot rows whose vectors touch it
-    occur: Dict[int, set] = {}
-    for col in columns:
-        v = dict(col)
-        for pr in [r for r in v if r in pivots]:
-            c = v.pop(pr)
-            for r, w in pivots[pr].items():
-                if r == pr:
-                    continue
-                s = v.get(r, Fraction(0)) - c * w
-                if s:
-                    v[r] = s
-                else:
-                    v.pop(r, None)
-        if not v:
-            continue
-        pr = _pivot_row(v)
-        inv = 1 / v[pr]
-        v = {r: c * inv for r, c in v.items()}
-        # keep older pivot vectors free of the new pivot row
-        for other in list(occur.get(pr, ())):
-            w = pivots[other]
-            c = w.pop(pr)
-            occur[pr].discard(other)
-            for r, val in v.items():
-                if r == pr:
-                    continue
-                s = w.get(r, Fraction(0)) - c * val
-                if s:
-                    if r not in w:
-                        occur.setdefault(r, set()).add(other)
-                    w[r] = s
-                elif r in w:
-                    del w[r]
-                    occur[r].discard(other)
-        pivots[pr] = v
-        for r in v:
-            if r != pr:
-                occur.setdefault(r, set()).add(pr)
-    return pivots
+    return {
+        pr: {r: Fraction(x, v[pr]) for r, x in v.items()}
+        for pr, v in _integer_pivots(columns).items()
+    }
 
 
 def rank_of_columns(columns: Iterable[SparseColumn]) -> int:
-    return len(eliminate_columns(columns))
+    return len(_integer_pivots(columns))
 
 
 def rank(m: GradedMatrix) -> int:
@@ -160,7 +194,7 @@ def solve_cokernel(m: GradedMatrix) -> Tuple[int, List[Hashable]]:
     The returned labels are the target (row) labels not hit by a pivot, so
     ``rank + len(labels) == number of rows``.
     """
-    pivots = eliminate_columns(m.columns())
+    pivots = _integer_pivots(m.columns())
     labels = [lab for i, lab in enumerate(m.rows) if i not in pivots]
     return len(pivots), labels
 

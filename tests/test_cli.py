@@ -77,6 +77,12 @@ def test_derham_rank_one(capsys):
     assert "certificate: exact" in out
 
 
+def test_derham_rank_one_default_precision_adapts_to_degree(capsys):
+    code, out, err = run(capsys, "derham", "--kind", "rank-one", "--f", "x^10")
+    assert code == 0, err
+    assert "dims (j = 0..1): [0, 10]" in out
+
+
 def test_derham_needs_kind_or_catalog(capsys):
     code, _, err = run(capsys, "derham")
     assert code == 2

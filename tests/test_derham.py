@@ -5,12 +5,15 @@ from itertools import combinations
 
 import pytest
 
+import socle.derham
+from socle.catalog import PROFILES
 from socle.errors import (
     EmptyComplexError,
     InconsistentSequenceError,
     UnsupportedSpecError,
 )
 from socle.derham import (
+    DeRhamDims,
     DirectSum,
     HypersurfaceLocalization,
     InjectiveHull,
@@ -30,6 +33,7 @@ from socle.derham import (
 from socle.grammar import parse_poly
 from socle.linalg import GradedMatrix
 from socle.series import TruncatedSeries
+from socle.structure import predict
 
 
 def test_closed_form_polynomial_ring():
@@ -216,3 +220,43 @@ def test_spec_json_round_trip():
 def test_unknown_kind_rejected():
     with pytest.raises(UnsupportedSpecError):
         spec_from_json({"kind": "mystery"})
+
+
+def test_derham_dims_hash_agrees_with_tuple_equality():
+    dims = DeRhamDims((0, 1))
+    assert dims == (0, 1)
+    assert hash(dims) == hash((0, 1))
+    assert {(0, 1): "table"}[dims] == "table"
+    assert len({dims, DeRhamDims((0, 1)), (0, 1)}) == 1
+
+
+def test_each_cutoff_complex_is_assembled_once(monkeypatch):
+    # the pairs (K-2, K-1) and (K-1, K) share the cutoff K-1 complex
+    cases = [
+        (spec_from_json({"kind": "loc-quot", "f": "x^2 + y^2 + z^2"}), 6, [0, 1, 0, 0]),
+        (MonomialLocalization(2, frozenset({0, 1})), 4, [1, 2, 1]),
+    ]
+    original = socle.derham.assemble_complex
+    for spec, cutoff, want_dims in cases:
+        calls = []
+
+        def counting(spec, cutoff, tau):
+            calls.append((cutoff, tau))
+            return original(spec, cutoff, tau)
+
+        monkeypatch.setattr(socle.derham, "assemble_complex", counting)
+        dims, report = derham_truncated(spec, cutoff)
+        monkeypatch.undo()
+        assert sorted(calls) == [(k, 0) for k in range(cutoff - 2, cutoff + 1)]
+        assert list(dims) == want_dims
+        assert (dims, report) == derham_truncated(spec, cutoff)
+        assert report.certificate == "stabilized"
+
+
+@pytest.mark.slow
+def test_fermat_cubic_surface_matches_prediction():
+    spec = spec_from_json({"kind": "loc-quot", "f": "x^3 + y^3 + z^3 + w^3"})
+    dims, report = derham_truncated(spec, 4)
+    want = predict(PROFILES["cubic-surface-p3"].profile).critical_dims
+    assert list(dims) == list(want) == [0, 1, 0, 6, 6]
+    assert report.certificate == "stabilized"

@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from socle.linalg import (
     GradedMatrix,
     eliminate_columns,
@@ -143,3 +145,69 @@ def test_zero_matrix():
     assert rank(m) == 0
     got_rank, coker = solve_cokernel(m)
     assert got_rank == 0 and len(coker) == 2
+
+
+# ------------------------------------------------- property tests (hypothesis)
+
+BIG = 2**80
+
+
+@st.composite
+def sparse_rational_columns(draw):
+    """Sparse rational columns with huge numerators and denominators.
+
+    Besides random columns the list holds zero columns, exact duplicates and
+    rational combinations of earlier columns, so rank deficiency is common.
+    """
+    n_rows = draw(st.integers(1, 7))
+    entry = st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG))
+    small = st.integers(-3, 3).map(Fraction)
+    columns = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(("random", "zero", "duplicate", "combination")))
+        if kind == "zero" or (kind != "random" and not columns):
+            columns.append({})
+        elif kind == "duplicate":
+            columns.append(dict(draw(st.sampled_from(columns))))
+        elif kind == "combination":
+            a, b = draw(st.sampled_from(columns)), draw(st.sampled_from(columns))
+            ca, cb = draw(entry), draw(entry)
+            col = {r: ca * a.get(r, 0) + cb * b.get(r, 0) for r in set(a) | set(b)}
+            columns.append({r: c for r, c in col.items() if c})
+        else:
+            rows = draw(st.sets(st.integers(0, n_rows - 1), max_size=n_rows))
+            col = {r: draw(st.one_of(entry, small)) for r in rows}
+            columns.append({r: c for r, c in col.items() if c})
+    return n_rows, columns
+
+
+def to_dense(n_rows, columns):
+    return [[col.get(i, Fraction(0)) for col in columns] for i in range(n_rows)]
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(sparse_rational_columns())
+def test_rank_and_cokernel_agree_with_dense_oracle(case):
+    n_rows, columns = case
+    want = dense_rank(to_dense(n_rows, columns))
+    assert rank_of_columns(columns) == want
+    m = GradedMatrix.from_columns(list(range(n_rows)), list(range(len(columns))), columns)
+    got_rank, coker = solve_cokernel(m)
+    assert got_rank == want
+    assert len(coker) == n_rows - want
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(sparse_rational_columns())
+def test_eliminate_columns_is_a_reduced_basis_of_the_span(case):
+    n_rows, columns = case
+    pivots = eliminate_columns(columns)
+    for row, vec in pivots.items():
+        assert vec[row] == 1
+        assert all(isinstance(c, Fraction) and c for c in vec.values())
+        assert not any(other in vec for other in pivots if other != row)
+    basis = list(pivots.values())
+    rank_in = dense_rank(to_dense(n_rows, columns))
+    assert len(basis) == rank_in
+    # the basis lies in the span of the input and has full rank there
+    assert dense_rank(to_dense(n_rows, columns + basis)) == rank_in
