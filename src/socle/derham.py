@@ -17,6 +17,11 @@ contraction against the Euler vector field gives d(i_E w) + i_E(d w) = tau*w
 on the weight-tau piece, so every class of nonzero weight dies in the limit
 and the default window computes only weight 0.  Wider windows remain
 available for diagnostics.
+
+Pole-complex entries are written from their closed form, with no polynomial
+products: for g = x^e and f = sum_a c_a x^a the numerator of d(g/f^k) in
+direction i is f dg/dx_i - k g df/dx_i = sum_a c_a (e_i - k a_i) x^(e+a-1_i),
+and distinct terms of f land on distinct monomials.
 """
 
 from __future__ import annotations
@@ -139,6 +144,11 @@ class MonomialLocalization:
         if any(not 0 <= i < self.n_vars for i in self.inverted):
             raise DimensionMismatch("inverted variable index out of range")
 
+    def product(self) -> MultiPoly:
+        """The monomial x_S of the inverted variables (1 when none is inverted)."""
+        exp = [int(i in self.inverted) for i in range(self.n_vars)]
+        return MultiPoly.monomial(self.n_vars, exp)
+
 
 @dataclass(eq=False, frozen=True)
 class HypersurfaceLocalization:
@@ -189,10 +199,7 @@ def spec_to_json(spec: ModuleSpec) -> dict:
     if isinstance(spec, InjectiveHull):
         return {"kind": "E", "vars": spec.n_vars}
     if isinstance(spec, MonomialLocalization):
-        f = MultiPoly.one(spec.n_vars)
-        for i in sorted(spec.inverted):
-            f = f * MultiPoly.variable(spec.n_vars, i)
-        return {"kind": "loc", "f": f.render(), "vars": spec.n_vars}
+        return {"kind": "loc", "f": spec.product().render(), "vars": spec.n_vars}
     if isinstance(spec, HypersurfaceLocalization):
         kind = "loc-quot" if spec.quotient_mod_A else "loc"
         return {"kind": kind, "f": spec.f.render(), "vars": spec.f.n_vars}
@@ -289,14 +296,17 @@ def assemble_complex(spec: ModuleSpec, cutoff: int, tau: int):
       diffs[j]  -- GradedMatrix C^j -> C^(j+1),
       incls[j]  -- inclusion of the polynomial subcomplex (hypersurface
                    quotient mode only, else None).
+
+    For a hypersurface, the column of x^e dx_I / f^k (k = cutoff + j) holds
+    sign * c_a * (e_i - k a_i) at the row of x^(e+a-1_i) dx_(I+i) for every
+    term c_a x^a of f and every i not in I, where sign is the wedge sign of
+    moving dx_i into place; a zero factor writes no entry.  The inclusion
+    column of x^a dx_I is f^k shifted by a.
     """
     if isinstance(spec, MonomialLocalization):
         if not spec.inverted:
             return assemble_complex(PolynomialRing(spec.n_vars), cutoff, tau)
-        f = MultiPoly.one(spec.n_vars)
-        for i in sorted(spec.inverted):
-            f = f * MultiPoly.variable(spec.n_vars, i)
-        return assemble_complex(HypersurfaceLocalization(f), cutoff, tau)
+        return assemble_complex(HypersurfaceLocalization(spec.product()), cutoff, tau)
 
     if isinstance(spec, PolynomialRing):
         n = spec.n_vars
@@ -357,58 +367,50 @@ def assemble_complex(spec: ModuleSpec, cutoff: int, tau: int):
         f = spec.f
         n = f.n_vars
         D = f.homogeneous_degree()
-        partials = [f.partial_derivative(i) for i in range(n)]
         bases = []
         for j in range(n + 1):
             deg = tau - j + (cutoff + j) * D
             bases.append(
                 [(I, e) for I in combinations(range(n), j) for e in graded_piece_basis(deg, n)]
             )
+        # integral coefficients as ints: GradedMatrix stores every entry as a
+        # Fraction anyway, and int products are much cheaper to form
+        f_terms = [(fe, c.numerator if c.denominator == 1 else c) for fe, c in f.terms.items()]
         diffs = []
         for j in range(n):
             k = cutoff + j
             index = {lab: i for i, lab in enumerate(bases[j + 1])}
+            steps = {
+                I: [(i, _wedge_sign(i, I), _insert_sorted(i, I)) for i in range(n) if i not in I]
+                for I in combinations(range(n), j)
+            }
             cols = []
             for I, e in bases[j]:
-                g = MultiPoly.monomial(n, e)
-                col: Dict[int, Fraction] = {}
-                for i in range(n):
-                    if i in I:
-                        continue
-                    sign = _wedge_sign(i, I)
-                    numer = f * g.partial_derivative(i) - k * g * partials[i]
-                    J = _insert_sorted(i, I)
-                    for exp, c in numer.terms.items():
-                        row = index[(J, exp)]
-                        s = col.get(row, Fraction(0)) + sign * c
-                        if s:
-                            col[row] = s
-                        else:
-                            col.pop(row, None)
+                col = {}
+                # exponents of g*f term by term; direction i lowers entry i by one
+                products = [(tuple(a + b for a, b in zip(e, fe)), fe, c) for fe, c in f_terms]
+                for i, sign, J in steps[I]:
+                    for s, fe, c in products:
+                        factor = e[i] - k * fe[i]
+                        if factor:
+                            col[index[(J, s[:i] + (s[i] - 1,) + s[i + 1:])]] = sign * factor * c
                 cols.append(col)
             diffs.append(GradedMatrix.from_columns(bases[j + 1], bases[j], cols))
         incls = None
         if spec.quotient_mod_A:
             incls = []
-            fpow: Dict[int, MultiPoly] = {}
-
-            def f_power(k: int) -> MultiPoly:
-                if k not in fpow:
-                    fpow[k] = f ** k
-                return fpow[k]
-
             for j in range(n + 1):
-                k = cutoff + j
                 index = {lab: i for i, lab in enumerate(bases[j])}
                 sub = [
                     (I, a)
                     for I in combinations(range(n), j)
                     for a in graded_piece_basis(tau - j, n)
                 ]
-                cols = []
-                for I, a in sub:
-                    numer = MultiPoly.monomial(n, a) * f_power(k)
-                    cols.append({index[(I, exp)]: c for exp, c in numer.terms.items()})
+                f_k = (f ** (cutoff + j)).terms if sub else {}
+                cols = [
+                    {index[(I, tuple(x + y for x, y in zip(a, exp)))]: c for exp, c in f_k.items()}
+                    for I, a in sub
+                ]
                 incls.append(GradedMatrix.from_columns(bases[j], sub, cols))
         return bases, diffs, incls
 
@@ -488,10 +490,9 @@ def _persistent_tau_dims(
     if isinstance(spec, MonomialLocalization):
         if not spec.inverted:
             return _persistent_tau_dims(PolynomialRing(spec.n_vars), lo_cut, hi_cut, tau, assembled)
-        f = MultiPoly.one(spec.n_vars)
-        for i in sorted(spec.inverted):
-            f = f * MultiPoly.variable(spec.n_vars, i)
-        return _persistent_tau_dims(HypersurfaceLocalization(f), lo_cut, hi_cut, tau, assembled)
+        return _persistent_tau_dims(
+            HypersurfaceLocalization(spec.product()), lo_cut, hi_cut, tau, assembled
+        )
 
     for cut in (lo_cut, hi_cut):
         if (cut, tau) not in assembled:
@@ -699,10 +700,7 @@ def derham_truncated(
 
     smooth = None
     if isinstance(spec, MonomialLocalization) and spec.inverted:
-        product = MultiPoly.one(spec.n_vars)
-        for i in sorted(spec.inverted):
-            product = product * MultiPoly.variable(spec.n_vars, i)
-        smooth = jacobian_ring_is_finite(product)
+        smooth = jacobian_ring_is_finite(spec.product())
     elif isinstance(spec, HypersurfaceLocalization):
         smooth = jacobian_ring_is_finite(spec.f)
     certificate = "stabilized" if stabilized else "provisional"

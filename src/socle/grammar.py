@@ -187,13 +187,17 @@ class _Parser:
         raise ParseError("expected a number, variable, partial, or '('", tok.offset)
 
 
+def _parse_tokens(tokens: List[_Token], n_vars: Optional[int]) -> WeylOp:
+    """Parse a token list; infer the variable count when not given."""
+    if n_vars is None:
+        used = [t.value for t in tokens if t.kind in ("XVAR", "DVAR")]
+        n_vars = 1 + max(used) if used else 1
+    return _Parser(tokens, n_vars).parse()
+
+
 def parse_operator(text: str, n_vars: Optional[int] = None) -> WeylOp:
     """Parse operator text; infer the variable count when not given."""
-    tokens = _tokenize(text)
-    used = [t.value for t in tokens if t.kind in ("XVAR", "DVAR")]
-    inferred = 1 + max(used) if used else 1
-    n = n_vars if n_vars is not None else inferred
-    return _Parser(tokens, n).parse()
+    return _parse_tokens(_tokenize(text), n_vars)
 
 
 def parse_poly(text: str, n_vars: Optional[int] = None) -> MultiPoly:
@@ -202,10 +206,6 @@ def parse_poly(text: str, n_vars: Optional[int] = None) -> MultiPoly:
     for t in tokens:
         if t.kind == "DVAR":
             raise ParseError("partials are not allowed in a polynomial", t.offset)
-    op = parse_operator(text, n_vars)
-    out = {}
-    zero = (0,) * op.n_vars
-    for (xe, de), c in op.terms.items():
-        # no DVAR tokens, so de is always zero here
-        out[xe] = c
-    return MultiPoly(op.n_vars, out)
+    op = _parse_tokens(tokens, n_vars)
+    # no DVAR tokens, so every d-exponent is zero
+    return MultiPoly(op.n_vars, {xe: c for (xe, _), c in op.terms.items()})

@@ -192,9 +192,6 @@ class MultiPoly:
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * self.n_vars, Fraction(0))
 
-    def is_monomial_times_unit(self) -> bool:
-        return len(self.terms) == 1
-
     def evaluate(self, point: Sequence) -> Fraction:
         if len(point) != self.n_vars:
             raise DimensionMismatch("point has wrong number of coordinates")

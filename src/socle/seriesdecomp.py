@@ -244,10 +244,6 @@ def expansion_condition_report(p: RegularOperator, analysis: OperatorAnalysis, e
 # ------------------------------------------------------------- decomposition
 
 
-def _b_valuation(series: TruncatedSeries):
-    return series.valuation()
-
-
 @dataclass(frozen=True)
 class Decomposition:
     """Result of splitting f into plain coefficients and operator range."""
@@ -262,11 +258,11 @@ class Decomposition:
 
     @property
     def e_valuations(self) -> Tuple[float, ...]:
-        return tuple(_b_valuation(v) for v in self.e)
+        return tuple(v.valuation() for v in self.e)
 
     @property
     def b_valuations(self) -> Dict[int, float]:
-        return {ell: _b_valuation(v) for ell, v in self.b.items()}
+        return {ell: v.valuation() for ell, v in self.b.items()}
 
     def reconstruction(self) -> Dict[int, MultiPoly]:
         """Re-expand e + P(sum b) via the operator action, as x-slices.

@@ -1,9 +1,11 @@
 """De Rham tables: closed forms, the truncation engine, and their agreement."""
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import socle.derham
 from socle.catalog import PROFILES
@@ -32,6 +34,7 @@ from socle.derham import (
 )
 from socle.grammar import parse_poly
 from socle.linalg import GradedMatrix
+from socle.poly import MultiPoly, graded_piece_basis
 from socle.series import TruncatedSeries
 from socle.structure import predict
 
@@ -253,6 +256,17 @@ def test_each_cutoff_complex_is_assembled_once(monkeypatch):
         assert report.certificate == "stabilized"
 
 
+def test_scaling_f_changes_no_table():
+    # rational coefficients run through assembly end to end
+    for text in ("x^2 + y^2 + z^2", "x^3 + y^3 + z^3"):
+        f = parse_poly(text, 3)
+        plain = derham_truncated(HypersurfaceLocalization(f, quotient_mod_A=True), 5)
+        scaled = derham_truncated(
+            HypersurfaceLocalization(f * Fraction(3, 7), quotient_mod_A=True), 5
+        )
+        assert scaled == plain, text
+
+
 @pytest.mark.slow
 def test_fermat_cubic_surface_matches_prediction():
     spec = spec_from_json({"kind": "loc-quot", "f": "x^3 + y^3 + z^3 + w^3"})
@@ -260,3 +274,60 @@ def test_fermat_cubic_surface_matches_prediction():
     want = predict(PROFILES["cubic-surface-p3"].profile).critical_dims
     assert list(dims) == list(want) == [0, 1, 0, 6, 6]
     assert report.certificate == "stabilized"
+
+
+# ------------------------------------------------- property tests (hypothesis)
+
+
+@st.composite
+def pole_complex_pieces(draw):
+    """A homogeneous f with rational coefficients and one piece of its complex.
+
+    f has at most three variables and degree at most three, and its support
+    is drawn from the monomials in a random subset of the variables, so f
+    often leaves a variable out.
+    """
+    n = draw(st.integers(1, 3))
+    used = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    monomials = [
+        e
+        for e in graded_piece_basis(draw(st.integers(1, 3)), n)
+        if all(e[i] == 0 for i in range(n) if i not in used)
+    ]
+    support = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=4, unique=True))
+    coefficient = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9))
+    f = MultiPoly(n, {e: draw(coefficient) for e in support})
+    spec = HypersurfaceLocalization(f, quotient_mod_A=draw(st.booleans()))
+    return spec, draw(st.integers(1, 3)), draw(st.integers(-1, 1))
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(pole_complex_pieces())
+def test_assembled_columns_match_polynomial_products(case):
+    spec, cutoff, tau = case
+    f = spec.f
+    n = f.n_vars
+    bases, diffs, incls = assemble_complex(spec, cutoff, tau)
+    for j, d in enumerate(diffs):
+        k = cutoff + j
+        assert all(isinstance(c, Fraction) for c in d.entries.values())
+        for (I, e), col in zip(bases[j], d.columns()):
+            # numerator of d(g/f^k) in direction i is f dg/dx_i - k g df/dx_i
+            g = MultiPoly.monomial(n, e)
+            want = {}
+            for i in range(n):
+                if i in I:
+                    continue
+                sign = -1 if sum(1 for m in I if m < i) % 2 else 1
+                J = tuple(sorted(I + (i,)))
+                numer = f * g.partial_derivative(i) - k * g * f.partial_derivative(i)
+                want.update({(J, exp): sign * c for exp, c in numer.terms.items()})
+            assert {bases[j + 1][r]: c for r, c in col.items()} == want
+    for j in range(len(diffs) - 1):
+        assert diffs[j + 1].compose(diffs[j]).is_zero()
+    assert (incls is not None) == spec.quotient_mod_A
+    for j, incl in enumerate(incls or ()):
+        f_k = f ** (cutoff + j)
+        for (I, a), col in zip(incl.cols, incl.columns()):
+            want = {(I, exp): c for exp, c in (MultiPoly.monomial(n, a) * f_k).terms.items()}
+            assert {bases[j][r]: c for r, c in col.items()} == want
