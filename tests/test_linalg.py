@@ -2,16 +2,16 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
 from socle.linalg import (
     GradedMatrix,
+    _integer_pivots,
     eliminate_columns,
-    rank,
     rank_of_columns,
     solve_cokernel,
-    stack_columns,
 )
 
 
@@ -98,7 +98,7 @@ def test_graded_matrix_rank_and_cokernel():
             },
         )
         r = dense_rank(dense)
-        assert rank(m) == r
+        assert rank_of_columns(m.columns()) == r
         got_rank, coker = solve_cokernel(m)
         assert got_rank == r
         assert len(coker) == n_rows - r
@@ -126,23 +126,16 @@ def test_compose_matches_dense_product():
             [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(b_cols)]
             for i in range(a_rows)
         ]
-        assert rank(prod) == dense_rank(dense_prod)
+        assert rank_of_columns(prod.columns()) == dense_rank(dense_prod)
         for j, col in enumerate(prod.columns()):
             for i in range(a_rows):
                 assert col.get(i, Fraction(0)) == dense_prod[i][j]
 
 
-def test_stack_columns_unions_the_column_sets():
-    m1 = GradedMatrix(rows=[0, 1], cols=["a"], entries={(0, 0): Fraction(1)})
-    m2 = GradedMatrix(rows=[0, 1], cols=["b"], entries={(1, 0): Fraction(2)})
-    stacked = stack_columns(m1, m2)
-    assert rank_of_columns(stacked) == 2
-
-
 def test_zero_matrix():
     m = GradedMatrix(rows=[0, 1], cols=[0], entries={})
     assert m.is_zero()
-    assert rank(m) == 0
+    assert rank_of_columns(m.columns()) == 0
     got_rank, coker = solve_cokernel(m)
     assert got_rank == 0 and len(coker) == 2
 
@@ -211,3 +204,47 @@ def test_eliminate_columns_is_a_reduced_basis_of_the_span(case):
     assert len(basis) == rank_in
     # the basis lies in the span of the input and has full rank there
     assert dense_rank(to_dense(n_rows, columns + basis)) == rank_in
+
+
+@st.composite
+def columns_sharing_few_rows(draw):
+    """Many sparse columns (up to 24) over a small shared row set (8-16 rows).
+
+    Entries are small integers and fractions, and the list holds duplicates
+    and small combinations of earlier columns, so most columns reduce to
+    zero or to a new pivot whose row older pivot vectors touch: both
+    back-substitution and its cancellations are common.
+    """
+    n_rows = draw(st.integers(8, 16))
+    # small integers half the time, small fractions otherwise
+    denominator = st.sampled_from((1, 1, 1, 2, 3, 4))
+    entry = st.builds(Fraction, st.integers(-4, 4).filter(bool), denominator)
+    columns = []
+    for _ in range(draw(st.integers(6, 24))):
+        kind = draw(st.sampled_from(("random", "random", "duplicate", "combination")))
+        if kind == "random" or not columns:
+            rows = st.integers(0, n_rows - 1)
+            columns.append(draw(st.dictionaries(rows, entry, min_size=1, max_size=6)))
+        elif kind == "duplicate":
+            columns.append(dict(draw(st.sampled_from(columns))))
+        else:
+            a, b = draw(st.sampled_from(columns)), draw(st.sampled_from(columns))
+            ca, cb = draw(entry), draw(entry)
+            col = {r: ca * a.get(r, 0) + cb * b.get(r, 0) for r in set(a) | set(b)}
+            columns.append({r: c for r, c in col.items() if c})
+    return n_rows, columns
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(columns_sharing_few_rows())
+def test_integer_pivots_under_back_substitution(case):
+    n_rows, columns = case
+    want = dense_rank(to_dense(n_rows, columns))
+    pivots = _integer_pivots(columns)
+    assert len(pivots) == want
+    assert rank_of_columns(columns[::-1]) == want
+    for row, vec in pivots.items():
+        assert all(type(x) is int for x in vec.values())
+        assert gcd(*vec.values()) == 1
+        assert vec.get(row)
+        assert not any(other in vec for other in pivots if other != row)
