@@ -4,12 +4,23 @@ Terms are stored as a dict mapping exponent tuples to ``Fraction``
 coefficients; zero coefficients are never stored.  Instances are treated as
 immutable: no method mutates ``self``, every operation returns a fresh
 polynomial.
+
+Sums and products of polynomials, truncated series and Weyl operators all run
+through one sparse-term kernel, ``_combine``.  Products are fraction-free:
+each factor's terms are scaled to integers by the lcm of their denominators,
+multiplied and accumulated as plain ints, and each output term is divided
+once by the common denominator.  Sums merge the terms as they are, with one
+``Fraction`` addition per shared key.  Results of this internal arithmetic
+are built by ``_trusted`` constructors that skip re-validation, since their
+terms are valid by construction; the public constructors keep every check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from math import inf, lcm
+from operator import add
+from typing import Callable, Dict, Hashable, Iterable, Mapping, Sequence, Tuple
 
 from .errors import DimensionMismatch, DomainError
 
@@ -25,6 +36,108 @@ def _coerce(c) -> Fraction:
     if isinstance(c, int):
         return Fraction(c)
     raise DomainError(f"coefficient must be an integer or Fraction, got {type(c).__name__}")
+
+
+def _scaled(terms: Mapping[Hashable, Fraction]) -> Tuple[Dict[Hashable, int], int]:
+    """(numerators, den) with ``terms[k] == numerators[k] / den``, where den is
+    the lcm of the denominators."""
+    den = 1
+    for c in terms.values():
+        den = lcm(den, c.denominator)
+    if den == 1:
+        return {k: c.numerator for k, c in terms.items()}, 1
+    return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
+
+
+def _combine(
+    base: Mapping[Hashable, Fraction],
+    left: Mapping[Hashable, Fraction],
+    right: Mapping[Hashable, Fraction] | None = None,
+    sign: int = 1,
+    expand: Callable[[Hashable, Hashable], Iterable[Tuple[Hashable, int]]] | None = None,
+    below: int | None = None,
+) -> Dict[Hashable, Fraction]:
+    """The terms of ``base + sign * left * right`` (``sign`` is 1 or -1).
+
+    A product is formed fraction-free in three steps: (1) ``left`` and
+    ``right`` are scaled to integers by the lcm of their denominators; (2)
+    products are accumulated as plain ints; (3) each accumulated term is
+    divided once by the common denominator, or, where ``base`` has the key,
+    added to it over that denominator with one division.  With ``expand``
+    None the keys are exponent tuples that add: the right factor is bucketed
+    by total degree once, and with ``below`` every bucket whose products
+    would reach total degree ``below`` is skipped.  Otherwise
+    ``expand(k1, k2)`` lists the (key, int weight) terms a pair of keys
+    combines to, such as a normal-ordered operator product.
+
+    ``right`` None stands for the unit: the sum ``base + sign * left`` has
+    no product to accumulate, so its terms are merged as they are, one
+    ``Fraction`` addition per shared key.  Zeros are never stored, and terms
+    of ``base`` that nothing touches are kept as they are.
+    """
+    out = dict(base)
+    if right is None:
+        for k, c in left.items():
+            b = out.get(k)
+            if b is None:
+                out[k] = c if sign == 1 else -c
+            else:
+                s = b + c if sign == 1 else b - c
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+        return out
+    lhs, den = _scaled(left)
+    rhs, rden = _scaled(right)
+    den *= rden
+    if sign != 1:
+        lhs = {k: -v for k, v in lhs.items()}
+    acc: Dict[Hashable, int] = {}
+    get = acc.get
+    if expand is None:
+        buckets: Dict[int, list] = {}
+        for e2, v2 in rhs.items():
+            buckets.setdefault(sum(e2), []).append((e2, v2))
+        ordered = sorted(buckets.items())
+        top = inf if below is None else below
+        for e1, v1 in lhs.items():
+            room = top - sum(e1)
+            for degree, bucket in ordered:
+                if degree >= room:
+                    break
+                for e2, v2 in bucket:
+                    e = tuple(map(add, e1, e2))
+                    acc[e] = get(e, 0) + v1 * v2
+    else:
+        for k1, v1 in lhs.items():
+            for k2, v2 in rhs.items():
+                v = v1 * v2
+                for k, w in expand(k1, k2):
+                    acc[k] = get(k, 0) + v * w
+    for k, v in acc.items():
+        c = out.get(k)
+        if c is None:
+            if v:
+                out[k] = Fraction(v, den)
+        else:
+            d = c.denominator
+            s = Fraction(c.numerator * den + v * d, d * den)
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out
+
+
+def _power(base, k: int, result):
+    """``result * base ** k`` for k >= 0, by binary exponentiation."""
+    while k:
+        if k & 1:
+            result = result * base
+        base = base * base if k > 1 else base
+        k >>= 1
+    return result
 
 
 class MultiPoly:
@@ -45,6 +158,15 @@ class MultiPoly:
                 clean[exp] = c
         self.n_vars = n_vars
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, n_vars: int, terms: Dict[Exponent, Fraction]) -> "MultiPoly":
+        """Wrap terms that internal arithmetic produced, without re-checking:
+        exponent tuples of length n_vars, nonzero ``Fraction`` coefficients."""
+        p = object.__new__(cls)
+        p.n_vars = n_vars
+        p.terms = terms
+        return p
 
     # ---------------------------------------------------------------- builders
 
@@ -80,66 +202,43 @@ class MultiPoly:
             )
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(self.n_vars, other)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        self._check(other)
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = terms.get(exp, Fraction(0)) + c
-            if s:
-                terms[exp] = s
-            else:
-                terms.pop(exp, None)
-        return MultiPoly(self.n_vars, terms)
+        return self._linear(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.n_vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.n_vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(self.n_vars, other)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self + (-other)
+        return self._linear(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
-    def __mul__(self, other):
+    def _linear(self, other, sign: int):
         if isinstance(other, (int, Fraction)):
-            c = _coerce(other)
-            return MultiPoly(self.n_vars, {e: c * v for e, v in self.terms.items()})
+            other = MultiPoly.constant(self.n_vars, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check(other)
-        out: Dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return MultiPoly(self.n_vars, out)
+        return MultiPoly._trusted(self.n_vars, _combine(self.terms, other.terms, sign=sign))
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            c = _coerce(other)
+            terms = {e: c * v for e, v in self.terms.items()} if c else {}
+            return MultiPoly._trusted(self.n_vars, terms)
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
+        self._check(other)
+        return MultiPoly._trusted(self.n_vars, _combine({}, self.terms, other.terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise DomainError("negative powers are not polynomials")
-        result = MultiPoly.one(self.n_vars)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return _power(self, k, MultiPoly.one(self.n_vars))
 
     def partial_derivative(self, i: int) -> "MultiPoly":
         if not 0 <= i < self.n_vars:
@@ -150,7 +249,7 @@ class MultiPoly:
                 e = list(exp)
                 e[i] -= 1
                 out[tuple(e)] = c * exp[i]
-        return MultiPoly(self.n_vars, out)
+        return MultiPoly._trusted(self.n_vars, out)
 
     # ------------------------------------------------------------- inspection
 
@@ -221,7 +320,7 @@ class MultiPoly:
             j = exp[0]
             rest = (0,) + exp[1:]
             slices.setdefault(j, {})[rest] = c
-        return {j: MultiPoly(self.n_vars, t) for j, t in sorted(slices.items())}
+        return {j: MultiPoly._trusted(self.n_vars, t) for j, t in sorted(slices.items())}
 
     def exact_divide(self, divisor: "MultiPoly"):
         """Return ``self / divisor`` when the division is exact, else None."""

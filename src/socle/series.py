@@ -5,6 +5,13 @@ A series carries a precision K and stores exactly the terms of total degree
 invents information: ``integrate`` raises precision by one (every produced
 term is determined), ``differentiate`` lowers it by one (the top slice of the
 derivative would need unknown terms).
+
+Products are fraction-free (see :mod:`socle.poly`): the terms are scaled to
+integers by the lcm of their denominators, accumulated as ints and divided
+once per output term.  A product buckets its right factor by total degree
+and skips every bucket whose products would reach the precision;
+``sub_product`` forms ``self - a*b`` in one such pass.  Results of this
+arithmetic skip re-validation; the public constructor keeps every check.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from fractions import Fraction
 from typing import Dict, Mapping
 
 from .errors import DimensionMismatch, DomainError, NonUnitError
-from .poly import Exponent, MultiPoly, _coerce, default_names
+from .poly import Exponent, MultiPoly, _coerce, _combine, default_names
 
 #: valuation reported for the (truncation-)zero series
 INFINITY = math.inf
@@ -42,11 +49,24 @@ class TruncatedSeries:
         self.precision = precision
         self.terms = clean
 
+    @classmethod
+    def _trusted(cls, n_vars: int, precision: int, terms: Dict[Exponent, Fraction]) -> "TruncatedSeries":
+        """Wrap terms that internal arithmetic produced, without re-checking:
+        exponent tuples of length n_vars and total degree below the
+        precision, nonzero ``Fraction`` coefficients."""
+        s = object.__new__(cls)
+        s.n_vars = n_vars
+        s.precision = precision
+        s.terms = terms
+        return s
+
     # ---------------------------------------------------------------- builders
 
     @classmethod
     def from_poly(cls, p: MultiPoly, precision: int) -> "TruncatedSeries":
-        return cls(p.n_vars, precision, p.terms)
+        if precision < 1:
+            raise DomainError("precision must be at least 1")
+        return cls._trusted(p.n_vars, precision, {e: c for e, c in p.terms.items() if sum(e) < precision})
 
     @classmethod
     def zero(cls, n_vars: int, precision: int) -> "TruncatedSeries":
@@ -62,9 +82,15 @@ class TruncatedSeries:
 
     def poly_part(self) -> MultiPoly:
         """The stored terms as an exact polynomial."""
-        return MultiPoly(self.n_vars, self.terms)
+        return MultiPoly._trusted(self.n_vars, dict(self.terms))
 
     # ------------------------------------------------------------- arithmetic
+
+    def _terms_below(self, precision: int) -> Dict[Exponent, Fraction]:
+        """The stored terms of total degree below ``precision``."""
+        if precision >= self.precision:
+            return self.terms
+        return {e: c for e, c in self.terms.items() if sum(e) < precision}
 
     def _check(self, other: "TruncatedSeries") -> None:
         if self.n_vars != other.n_vars:
@@ -73,61 +99,52 @@ class TruncatedSeries:
             )
 
     def __add__(self, other):
+        return self._linear(other, 1)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return TruncatedSeries._trusted(self.n_vars, self.precision, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self._linear(other, -1)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def _linear(self, other, sign: int):
         if isinstance(other, (int, Fraction)):
             other = TruncatedSeries.constant(self.n_vars, other, self.precision)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check(other)
         prec = min(self.precision, other.precision)
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = terms.get(exp, Fraction(0)) + c
-            if s:
-                terms[exp] = s
-            else:
-                terms.pop(exp, None)
-        return TruncatedSeries(self.n_vars, prec, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedSeries(self.n_vars, self.precision, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TruncatedSeries.constant(self.n_vars, other, self.precision)
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+        terms = _combine(self._terms_below(prec), other._terms_below(prec), sign=sign)
+        return TruncatedSeries._trusted(self.n_vars, prec, terms)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _coerce(other)
-            return TruncatedSeries(self.n_vars, self.precision, {e: c * v for e, v in self.terms.items()})
+            terms = {e: c * v for e, v in self.terms.items()} if c else {}
+            return TruncatedSeries._trusted(self.n_vars, self.precision, terms)
         if isinstance(other, MultiPoly):
             other = TruncatedSeries.from_poly(other, self.precision)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check(other)
         prec = min(self.precision, other.precision)
-        out: Dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            for e2, c2 in other.terms.items():
-                if d1 + sum(e2) >= prec:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return TruncatedSeries(self.n_vars, prec, out)
+        return TruncatedSeries._trusted(self.n_vars, prec, _combine({}, self.terms, other.terms, below=prec))
 
     __rmul__ = __mul__
+
+    def sub_product(self, a: "TruncatedSeries", b: "TruncatedSeries") -> "TruncatedSeries":
+        """``self - a * b`` in one fraction-free pass, at the least of the three
+        precisions."""
+        self._check(a)
+        self._check(b)
+        prec = min(self.precision, a.precision, b.precision)
+        terms = _combine(self._terms_below(prec), a.terms, b.terms, sign=-1, below=prec)
+        return TruncatedSeries._trusted(self.n_vars, prec, terms)
 
     # --------------------------------------------------------- series-specific
 
@@ -165,25 +182,15 @@ class TruncatedSeries:
         for d in range(1, K):
             acc: Dict[Exponent, Fraction] = {}
             for e_deg, a_slice in a.items():
-                if e_deg == 0 or e_deg > d:
-                    continue
                 b_slice = b.get(d - e_deg)
-                if not b_slice:
-                    continue
-                for e1, c1 in a_slice.items():
-                    for e2, c2 in b_slice.items():
-                        e = tuple(p + q for p, q in zip(e1, e2))
-                        s = acc.get(e, Fraction(0)) + c1 * c2
-                        if s:
-                            acc[e] = s
-                        else:
-                            acc.pop(e, None)
+                if e_deg and b_slice:
+                    acc = _combine(acc, a_slice, b_slice)
             if acc:
                 b[d] = {e: -inv_a0 * c for e, c in acc.items()}
         terms: Dict[Exponent, Fraction] = {}
         for slice_ in b.values():
             terms.update(slice_)
-        return TruncatedSeries(self.n_vars, K, terms)
+        return TruncatedSeries._trusted(self.n_vars, K, terms)
 
     def exp(self) -> "TruncatedSeries":
         """exp of a series with zero constant term, at the same precision."""
@@ -210,7 +217,7 @@ class TruncatedSeries:
             e = list(exp)
             e[i] += 1
             out[tuple(e)] = c / e[i]
-        return TruncatedSeries(self.n_vars, self.precision + 1, out)
+        return TruncatedSeries._trusted(self.n_vars, self.precision + 1, out)
 
     def differentiate(self, i: int) -> "TruncatedSeries":
         """Partial derivative in variable i; precision drops to K-1."""
@@ -224,7 +231,7 @@ class TruncatedSeries:
                 e = list(exp)
                 e[i] -= 1
                 out[tuple(e)] = c * exp[i]
-        return TruncatedSeries(self.n_vars, self.precision - 1, out)
+        return TruncatedSeries._trusted(self.n_vars, self.precision - 1, out)
 
     # ------------------------------------------------------------- inspection
 

@@ -385,7 +385,7 @@ def decompose(
             delta = gamma * inverses[ell]
             b_parts[ell] = b_parts.get(ell, TruncatedSeries.zero(n, K)) + delta
             for m, c in columns[ell].items():
-                residual[m] = residual[m] - delta * c
+                residual[m] = residual[m].sub_product(delta, c)
             if residual[j]:
                 raise InternalCheckError("pivot cancellation was not exact")
         sweep_vals.append(sweep_min)

@@ -7,7 +7,13 @@ formula
 
     d^b x^g = sum_nu  C(b, nu) * g(g-1)...(g-nu+1) * x^(g-nu) d^(b-nu)
 
-applied componentwise, so no rewriting search is ever needed.
+applied componentwise, so no rewriting search is ever needed.  The integer
+weights C(b, nu) * g(g-1)...(g-nu+1) are cached per (b_i, g_i), and a
+coordinate with min(b_i, g_i) = 0 contributes no expansion.  Products and
+the action on polynomials are fraction-free (see :mod:`socle.poly`):
+coefficients are scaled to integers by the lcm of their denominators,
+accumulated as ints and divided once per output term.  Results of internal
+arithmetic skip re-validation; the public constructor keeps every check.
 
 The module also carries the two function spaces operators act on besides
 polynomials: the injective hull of the residue field at the origin (spanned
@@ -18,20 +24,56 @@ fractions g / f^k.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from itertools import product
+from math import comb, perm
+from operator import add
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .errors import DimensionMismatch, DomainError
-from .poly import Exponent, MultiPoly, _coerce
+from .poly import Exponent, MultiPoly, _coerce, _combine, _power
 
 TermKey = Tuple[Exponent, Exponent]
 
 
-def _falling(g: int, nu: int) -> int:
-    out = 1
-    for t in range(nu):
-        out *= g - t
+@lru_cache(maxsize=4096)
+def _leibniz(b: int, g: int) -> Tuple[Tuple[int, int], ...]:
+    """The lower terms of d^b x^g = x^g d^b + sum_{nu >= 1} w_nu x^(g-nu) d^(b-nu),
+    as (nu, w_nu) with the integer w_nu = C(b, nu) * g(g-1)...(g-nu+1)."""
+    return tuple((nu, comb(b, nu) * perm(g, nu)) for nu in range(1, min(b, g) + 1))
+
+
+def _normal_order(k1: TermKey, k2: TermKey):
+    """The (key, int weight) terms of x^a d^b * x^g d^e in normal order."""
+    (a, b), (g, e) = k1, k2
+    xe = tuple(map(add, a, g))
+    de = tuple(map(add, b, e))
+    if not any(map(min, b, g)):
+        return (((xe, de), 1),)
+    spread = [(i, _leibniz(bi, gi)) for i, (bi, gi) in enumerate(zip(b, g)) if bi and gi]
+    out = []
+    # nu_i = 0 (weight 1) or one of the cached Leibniz terms, per coordinate
+    for choice in product(*(((0, 1),) + terms for _, terms in spread)):
+        x, d, w = list(xe), list(de), 1
+        for (i, _), (nu, c) in zip(spread, choice):
+            x[i] -= nu
+            d[i] -= nu
+            w *= c
+        out.append(((tuple(x), tuple(d)), w))
     return out
+
+
+def _apply(k1: TermKey, g: Exponent):
+    """The (exponent, int weight) term of x^a d^b applied to x^g; none when
+    some b_i exceeds g_i."""
+    a, b = k1
+    w = 1
+    for gi, bi in zip(g, b):
+        if bi:
+            if bi > gi:
+                return ()
+            w *= perm(gi, bi)
+    return ((tuple(ai + gi - bi for ai, gi, bi in zip(a, g, b)), w),)
 
 
 class WeylOp:
@@ -54,6 +96,16 @@ class WeylOp:
                 clean[(xe, de)] = c
         self.n_vars = n_vars
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, n_vars: int, terms: Dict[TermKey, Fraction]) -> "WeylOp":
+        """Wrap terms that internal arithmetic produced, without re-checking:
+        pairs of nonnegative exponent tuples of length n_vars, nonzero
+        ``Fraction`` coefficients."""
+        op = object.__new__(cls)
+        op.n_vars = n_vars
+        op.terms = terms
+        return op
 
     # ---------------------------------------------------------------- builders
 
@@ -81,8 +133,10 @@ class WeylOp:
     @classmethod
     def from_poly(cls, p: MultiPoly) -> "WeylOp":
         """Multiplication operator by a polynomial."""
+        if p.n_vars < 1:
+            raise DomainError("need at least one variable")
         z = (0,) * p.n_vars
-        return cls(p.n_vars, {(e, z): c for e, c in p.terms.items()})
+        return cls._trusted(p.n_vars, {(e, z): c for e, c in p.terms.items()})
 
     # ------------------------------------------------------------- arithmetic
 
@@ -93,71 +147,38 @@ class WeylOp:
             )
 
     def __add__(self, other):
+        return self._linear(other, 1)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return WeylOp._trusted(self.n_vars, {k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self._linear(other, -1)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def _linear(self, other, sign: int):
         if isinstance(other, (int, Fraction)):
             other = WeylOp.one(self.n_vars) * other
         if not isinstance(other, WeylOp):
             return NotImplemented
         self._check(other)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            s = terms.get(key, Fraction(0)) + c
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
-        return WeylOp(self.n_vars, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return WeylOp(self.n_vars, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = WeylOp.one(self.n_vars) * other
-        if not isinstance(other, WeylOp):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+        return WeylOp._trusted(self.n_vars, _combine(self.terms, other.terms, sign=sign))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _coerce(other)
-            return WeylOp(self.n_vars, {k: c * v for k, v in self.terms.items()})
+            terms = {k: c * v for k, v in self.terms.items()} if c else {}
+            return WeylOp._trusted(self.n_vars, terms)
         if isinstance(other, MultiPoly):
             other = WeylOp.from_poly(other)
         if not isinstance(other, WeylOp):
             return NotImplemented
         self._check(other)
-        out: Dict[TermKey, Fraction] = {}
-        n = self.n_vars
-        for (a, b), c1 in self.terms.items():
-            for (g, d), c2 in other.terms.items():
-                # normal-order d^b x^g componentwise
-                base = c1 * c2
-                # iterate over nu <= min(b, g) componentwise
-                ranges = [range(min(bi, gi) + 1) for bi, gi in zip(b, g)]
-                stack = [((), Fraction(1))]
-                for i, rng in enumerate(ranges):
-                    new = []
-                    for prefix, coef in stack:
-                        for nu in rng:
-                            w = comb(b[i], nu) * _falling(g[i], nu)
-                            if w:
-                                new.append((prefix + (nu,), coef * w))
-                    stack = new
-                for nu, coef in stack:
-                    xe = tuple(ai + gi - ni for ai, gi, ni in zip(a, g, nu))
-                    de = tuple(bi + di - ni for bi, di, ni in zip(b, d, nu))
-                    key = (xe, de)
-                    s = out.get(key, Fraction(0)) + base * coef
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
-        return WeylOp(self.n_vars, out)
+        return WeylOp._trusted(self.n_vars, _combine({}, self.terms, other.terms, expand=_normal_order))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -169,10 +190,7 @@ class WeylOp:
     def __pow__(self, k: int):
         if k < 0:
             raise DomainError("negative operator powers are not defined here")
-        result = WeylOp.one(self.n_vars)
-        for _ in range(k):
-            result = result * self
-        return result
+        return _power(self, k, WeylOp.one(self.n_vars))
 
     def commutator(self, other: "WeylOp") -> "WeylOp":
         return self * other - other * self
@@ -182,23 +200,7 @@ class WeylOp:
     def act_on_poly(self, p: MultiPoly) -> MultiPoly:
         if p.n_vars != self.n_vars:
             raise DimensionMismatch("polynomial lives over a different variable count")
-        out: Dict[Exponent, Fraction] = {}
-        for (a, b), c in self.terms.items():
-            for g, cg in p.terms.items():
-                w = 1
-                for gi, bi in zip(g, b):
-                    w *= _falling(gi, bi)
-                    if not w:
-                        break
-                if not w:
-                    continue
-                e = tuple(ai + gi - bi for ai, gi, bi in zip(a, g, b))
-                s = out.get(e, Fraction(0)) + c * cg * w
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return MultiPoly(self.n_vars, out)
+        return MultiPoly._trusted(self.n_vars, _combine({}, self.terms, p.terms, expand=_apply))
 
     def act_on_e(self, v: "EElement") -> "EElement":
         if v.n_vars != self.n_vars:

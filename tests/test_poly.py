@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from socle.errors import DimensionMismatch, DomainError
 from socle.poly import MultiPoly, graded_piece_basis
@@ -149,3 +150,72 @@ def test_sorted_terms_is_deterministic():
     p = parse_poly("y^3 + x*y + x^2", 2)
     exps = [e for e, _ in p.sorted_terms()]
     assert exps == sorted(exps, reverse=True)
+
+
+# ------------------------------------------- fraction-free product kernel
+
+BIG = 2**64
+
+
+@st.composite
+def big_rationals(draw):
+    return Fraction(draw(st.integers(-BIG, BIG)), draw(st.integers(1, BIG)))
+
+
+@st.composite
+def sparse_polys(draw, n_vars, max_exp=3, max_terms=6):
+    exps = st.tuples(*[st.integers(0, max_exp)] * n_vars)
+    return MultiPoly(n_vars, draw(st.dictionaries(exps, big_rationals(), max_size=max_terms)))
+
+
+@st.composite
+def poly_pairs(draw):
+    n = draw(st.integers(1, 3))
+    return draw(sparse_polys(n)), draw(sparse_polys(n))
+
+
+def oracle_product(a, b):
+    """Plain double loop over Fraction terms, zero sums dropped at the end."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def oracle_sum(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def assert_clean(p):
+    """Every stored coefficient is a nonzero Fraction."""
+    assert all(type(c) is Fraction and c for c in p.terms.values())
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(poly_pairs())
+def test_products_and_sums_match_the_fraction_oracle(pair):
+    a, b = pair
+    for got, want in (
+        (a * b, oracle_product(a.terms, b.terms)),
+        (a + b, oracle_sum(a.terms, b.terms)),
+        (a - b, oracle_sum(a.terms, b.terms, -1)),
+    ):
+        assert got.terms == want
+        assert_clean(got)
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(poly_pairs())
+def test_cancelling_cross_terms_are_never_stored(pair):
+    # (a + b)(a - b) = a^2 - b^2: every cross term a*b cancels against -b*a
+    a, b = pair
+    got = (a + b) * (a - b)
+    assert got.terms == oracle_product((a + b).terms, (a - b).terms)
+    assert got == a * a - b * b
+    assert_clean(got)
+    assert not (a * b - b * a).terms

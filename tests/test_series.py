@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from socle.errors import DomainError, NonUnitError
 from socle.poly import MultiPoly
@@ -114,3 +115,78 @@ def test_agrees_with():
 def test_is_unit_flag():
     assert TruncatedSeries.one(1, 3).is_unit()
     assert not TruncatedSeries.from_poly(parse_poly("x", 1), 3).is_unit()
+
+
+# ------------------------------------------- fraction-free product kernel
+
+BIG = 2**64
+
+
+@st.composite
+def big_rationals(draw):
+    return Fraction(draw(st.integers(-BIG, BIG)), draw(st.integers(1, BIG)))
+
+
+@st.composite
+def mixed_precision_series(draw, count):
+    """``count`` series in the same variables, each at its own precision 1-6;
+    the constructor drops terms at or above a series' precision."""
+    n = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 4)] * n)
+    return [
+        TruncatedSeries(
+            n,
+            draw(st.integers(1, 6)),
+            draw(st.dictionaries(exps, big_rationals(), max_size=6)),
+        )
+        for _ in range(count)
+    ]
+
+
+def oracle(base, left, right, sign, precision):
+    """base + sign * left * right by a plain double loop over Fractions,
+    truncated at ``precision``."""
+    out = {e: c for e, c in base.items() if sum(e) < precision}
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            if sum(e) < precision:
+                out[e] = out.get(e, Fraction(0)) + sign * c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def assert_clean(s):
+    """Nonzero Fraction coefficients, and nothing at or above the precision."""
+    assert all(type(c) is Fraction and c for c in s.terms.values())
+    assert all(sum(e) < s.precision for e in s.terms)
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(mixed_precision_series(3))
+def test_arithmetic_matches_the_truncated_fraction_oracle(series):
+    a, b, c = series
+    n = a.n_vars
+    one = {(0,) * n: Fraction(1)}
+    prec = min(a.precision, b.precision)
+    low = min(prec, c.precision)
+    for got, want, precision in (
+        (a * b, oracle({}, a.terms, b.terms, 1, prec), prec),
+        (a + b, oracle(a.terms, b.terms, one, 1, prec), prec),
+        (a - b, oracle(a.terms, b.terms, one, -1, prec), prec),
+        (c.sub_product(a, b), oracle(c.terms, a.terms, b.terms, -1, low), low),
+    ):
+        assert got.terms == want
+        assert got.precision == precision
+        assert_clean(got)
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(mixed_precision_series(2))
+def test_cancelling_series_terms_are_never_stored(series):
+    # (s + t)(s - t) = s^2 - t^2: every cross term s*t cancels against -t*s
+    s, t = series
+    got = (s + t) * (s - t)
+    assert got == s * s - t * t
+    assert_clean(got)
+    assert not (s * t - t * s).terms
+    assert not s.sub_product(s, TruncatedSeries.one(s.n_vars, s.precision)).terms

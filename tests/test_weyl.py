@@ -1,9 +1,12 @@
 """Operator algebra: rewriting, module actions, adjoints, the product identity."""
 
+import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from socle.errors import DomainError
 from socle.grammar import parse_operator, parse_poly
@@ -249,3 +252,124 @@ def test_euler_identity_randomized():
         b = random_poly(rng, 1, max_deg=2)
         _, _, residual = check_euler_identity(q, b)
         assert residual == WeylOp.zero(1)
+
+
+# ------------------------------------------- fraction-free product kernel
+
+BIG = 2**64
+
+
+@st.composite
+def big_rationals(draw):
+    return Fraction(draw(st.integers(-BIG, BIG)), draw(st.integers(1, BIG)))
+
+
+def weyl_ops(n, max_exp=2, max_terms=4):
+    exps = st.tuples(*[st.integers(0, max_exp)] * n)
+    terms = st.dictionaries(st.tuples(exps, exps), big_rationals(), max_size=max_terms)
+    return terms.map(lambda t: WeylOp(n, t))
+
+
+def polys(n, max_exp=3, max_terms=5):
+    exps = st.tuples(*[st.integers(0, max_exp)] * n)
+    terms = st.dictionaries(exps, big_rationals(), max_size=max_terms)
+    return terms.map(lambda t: MultiPoly(n, t))
+
+
+@st.composite
+def operator_cases(draw):
+    """Three operators and a polynomial in 1-3 variables."""
+    n = draw(st.integers(1, 3))
+    p, q, r = (draw(weyl_ops(n)) for _ in range(3))
+    return p, q, r, draw(polys(n))
+
+
+def oracle_product(p, q):
+    """x^a d^b * x^g d^e = sum_nu prod_i C(b_i, nu_i) g_i!/(g_i-nu_i)!
+    x^(a+g-nu) d^(b+e-nu), as a plain double loop over Fraction terms."""
+    out = {}
+    for (a, b), c1 in p.terms.items():
+        for (g, e), c2 in q.terms.items():
+            for nu in product(*(range(min(bi, gi) + 1) for bi, gi in zip(b, g))):
+                w = 1
+                for bi, gi, ni in zip(b, g, nu):
+                    w *= math.comb(bi, ni) * math.perm(gi, ni)
+                key = (
+                    tuple(x - k for x, k in zip(map(sum, zip(a, g)), nu)),
+                    tuple(x - k for x, k in zip(map(sum, zip(b, e)), nu)),
+                )
+                out[key] = out.get(key, Fraction(0)) + c1 * c2 * w
+    return {k: c for k, c in out.items() if c}
+
+
+def oracle_action(p, f):
+    """x^a d^b applied to x^g gives g!/(g-b)! x^(a+g-b), zero if some b_i > g_i."""
+    out = {}
+    for (a, b), c1 in p.terms.items():
+        for g, c2 in f.terms.items():
+            w = math.prod(math.perm(gi, bi) for gi, bi in zip(g, b))
+            if w:
+                e = tuple(ai + gi - bi for ai, gi, bi in zip(a, g, b))
+                out[e] = out.get(e, Fraction(0)) + c1 * c2 * w
+    return {e: c for e, c in out.items() if c}
+
+
+def assert_clean(x):
+    assert all(type(c) is Fraction and c for c in x.terms.values())
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(operator_cases())
+def test_products_and_actions_match_the_fraction_oracle(case):
+    p, q, _, f = case
+    for got, want in (
+        (p * q, oracle_product(p, q)),
+        (p.act_on_poly(f), oracle_action(p, f)),
+    ):
+        assert got.terms == want
+        assert_clean(got)
+    total, diff = p + q, p - q
+    assert_clean(total)
+    assert_clean(diff)
+    assert total - q == p and diff + q == p
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(operator_cases())
+def test_weyl_relations_associativity_and_action(case):
+    p, q, r, f = case
+    n = p.n_vars
+    assert (p * q) * r == p * (q * r)
+    assert (p * q).act_on_poly(f) == p.act_on_poly(q.act_on_poly(f))
+    c = next(iter(f.terms.values()), Fraction(1))
+    for i in range(n):
+        for j in range(n):
+            comm = (WeylOp.d_gen(n, i) * c).commutator(WeylOp.x_gen(n, j))
+            assert comm == (WeylOp.one(n) * c if i == j else WeylOp.zero(n))
+            assert_clean(comm)
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(operator_cases())
+def test_cancelling_operator_terms_are_never_stored(case):
+    # with a in the partials only and b in the variables only, the leading
+    # x^g d^b terms of a*(-b) cancel against b*a inside one product
+    p, q, _, _ = case
+    a = WeylOp(p.n_vars, {(tuple(0 for _ in xe), de): c for (xe, de), c in p.terms.items()})
+    b = WeylOp(q.n_vars, {(xe, tuple(0 for _ in de)): c for (xe, de), c in q.terms.items()})
+    got = (a + b) * (a - b)
+    assert got.terms == oracle_product(a + b, a - b)
+    assert got == a * a - a * b + b * a - b * b
+    assert_clean(got)
+
+
+def test_power_is_the_repeated_product():
+    rng = random.Random(83)
+    for _ in range(10):
+        n = rng.randint(1, 2)
+        op = random_op(rng, n)
+        assert op ** 0 == WeylOp.one(n)
+        acc = WeylOp.one(n)
+        for k in range(1, 7):
+            acc = acc * op
+            assert op ** k == acc
