@@ -8,11 +8,13 @@ polynomial.
 Sums and products of polynomials, truncated series and Weyl operators all run
 through one sparse-term kernel, ``_combine``.  Products are fraction-free:
 each factor's terms are scaled to integers by the lcm of their denominators,
-multiplied and accumulated as plain ints, and each output term is divided
-once by the common denominator.  Sums merge the terms as they are, with one
-``Fraction`` addition per shared key.  Results of this internal arithmetic
-are built by ``_trusted`` constructors that skip re-validation, since their
-terms are valid by construction; the public constructors keep every check.
+multiplied and accumulated as plain ints (``_accumulate``, which the
+fraction-free sweep of :mod:`socle.seriesdecomp` also calls directly), and
+each output term is divided once by the common denominator.  Sums merge the
+terms as they are, with one ``Fraction`` addition per shared key.  Results of
+this internal arithmetic are built by ``_trusted`` constructors that skip
+re-validation, since their terms are valid by construction; the public
+constructors keep every check.
 """
 
 from __future__ import annotations
@@ -49,6 +51,46 @@ def _scaled(terms: Mapping[Hashable, Fraction]) -> Tuple[Dict[Hashable, int], in
     return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
 
 
+def _accumulate(
+    lhs: Mapping[Hashable, int],
+    rhs: Mapping[Hashable, int],
+    expand: Callable[[Hashable, Hashable], Iterable[Tuple[Hashable, int]]] | None = None,
+    below: int | None = None,
+) -> Dict[Hashable, int]:
+    """The int terms of the product ``lhs * rhs`` of two int term dicts; a
+    term may cancel to 0 and is then still listed.
+
+    With ``expand`` None the keys are exponent tuples that add: the right
+    factor is bucketed by total degree once, and with ``below`` every bucket
+    whose products would reach total degree ``below`` is skipped.  Otherwise
+    ``expand(k1, k2)`` lists the (key, int weight) terms a pair of keys
+    combines to, such as a normal-ordered operator product.
+    """
+    acc: Dict[Hashable, int] = {}
+    get = acc.get
+    if expand is None:
+        buckets: Dict[int, list] = {}
+        for e2, v2 in rhs.items():
+            buckets.setdefault(sum(e2), []).append((e2, v2))
+        ordered = sorted(buckets.items())
+        top = inf if below is None else below
+        for e1, v1 in lhs.items():
+            room = top - sum(e1)
+            for degree, bucket in ordered:
+                if degree >= room:
+                    break
+                for e2, v2 in bucket:
+                    e = tuple(map(add, e1, e2))
+                    acc[e] = get(e, 0) + v1 * v2
+    else:
+        for k1, v1 in lhs.items():
+            for k2, v2 in rhs.items():
+                v = v1 * v2
+                for k, w in expand(k1, k2):
+                    acc[k] = get(k, 0) + v * w
+    return acc
+
+
 def _combine(
     base: Mapping[Hashable, Fraction],
     left: Mapping[Hashable, Fraction],
@@ -61,14 +103,10 @@ def _combine(
 
     A product is formed fraction-free in three steps: (1) ``left`` and
     ``right`` are scaled to integers by the lcm of their denominators; (2)
-    products are accumulated as plain ints; (3) each accumulated term is
-    divided once by the common denominator, or, where ``base`` has the key,
-    added to it over that denominator with one division.  With ``expand``
-    None the keys are exponent tuples that add: the right factor is bucketed
-    by total degree once, and with ``below`` every bucket whose products
-    would reach total degree ``below`` is skipped.  Otherwise
-    ``expand(k1, k2)`` lists the (key, int weight) terms a pair of keys
-    combines to, such as a normal-ordered operator product.
+    products are accumulated as plain ints by ``_accumulate``, which takes
+    ``expand`` and ``below``; (3) each accumulated term is divided once by
+    the common denominator, or, where ``base`` has the key, added to it over
+    that denominator with one division.
 
     ``right`` None stands for the unit: the sum ``base + sign * left`` has
     no product to accumulate, so its terms are merged as they are, one
@@ -93,29 +131,7 @@ def _combine(
     den *= rden
     if sign != 1:
         lhs = {k: -v for k, v in lhs.items()}
-    acc: Dict[Hashable, int] = {}
-    get = acc.get
-    if expand is None:
-        buckets: Dict[int, list] = {}
-        for e2, v2 in rhs.items():
-            buckets.setdefault(sum(e2), []).append((e2, v2))
-        ordered = sorted(buckets.items())
-        top = inf if below is None else below
-        for e1, v1 in lhs.items():
-            room = top - sum(e1)
-            for degree, bucket in ordered:
-                if degree >= room:
-                    break
-                for e2, v2 in bucket:
-                    e = tuple(map(add, e1, e2))
-                    acc[e] = get(e, 0) + v1 * v2
-    else:
-        for k1, v1 in lhs.items():
-            for k2, v2 in rhs.items():
-                v = v1 * v2
-                for k, w in expand(k1, k2):
-                    acc[k] = get(k, 0) + v * w
-    for k, v in acc.items():
+    for k, v in _accumulate(lhs, rhs, expand, below).items():
         c = out.get(k)
         if c is None:
             if v:

@@ -9,9 +9,8 @@ derivative would need unknown terms).
 Products are fraction-free (see :mod:`socle.poly`): the terms are scaled to
 integers by the lcm of their denominators, accumulated as ints and divided
 once per output term.  A product buckets its right factor by total degree
-and skips every bucket whose products would reach the precision;
-``sub_product`` forms ``self - a*b`` in one such pass.  Results of this
-arithmetic skip re-validation; the public constructor keeps every check.
+and skips every bucket whose products would reach the precision.  Results of
+this arithmetic skip re-validation; the public constructor keeps every check.
 """
 
 from __future__ import annotations
@@ -136,15 +135,6 @@ class TruncatedSeries:
         return TruncatedSeries._trusted(self.n_vars, prec, _combine({}, self.terms, other.terms, below=prec))
 
     __rmul__ = __mul__
-
-    def sub_product(self, a: "TruncatedSeries", b: "TruncatedSeries") -> "TruncatedSeries":
-        """``self - a * b`` in one fraction-free pass, at the least of the three
-        precisions."""
-        self._check(a)
-        self._check(b)
-        prec = min(self.precision, a.precision, b.precision)
-        terms = _combine(self._terms_below(prec), a.terms, b.terms, sign=-1, below=prec)
-        return TruncatedSeries._trusted(self.n_vars, prec, terms)
 
     # --------------------------------------------------------- series-specific
 

@@ -22,6 +22,14 @@ pivot.  Cancellation throws dust t positions down, but only with one extra
 order of m_B (that is the band condition), so after K sweeps the residual
 vanishes identically at precision K.  Unit-coefficient spill upward is
 cancelled later within the same sweep.
+
+The sweep is fraction-free (Bareiss, Math. Comp. 1968).  Every residual
+position, e-part and b-part is held as int numerators over one denominator,
+with zeros dropped and the common gcd divided out.  Expansion columns and
+pivot inverses are scaled to integers once per call; each product is
+accumulated as ints truncated below K by the kernel of :mod:`socle.poly`
+and merged over the lcm of the two denominators.  ``Fraction`` terms are
+built only once per e-part and b-part, when the result is handed out.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import DimensionMismatch, DomainError, InternalCheckError, RangeError
-from .poly import MultiPoly
+from .poly import MultiPoly, _accumulate, _scaled
 from .series import TruncatedSeries
 from .weyl import WeylOp
 
@@ -222,9 +230,15 @@ def expansion_condition_report(p: RegularOperator, analysis: OperatorAnalysis, e
     that are in m_B; (pivot) the coefficient at x^(ell - r + t) is a unit
     with constant term g(ell).
     """
-    r = p.order
-    coeffs = expansion_coeffs(p, ell)
-    low = ell - r
+    return _condition_report(p, analysis, ell, expansion_coeffs(p, ell))
+
+
+def _condition_report(
+    p: RegularOperator, analysis: OperatorAnalysis, ell: int, coeffs: Dict[int, MultiPoly]
+) -> dict:
+    """``expansion_condition_report`` from the expansion coefficients of
+    P(x^ell), already computed."""
+    low = ell - p.order
     support_ok = all(m >= low for m in coeffs)
     band_ok = all(
         not coeffs.get(m, MultiPoly.zero(p.n_vars)).constant_term()
@@ -242,6 +256,32 @@ def expansion_condition_report(p: RegularOperator, analysis: OperatorAnalysis, e
 
 
 # ------------------------------------------------------------- decomposition
+
+# The sweep holds a truncated B-series as a pair (nums, den): int numerators
+# keyed by exponent over one positive denominator, as ``poly._scaled`` gives.
+_Scaled = Tuple[Dict[Tuple[int, ...], int], int]
+
+
+def _primitive(nums: Dict[Tuple[int, ...], int], den: int) -> _Scaled:
+    """(nums, den) with zero numerators dropped and the gcd of the rest and
+    den divided out, so that the integers stay small."""
+    nums = {e: v for e, v in nums.items() if v}
+    g = math.gcd(den, *nums.values())
+    if g == 1:
+        return nums, den
+    return {e: v // g for e, v in nums.items()}, den // g
+
+
+def _merge(a: _Scaled, b: _Scaled, sign: int) -> _Scaled:
+    """a + sign * b, over the lcm of the two denominators."""
+    (a_nums, a_den), (b_nums, b_den) = a, b
+    den = math.lcm(a_den, b_den)
+    a_scale, b_scale = den // a_den, sign * (den // b_den)
+    out = {e: v * a_scale for e, v in a_nums.items()}
+    get = out.get
+    for e, v in b_nums.items():
+        out[e] = get(e, 0) + v * b_scale
+    return _primitive(out, den)
 
 
 @dataclass(frozen=True)
@@ -337,71 +377,78 @@ def decompose(
             f"(got {window})"
         )
 
+    def scaled(c: MultiPoly) -> _Scaled:
+        return _scaled(TruncatedSeries.from_poly(c, K).terms)
+
+    def product(a: _Scaled, b: _Scaled) -> _Scaled:
+        return _accumulate(a[0], b[0], below=K), a[1] * b[1]
+
+    zero: _Scaled = ({}, 1)
     # residual coefficients, one truncated B-series per tracked x-power
-    residual: List[TruncatedSeries] = [
-        TruncatedSeries.zero(n, K) for _ in range(window + 1)
-    ]
+    residual: List[_Scaled] = [zero] * (window + 1)
     for j, sl in f.x0_slices().items():
         if j <= window:
-            residual[j] = TruncatedSeries.from_poly(sl, K)
+            residual[j] = scaled(sl)
 
     # expansion columns and pivot inverses for every generator the sweep can touch
     max_ell = window + r - t
-    columns: Dict[int, Dict[int, TruncatedSeries]] = {}
-    inverses: Dict[int, TruncatedSeries] = {}
+    columns: Dict[int, Dict[int, _Scaled]] = {}
+    inverses: Dict[int, _Scaled] = {}
     for ell in range(ell0, max_ell + 1):
-        report = expansion_condition_report(p, analysis, ell)
+        col = expansion_coeffs(p, ell)
+        report = _condition_report(p, analysis, ell, col)
         if not (report["support_ok"] and report["band_ok"] and report["pivot_unit"]):
             raise DomainError(
                 f"operator fails its expansion conditions at generator index {ell}: {report}"
             )
-        col = expansion_coeffs(p, ell)
-        columns[ell] = {
-            m: TruncatedSeries.from_poly(c, K) for m, c in col.items() if m <= window
-        }
-        inverses[ell] = columns[ell][ell - r + t].invert()
+        columns[ell] = {m: scaled(c) for m, c in col.items() if m <= window}
+        inverses[ell] = _scaled(TruncatedSeries.from_poly(col[ell - r + t], K).invert().terms)
 
-    e_parts = [TruncatedSeries.zero(n, K) for _ in range(s)]
-    b_parts: Dict[int, TruncatedSeries] = {}
+    e_parts: List[_Scaled] = [zero] * s
+    b_parts: Dict[int, _Scaled] = {}
     sweep_vals: List[float] = []
 
     for sweep in range(1, K + 1):
         sweep_min = math.inf
         for j in range(window + 1):
             gamma = residual[j]
-            if not gamma:
+            if not gamma[0]:
                 continue
-            v = gamma.valuation()
+            v = min(map(sum, gamma[0]))
             if v < sweep - 1:
                 raise InternalCheckError(
                     f"coherence failure: sweep {sweep} found valuation {v} at position {j}"
                 )
             sweep_min = min(sweep_min, v)
             if j < s:
-                e_parts[j] = e_parts[j] + gamma
-                residual[j] = TruncatedSeries.zero(n, K)
+                e_parts[j] = _merge(e_parts[j], gamma, 1)
+                residual[j] = zero
                 continue
             ell = j + r - t
-            delta = gamma * inverses[ell]
-            b_parts[ell] = b_parts.get(ell, TruncatedSeries.zero(n, K)) + delta
+            delta = _primitive(*product(gamma, inverses[ell]))
+            b_parts[ell] = _merge(b_parts.get(ell, zero), delta, 1)
             for m, c in columns[ell].items():
-                residual[m] = residual[m].sub_product(delta, c)
-            if residual[j]:
+                residual[m] = _merge(residual[m], product(delta, c), -1)
+            if residual[j][0]:
                 raise InternalCheckError("pivot cancellation was not exact")
         sweep_vals.append(sweep_min)
         if sweep_min == math.inf:
             break  # residual already empty; later sweeps are no-ops
 
-    if any(residual):
+    if any(nums for nums, _ in residual):
         raise InternalCheckError("residual survived all sweeps at the stated precision")
+
+    def series(part: _Scaled) -> TruncatedSeries:
+        nums, den = part
+        return TruncatedSeries._trusted(n, K, {e: Fraction(v, den) for e, v in nums.items()})
 
     return Decomposition(
         operator=p,
         analysis=analysis,
         precision=K,
         x_window=window,
-        e=tuple(e_parts),
-        b={ell: v for ell, v in sorted(b_parts.items()) if v},
+        e=tuple(series(v) for v in e_parts),
+        b={ell: series(v) for ell, v in sorted(b_parts.items()) if v[0]},
         sweep_valuations=tuple(sweep_vals),
     )
 

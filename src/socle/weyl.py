@@ -394,7 +394,9 @@ def check_euler_identity(q: WeylOp, b: MultiPoly, var: int = 0):
         if i == 0:
             return WeylOp.zero(n)
         prev = remainder(i - 1, f.partial_derivative(var), g)
-        tail = WeylOp.from_poly(f) * (d ** (i - 1)) * WeylOp.from_poly(g)
+        # multiplied in last and from the left, the large d-free f needs no
+        # Leibniz expansion
+        tail = WeylOp.from_poly(f) * ((d ** (i - 1)) * WeylOp.from_poly(g))
         return prev + tail * ((-1) ** i)
 
     r_op = WeylOp.zero(n)

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output discipline, the verify suites."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -133,6 +134,27 @@ def test_decompose_json(capsys):
     assert payload["e"] == ["7"]
     assert payload["b"] == {"1": "3", "3": "5/3"}
     assert payload["operator"] == "x*d0"
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name, p, f, prec",
+    [
+        ("decompose_two_vars", "(x0 + x1)*d0^2 + x1*d0 + 3", "x0^5*x1 + 3*x1^2 - x0", "10"),
+        (
+            "decompose_three_vars",
+            "(x0 + x1 + x2)*d0 + x1*x2",
+            "x0^4*x1*x2 - 2/3*x0^2*x2^2 + 5*x1 + 7/2",
+            "8",
+        ),
+    ],
+)
+def test_decompose_json_is_pinned(capsys, name, p, f, prec):
+    code, out, _ = run(capsys, "decompose", "--p", p, "--f", f, "--prec", prec, "--format", "json")
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.json").read_text()
 
 
 def test_decompose_rejects_second_partial(capsys):

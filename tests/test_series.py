@@ -162,21 +162,18 @@ def assert_clean(s):
 
 
 @settings(deadline=None, derandomize=True, max_examples=100)
-@given(mixed_precision_series(3))
+@given(mixed_precision_series(2))
 def test_arithmetic_matches_the_truncated_fraction_oracle(series):
-    a, b, c = series
-    n = a.n_vars
-    one = {(0,) * n: Fraction(1)}
+    a, b = series
+    one = {(0,) * a.n_vars: Fraction(1)}
     prec = min(a.precision, b.precision)
-    low = min(prec, c.precision)
-    for got, want, precision in (
-        (a * b, oracle({}, a.terms, b.terms, 1, prec), prec),
-        (a + b, oracle(a.terms, b.terms, one, 1, prec), prec),
-        (a - b, oracle(a.terms, b.terms, one, -1, prec), prec),
-        (c.sub_product(a, b), oracle(c.terms, a.terms, b.terms, -1, low), low),
+    for got, want in (
+        (a * b, oracle({}, a.terms, b.terms, 1, prec)),
+        (a + b, oracle(a.terms, b.terms, one, 1, prec)),
+        (a - b, oracle(a.terms, b.terms, one, -1, prec)),
     ):
         assert got.terms == want
-        assert got.precision == precision
+        assert got.precision == prec
         assert_clean(got)
 
 
@@ -189,4 +186,3 @@ def test_cancelling_series_terms_are_never_stored(series):
     assert got == s * s - t * t
     assert_clean(got)
     assert not (s * t - t * s).terms
-    assert not s.sub_product(s, TruncatedSeries.one(s.n_vars, s.precision)).terms

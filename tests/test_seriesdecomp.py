@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from socle.errors import DimensionMismatch, DomainError, RangeError
 from socle.grammar import parse_operator
@@ -14,6 +15,7 @@ from socle.seriesdecomp import (
     Decomposition,
     OperatorAnalysis,
     RegularOperator,
+    _merge,
     analyze_operator,
     decompose,
     expansion_coeffs,
@@ -351,3 +353,111 @@ def test_to_json_shape():
     # a vanished plain coefficient reports a null valuation
     assert payload["e_valuations"] == [None]
     assert payload["b_valuations"] == {"2": 0}
+
+
+# ------------------------------------------- the sweep against a plain oracle
+
+BIG = 2**32
+SWEEP_OPERATORS = (
+    ("(x0 + x1)*d0^2 + x1*d0 + 3", 2),
+    ("(x0 + x1 + x2)*d0 + x1*x2", 3),
+    ("x*d0", 1),
+    ("x*d0", 2),
+)
+
+
+def truncated_product(a, b, precision):
+    """a * b below total degree ``precision``, by a plain double loop over
+    Fractions."""
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            if sum(e) < precision:
+                out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return TruncatedSeries(a.n_vars, precision, out)
+
+
+def plain_sweep(f, p, K):
+    """The sweep of ``decompose`` on TruncatedSeries, one generator at a time:
+    (e-parts, nonzero b-parts, sweep valuations)."""
+    analysis = analyze_operator(p)
+    r, t, s = p.order, analysis.t, analysis.s
+    window = K * t + (f.degree_in(0) if f else 0) + r
+    zero = TruncatedSeries.zero(p.n_vars, K)
+    residual = [zero] * (window + 1)
+    for j, sl in f.x0_slices().items():
+        residual[j] = TruncatedSeries.from_poly(sl, K)
+    e, b, valuations = [zero] * s, {}, []
+    for _ in range(K):
+        low = math.inf
+        for j, gamma in enumerate(residual):
+            if not gamma:
+                continue
+            low = min(low, gamma.valuation())
+            if j < s:
+                e[j], residual[j] = e[j] + gamma, zero
+                continue
+            ell = j + r - t
+            column = expansion_coeffs(p, ell)
+            inverse = TruncatedSeries.from_poly(column[j], K).invert()
+            delta = truncated_product(gamma, inverse, K)
+            b[ell] = b.get(ell, zero) + delta
+            for m, c in column.items():
+                if m <= window:
+                    product = truncated_product(delta, TruncatedSeries.from_poly(c, K), K)
+                    residual[m] = residual[m] - product
+            assert not residual[j]
+        valuations.append(low)
+        if low == math.inf:
+            break
+    return tuple(e), {ell: v for ell, v in b.items() if v}, tuple(valuations)
+
+
+@st.composite
+def sweep_inputs(draw):
+    """An operator of SWEEP_OPERATORS, a precision 1-8 and a random f: one to
+    five terms of x-degree <= 5 and B-degree <= 3, with numerators and
+    denominators up to 2^32."""
+    text, n = draw(st.sampled_from(SWEEP_OPERATORS))
+    terms = {}
+    for _ in range(draw(st.integers(1, 5))):
+        b_exp = [0] * (n - 1)
+        for _ in range(draw(st.integers(0, 3)) if n > 1 else 0):
+            b_exp[draw(st.integers(0, n - 2))] += 1
+        exp = (draw(st.integers(0, 5)), *b_exp)
+        terms[exp] = Fraction(draw(st.integers(-BIG, BIG)), draw(st.integers(1, BIG)))
+    return op_from_text(text, n), MultiPoly(n, terms), draw(st.sampled_from(range(1, 9)))
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(sweep_inputs())
+def test_fraction_free_sweep_matches_the_plain_series_sweep(inputs):
+    p, f, K = inputs
+    dec = decompose(f, p, K)
+    assert (dec.e, dec.b, dec.sweep_valuations) == plain_sweep(f, p, K)
+    for part in (*dec.e, *dec.b.values()):
+        assert part.precision == K
+        assert all(type(c) is Fraction and c for c in part.terms.values())
+
+
+@st.composite
+def scaled_pairs(draw):
+    """A (numerators, den) pair in one variable; zeros and a common factor
+    allowed."""
+    nums = draw(st.dictionaries(st.tuples(st.integers(0, 4)), st.integers(-BIG, BIG), max_size=5))
+    return nums, draw(st.integers(1, BIG))
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(scaled_pairs(), scaled_pairs(), st.sampled_from((1, -1)))
+def test_merged_pairs_are_exact_and_primitive(a, b, sign):
+    # the sweep's integers stay small: zeros dropped, common gcd divided out
+    nums, den = _merge(a, b, sign)
+    want = {}
+    for (part_nums, part_den), part_sign in ((a, 1), (b, sign)):
+        for e, v in part_nums.items():
+            want[e] = want.get(e, 0) + part_sign * Fraction(v, part_den)
+    assert {e: Fraction(v, den) for e, v in nums.items()} == {e: c for e, c in want.items() if c}
+    assert den > 0 and all(nums.values())
+    assert math.gcd(den, *nums.values()) == 1
