@@ -6,11 +6,10 @@ Four layers:
   power series (`TruncatedSeries`), labelled sparse linear algebra
   (`GradedMatrix`), and a small text grammar for both;
 - the operator algebra: normally ordered differential operators (`WeylOp`),
-  formal adjoints, inverse-monomial modules (`EElement`), localization
-  elements (`PoleElement`);
-- de Rham engines: closed forms, pole-filtration truncation with a
-  stabilization certificate, rank-one connections, and the long-exact-sequence
-  splicer;
+  formal adjoints, and the simple module E of inverse monomials (`EElement`);
+- de Rham engines: module specs that each answer their own per-kind
+  questions, closed forms, pole-filtration truncation with a stabilization
+  certificate, rank-one connections, and the long-exact-sequence splicer;
 - structure predictions: Betti-profile bookkeeping, cone homology, E-copy
   counts, simplicity and vanishing verdicts, plus the series decomposition
   along a regular operator that powers the one-variable reductions.
@@ -33,11 +32,10 @@ from .errors import (
 )
 from .poly import MultiPoly, default_names, graded_piece_basis
 from .series import TruncatedSeries
-from .linalg import GradedMatrix, eliminate_columns, rank_of_columns, solve_cokernel
+from .linalg import GradedMatrix, eliminate_columns, rank_of_columns
 from .grammar import parse_operator, parse_poly
 from .weyl import (
     EElement,
-    PoleElement,
     WeylOp,
     check_euler_identity,
     formal_adjoint,
@@ -68,13 +66,10 @@ from .structure import (
     CurveData,
     StructureReport,
     cone_homology,
-    lichtenbaum_check,
     ogus_criterion,
     predict,
-    projective_space_cohomology,
     singular_curve_cohomology,
     singular_curve_h1,
-    smooth_curve_cohomology,
 )
 from .catalog import HYPERSURFACES, PROFILES, CatalogHypersurface, CatalogProfile
 from .seriesdecomp import (
@@ -109,7 +104,6 @@ __all__ = [
     "GradedMatrix",
     "eliminate_columns",
     "rank_of_columns",
-    "solve_cokernel",
     "parse_poly",
     "parse_operator",
     "WeylOp",
@@ -118,7 +112,6 @@ __all__ = [
     "formal_adjoint",
     "check_euler_identity",
     "EElement",
-    "PoleElement",
     "DeRhamDims",
     "TruncationReport",
     "PolynomialRing",
@@ -139,11 +132,8 @@ __all__ = [
     "BettiProfile",
     "CurveData",
     "StructureReport",
-    "projective_space_cohomology",
-    "smooth_curve_cohomology",
     "singular_curve_h1",
     "singular_curve_cohomology",
-    "lichtenbaum_check",
     "cone_homology",
     "ogus_criterion",
     "predict",

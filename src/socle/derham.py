@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     DimensionMismatch,
@@ -41,7 +41,7 @@ from .errors import (
     UnsupportedSpecError,
 )
 from .grammar import parse_poly
-from .linalg import GradedMatrix, rank_of_columns
+from .linalg import GradedMatrix, _compose_columns, rank_of_columns
 from .poly import MultiPoly, graded_piece_basis
 from .series import TruncatedSeries
 
@@ -120,20 +120,65 @@ class TruncationReport:
 # ------------------------------------------------------------- module specs
 
 
+class ModuleSpec:
+    """Base of the module specs.  Every question whose answer depends on the
+    kind of module is a method here, overridden by the kinds it concerns."""
+
+    def to_json(self) -> dict:
+        raise NotImplementedError
+
+    def ambient_vars(self) -> int:
+        return self.n_vars
+
+    def closed_form(self) -> DeRhamDims:
+        raise UnsupportedSpecError(
+            f"no closed form for {type(self).__name__}; use the truncation engine"
+        )
+
+    def engine(self) -> "ModuleSpec":
+        """The spec whose complex the truncation engine assembles."""
+        return self
+
+    def cutoff_free(self, pole_cutoff: int, window: Tuple[int, int]) -> bool:
+        """Whether the complex at this cutoff and window ignores the cutoff,
+        so one pass is exact and no second cutoff is compared."""
+        return False
+
+
 @dataclass(frozen=True)
-class PolynomialRing:
+class PolynomialRing(ModuleSpec):
     n_vars: int
 
+    def to_json(self) -> dict:
+        return {"kind": "R", "vars": self.n_vars}
+
+    def closed_form(self) -> DeRhamDims:
+        return DeRhamDims((1,) + (0,) * self.n_vars)
+
+    def cutoff_free(self, pole_cutoff: int, window: Tuple[int, int]) -> bool:
+        return True  # no poles: the complex never sees the cutoff
+
 
 @dataclass(frozen=True)
-class InjectiveHull:
+class InjectiveHull(ModuleSpec):
     """Injective hull of the residue field at the origin (inverse monomials)."""
 
     n_vars: int
 
+    def to_json(self) -> dict:
+        return {"kind": "E", "vars": self.n_vars}
+
+    def closed_form(self) -> DeRhamDims:
+        return DeRhamDims((0,) * self.n_vars + (1,))
+
+    def cutoff_free(self, pole_cutoff: int, window: Tuple[int, int]) -> bool:
+        # the basis constraint is a condition on the weight alone once the
+        # cutoff clears the window
+        return window == (0, 0) or -window[0] <= pole_cutoff - 1
+
 
 @dataclass(frozen=True)
-class MonomialLocalization:
+class MonomialLocalization(ModuleSpec):
     """Localization of the polynomial ring at a product of distinct variables."""
 
     n_vars: int
@@ -149,9 +194,22 @@ class MonomialLocalization:
         exp = [int(i in self.inverted) for i in range(self.n_vars)]
         return MultiPoly.monomial(self.n_vars, exp)
 
+    def to_json(self) -> dict:
+        return {"kind": "loc", "f": self.product().render(), "vars": self.n_vars}
+
+    def closed_form(self) -> DeRhamDims:
+        m = len(self.inverted)
+        return DeRhamDims(tuple(comb(m, j) for j in range(self.n_vars + 1)))
+
+    def engine(self) -> ModuleSpec:
+        """The ring itself when nothing is inverted, else the pole complex of x_S."""
+        if not self.inverted:
+            return PolynomialRing(self.n_vars)
+        return HypersurfaceLocalization(self.product())
+
 
 @dataclass(eq=False, frozen=True)
-class HypersurfaceLocalization:
+class HypersurfaceLocalization(ModuleSpec):
     """Localization at a homogeneous f, optionally modulo the ring itself."""
 
     f: MultiPoly
@@ -161,9 +219,16 @@ class HypersurfaceLocalization:
         if not self.f or not self.f.is_homogeneous() or self.f.homogeneous_degree() < 1:
             raise DomainError("localization needs a nonzero homogeneous f of degree >= 1")
 
+    def to_json(self) -> dict:
+        kind = "loc-quot" if self.quotient_mod_A else "loc"
+        return {"kind": kind, "f": self.f.render(), "vars": self.f.n_vars}
+
+    def ambient_vars(self) -> int:
+        return self.f.n_vars
+
 
 @dataclass(eq=False, frozen=True)
-class RankOneConnection:
+class RankOneConnection(ModuleSpec):
     """k[x] with the twisted derivation a -> a' + a*p."""
 
     p: MultiPoly
@@ -172,9 +237,15 @@ class RankOneConnection:
         if self.p.n_vars != 1:
             raise DomainError("rank-one connections are one-variable objects")
 
+    def to_json(self) -> dict:
+        return {"kind": "rank-one", "f": self.p.render(), "vars": 1}
+
+    def ambient_vars(self) -> int:
+        return 1
+
 
 @dataclass(eq=False, frozen=True)
-class DirectSum:
+class DirectSum(ModuleSpec):
     parts: tuple
 
     def __post_init__(self):
@@ -182,32 +253,30 @@ class DirectSum:
         if not self.parts:
             raise DomainError("direct sum needs at least one part")
 
+    def to_json(self) -> dict:
+        return {"kind": "sum", "parts": [p.to_json() for p in self.parts]}
 
-ModuleSpec = Union[
-    PolynomialRing,
-    InjectiveHull,
-    MonomialLocalization,
-    HypersurfaceLocalization,
-    RankOneConnection,
-    DirectSum,
-]
+    def ambient_vars(self) -> int:
+        sizes = {p.ambient_vars() for p in self.parts}
+        if len(sizes) != 1:
+            raise DimensionMismatch("direct sum parts live over different variable counts")
+        return sizes.pop()
+
+    def closed_form(self) -> DeRhamDims:
+        parts = [p.closed_form() for p in self.parts]
+        n = self.ambient_vars()
+        return DeRhamDims(tuple(sum(p[j] for p in parts) for j in range(n + 1)))
+
+
+def _known(spec) -> ModuleSpec:
+    """The spec itself; UnsupportedSpecError for anything else."""
+    if not isinstance(spec, ModuleSpec):
+        raise UnsupportedSpecError(f"unknown spec {spec!r}")
+    return spec
 
 
 def spec_to_json(spec: ModuleSpec) -> dict:
-    if isinstance(spec, PolynomialRing):
-        return {"kind": "R", "vars": spec.n_vars}
-    if isinstance(spec, InjectiveHull):
-        return {"kind": "E", "vars": spec.n_vars}
-    if isinstance(spec, MonomialLocalization):
-        return {"kind": "loc", "f": spec.product().render(), "vars": spec.n_vars}
-    if isinstance(spec, HypersurfaceLocalization):
-        kind = "loc-quot" if spec.quotient_mod_A else "loc"
-        return {"kind": kind, "f": spec.f.render(), "vars": spec.f.n_vars}
-    if isinstance(spec, RankOneConnection):
-        return {"kind": "rank-one", "f": spec.p.render(), "vars": 1}
-    if isinstance(spec, DirectSum):
-        return {"kind": "sum", "parts": [spec_to_json(p) for p in spec.parts]}
-    raise UnsupportedSpecError(f"unknown spec {spec!r}")
+    return _known(spec).to_json()
 
 
 def _squarefree_variable_set(f: MultiPoly) -> Optional[frozenset]:
@@ -242,18 +311,7 @@ def spec_from_json(data: dict) -> ModuleSpec:
 
 
 def ambient_vars(spec: ModuleSpec) -> int:
-    if isinstance(spec, (PolynomialRing, InjectiveHull, MonomialLocalization)):
-        return spec.n_vars
-    if isinstance(spec, HypersurfaceLocalization):
-        return spec.f.n_vars
-    if isinstance(spec, RankOneConnection):
-        return 1
-    if isinstance(spec, DirectSum):
-        sizes = {ambient_vars(p) for p in spec.parts}
-        if len(sizes) != 1:
-            raise DimensionMismatch("direct sum parts live over different variable counts")
-        return sizes.pop()
-    raise UnsupportedSpecError(f"unknown spec {spec!r}")
+    return _known(spec).ambient_vars()
 
 
 # -------------------------------------------------------------- closed forms
@@ -261,20 +319,7 @@ def ambient_vars(spec: ModuleSpec) -> int:
 
 def derham_closed_form(spec: ModuleSpec) -> DeRhamDims:
     """Known-answer route: R, E, monomial localizations, and direct sums."""
-    if isinstance(spec, PolynomialRing):
-        return DeRhamDims((1,) + (0,) * spec.n_vars)
-    if isinstance(spec, InjectiveHull):
-        return DeRhamDims((0,) * spec.n_vars + (1,))
-    if isinstance(spec, MonomialLocalization):
-        m = len(spec.inverted)
-        return DeRhamDims(tuple(comb(m, j) for j in range(spec.n_vars + 1)))
-    if isinstance(spec, DirectSum):
-        parts = [derham_closed_form(p) for p in spec.parts]
-        n = ambient_vars(spec)
-        return DeRhamDims(tuple(sum(p[j] for p in parts) for j in range(n + 1)))
-    raise UnsupportedSpecError(
-        f"no closed form for {type(spec).__name__}; use the truncation engine"
-    )
+    return _known(spec).closed_form()
 
 
 # ------------------------------------------------- graded complex assembly
@@ -303,11 +348,7 @@ def assemble_complex(spec: ModuleSpec, cutoff: int, tau: int):
     moving dx_i into place; a zero factor writes no entry.  The inclusion
     column of x^a dx_I is f^k shifted by a.
     """
-    if isinstance(spec, MonomialLocalization):
-        if not spec.inverted:
-            return assemble_complex(PolynomialRing(spec.n_vars), cutoff, tau)
-        return assemble_complex(HypersurfaceLocalization(spec.product()), cutoff, tau)
-
+    spec = spec.engine()
     if isinstance(spec, PolynomialRing):
         n = spec.n_vars
         bases = [
@@ -419,30 +460,17 @@ def assemble_complex(spec: ModuleSpec, cutoff: int, tau: int):
     )
 
 
-def plain_complex_dims(bases, diffs, incls=None) -> List[int]:
+def plain_complex_dims(bases, diffs) -> List[int]:
     """Cohomology of one assembled complex at a fixed cutoff (no persistence).
 
     Useful for diagnostics and for exact cases; a fixed cutoff can carry
     transient classes that die one cutoff later, so certified numbers come
     from the persistent route below.
     """
-    n_pos = len(bases)
-    if incls is None:
-        ranks = [rank_of_columns(diffs[j].columns()) for j in range(n_pos - 1)]
-        ranks.append(0)
-        sub_dims = [0] * n_pos
-        induced = ranks
-    else:
-        sub_dims = [len(m.cols) for m in incls]
-        induced = []
-        for j in range(n_pos - 1):
-            stacked = diffs[j].columns() + incls[j + 1].columns()
-            induced.append(rank_of_columns(stacked) - sub_dims[j + 1])
-        induced.append(0)
+    ranks = [rank_of_columns(d.columns()) for d in diffs] + [0]
     out = []
-    for j in range(n_pos):
-        below = induced[j - 1] if j else 0
-        h = len(bases[j]) - sub_dims[j] - induced[j] - below
+    for j, basis in enumerate(bases):
+        h = len(basis) - ranks[j] - (ranks[j - 1] if j else 0)
         if h < 0:
             raise InternalCheckError("negative cohomology dimension in truncated complex")
         out.append(h)
@@ -487,13 +515,6 @@ def _persistent_tau_dims(
     the high complex modulo nothing, which makes the formula an inclusion-
     exclusion of plain ranks.
     """
-    if isinstance(spec, MonomialLocalization):
-        if not spec.inverted:
-            return _persistent_tau_dims(PolynomialRing(spec.n_vars), lo_cut, hi_cut, tau, assembled)
-        return _persistent_tau_dims(
-            HypersurfaceLocalization(spec.product()), lo_cut, hi_cut, tau, assembled
-        )
-
     for cut in (lo_cut, hi_cut):
         if (cut, tau) not in assembled:
             assembled[(cut, tau)] = assemble_complex(spec, cut, tau)
@@ -508,24 +529,8 @@ def _persistent_tau_dims(
     a_hi_cols = [m.columns() for m in incls_hi] if incls_hi is not None else None
 
     # i(d u) for every low column, position by position
-    pushed: List[List[Dict[int, Fraction]]] = []
-    for j in range(n_pos):
-        cols = []
-        if j < n_pos - 1:
-            emb_next = embed[j + 1]
-            for du in diff_lo_cols[j]:
-                acc: Dict[int, Fraction] = {}
-                for r, c in du.items():
-                    for rr, cc in emb_next[r].items():
-                        s = acc.get(rr, Fraction(0)) + c * cc
-                        if s:
-                            acc[rr] = s
-                        else:
-                            acc.pop(rr, None)
-                cols.append(acc)
-        else:
-            cols = [{} for _ in bases_lo[j]]
-        pushed.append(cols)
+    pushed = [_compose_columns(embed[j + 1], diff_lo_cols[j]) for j in range(n_pos - 1)]
+    pushed.append([{} for _ in bases_lo[-1]])
 
     dims = []
     rank_bot_cache: Dict[int, int] = {}
@@ -567,21 +572,15 @@ def _persistent_tau_dims(
     return dims, count
 
 
-def _dims_for_pair(
-    spec: ModuleSpec,
-    lo_cut: int,
-    hi_cut: int,
-    window: Tuple[int, int],
-    assembled: Dict[Tuple[int, int], tuple],
-) -> Tuple[Tuple[int, ...], int]:
-    n = ambient_vars(spec)
+def _window_dims(n: int, window: Tuple[int, int], piece) -> Tuple[Tuple[int, ...], int]:
+    """Sum over the weights tau of the window of piece(tau) = (dims, basis count)."""
     total = [0] * (n + 1)
     basis_count = 0
     for tau in range(window[0], window[1] + 1):
-        piece, count = _persistent_tau_dims(spec, lo_cut, hi_cut, tau, assembled)
+        dims, count = piece(tau)
         basis_count += count
         for j in range(n + 1):
-            total[j] += piece[j]
+            total[j] += dims[j]
     return tuple(total), basis_count
 
 
@@ -646,29 +645,17 @@ def derham_truncated(
     if window[0] > window[1]:
         raise DomainError("degree window must be nondecreasing")
 
-    # the polynomial-ring complex ignores the cutoff entirely; the injective
-    # hull does too once the cutoff clears the window (its basis constraint
-    # is a condition on the weight alone)
-    if isinstance(spec, PolynomialRing):
-        single_pass = True
-    elif isinstance(spec, InjectiveHull):
-        single_pass = window == (0, 0) or -window[0] <= pole_cutoff - 1
-    else:
-        single_pass = False
+    n = ambient_vars(spec)
+    engine = spec.engine()
+    if spec.cutoff_free(pole_cutoff, window):
 
-    if single_pass:
-        n = ambient_vars(spec)
-        total = [0] * (n + 1)
-        basis_count = 0
-        for tau in range(window[0], window[1] + 1):
-            bases, diffs, incls = assemble_complex(spec, pole_cutoff, tau)
-            basis_count += sum(len(b) for b in bases)
-            piece = plain_complex_dims(bases, diffs, incls)
-            for j in range(n + 1):
-                total[j] += piece[j]
+        def plain_piece(tau):
+            bases, diffs, _ = assemble_complex(engine, pole_cutoff, tau)
+            return plain_complex_dims(bases, diffs), sum(len(b) for b in bases)
+
+        dims, basis_count = _window_dims(n, window, plain_piece)
         if basis_count == 0:
             raise EmptyComplexError(f"no basis elements in window {window} at cutoff {pole_cutoff}")
-        dims = tuple(total)
         report = TruncationReport(
             cutoffs=(pole_cutoff, pole_cutoff),
             window=window,
@@ -683,11 +670,17 @@ def derham_truncated(
     # certified route: ranks of the maps H(F_{K-2}) -> H(F_{K-1}) -> H(F_K);
     # agreement of the two persistent tables is the stabilization signal
     assembled: Dict[Tuple[int, int], tuple] = {}
+
+    def pair_dims(lo_cut: int, hi_cut: int):
+        return _window_dims(
+            n, window, lambda tau: _persistent_tau_dims(engine, lo_cut, hi_cut, tau, assembled)
+        )
+
     high_pair = (max(1, pole_cutoff - 1), pole_cutoff)
-    dims_high, count_high = _dims_for_pair(spec, *high_pair, window, assembled)
+    dims_high, count_high = pair_dims(*high_pair)
     if pole_cutoff >= 3:
         low_pair = (pole_cutoff - 2, pole_cutoff - 1)
-        dims_low, count_low = _dims_for_pair(spec, *low_pair, window, assembled)
+        dims_low, count_low = pair_dims(*low_pair)
         stabilized = dims_low == dims_high
     else:
         low_pair = high_pair
@@ -699,10 +692,8 @@ def derham_truncated(
         )
 
     smooth = None
-    if isinstance(spec, MonomialLocalization) and spec.inverted:
-        smooth = jacobian_ring_is_finite(spec.product())
-    elif isinstance(spec, HypersurfaceLocalization):
-        smooth = jacobian_ring_is_finite(spec.f)
+    if isinstance(engine, HypersurfaceLocalization):
+        smooth = jacobian_ring_is_finite(engine.f)
     certificate = "stabilized" if stabilized else "provisional"
 
     report = TruncationReport(

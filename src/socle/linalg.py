@@ -5,17 +5,17 @@ integers: every column is scaled to a primitive integer vector (which keeps
 its span) and reduced by cross-multiplication, with pivot vectors kept fully
 reduced against one another.  Being exact by construction, it needs no
 certificate.  It returns the rank together with the set of pivot rows, which
-is all the cohomology computations need: cokernel representatives are the
-non-pivot rows, kernels come from rank-nullity.  ``eliminate_columns``
-normalizes the integer basis to rational vectors with 1 at each pivot.
+is all the cohomology computations need: kernels come from rank-nullity.
+``eliminate_columns`` normalizes the integer basis to rational vectors with 1
+at each pivot.
 
 Each new pivot is placed on the row of the reduced column that the fewest
 existing pivot vectors touch, ties going to the lower row (Markowitz's
 fill-reducing choice, Management Science 1957): every pivot vector touching
 that row must be back-substituted, and each back-substitution can add fill
 and grow coefficients.  The span, the rank and so every dimension do not
-depend on this rule; the pivot rows ``eliminate_columns`` keys its basis by
-and the cokernel labels ``solve_cokernel`` returns do.
+depend on this rule; the pivot rows that ``eliminate_columns`` keys its basis
+by do.
 """
 
 from __future__ import annotations
@@ -69,10 +69,6 @@ class GradedMatrix:
         }
         return cls(rows, cols, entries)
 
-    @property
-    def shape(self) -> Tuple[int, int]:
-        return (len(self.rows), len(self.cols))
-
     def columns(self) -> List[SparseColumn]:
         cols: List[SparseColumn] = [{} for _ in self.cols]
         for (i, j), c in self.entries.items():
@@ -83,18 +79,7 @@ class GradedMatrix:
         """Matrix of self applied after inner (self @ inner)."""
         if len(self.cols) != len(inner.rows):
             raise DimensionMismatch("inner target size differs from outer source size")
-        out_cols = []
-        self_cols = self.columns()
-        for col in inner.columns():
-            acc: SparseColumn = {}
-            for k, c in col.items():
-                for i, v in self_cols[k].items():
-                    s = acc.get(i, Fraction(0)) + c * v
-                    if s:
-                        acc[i] = s
-                    else:
-                        acc.pop(i, None)
-            out_cols.append(acc)
+        out_cols = _compose_columns(self.columns(), inner.columns())
         return GradedMatrix.from_columns(self.rows, inner.cols, out_cols)
 
     def is_zero(self) -> bool:
@@ -102,6 +87,25 @@ class GradedMatrix:
 
     def __repr__(self):
         return f"GradedMatrix({len(self.rows)}x{len(self.cols)}, nnz={len(self.entries)})"
+
+
+def _compose_columns(
+    outer: Sequence[SparseColumn], inner: Iterable[SparseColumn]
+) -> List[SparseColumn]:
+    """Columns of outer after inner: each inner column c becomes the sparse
+    sum of c[k] * outer[k]."""
+    out = []
+    for col in inner:
+        acc: SparseColumn = {}
+        for k, c in col.items():
+            for i, v in outer[k].items():
+                s = acc.get(i, Fraction(0)) + c * v
+                if s:
+                    acc[i] = s
+                else:
+                    acc.pop(i, None)
+        out.append(acc)
+    return out
 
 
 def _content_free(v: Dict[int, int]) -> Dict[int, int]:
@@ -198,15 +202,3 @@ def eliminate_columns(columns: Iterable[SparseColumn]) -> Dict[int, SparseColumn
 
 def rank_of_columns(columns: Iterable[SparseColumn]) -> int:
     return len(_integer_pivots(columns))
-
-
-def solve_cokernel(m: GradedMatrix) -> Tuple[int, List[Hashable]]:
-    """Rank and cokernel representatives of a graded matrix.
-
-    The returned labels are the target (row) labels not hit by a pivot, so
-    ``rank + len(labels) == number of rows``.
-    """
-    pivots = _integer_pivots(m.columns())
-    labels = [lab for i, lab in enumerate(m.rows) if i not in pivots]
-    return len(pivots), labels
-

@@ -307,18 +307,6 @@ class MultiPoly:
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * self.n_vars, Fraction(0))
 
-    def evaluate(self, point: Sequence) -> Fraction:
-        if len(point) != self.n_vars:
-            raise DimensionMismatch("point has wrong number of coordinates")
-        pt = [_coerce(p) for p in point]
-        total = Fraction(0)
-        for exp, c in self.terms.items():
-            v = c
-            for x, e in zip(pt, exp):
-                v *= x**e
-            total += v
-        return total
-
     def sorted_terms(self):
         """Terms in descending lexicographic order of exponent (deterministic)."""
         return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
@@ -337,30 +325,6 @@ class MultiPoly:
             rest = (0,) + exp[1:]
             slices.setdefault(j, {})[rest] = c
         return {j: MultiPoly._trusted(self.n_vars, t) for j, t in sorted(slices.items())}
-
-    def exact_divide(self, divisor: "MultiPoly"):
-        """Return ``self / divisor`` when the division is exact, else None."""
-        self._check(divisor)
-        if not divisor:
-            raise DomainError("division by the zero polynomial")
-        lead_exp, lead_c = max(divisor.terms.items(), key=lambda t: t[0])
-        rem = dict(self.terms)
-        quo: Dict[Exponent, Fraction] = {}
-        while rem:
-            exp = max(rem)
-            if any(a < b for a, b in zip(exp, lead_exp)):
-                return None
-            q_exp = tuple(a - b for a, b in zip(exp, lead_exp))
-            q_c = rem[exp] / lead_c
-            quo[q_exp] = q_c
-            for d_exp, d_c in divisor.terms.items():
-                e = tuple(a + b for a, b in zip(q_exp, d_exp))
-                s = rem.get(e, Fraction(0)) - q_c * d_c
-                if s:
-                    rem[e] = s
-                else:
-                    rem.pop(e, None)
-        return MultiPoly(self.n_vars, quo)
 
     # -------------------------------------------------------------- rendering
 

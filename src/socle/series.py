@@ -141,9 +141,6 @@ class TruncatedSeries:
     def constant_coefficient(self) -> Fraction:
         return self.terms.get((0,) * self.n_vars, Fraction(0))
 
-    def is_unit(self) -> bool:
-        return bool(self.constant_coefficient())
-
     def valuation(self):
         """Least total degree of a stored term; INFINITY when none remain."""
         if not self.terms:

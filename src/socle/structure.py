@@ -124,19 +124,6 @@ class StructureReport:
 # ------------------------------------------------------------ small tables
 
 
-def projective_space_cohomology(n: int) -> List[int]:
-    """De Rham table of P^n: one in each even degree 0..2n."""
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    return [1 if i % 2 == 0 else 0 for i in range(2 * n + 1)]
-
-
-def smooth_curve_cohomology(genus: int) -> List[int]:
-    if genus < 0:
-        raise DomainError("genus is nonnegative")
-    return [1, 2 * genus, 1]
-
-
 def singular_curve_h1(curve, branch_counts: Optional[Sequence[int]] = None) -> int:
     """Middle de Rham dimension of a (possibly singular) projective curve.
 
@@ -153,22 +140,6 @@ def singular_curve_h1(curve, branch_counts: Optional[Sequence[int]] = None) -> i
 def singular_curve_cohomology(curve, branch_counts: Optional[Sequence[int]] = None) -> List[int]:
     """Full table [1, h1, 1]; the outer entries do not feel the singularities."""
     return [1, singular_curve_h1(curve, branch_counts), 1]
-
-
-def lichtenbaum_check(dims: Sequence[int], proper_components: Sequence[bool]) -> bool:
-    """Sanity gate on a user-supplied table of a d-dimensional variety.
-
-    The top group (index 2d) is nonzero exactly when some irreducible
-    component is proper; returns whether the table is consistent with the
-    supplied properness flags.
-    """
-    if len(dims) % 2 == 0:
-        raise DomainError("a cohomology table of a d-fold has odd length 2d+1")
-    if any(v < 0 for v in dims):
-        raise DomainError("dimensions are nonnegative")
-    if not proper_components:
-        raise DomainError("need at least one component flag")
-    return (dims[-1] != 0) == any(proper_components)
 
 
 # ------------------------------------------------------------ cone homology
@@ -199,11 +170,6 @@ def cone_homology(profile: BettiProfile) -> List[int]:
             "Betti profile produces negative cone homology; hard Lefschetz fails"
         )
     return h
-
-
-def _cone_h(profile: BettiProfile, i: int) -> int:
-    h = cone_homology(profile)
-    return h[i] if 0 <= i < len(h) else 0
 
 
 # ----------------------------------------------------------------- predict

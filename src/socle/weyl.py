@@ -15,10 +15,10 @@ coefficients are scaled to integers by the lcm of their denominators,
 accumulated as ints and divided once per output term.  Results of internal
 arithmetic skip re-validation; the public constructor keeps every check.
 
-The module also carries the two function spaces operators act on besides
-polynomials: the injective hull of the residue field at the origin (spanned
-by inverse monomials with all exponents >= 1) and single-denominator pole
-fractions g / f^k.
+The module also carries the function space operators act on besides
+polynomials: the injective hull of the residue field at the origin, spanned
+by inverse monomials with all exponents >= 1.  Its sums and the operator
+action run through the same kernel.
 """
 
 from __future__ import annotations
@@ -74,6 +74,21 @@ def _apply(k1: TermKey, g: Exponent):
                 return ()
             w *= perm(gi, bi)
     return ((tuple(ai + gi - bi for ai, gi, bi in zip(a, g, b)), w),)
+
+
+def _apply_inverse(k1: TermKey, a: Exponent):
+    """The (exponent, int weight) term of x^xe d^de applied to x^-a: d^de
+    gives the weight (-1)^|de| prod_i a_i (a_i+1) ... (a_i+de_i-1) at
+    x^-(a+de); none when multiplying by x^xe leaves some exponent below 1."""
+    xe, de = k1
+    final = tuple(ai + di - xi for ai, di, xi in zip(a, de, xe))
+    if min(final) < 1:
+        return ()
+    w = 1
+    for ai, di in zip(a, de):
+        if di:
+            w *= perm(ai + di - 1, di)
+    return ((final, -w if sum(de) % 2 else w),)
 
 
 class WeylOp:
@@ -192,9 +207,6 @@ class WeylOp:
             raise DomainError("negative operator powers are not defined here")
         return _power(self, k, WeylOp.one(self.n_vars))
 
-    def commutator(self, other: "WeylOp") -> "WeylOp":
-        return self * other - other * self
-
     # ---------------------------------------------------------------- actions
 
     def act_on_poly(self, p: MultiPoly) -> MultiPoly:
@@ -205,41 +217,7 @@ class WeylOp:
     def act_on_e(self, v: "EElement") -> "EElement":
         if v.n_vars != self.n_vars:
             raise DimensionMismatch("element lives over a different variable count")
-        out: Dict[Exponent, Fraction] = {}
-        for (xe, de), c in self.terms.items():
-            for a, ca in v.terms.items():
-                # d^de sends x^-a to prod_i (-1)^de_i a_i (a_i+1) ... (a_i+de_i-1) x^-(a+de)
-                w = Fraction(1)
-                for ai, di in zip(a, de):
-                    for t in range(di):
-                        w *= -(ai + t)
-                shifted = tuple(ai + di for ai, di in zip(a, de))
-                # multiplication by x^xe kills the term unless every exponent stays >= 1
-                final = tuple(si - xi for si, xi in zip(shifted, xe))
-                if any(f < 1 for f in final):
-                    continue
-                s = out.get(final, Fraction(0)) + c * ca * w
-                if s:
-                    out[final] = s
-                else:
-                    out.pop(final, None)
-        return EElement(self.n_vars, out)
-
-    def act_on_pole(self, v: "PoleElement") -> "PoleElement":
-        if v.n_vars != self.n_vars:
-            raise DimensionMismatch("element lives over a different variable count")
-        result = PoleElement.zero_like(v)
-        for (xe, de), c in self.terms.items():
-            g, k = v.g, v.k
-            # apply each partial one at a time: d_i (g/f^k) = (f dg - k g df) / f^(k+1)
-            for i, di in enumerate(de):
-                for _ in range(di):
-                    g = v.f * g.partial_derivative(i) - k * g * v.f.partial_derivative(i)
-                    k += 1
-            # a normally ordered term multiplies by its x-part after the partials
-            g = g * MultiPoly.monomial(self.n_vars, xe, c)
-            result = result + PoleElement(v.f, k, g, quotient_mod_A=v.quotient_mod_A)
-        return result
+        return EElement(self.n_vars, _combine({}, self.terms, v.terms, expand=_apply_inverse))
 
     # ------------------------------------------------------------- inspection
 
@@ -370,7 +348,7 @@ def formal_adjoint(q: WeylOp, var: int = 0) -> WeylOp:
     for (xe, de), coef in q.terms.items():
         b = de[var]
         term = (WeylOp.d_gen(n, var) ** b) * WeylOp.from_poly(MultiPoly.monomial(n, xe, coef))
-        out = out + term * ((-1) ** b)
+        out = out - term if b % 2 else out + term
     return out
 
 
@@ -397,7 +375,7 @@ def check_euler_identity(q: WeylOp, b: MultiPoly, var: int = 0):
         # multiplied in last and from the left, the large d-free f needs no
         # Leibniz expansion
         tail = WeylOp.from_poly(f) * ((d ** (i - 1)) * WeylOp.from_poly(g))
-        return prev + tail * ((-1) ** i)
+        return prev - tail if i % 2 else prev + tail
 
     r_op = WeylOp.zero(n)
     for i, g in enumerate(a):
@@ -445,26 +423,20 @@ class EElement:
         return cls(n_vars, {})
 
     def __add__(self, other):
+        return self._linear(other, 1)
+
+    def __neg__(self):
+        return EElement(self.n_vars, _combine({}, self.terms, sign=-1))
+
+    def __sub__(self, other):
+        return self._linear(other, -1)
+
+    def _linear(self, other, sign: int):
         if not isinstance(other, EElement):
             return NotImplemented
         if self.n_vars != other.n_vars:
             raise DimensionMismatch("mixed variable counts")
-        terms = dict(self.terms)
-        for a, c in other.terms.items():
-            s = terms.get(a, Fraction(0)) + c
-            if s:
-                terms[a] = s
-            else:
-                terms.pop(a, None)
-        return EElement(self.n_vars, terms)
-
-    def __neg__(self):
-        return EElement(self.n_vars, {a: -c for a, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, EElement):
-            return NotImplemented
-        return self + (-other)
+        return EElement(self.n_vars, _combine(self.terms, other.terms, sign=sign))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -500,96 +472,3 @@ class EElement:
 
     def __repr__(self):
         return f"EElement({self.n_vars}, {self.render()!r})"
-
-
-# -------------------------------------------------------------- pole elements
-
-
-class PoleElement:
-    """A fraction g / f^k with a fixed homogeneous denominator base f.
-
-    Construction canonicalizes: while f divides g and k > 0, cancel one
-    power.  With ``quotient_mod_A`` set, elements whose pole order reaches 0
-    (honest polynomials) are identified with zero.
-    """
-
-    __slots__ = ("n_vars", "f", "k", "g", "quotient_mod_A")
-
-    def __init__(self, f: MultiPoly, k: int, g: MultiPoly, quotient_mod_A: bool = False):
-        if not f:
-            raise DomainError("denominator base must be nonzero")
-        if not f.is_homogeneous():
-            raise DomainError("denominator base must be homogeneous")
-        if g.n_vars != f.n_vars:
-            raise DimensionMismatch("numerator and denominator variable counts differ")
-        if k < 0:
-            raise DomainError("pole order must be nonnegative")
-        while k > 0 and g:
-            q = g.exact_divide(f)
-            if q is None:
-                break
-            g, k = q, k - 1
-        if not g:
-            k = 0
-        if quotient_mod_A and k == 0:
-            g = MultiPoly.zero(f.n_vars)
-        self.n_vars = f.n_vars
-        self.f = f
-        self.k = k
-        self.g = g
-        self.quotient_mod_A = quotient_mod_A
-
-    @classmethod
-    def zero_like(cls, other: "PoleElement") -> "PoleElement":
-        return cls(other.f, 0, MultiPoly.zero(other.n_vars), other.quotient_mod_A)
-
-    def __add__(self, other):
-        if not isinstance(other, PoleElement):
-            return NotImplemented
-        if self.f != other.f or self.quotient_mod_A != other.quotient_mod_A:
-            raise DomainError("pole elements must share the denominator base and mode")
-        k = max(self.k, other.k)
-        g = self.g * self.f ** (k - self.k) + other.g * self.f ** (k - other.k)
-        return PoleElement(self.f, k, g, self.quotient_mod_A)
-
-    def __neg__(self):
-        return PoleElement(self.f, self.k, -self.g, self.quotient_mod_A)
-
-    def __sub__(self, other):
-        if not isinstance(other, PoleElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return PoleElement(self.f, self.k, self.g * other, self.quotient_mod_A)
-        if isinstance(other, MultiPoly):
-            return PoleElement(self.f, self.k, self.g * other, self.quotient_mod_A)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __bool__(self):
-        return bool(self.g)
-
-    def __eq__(self, other):
-        if not isinstance(other, PoleElement):
-            return NotImplemented
-        return (
-            self.f == other.f
-            and self.k == other.k
-            and self.g == other.g
-            and self.quotient_mod_A == other.quotient_mod_A
-        )
-
-    __hash__ = None
-
-    def render(self, names=None) -> str:
-        if not self.g:
-            return "0"
-        if self.k == 0:
-            return self.g.render(names)
-        return f"({self.g.render(names)}) / ({self.f.render(names)})^{self.k}"
-
-    def __repr__(self):
-        return f"PoleElement({self.render()!r})"

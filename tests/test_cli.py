@@ -139,6 +139,13 @@ def test_decompose_json(capsys):
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def assert_pinned(capsys, name, *argv):
+    """The JSON output of one CLI invocation equals golden/<name>.json."""
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.json").read_text()
+
+
 @pytest.mark.parametrize(
     "name, p, f, prec",
     [
@@ -152,9 +159,26 @@ GOLDEN = Path(__file__).parent / "golden"
     ],
 )
 def test_decompose_json_is_pinned(capsys, name, p, f, prec):
-    code, out, _ = run(capsys, "decompose", "--p", p, "--f", f, "--prec", prec, "--format", "json")
-    assert code == 0
-    assert out == (GOLDEN / f"{name}.json").read_text()
+    assert_pinned(capsys, name, "decompose", "--p", p, "--f", f, "--prec", prec)
+
+
+# one input per spec route: the two cutoff-free complexes, a localization at
+# no variable (persistent route over R, no smoothness key), a non-smooth
+# monomial, a hypersurface in both modes, and rank one
+DERHAM_PINS = {
+    "derham_ring_two_vars": ("--kind", "R", "--vars", "2"),
+    "derham_hull_three_vars": ("--kind", "E", "--vars", "3"),
+    "derham_loc_nothing_inverted": ("--kind", "loc", "--f", "1", "--vars", "2"),
+    "derham_loc_monomial_not_smooth": ("--kind", "loc", "--f", "x*y", "--vars", "3"),
+    "derham_loc_conic": ("--kind", "loc", "--f", "x^2+y^2+z^2"),
+    "derham_catalog_conic": ("--catalog", "conic-p2"),
+    "derham_rank_one": ("--kind", "rank-one", "--f", "x^2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DERHAM_PINS))
+def test_derham_json_is_pinned(capsys, name):
+    assert_pinned(capsys, name, "derham", *DERHAM_PINS[name])
 
 
 def test_decompose_rejects_second_partial(capsys):

@@ -120,24 +120,6 @@ def test_x0_slices_reassemble():
         assert rebuilt == p
 
 
-def test_exact_divide():
-    rng = random.Random(3)
-    for _ in range(30):
-        a = random_poly(rng, 2)
-        b = random_poly(rng, 2)
-        if not b:
-            continue
-        assert (a * b).exact_divide(b) == a
-    x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
-    assert (x * y + MultiPoly.one(2)).exact_divide(x) is None
-
-
-def test_evaluate():
-    p = parse_poly("x^2*y - 2*x + 1/3", 2)
-    val = p.evaluate([Fraction(2), Fraction(-1, 2)])
-    assert val == Fraction(4) * Fraction(-1, 2) - 4 + Fraction(1, 3)
-
-
 def test_render_parse_round_trip():
     rng = random.Random(77)
     for _ in range(40):

@@ -112,11 +112,6 @@ def test_agrees_with():
     assert not a.agrees_with(b, through_degree=2)
 
 
-def test_is_unit_flag():
-    assert TruncatedSeries.one(1, 3).is_unit()
-    assert not TruncatedSeries.from_poly(parse_poly("x", 1), 3).is_unit()
-
-
 # ------------------------------------------- fraction-free product kernel
 
 BIG = 2**64

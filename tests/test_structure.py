@@ -8,27 +8,12 @@ from socle.structure import (
     BettiProfile,
     CurveData,
     cone_homology,
-    lichtenbaum_check,
     ogus_criterion,
     predict,
-    projective_space_cohomology,
     singular_curve_cohomology,
     singular_curve_h1,
-    smooth_curve_cohomology,
     validate_profile,
 )
-
-
-def test_projective_space_tables():
-    assert projective_space_cohomology(1) == [1, 0, 1]
-    assert projective_space_cohomology(2) == [1, 0, 1, 0, 1]
-    assert projective_space_cohomology(3) == [1, 0, 1, 0, 1, 0, 1]
-
-
-def test_smooth_curve_table():
-    assert smooth_curve_cohomology(0) == [1, 0, 1]
-    assert smooth_curve_cohomology(1) == [1, 2, 1]
-    assert smooth_curve_cohomology(2) == [1, 4, 1]
 
 
 def test_singular_curve_h1():
@@ -46,13 +31,6 @@ def test_singular_curve_h1():
 def test_singular_curve_full_table():
     assert singular_curve_cohomology(0, [2]) == [1, 1, 1]
     assert singular_curve_cohomology(2, []) == [1, 4, 1]
-
-
-def test_lichtenbaum():
-    # proper pieces keep their top cohomology, affine pieces lose it
-    assert lichtenbaum_check([1, 0, 1], [True])
-    assert not lichtenbaum_check([1, 0, 0], [True])
-    assert lichtenbaum_check([1, 1, 0], [False])
 
 
 def test_profile_validation():
