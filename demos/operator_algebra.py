@@ -35,8 +35,8 @@ def main():
     show("formal adjoint")
     q = parse_operator("x^2*d0 + 3*x", 1)
     print("q      =", q.render())
-    print("adj(q) =", formal_adjoint(q, 0).render())
-    print("adj is an involution:", formal_adjoint(formal_adjoint(q, 0), 0) == q)
+    print("adj(q) =", formal_adjoint(q).render())
+    print("adj is an involution:", formal_adjoint(formal_adjoint(q)) == q)
 
     show("the product identity b*q = P(b) + d*R")
     q = parse_operator("-d0*x^2", 1)

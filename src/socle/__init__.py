@@ -26,7 +26,6 @@ from .errors import (
     NonUnitError,
     NotLefschetzError,
     ParseError,
-    RangeError,
     SocleError,
     UnsupportedSpecError,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "EmptyComplexError",
     "InconsistentSequenceError",
     "NotLefschetzError",
-    "RangeError",
     "InternalCheckError",
     "MultiPoly",
     "default_names",

@@ -34,7 +34,6 @@ from .errors import (
     InconsistentSequenceError,
     NotLefschetzError,
     ParseError,
-    RangeError,
     UnsupportedSpecError,
 )
 from .grammar import parse_operator, parse_poly
@@ -58,7 +57,6 @@ _INPUT_ERRORS = (
     ParseError,
     DomainError,
     DimensionMismatch,
-    RangeError,
     UnsupportedSpecError,
     EmptyComplexError,
     InconsistentSequenceError,

@@ -48,9 +48,5 @@ class NotLefschetzError(SocleError, ValueError):
     """A homology profile violates the hard Lefschetz inequalities."""
 
 
-class RangeError(SocleError, ValueError):
-    """Tracked degree range is too small for the requested input."""
-
-
 class InternalCheckError(SocleError, AssertionError):
     """An internal invariant failed; indicates a bug, not bad input."""

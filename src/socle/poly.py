@@ -15,6 +15,11 @@ terms as they are, with one ``Fraction`` addition per shared key.  Results of
 this internal arithmetic are built by ``_trusted`` constructors that skip
 re-validation, since their terms are valid by construction; the public
 constructors keep every check.
+
+Polynomials, truncated series, Weyl operators and the elements of E share one
+shell, ``_TermShell``: sums, differences, negation, scalar products, equality
+and the variable-count check are defined there once.  ``_render`` is the one
+sign-and-magnitude text rule of polynomials and operators.
 """
 
 from __future__ import annotations
@@ -156,10 +161,123 @@ def _power(base, k: int, result):
     return result
 
 
-class MultiPoly:
-    """A polynomial in ``n_vars`` commuting variables with rational coefficients."""
+def _power_factors(names: Sequence[str], exp: Exponent) -> list:
+    """The factors ``name`` or ``name^e`` of a monomial, zero exponents left out."""
+    return [names[i] if e == 1 else f"{names[i]}^{e}" for i, e in enumerate(exp) if e]
+
+
+def _render(terms: Mapping[Hashable, Fraction], factors: Callable[[Hashable], list]) -> str:
+    """Deterministic text of a term dict, in descending key order.
+
+    Each term is its sign, then ``|c|`` unless the term has factors and
+    ``|c| = 1``, then its ``factors(key)``, joined by ``*``; the first term
+    shows only a minus sign.
+    """
+    out = ""
+    for key in sorted(terms, reverse=True):
+        c = terms[key]
+        fs = factors(key)
+        body = "*".join(fs if fs and abs(c) == 1 else [str(abs(c))] + fs)
+        if out:
+            out += f" {'-' if c < 0 else '+'} {body}"
+        else:
+            out = "-" + body if c < 0 else body
+    return out or "0"
+
+
+class _TermShell:
+    """What polynomials, truncated series, Weyl operators and elements of E
+    share: ``n_vars`` and a dict of nonzero ``Fraction`` terms, with sums,
+    differences, negation, scalar products and equality.
+
+    Sums go through ``_combine``; an int or ``Fraction`` operand is first
+    turned into an element by the subclass's ``_scalar`` hook (E has none,
+    so it takes no scalar sums).  Operands over different variable counts
+    raise ``DimensionMismatch``.  Subclasses add their own products, and
+    ``TruncatedSeries`` its precision (``_like``, ``_sum``, ``_shape``).
+    """
 
     __slots__ = ("n_vars", "terms")
+
+    @classmethod
+    def _trusted(cls, n_vars: int, terms: Dict[Hashable, Fraction]):
+        """Wrap terms that internal arithmetic produced, without the checks of
+        the public constructor: keys valid for ``cls`` and ``n_vars``,
+        nonzero ``Fraction`` coefficients."""
+        p = object.__new__(cls)
+        p.n_vars = n_vars
+        p.terms = terms
+        return p
+
+    def _like(self, terms: Dict[Hashable, Fraction]):
+        """An element of self's type and shape with valid ``terms``."""
+        return self._trusted(self.n_vars, terms)
+
+    def _shape(self):
+        """What besides the terms two equal elements share."""
+        return self.n_vars
+
+    def _scalar(self, c):
+        """The element ``c * 1`` of self's type; None where there is no 1."""
+        return None
+
+    def _check(self, other) -> None:
+        if self.n_vars != other.n_vars:
+            raise DimensionMismatch(
+                f"mixed variable counts: {self.n_vars} vs {other.n_vars}"
+            )
+
+    def _sum(self, other, sign: int):
+        return self._like(_combine(self.terms, other.terms, sign=sign))
+
+    def _linear(self, other, sign: int):
+        if isinstance(other, (int, Fraction)):
+            other = self._scalar(other)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        return self._sum(other, sign)
+
+    def __add__(self, other):
+        return self._linear(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._linear(other, -1)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __mul__(self, other):
+        """The scalar product; subclasses with a ring product extend it."""
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        c = _coerce(other)
+        return self._like({k: c * v for k, v in self.terms.items()} if c else {})
+
+    __rmul__ = __mul__
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = self._scalar(other)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._shape() == other._shape() and self.terms == other.terms
+
+    __hash__ = None  # mutable dict inside; not intended as a dict key
+
+
+class MultiPoly(_TermShell):
+    """A polynomial in ``n_vars`` commuting variables with rational coefficients."""
+
+    __slots__ = ()
 
     def __init__(self, n_vars: int, terms: Mapping[Exponent, Fraction] | None = None):
         if n_vars < 0:
@@ -174,15 +292,6 @@ class MultiPoly:
                 clean[exp] = c
         self.n_vars = n_vars
         self.terms = clean
-
-    @classmethod
-    def _trusted(cls, n_vars: int, terms: Dict[Exponent, Fraction]) -> "MultiPoly":
-        """Wrap terms that internal arithmetic produced, without re-checking:
-        exponent tuples of length n_vars, nonzero ``Fraction`` coefficients."""
-        p = object.__new__(cls)
-        p.n_vars = n_vars
-        p.terms = terms
-        return p
 
     # ---------------------------------------------------------------- builders
 
@@ -211,41 +320,12 @@ class MultiPoly:
 
     # ------------------------------------------------------------- arithmetic
 
-    def _check(self, other: "MultiPoly") -> None:
-        if self.n_vars != other.n_vars:
-            raise DimensionMismatch(
-                f"mixed variable counts: {self.n_vars} vs {other.n_vars}"
-            )
-
-    def __add__(self, other):
-        return self._linear(other, 1)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MultiPoly._trusted(self.n_vars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self._linear(other, -1)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def _linear(self, other, sign: int):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(self.n_vars, other)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        self._check(other)
-        return MultiPoly._trusted(self.n_vars, _combine(self.terms, other.terms, sign=sign))
+    def _scalar(self, c) -> "MultiPoly":
+        return MultiPoly.constant(self.n_vars, c)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _coerce(other)
-            terms = {e: c * v for e, v in self.terms.items()} if c else {}
-            return MultiPoly._trusted(self.n_vars, terms)
         if not isinstance(other, MultiPoly):
-            return NotImplemented
+            return super().__mul__(other)
         self._check(other)
         return MultiPoly._trusted(self.n_vars, _combine({}, self.terms, other.terms))
 
@@ -268,18 +348,6 @@ class MultiPoly:
         return MultiPoly._trusted(self.n_vars, out)
 
     # ------------------------------------------------------------- inspection
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(self.n_vars, other)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self.n_vars == other.n_vars and self.terms == other.terms
-
-    __hash__ = None  # mutable dict inside; not intended as a dict key
 
     def degree(self):
         """Total degree; ``MINUS_INFINITY`` for the zero polynomial."""
@@ -307,10 +375,6 @@ class MultiPoly:
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * self.n_vars, Fraction(0))
 
-    def sorted_terms(self):
-        """Terms in descending lexicographic order of exponent (deterministic)."""
-        return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
-
     def x0_slices(self) -> Dict[int, "MultiPoly"]:
         """Split along powers of the first variable.
 
@@ -330,31 +394,8 @@ class MultiPoly:
 
     def render(self, names: Sequence[str] | None = None) -> str:
         """Deterministic text form, parseable by :mod:`socle.grammar`."""
-        if not self.terms:
-            return "0"
         names = names or default_names(self.n_vars)
-        parts = []
-        for exp, c in self.sorted_terms():
-            factors = []
-            if c == -1 and any(exp):
-                sign, mag = "-", ""
-            elif c == 1 and any(exp):
-                sign, mag = "+", ""
-            else:
-                sign = "-" if c < 0 else "+"
-                mag = str(abs(c))
-            for i, e in enumerate(exp):
-                if e == 1:
-                    factors.append(names[i])
-                elif e > 1:
-                    factors.append(f"{names[i]}^{e}")
-            body = "*".join(([mag] if mag else []) + factors) or mag
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+        return _render(self.terms, lambda exp: _power_factors(names, exp))
 
     def __repr__(self):
         return f"MultiPoly({self.n_vars}, {self.render()!r})"

@@ -11,6 +11,10 @@ integers by the lcm of their denominators, accumulated as ints and divided
 once per output term.  A product buckets its right factor by total degree
 and skips every bucket whose products would reach the precision.  Results of
 this arithmetic skip re-validation; the public constructor keeps every check.
+
+Sums, negation, scalar products and equality come from the shell that
+:mod:`socle.poly` shares among all four algebra types; this class adds only
+its precision to it (the min rule on sums, the precision kept on copies).
 """
 
 from __future__ import annotations
@@ -20,16 +24,16 @@ from fractions import Fraction
 from typing import Dict, Mapping
 
 from .errors import DimensionMismatch, DomainError, NonUnitError
-from .poly import Exponent, MultiPoly, _coerce, _combine, default_names
+from .poly import Exponent, MultiPoly, _coerce, _combine, _TermShell, default_names
 
 #: valuation reported for the (truncation-)zero series
 INFINITY = math.inf
 
 
-class TruncatedSeries:
+class TruncatedSeries(_TermShell):
     """Finitely many exact terms plus a stated precision."""
 
-    __slots__ = ("n_vars", "precision", "terms")
+    __slots__ = ("precision",)
 
     def __init__(self, n_vars: int, precision: int, terms: Mapping[Exponent, Fraction] | None = None):
         if precision < 1:
@@ -58,6 +62,12 @@ class TruncatedSeries:
         s.precision = precision
         s.terms = terms
         return s
+
+    def _like(self, terms: Dict[Exponent, Fraction]) -> "TruncatedSeries":
+        return TruncatedSeries._trusted(self.n_vars, self.precision, terms)
+
+    def _shape(self):
+        return self.n_vars, self.precision
 
     # ---------------------------------------------------------------- builders
 
@@ -91,45 +101,19 @@ class TruncatedSeries:
             return self.terms
         return {e: c for e, c in self.terms.items() if sum(e) < precision}
 
-    def _check(self, other: "TruncatedSeries") -> None:
-        if self.n_vars != other.n_vars:
-            raise DimensionMismatch(
-                f"mixed variable counts: {self.n_vars} vs {other.n_vars}"
-            )
+    def _scalar(self, c) -> "TruncatedSeries":
+        return TruncatedSeries.constant(self.n_vars, c, self.precision)
 
-    def __add__(self, other):
-        return self._linear(other, 1)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedSeries._trusted(self.n_vars, self.precision, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self._linear(other, -1)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def _linear(self, other, sign: int):
-        if isinstance(other, (int, Fraction)):
-            other = TruncatedSeries.constant(self.n_vars, other, self.precision)
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._check(other)
+    def _sum(self, other: "TruncatedSeries", sign: int) -> "TruncatedSeries":
         prec = min(self.precision, other.precision)
         terms = _combine(self._terms_below(prec), other._terms_below(prec), sign=sign)
         return TruncatedSeries._trusted(self.n_vars, prec, terms)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _coerce(other)
-            terms = {e: c * v for e, v in self.terms.items()} if c else {}
-            return TruncatedSeries._trusted(self.n_vars, self.precision, terms)
         if isinstance(other, MultiPoly):
             other = TruncatedSeries.from_poly(other, self.precision)
         if not isinstance(other, TruncatedSeries):
-            return NotImplemented
+            return super().__mul__(other)
         self._check(other)
         prec = min(self.precision, other.precision)
         return TruncatedSeries._trusted(self.n_vars, prec, _combine({}, self.terms, other.terms, below=prec))
@@ -221,22 +205,6 @@ class TruncatedSeries:
         return TruncatedSeries._trusted(self.n_vars, self.precision - 1, out)
 
     # ------------------------------------------------------------- inspection
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TruncatedSeries.constant(self.n_vars, other, self.precision)
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return (
-            self.n_vars == other.n_vars
-            and self.precision == other.precision
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
 
     def agrees_with(self, other: "TruncatedSeries", through_degree: int | None = None) -> bool:
         """Equality of terms below a degree bound (default: the shared precision)."""

@@ -39,10 +39,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .errors import DimensionMismatch, DomainError, InternalCheckError, RangeError
+from .errors import DimensionMismatch, DomainError, InternalCheckError
 from .poly import MultiPoly, _accumulate, _scaled
 from .series import TruncatedSeries
-from .weyl import WeylOp
+from .weyl import WeylOp, _left_coefficients
 
 
 @dataclass(eq=False, frozen=True)
@@ -79,11 +79,7 @@ class RegularOperator:
             raise DomainError("the zero operator cannot be regular")
         if any(i != 0 for i in op.d_vars_used()):
             raise DomainError("only the first variable's partial may appear")
-        r = max(0, op.order())
-        coeffs = [MultiPoly.zero(op.n_vars) for _ in range(r + 1)]
-        for (xe, de), c in op.terms.items():
-            coeffs[de[0]] = coeffs[de[0]] + MultiPoly.monomial(op.n_vars, xe, c)
-        return cls(op.n_vars, tuple(coeffs))
+        return cls(op.n_vars, tuple(_left_coefficients(op)))
 
     def to_weyl(self) -> WeylOp:
         d = WeylOp.d_gen(self.n_vars, 0)
@@ -130,13 +126,6 @@ def _falling_poly(i: int) -> List[Fraction]:
             shifted[idx] -= k * c  # minus k times
         coeffs = shifted
     return coeffs
-
-
-def _falling_value(ell: int, i: int) -> int:
-    out = 1
-    for k in range(i):
-        out *= ell - k
-    return out
 
 
 def _integer_roots(coeffs: Sequence[Fraction]) -> List[int]:
@@ -210,9 +199,9 @@ def expansion_coeffs(p: RegularOperator, ell: int) -> Dict[int, MultiPoly]:
         raise DomainError("expansion coefficients are defined from the operator order up")
     out: Dict[int, MultiPoly] = {}
     for i, a in enumerate(p.coeffs):
-        fall = _falling_value(ell, i)
-        if not fall or not a:
+        if not a:
             continue
+        fall = math.perm(ell, i)
         for j, sl in a.x0_slices().items():
             m = j + ell - i
             contribution = sl * fall
@@ -347,13 +336,11 @@ def decompose(
     f: Union[MultiPoly, TruncatedSeries],
     p: RegularOperator,
     precision: int,
-    x_window: Optional[int] = None,
 ) -> Decomposition:
     """Split f as e-part plus P(b-part), exact to m_B-order `precision`.
 
-    The tracked x-degree range defaults to precision * t + deg_x f + order,
-    wide enough that every correction with visible effect stays inside; an
-    explicit narrower window raises RangeError if f itself does not fit.
+    The tracked x-degree range is precision * t + deg_x f + order, wide
+    enough that f and every correction with visible effect stay inside.
     """
     if precision < 1:
         raise DomainError("precision must be at least 1")
@@ -370,12 +357,7 @@ def decompose(
     K = precision
 
     deg_f = f.degree_in(0) if f else 0
-    window = x_window if x_window is not None else K * t + deg_f + r
-    if deg_f > window:
-        raise RangeError(
-            f"f has x-degree {deg_f}; the tracked window must be at least that "
-            f"(got {window})"
-        )
+    window = K * t + deg_f + r
 
     def scaled(c: MultiPoly) -> _Scaled:
         return _scaled(TruncatedSeries.from_poly(c, K).terms)
@@ -387,8 +369,7 @@ def decompose(
     # residual coefficients, one truncated B-series per tracked x-power
     residual: List[_Scaled] = [zero] * (window + 1)
     for j, sl in f.x0_slices().items():
-        if j <= window:
-            residual[j] = scaled(sl)
+        residual[j] = scaled(sl)
 
     # expansion columns and pivot inverses for every generator the sweep can touch
     max_ell = window + r - t

@@ -18,7 +18,14 @@ arithmetic skip re-validation; the public constructor keeps every check.
 The module also carries the function space operators act on besides
 polynomials: the injective hull of the residue field at the origin, spanned
 by inverse monomials with all exponents >= 1.  Its sums and the operator
-action run through the same kernel.
+action run through the same kernel.  Both classes take their sums, negation,
+scalar products and equality from the shell that :mod:`socle.poly` shares
+among all four algebra types, and ``WeylOp.render`` follows the same
+sign-and-magnitude rule as ``MultiPoly.render``.
+
+Adjoints and the Euler identity are taken in the partial of the first
+variable, the one :class:`socle.seriesdecomp.RegularOperator` differentiates
+in.
 """
 
 from __future__ import annotations
@@ -31,7 +38,17 @@ from operator import add
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .errors import DimensionMismatch, DomainError
-from .poly import Exponent, MultiPoly, _coerce, _combine, _power
+from .poly import (
+    Exponent,
+    MultiPoly,
+    _coerce,
+    _combine,
+    _power,
+    _power_factors,
+    _render,
+    _TermShell,
+    default_names,
+)
 
 TermKey = Tuple[Exponent, Exponent]
 
@@ -91,10 +108,10 @@ def _apply_inverse(k1: TermKey, a: Exponent):
     return ((final, -w if sum(de) % 2 else w),)
 
 
-class WeylOp:
+class WeylOp(_TermShell):
     """A normally ordered differential operator with rational coefficients."""
 
-    __slots__ = ("n_vars", "terms")
+    __slots__ = ()
 
     def __init__(self, n_vars: int, terms: Mapping[TermKey, Fraction] | None = None):
         if n_vars < 1:
@@ -111,16 +128,6 @@ class WeylOp:
                 clean[(xe, de)] = c
         self.n_vars = n_vars
         self.terms = clean
-
-    @classmethod
-    def _trusted(cls, n_vars: int, terms: Dict[TermKey, Fraction]) -> "WeylOp":
-        """Wrap terms that internal arithmetic produced, without re-checking:
-        pairs of nonnegative exponent tuples of length n_vars, nonzero
-        ``Fraction`` coefficients."""
-        op = object.__new__(cls)
-        op.n_vars = n_vars
-        op.terms = terms
-        return op
 
     # ---------------------------------------------------------------- builders
 
@@ -155,43 +162,14 @@ class WeylOp:
 
     # ------------------------------------------------------------- arithmetic
 
-    def _check(self, other: "WeylOp") -> None:
-        if self.n_vars != other.n_vars:
-            raise DimensionMismatch(
-                f"mixed variable counts: {self.n_vars} vs {other.n_vars}"
-            )
-
-    def __add__(self, other):
-        return self._linear(other, 1)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return WeylOp._trusted(self.n_vars, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self._linear(other, -1)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def _linear(self, other, sign: int):
-        if isinstance(other, (int, Fraction)):
-            other = WeylOp.one(self.n_vars) * other
-        if not isinstance(other, WeylOp):
-            return NotImplemented
-        self._check(other)
-        return WeylOp._trusted(self.n_vars, _combine(self.terms, other.terms, sign=sign))
+    def _scalar(self, c) -> "WeylOp":
+        return WeylOp.one(self.n_vars) * c
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _coerce(other)
-            terms = {k: c * v for k, v in self.terms.items()} if c else {}
-            return WeylOp._trusted(self.n_vars, terms)
         if isinstance(other, MultiPoly):
             other = WeylOp.from_poly(other)
         if not isinstance(other, WeylOp):
-            return NotImplemented
+            return super().__mul__(other)
         self._check(other)
         return WeylOp._trusted(self.n_vars, _combine({}, self.terms, other.terms, expand=_normal_order))
 
@@ -217,21 +195,9 @@ class WeylOp:
     def act_on_e(self, v: "EElement") -> "EElement":
         if v.n_vars != self.n_vars:
             raise DimensionMismatch("element lives over a different variable count")
-        return EElement(self.n_vars, _combine({}, self.terms, v.terms, expand=_apply_inverse))
+        return EElement._trusted(self.n_vars, _combine({}, self.terms, v.terms, expand=_apply_inverse))
 
     # ------------------------------------------------------------- inspection
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = WeylOp.one(self.n_vars) * other
-        if not isinstance(other, WeylOp):
-            return NotImplemented
-        return self.n_vars == other.n_vars and self.terms == other.terms
-
-    __hash__ = None
 
     def order(self) -> int:
         """Total order in the partials; -1 for the zero operator."""
@@ -247,38 +213,12 @@ class WeylOp:
                     used.add(i)
         return used
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
-
     def render(self, names: Sequence[str] | None = None) -> str:
-        from .poly import default_names
-
-        if not self.terms:
-            return "0"
         names = names or default_names(self.n_vars)
-        parts = []
-        for (xe, de), c in self.sorted_terms():
-            factors = []
-            for i, e in enumerate(xe):
-                if e == 1:
-                    factors.append(names[i])
-                elif e > 1:
-                    factors.append(f"{names[i]}^{e}")
-            for i, e in enumerate(de):
-                if e == 1:
-                    factors.append(f"d{i}")
-                elif e > 1:
-                    factors.append(f"d{i}^{e}")
-            if factors and abs(c) == 1:
-                mag = ""
-            else:
-                mag = str(abs(c))
-            body = "*".join(([mag] if mag else []) + factors) or mag
-            parts.append(("-" if c < 0 else "+", body))
-        out = ("-" if parts[0][0] == "-" else "") + parts[0][1]
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+        partials = [f"d{i}" for i in range(self.n_vars)]
+        return _render(
+            self.terms, lambda k: _power_factors(names, k[0]) + _power_factors(partials, k[1])
+        )
 
     def __repr__(self):
         return f"WeylOp({self.n_vars}, {self.render()!r})"
@@ -308,51 +248,58 @@ def normal_order(raw: Iterable[Tuple[Fraction, Sequence[Tuple[str, int]]]], n_va
 # --------------------------------------------------------------------- adjoint
 
 
-def right_coefficients(q: WeylOp, var: int = 0) -> List[MultiPoly]:
-    """Write q = sum_i (-1)^i d^i a_i and return [a_0, ..., a_r].
+def _left_coefficients(q: WeylOp) -> List[MultiPoly]:
+    """Write q = sum_j c_j d^j, d the first partial, and return [c_0, ..., c_r].
 
-    Only powers of the distinguished partial may occur.  The a_i are found by
-    descending order using the Leibniz expansion
-    d^i a = sum_nu C(i, nu) a^(nu) d^(i-nu).
+    The caller checks that no other partial occurs.
     """
-    n = q.n_vars
-    if any(i != var for i in q.d_vars_used()):
-        raise DomainError("operator involves partials other than the distinguished one")
-    r = max(0, q.order())
-    # left coefficients: q = sum_j c_j(x) d^j
-    c: List[MultiPoly] = [MultiPoly.zero(n) for _ in range(r + 1)]
+    terms: List[Dict[Exponent, Fraction]] = [{} for _ in range(max(0, q.order()) + 1)]
     for (xe, de), coef in q.terms.items():
-        c[de[var]] = c[de[var]] + MultiPoly.monomial(n, xe, coef)
-    a: List[MultiPoly] = [MultiPoly.zero(n) for _ in range(r + 1)]
+        terms[de[0]][xe] = coef
+    return [MultiPoly._trusted(q.n_vars, t) for t in terms]
+
+
+def right_coefficients(q: WeylOp) -> List[MultiPoly]:
+    """Write q = sum_i (-1)^i d^i a_i, d the first partial, and return
+    [a_0, ..., a_r].
+
+    Only powers of d may occur.  The a_i are found by descending order using
+    the Leibniz expansion d^i a = sum_nu C(i, nu) a^(nu) d^(i-nu).
+    """
+    if any(i != 0 for i in q.d_vars_used()):
+        raise DomainError("operator involves partials other than the distinguished one")
+    c = _left_coefficients(q)
+    r = len(c) - 1
+    a: List[MultiPoly] = [MultiPoly.zero(q.n_vars) for _ in range(r + 1)]
     for j in range(r, -1, -1):
         acc = c[j]
         for i in range(j + 1, r + 1):
             deriv = a[i]
             for _ in range(i - j):
-                deriv = deriv.partial_derivative(var)
+                deriv = deriv.partial_derivative(0)
             acc = acc - (-1) ** i * comb(i, i - j) * deriv
         a[j] = (-1) ** j * acc
     return a
 
 
-def formal_adjoint(q: WeylOp, var: int = 0) -> WeylOp:
-    """The anti-automorphism x^a d^b -> (-1)^b d^b x^a in the distinguished partial.
+def formal_adjoint(q: WeylOp) -> WeylOp:
+    """The anti-automorphism x^a d^b -> (-1)^b d^b x^a, d the first partial.
 
     Applying it twice gives the operator back; on q = sum (-1)^i d^i a_i it
     returns sum a_i d^i.
     """
-    n = q.n_vars
-    if any(i != var for i in q.d_vars_used()):
+    if any(i != 0 for i in q.d_vars_used()):
         raise DomainError("operator involves partials other than the distinguished one")
+    n = q.n_vars
     out = WeylOp.zero(n)
     for (xe, de), coef in q.terms.items():
-        b = de[var]
-        term = (WeylOp.d_gen(n, var) ** b) * WeylOp.from_poly(MultiPoly.monomial(n, xe, coef))
+        b = de[0]
+        term = (WeylOp.d_gen(n, 0) ** b) * WeylOp.from_poly(MultiPoly.monomial(n, xe, coef))
         out = out - term if b % 2 else out + term
     return out
 
 
-def check_euler_identity(q: WeylOp, b: MultiPoly, var: int = 0):
+def check_euler_identity(q: WeylOp, b: MultiPoly):
     """Certify b * q = P(b) + d * R with P the formal adjoint of q.
 
     Returns (p, remainder_op, residual) where residual = b*q - P(b) - d*R as
@@ -364,14 +311,14 @@ def check_euler_identity(q: WeylOp, b: MultiPoly, var: int = 0):
     n = q.n_vars
     if b.n_vars != n:
         raise DimensionMismatch("test polynomial lives over a different variable count")
-    a = right_coefficients(q, var)
-    p = formal_adjoint(q, var)
-    d = WeylOp.d_gen(n, var)
+    a = right_coefficients(q)
+    p = formal_adjoint(q)
+    d = WeylOp.d_gen(n, 0)
 
     def remainder(i: int, f: MultiPoly, g: MultiPoly) -> WeylOp:
         if i == 0:
             return WeylOp.zero(n)
-        prev = remainder(i - 1, f.partial_derivative(var), g)
+        prev = remainder(i - 1, f.partial_derivative(0), g)
         # multiplied in last and from the left, the large d-free f needs no
         # Leibniz expansion
         tail = WeylOp.from_poly(f) * ((d ** (i - 1)) * WeylOp.from_poly(g))
@@ -389,14 +336,15 @@ def check_euler_identity(q: WeylOp, b: MultiPoly, var: int = 0):
 # ---------------------------------------------------------------- E elements
 
 
-class EElement:
+class EElement(_TermShell):
     """A finite combination of inverse monomials x^-a with every a_i >= 1.
 
     These span the top local cohomology of the polynomial ring at the
     maximal ideal of the origin; the socle generator is a = (1, ..., 1).
+    E has no unit, so it takes no sums with scalars.
     """
 
-    __slots__ = ("n_vars", "terms")
+    __slots__ = ()
 
     def __init__(self, n_vars: int, terms: Mapping[Exponent, Fraction] | None = None):
         clean: Dict[Exponent, Fraction] = {}
@@ -422,43 +370,7 @@ class EElement:
     def zero(cls, n_vars: int) -> "EElement":
         return cls(n_vars, {})
 
-    def __add__(self, other):
-        return self._linear(other, 1)
-
-    def __neg__(self):
-        return EElement(self.n_vars, _combine({}, self.terms, sign=-1))
-
-    def __sub__(self, other):
-        return self._linear(other, -1)
-
-    def _linear(self, other, sign: int):
-        if not isinstance(other, EElement):
-            return NotImplemented
-        if self.n_vars != other.n_vars:
-            raise DimensionMismatch("mixed variable counts")
-        return EElement(self.n_vars, _combine(self.terms, other.terms, sign=sign))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _coerce(other)
-            return EElement(self.n_vars, {a: c * v for a, v in self.terms.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, EElement):
-            return NotImplemented
-        return self.n_vars == other.n_vars and self.terms == other.terms
-
-    __hash__ = None
-
     def render(self, names=None) -> str:
-        from .poly import default_names
-
         if not self.terms:
             return "0"
         names = names or default_names(self.n_vars)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from socle.errors import DimensionMismatch, DomainError, RangeError
+from socle.errors import DimensionMismatch, DomainError
 from socle.grammar import parse_operator
 from socle.poly import MultiPoly
 from socle.series import TruncatedSeries
@@ -323,23 +323,17 @@ def test_decompose_error_paths():
     f = xpow(1, 3)
     with pytest.raises(DomainError):
         decompose(f, p, precision=0)
-    with pytest.raises(RangeError):
-        decompose(f, p, precision=3, x_window=1)
     with pytest.raises(DimensionMismatch):
         decompose(xpow(2, 3), p, precision=3)
     with pytest.raises(DomainError):
         decompose("x^3", p, precision=3)
 
 
-def test_default_window_and_explicit_window():
+def test_default_window():
     p = op_from_text("(x + y)*d0", 2)
     f = xpow(2, 3)
     dec = decompose(f, p, precision=5)
     assert dec.x_window == 5 * 1 + 3 + 1
-    narrow = decompose(f, p, precision=5, x_window=3)
-    assert narrow.x_window == 3
-    # the cascade only moves downward, so the narrow window loses nothing
-    assert narrow.b[3] == dec.b[3]
 
 
 def test_to_json_shape():
