@@ -19,7 +19,7 @@ constructors keep every check.
 Polynomials, truncated series, Weyl operators and the elements of E share one
 shell, ``_TermShell``: sums, differences, negation, scalar products, equality
 and the variable-count check are defined there once.  ``_render`` is the one
-sign-and-magnitude text rule of polynomials and operators.
+sign-and-magnitude text rule of polynomials, operators and E.
 """
 
 from __future__ import annotations

@@ -25,11 +25,13 @@ cancelled later within the same sweep.
 
 The sweep is fraction-free (Bareiss, Math. Comp. 1968).  Every residual
 position, e-part and b-part is held as int numerators over one denominator,
-with zeros dropped and the common gcd divided out.  Expansion columns and
-pivot inverses are scaled to integers once per call; each product is
-accumulated as ints truncated below K by the kernel of :mod:`socle.poly`
-and merged over the lcm of the two denominators.  ``Fraction`` terms are
-built only once per e-part and b-part, when the result is handed out.
+with zeros dropped and the common gcd divided out.  Every generator the
+sweep can touch has its expansion conditions checked up front; its column
+and pivot inverse are scaled to integers once, when the sweep first reaches
+it.  Each product is accumulated as ints truncated below K by the kernel of
+:mod:`socle.poly` and merged over the lcm of the two denominators.
+``Fraction`` terms are built only once per e-part and b-part, when the
+result is handed out.
 """
 
 from __future__ import annotations
@@ -40,9 +42,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import DimensionMismatch, DomainError, InternalCheckError
-from .poly import MultiPoly, _accumulate, _scaled
+from .poly import MultiPoly, _accumulate, _combine, _scaled
 from .series import TruncatedSeries
-from .weyl import WeylOp, _left_coefficients
+from .weyl import WeylOp, _apply, _left_coefficients
 
 
 @dataclass(eq=False, frozen=True)
@@ -298,21 +300,15 @@ class Decomposition:
 
         This is an independent route (through the operator algebra, not the
         cached expansion columns); slices beyond the tracked window are
-        dropped.
+        dropped.  The e_i and b_l are series in B, so the terms of
+        sum e_i x^i, and those of sum b_l x^l, never share a key: both are
+        plain term dicts, and P acts on the second in one product.
         """
+        e_terms = {(i,) + k[1:]: c for i, ei in enumerate(self.e) for k, c in ei.terms.items()}
+        b_terms = {(ell,) + k[1:]: c for ell, bl in self.b.items() for k, c in bl.terms.items()}
         op = self.operator.to_weyl()
-        n = self.operator.n_vars
-        total = MultiPoly.zero(n)
-        for i, ei in enumerate(self.e):
-            total = total + ei.poly_part() * MultiPoly.monomial(n, (i,) + (0,) * (n - 1))
-        for ell, bl in self.b.items():
-            mono = MultiPoly.monomial(n, (ell,) + (0,) * (n - 1))
-            total = total + op.act_on_poly(bl.poly_part() * mono)
-        out: Dict[int, MultiPoly] = {}
-        for j, sl in total.x0_slices().items():
-            if j <= self.x_window:
-                out[j] = sl
-        return out
+        total = MultiPoly._trusted(op.n_vars, _combine(e_terms, op.terms, b_terms, expand=_apply))
+        return {j: sl for j, sl in total.x0_slices().items() if j <= self.x_window}
 
     def to_json(self) -> dict:
         def val_or_null(v):
@@ -371,19 +367,17 @@ def decompose(
     for j, sl in f.x0_slices().items():
         residual[j] = scaled(sl)
 
-    # expansion columns and pivot inverses for every generator the sweep can touch
-    max_ell = window + r - t
-    columns: Dict[int, Dict[int, _Scaled]] = {}
-    inverses: Dict[int, _Scaled] = {}
-    for ell in range(ell0, max_ell + 1):
-        col = expansion_coeffs(p, ell)
+    # every generator the sweep can touch is checked up front; its scaled
+    # column and pivot inverse are built when the sweep first reaches it
+    expansions: Dict[int, Dict[int, MultiPoly]] = {}
+    for ell in range(ell0, window + r - t + 1):
+        col = expansions[ell] = expansion_coeffs(p, ell)
         report = _condition_report(p, analysis, ell, col)
         if not (report["support_ok"] and report["band_ok"] and report["pivot_unit"]):
             raise DomainError(
                 f"operator fails its expansion conditions at generator index {ell}: {report}"
             )
-        columns[ell] = {m: scaled(c) for m, c in col.items() if m <= window}
-        inverses[ell] = _scaled(TruncatedSeries.from_poly(col[ell - r + t], K).invert().terms)
+    generators: Dict[int, Tuple[Dict[int, _Scaled], _Scaled]] = {}
 
     e_parts: List[_Scaled] = [zero] * s
     b_parts: Dict[int, _Scaled] = {}
@@ -406,9 +400,16 @@ def decompose(
                 residual[j] = zero
                 continue
             ell = j + r - t
-            delta = _primitive(*product(gamma, inverses[ell]))
+            if ell not in generators:
+                col = expansions[ell]
+                generators[ell] = (
+                    {m: scaled(c) for m, c in col.items() if m <= window},
+                    _scaled(TruncatedSeries.from_poly(col[j], K).invert().terms),
+                )
+            column, inverse = generators[ell]
+            delta = _primitive(*product(gamma, inverse))
             b_parts[ell] = _merge(b_parts.get(ell, zero), delta, 1)
-            for m, c in columns[ell].items():
+            for m, c in column.items():
                 residual[m] = _merge(residual[m], product(delta, c), -1)
             if residual[j][0]:
                 raise InternalCheckError("pivot cancellation was not exact")

@@ -20,20 +20,23 @@ polynomials: the injective hull of the residue field at the origin, spanned
 by inverse monomials with all exponents >= 1.  Its sums and the operator
 action run through the same kernel.  Both classes take their sums, negation,
 scalar products and equality from the shell that :mod:`socle.poly` shares
-among all four algebra types, and ``WeylOp.render`` follows the same
-sign-and-magnitude rule as ``MultiPoly.render``.
+among all four algebra types, and ``WeylOp.render`` and ``EElement.render``
+follow the same sign-and-magnitude rule as ``MultiPoly.render``.
 
 Adjoints and the Euler identity are taken in the partial of the first
 variable, the one :class:`socle.seriesdecomp.RegularOperator` differentiates
-in.
+in.  The Euler-identity certificate is fraction-free as well: its remainder
+and residual are accumulated as int terms over one common denominator, and
+the residual is still computed term by term, never assumed to vanish.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, perm
+from math import comb, lcm, perm
 from operator import add
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
@@ -41,11 +44,13 @@ from .errors import DimensionMismatch, DomainError
 from .poly import (
     Exponent,
     MultiPoly,
+    _accumulate,
     _coerce,
     _combine,
     _power,
     _power_factors,
     _render,
+    _scaled,
     _TermShell,
     default_names,
 )
@@ -304,32 +309,46 @@ def check_euler_identity(q: WeylOp, b: MultiPoly):
 
     Returns (p, remainder_op, residual) where residual = b*q - P(b) - d*R as
     a normally ordered operator; the identity holds exactly iff residual is
-    zero.  The remainder is built by the recursion
-    R_i(f, g) = R_{i-1}(f', g) + (-1)^i f d^(i-1) g,   R_0 = 0,
-    summed over the right coefficients g = a_i of q.
+    zero.  With q = sum_i (-1)^i d^i a_i, the remainder is
+    R = sum_i sum_{k=1..i} (-1)^k b^(i-k) d^(k-1) a_i.
+
+    The certificate is fraction-free: b is scaled to integers by the lcm of
+    its denominators, and q, the a_i and P over the lcm of all of theirs.
+    R and the residual are accumulated term by term as ints over the product
+    of the two denominators, and turned into ``Fraction`` terms once.
     """
     n = q.n_vars
     if b.n_vars != n:
         raise DimensionMismatch("test polynomial lives over a different variable count")
     a = right_coefficients(q)
     p = formal_adjoint(q)
-    d = WeylOp.d_gen(n, 0)
+    f, den = _scaled(b.terms)
+    op_terms = (q.terms, p.terms, *(g.terms for g in a))
+    op_den = lcm(*(c.denominator for t in op_terms for c in t.values()))
+    den *= op_den
 
-    def remainder(i: int, f: MultiPoly, g: MultiPoly) -> WeylOp:
-        if i == 0:
-            return WeylOp.zero(n)
-        prev = remainder(i - 1, f.partial_derivative(0), g)
-        # multiplied in last and from the left, the large d-free f needs no
-        # Leibniz expansion
-        tail = WeylOp.from_poly(f) * ((d ** (i - 1)) * WeylOp.from_poly(g))
-        return prev - tail if i % 2 else prev + tail
+    def ints(terms):
+        return {k: c.numerator * (op_den // c.denominator) for k, c in terms.items()}
 
-    r_op = WeylOp.zero(n)
+    z = (0,) * n
+    # b and its derivatives in the first variable, as int terms
+    derivs = [f]
+    for _ in range(len(a) - 2):
+        derivs.append({(e[0] - 1,) + e[1:]: v * e[0] for e, v in derivs[-1].items() if e[0]})
+    r_acc = Counter()
     for i, g in enumerate(a):
-        if g:
-            r_op = r_op + remainder(i, b, g)
-    pb = p.act_on_poly(b)
-    residual = WeylOp.from_poly(b) * q - WeylOp.from_poly(pb) - d * r_op
+        left = {
+            (e, (k - 1,) + z[1:]): -v if k % 2 else v
+            for k in range(1, i + 1)
+            for e, v in derivs[i - k].items()
+        }
+        r_acc.update(_accumulate(left, ints(WeylOp.from_poly(g).terms), _normal_order))
+    res = Counter(_accumulate({(e, z): v for e, v in f.items()}, ints(q.terms), _normal_order))
+    res.subtract({(e, z): v for e, v in _accumulate(ints(p.terms), f, _apply).items()})
+    res.subtract(_accumulate({(z, (1,) + z[1:]): 1}, r_acc, _normal_order))
+    r_op, residual = (
+        WeylOp._trusted(n, {k: Fraction(v, den) for k, v in acc.items() if v}) for acc in (r_acc, res)
+    )
     return p, r_op, residual
 
 
@@ -370,17 +389,9 @@ class EElement(_TermShell):
     def zero(cls, n_vars: int) -> "EElement":
         return cls(n_vars, {})
 
-    def render(self, names=None) -> str:
-        if not self.terms:
-            return "0"
+    def render(self, names: Sequence[str] | None = None) -> str:
         names = names or default_names(self.n_vars)
-        parts = []
-        for a, c in sorted(self.terms.items()):
-            mono = "*".join(
-                f"{names[i]}^-{ai}" if ai > 1 else f"{names[i]}^-1" for i, ai in enumerate(a)
-            )
-            parts.append(f"{c}*{mono}")
-        return " + ".join(parts)
+        return _render(self.terms, lambda a: [f"{v}^-{ai}" for v, ai in zip(names, a)])
 
     def __repr__(self):
         return f"EElement({self.n_vars}, {self.render()!r})"

@@ -269,6 +269,35 @@ def test_reconstruction_randomized():
                 assert got == want, (text, j)
 
 
+def per_generator_reconstruction(dec):
+    """sum e_i x^i + sum P(b_l x^l), one operator action per generator."""
+    op, n = dec.operator.to_weyl(), dec.operator.n_vars
+    total = MultiPoly.zero(n)
+    for i, ei in enumerate(dec.e):
+        total = total + ei.poly_part() * xpow(n, i)
+    for ell, bl in dec.b.items():
+        total = total + op.act_on_poly(bl.poly_part() * xpow(n, ell))
+    return {j: sl for j, sl in total.x0_slices().items() if j <= dec.x_window}
+
+
+@pytest.mark.parametrize(
+    "text, n",
+    [("(x0 + x1)*d0^2 + x1*d0 + 3", 2), ("(x0 + x1 + x2)*d0 + x1*x2", 3), ("x*d0", 1)],
+)
+def test_reconstruction_is_the_per_generator_route(text, n):
+    rng = random.Random(text)
+    p = op_from_text(text, n)
+    for _ in range(6):
+        # x-degree up to 6, B-degree low enough to survive the truncation
+        terms = {}
+        for _ in range(6):
+            exp = (rng.randint(0, 6),) + tuple(rng.randint(0, 1) for _ in range(n - 1))
+            terms[exp] = rng.choice((-1, 1)) * rng.randint(1, 9)
+        dec = decompose(MultiPoly(n, terms), p, precision=rng.randint(n + 1, 6))
+        assert dec.b
+        assert dec.reconstruction() == per_generator_reconstruction(dec)
+
+
 def test_sweep_valuations_cohere():
     # downward cascade: each sweep moves one x-power lower and one y-order up
     p = op_from_text("(x + y)*d0", 2)

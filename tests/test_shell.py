@@ -59,9 +59,9 @@ E_TERMS = {
 
 E_TEXT = {
     "zero": "0",
-    "socle": "1*x^-1*y^-1",
-    "minus_one": "-1*x^-1*y^-1",
-    "mixed": "1*x^-1*y^-1 + 4*x^-1*y^-3 + -1/2*x^-2*y^-1",
+    "socle": "x^-1*y^-1",
+    "minus_one": "-x^-1*y^-1",
+    "mixed": "-1/2*x^-2*y^-1 + 4*x^-1*y^-3 + x^-1*y^-1",
 }
 
 

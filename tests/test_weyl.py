@@ -338,3 +338,52 @@ def test_power_is_the_repeated_product():
         for k in range(1, 7):
             acc = acc * op
             assert op ** k == acc
+
+
+# ----------------------------------------- Euler identity against the oracle
+
+
+def oracle_euler_identity(q, b):
+    """(p, remainder_op, residual) over Fraction terms, by the recursion
+    R_i(f, g) = R_{i-1}(f', g) + (-1)^i f d^(i-1) g,  R_0 = 0,
+    summed over the right coefficients g = a_i of q."""
+    n = q.n_vars
+    d = WeylOp.d_gen(n, 0)
+
+    def remainder(i, f, g):
+        if i == 0:
+            return WeylOp.zero(n)
+        prev = remainder(i - 1, f.partial_derivative(0), g)
+        tail = WeylOp.from_poly(f) * ((d ** (i - 1)) * WeylOp.from_poly(g))
+        return prev - tail if i % 2 else prev + tail
+
+    r_op = WeylOp.zero(n)
+    for i, g in enumerate(right_coefficients(q)):
+        r_op = r_op + remainder(i, b, g)
+    p = formal_adjoint(q)
+    residual = WeylOp.from_poly(b) * q - WeylOp.from_poly(p.act_on_poly(b)) - d * r_op
+    return p, r_op, residual
+
+
+@st.composite
+def euler_cases(draw):
+    """q of order 1-3 in the first partial only, and b nonzero with 64-bit
+    numerators and denominators, in 1-3 variables."""
+    n = draw(st.integers(1, 3))
+    xe = st.tuples(*[st.integers(0, 3)] * n)
+    de = st.integers(0, 3).map(lambda k: (k,) + (0,) * (n - 1))
+    coeff = big_rationals().filter(bool)
+    q = draw(st.dictionaries(st.tuples(xe, de), coeff, min_size=1, max_size=4))
+    q[(draw(xe), (draw(st.integers(1, 3)),) + (0,) * (n - 1))] = draw(coeff)
+    return WeylOp(n, q), MultiPoly(n, draw(st.dictionaries(xe, coeff, min_size=1, max_size=6)))
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(euler_cases())
+def test_euler_identity_matches_the_fraction_oracle(case):
+    q, b = case
+    got = check_euler_identity(q, b)
+    for x, want in zip(got, oracle_euler_identity(q, b)):
+        assert x.terms == want.terms
+        assert_clean(x)
+    assert not got[2]
