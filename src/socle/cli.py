@@ -53,6 +53,9 @@ EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_UNSTABLE = 3
 
+#: largest precision and tracked x-window of ``decompose`` (one variable: 0.5 s)
+DECOMPOSE_MAX = 10_000
+
 _INPUT_ERRORS = (
     ParseError,
     DomainError,
@@ -307,6 +310,9 @@ def cmd_decompose(args) -> int:
     op = RegularOperator.from_weyl(parse_operator(args.p, n))
     f = parse_poly(args.f, n)
     precision = args.prec if args.prec is not None else 6
+    window = precision * analyze_operator(op).t + f.degree_in(0) + op.order
+    if max(precision, window) > DECOMPOSE_MAX:
+        raise _InputError(f"precision {precision} or tracked x-window {window} exceeds {DECOMPOSE_MAX}")
     dec = decompose(f, op, precision)
     a = dec.analysis
 

@@ -8,9 +8,9 @@ polynomial.
 Sums and products of polynomials, truncated series and Weyl operators all run
 through one sparse-term kernel, ``_combine``.  Products are fraction-free:
 each factor's terms are scaled to integers by the lcm of their denominators,
-multiplied and accumulated as plain ints (``_accumulate``, which the
-fraction-free sweep of :mod:`socle.seriesdecomp` also calls directly), and
-each output term is divided once by the common denominator.  Sums merge the
+multiplied and accumulated as plain ints (``_accumulate``, which the sweep
+of :mod:`socle.seriesdecomp` and the operator action of :mod:`socle.weyl`
+call directly), and each output term is divided once by the denominator.  Sums merge the
 terms as they are, with one ``Fraction`` addition per shared key.  Results of
 this internal arithmetic are built by ``_trusted`` constructors that skip
 re-validation, since their terms are valid by construction; the public
@@ -61,6 +61,7 @@ def _accumulate(
     rhs: Mapping[Hashable, int],
     expand: Callable[[Hashable, Hashable], Iterable[Tuple[Hashable, int]]] | None = None,
     below: int | None = None,
+    acc: Dict[Hashable, int] | None = None,
 ) -> Dict[Hashable, int]:
     """The int terms of the product ``lhs * rhs`` of two int term dicts; a
     term may cancel to 0 and is then still listed.
@@ -69,9 +70,10 @@ def _accumulate(
     factor is bucketed by total degree once, and with ``below`` every bucket
     whose products would reach total degree ``below`` is skipped.  Otherwise
     ``expand(k1, k2)`` lists the (key, int weight) terms a pair of keys
-    combines to, such as a normal-ordered operator product.
+    combines to, such as a normal-ordered operator product.  With ``acc``
+    the terms are added into that dict, which is returned.
     """
-    acc: Dict[Hashable, int] = {}
+    acc = {} if acc is None else acc
     get = acc.get
     if expand is None:
         buckets: Dict[int, list] = {}

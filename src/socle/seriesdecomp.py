@@ -42,9 +42,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import DimensionMismatch, DomainError, InternalCheckError
-from .poly import MultiPoly, _accumulate, _combine, _scaled
+from .poly import MultiPoly, _accumulate, _scaled
 from .series import TruncatedSeries
-from .weyl import WeylOp, _apply, _left_coefficients
+from .weyl import WeylOp, _left_coefficients
 
 
 @dataclass(eq=False, frozen=True)
@@ -84,12 +84,9 @@ class RegularOperator:
         return cls(op.n_vars, tuple(_left_coefficients(op)))
 
     def to_weyl(self) -> WeylOp:
-        d = WeylOp.d_gen(self.n_vars, 0)
-        out = WeylOp.zero(self.n_vars)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                out = out + WeylOp.from_poly(a) * (d ** i)
-        return out
+        z = (0,) * (self.n_vars - 1)
+        terms = {(e, (i,) + z): c for i, a in enumerate(self.coeffs) for e, c in a.terms.items()}
+        return WeylOp._trusted(self.n_vars, terms)
 
 
 @dataclass(frozen=True)
@@ -302,12 +299,12 @@ class Decomposition:
         cached expansion columns); slices beyond the tracked window are
         dropped.  The e_i and b_l are series in B, so the terms of
         sum e_i x^i, and those of sum b_l x^l, never share a key: both are
-        plain term dicts, and P acts on the second in one product.
+        plain term dicts, and ``act_on_poly`` applies P to the second.
         """
-        e_terms = {(i,) + k[1:]: c for i, ei in enumerate(self.e) for k, c in ei.terms.items()}
-        b_terms = {(ell,) + k[1:]: c for ell, bl in self.b.items() for k, c in bl.terms.items()}
-        op = self.operator.to_weyl()
-        total = MultiPoly._trusted(op.n_vars, _combine(e_terms, op.terms, b_terms, expand=_apply))
+        n = self.operator.n_vars
+        e = MultiPoly._trusted(n, {(i,) + k[1:]: c for i, s in enumerate(self.e) for k, c in s.terms.items()})
+        b = MultiPoly._trusted(n, {(j,) + k[1:]: c for j, s in self.b.items() for k, c in s.terms.items()})
+        total = self.operator.to_weyl().act_on_poly(b) + e
         return {j: sl for j, sl in total.x0_slices().items() if j <= self.x_window}
 
     def to_json(self) -> dict:

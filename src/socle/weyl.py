@@ -9,10 +9,11 @@ formula
 
 applied componentwise, so no rewriting search is ever needed.  The integer
 weights C(b, nu) * g(g-1)...(g-nu+1) are cached per (b_i, g_i), and a
-coordinate with min(b_i, g_i) = 0 contributes no expansion.  Products and
-the action on polynomials are fraction-free (see :mod:`socle.poly`):
-coefficients are scaled to integers by the lcm of their denominators,
-accumulated as ints and divided once per output term.  Results of internal
+coordinate with min(b_i, g_i) = 0 contributes no expansion.  Products are
+fraction-free (see :mod:`socle.poly`): coefficients are scaled to integers
+by the lcm of their denominators, accumulated as ints and divided once per
+output term.  ``_act`` applies operators to polynomials with one product per
+d-exponent, on that derivative of the polynomial.  Results of internal
 arithmetic skip re-validation; the public constructor keeps every check.
 
 The module also carries the function space operators act on besides
@@ -25,19 +26,19 @@ follow the same sign-and-magnitude rule as ``MultiPoly.render``.
 
 Adjoints and the Euler identity are taken in the partial of the first
 variable, the one :class:`socle.seriesdecomp.RegularOperator` differentiates
-in.  The Euler-identity certificate is fraction-free as well: its remainder
-and residual are accumulated as int terms over one common denominator, and
-the residual is still computed term by term, never assumed to vanish.
+in.  The Euler-identity certificate stays inside that d-only subalgebra:
+each of its products is a plain int polynomial product graded by the power
+of d, over one common denominator, and its residual is still computed term
+by term, never assumed to vanish.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, lcm, perm
-from operator import add
+from math import comb, lcm, perm, prod
+from operator import add, sub
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .errors import DimensionMismatch, DomainError
@@ -85,17 +86,20 @@ def _normal_order(k1: TermKey, k2: TermKey):
     return out
 
 
-def _apply(k1: TermKey, g: Exponent):
-    """The (exponent, int weight) term of x^a d^b applied to x^g; none when
-    some b_i exceeds g_i."""
-    a, b = k1
-    w = 1
-    for gi, bi in zip(g, b):
-        if bi:
-            if bi > gi:
-                return ()
-            w *= perm(gi, bi)
-    return ((tuple(ai + gi - bi for ai, gi, bi in zip(a, g, b)), w),)
+def _act(terms: Mapping[TermKey, int], f: Mapping[Exponent, int]) -> Dict[Exponent, int]:
+    """The int terms of the operator with int ``terms`` applied to the int
+    polynomial terms f (cancelled terms may be listed): one expand-free
+    product per d-exponent, of that derivative of f with the x-parts."""
+    groups: Dict[Exponent, Dict[Exponent, int]] = {}
+    for (xe, de), c in terms.items():
+        groups.setdefault(de, {})[xe] = c
+    acc: Dict[Exponent, int] = {}
+    for de, xs in groups.items():
+        f_de = f
+        if any(de):
+            f_de = {tuple(map(sub, g, de)): v * w for g, v in f.items() if (w := prod(map(perm, g, de)))}
+        _accumulate(f_de, xs, acc=acc)
+    return acc
 
 
 def _apply_inverse(k1: TermKey, a: Exponent):
@@ -193,9 +197,12 @@ class WeylOp(_TermShell):
     # ---------------------------------------------------------------- actions
 
     def act_on_poly(self, p: MultiPoly) -> MultiPoly:
+        """The operator applied to p: ``_act`` on both scaled to integers."""
         if p.n_vars != self.n_vars:
             raise DimensionMismatch("polynomial lives over a different variable count")
-        return MultiPoly._trusted(self.n_vars, _combine({}, self.terms, p.terms, expand=_apply))
+        (lhs, den), (rhs, rden) = _scaled(self.terms), _scaled(p.terms)
+        terms = _act(lhs, rhs)
+        return MultiPoly._trusted(self.n_vars, {e: Fraction(v, den * rden) for e, v in terms.items() if v})
 
     def act_on_e(self, v: "EElement") -> "EElement":
         if v.n_vars != self.n_vars:
@@ -309,45 +316,43 @@ def check_euler_identity(q: WeylOp, b: MultiPoly):
 
     Returns (p, remainder_op, residual) where residual = b*q - P(b) - d*R as
     a normally ordered operator; the identity holds exactly iff residual is
-    zero.  With q = sum_i (-1)^i d^i a_i, the remainder is
-    R = sum_i sum_{k=1..i} (-1)^k b^(i-k) d^(k-1) a_i.
+    zero.  With q = sum_i (-1)^i d^i a_i, so P = sum_i a_i d^i, the remainder
+    is R = sum_m R_m d^m, R_m = sum_{k-1-nu=m} (-1)^k C(k-1, nu) b^(i-k) a_i^(nu).
 
-    The certificate is fraction-free: b is scaled to integers by the lcm of
-    its denominators, and q, the a_i and P over the lcm of all of theirs.
-    R and the residual are accumulated term by term as ints over the product
-    of the two denominators, and turned into ``Fraction`` terms once.
+    Every factor lies in the d-only subalgebra, so each product is an int
+    polynomial product over one denominator, graded by the power m of d (a
+    last exponent): b*q - P(b) and R are one ``_act`` on b each, and (d*R)_m
+    = d(R_m) + R_(m-1).  The residual is summed term by term, never assumed
+    zero, and ``Fraction`` terms are built once.
     """
     n = q.n_vars
     if b.n_vars != n:
         raise DimensionMismatch("test polynomial lives over a different variable count")
-    a = right_coefficients(q)
     p = formal_adjoint(q)
-    f, den = _scaled(b.terms)
-    op_terms = (q.terms, p.terms, *(g.terms for g in a))
-    op_den = lcm(*(c.denominator for t in op_terms for c in t.values()))
+    f0, den = _scaled({e + (0,): c for e, c in b.terms.items()})  # b, of d-grade 0
+    op_den = lcm(*(c.denominator for t in (q.terms, p.terms) for c in t.values()))
     den *= op_den
-
-    def ints(terms):
-        return {k: c.numerator * (op_den // c.denominator) for k, c in terms.items()}
-
-    z = (0,) * n
-    # b and its derivatives in the first variable, as int terms
-    derivs = [f]
-    for _ in range(len(a) - 2):
-        derivs.append({(e[0] - 1,) + e[1:]: v * e[0] for e, v in derivs[-1].items() if e[0]})
-    r_acc = Counter()
-    for i, g in enumerate(a):
-        left = {
-            (e, (k - 1,) + z[1:]): -v if k % 2 else v
-            for k in range(1, i + 1)
-            for e, v in derivs[i - k].items()
-        }
-        r_acc.update(_accumulate(left, ints(WeylOp.from_poly(g).terms), _normal_order))
-    res = Counter(_accumulate({(e, z): v for e, v in f.items()}, ints(q.terms), _normal_order))
-    res.subtract({(e, z): v for e, v in _accumulate(ints(p.terms), f, _apply).items()})
-    res.subtract(_accumulate({(z, (1,) + z[1:]): 1}, r_acc, _normal_order))
+    z, zz = (0,) * n, (0,) * (n + 1)
+    qs, ps = ({k: c.numerator * (op_den // c.denominator) for k, c in t.items()} for t in (q.terms, p.terms))
+    lhs = {(xe + de[:1], zz): v for (xe, de), v in qs.items()}  # b*q - P(b), as an operator on b
+    r_terms: Dict[TermKey, int] = {}  # R, as an operator on b
+    for (xe, (i, *_)), v in ps.items():  # v x^xe is a term of a_i
+        key = (xe + (0,), (i,) + z)
+        lhs[key] = lhs.get(key, 0) - v
+        for k in range(1, i + 1):
+            for nu in range(min(k, xe[0] + 1)):
+                key = ((xe[0] - nu,) + xe[1:] + (k - 1 - nu,), (i - k,) + z)
+                r_terms[key] = r_terms.get(key, 0) + (-1) ** k * comb(k - 1, nu) * perm(xe[0], nu) * v
+    r_acc, res = _act(r_terms, f0), _act(lhs, f0)
+    for key, v in r_acc.items():  # (d*R)_m = d(R_m) + R_(m-1)
+        up = key[:-1] + (key[-1] + 1,)
+        res[up] = res.get(up, 0) - v
+        if key[0]:
+            down = (key[0] - 1,) + key[1:]
+            res[down] = res.get(down, 0) - v * key[0]
     r_op, residual = (
-        WeylOp._trusted(n, {k: Fraction(v, den) for k, v in acc.items() if v}) for acc in (r_acc, res)
+        WeylOp._trusted(n, {(k[:-1], (k[-1],) + z[1:]): Fraction(v, den) for k, v in acc.items() if v})
+        for acc in (r_acc, res)
     )
     return p, r_op, residual
 

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output discipline, the verify suites."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -164,7 +165,7 @@ def test_decompose_json_is_pinned(capsys, name, p, f, prec):
 
 # one input per spec route: the two cutoff-free complexes, a localization at
 # no variable (persistent route over R, no smoothness key), a non-smooth
-# monomial, a hypersurface in both modes, and rank one
+# monomial, a hypersurface in both modes, and rank one; and every catalog entry
 DERHAM_PINS = {
     "derham_ring_two_vars": ("--kind", "R", "--vars", "2"),
     "derham_hull_three_vars": ("--kind", "E", "--vars", "3"),
@@ -172,6 +173,10 @@ DERHAM_PINS = {
     "derham_loc_monomial_not_smooth": ("--kind", "loc", "--f", "x*y", "--vars", "3"),
     "derham_loc_conic": ("--kind", "loc", "--f", "x^2+y^2+z^2"),
     "derham_catalog_conic": ("--catalog", "conic-p2"),
+    "derham_catalog_fermat_cubic": ("--catalog", "fermat-cubic-p2"),
+    "derham_catalog_weierstrass_cubic": ("--catalog", "weierstrass-cubic-p2"),
+    "derham_catalog_quartic": ("--catalog", "quartic-p2"),
+    "derham_catalog_quadric": ("--catalog", "quadric-p3"),
     "derham_rank_one": ("--kind", "rank-one", "--f", "x^2"),
 }
 
@@ -179,6 +184,38 @@ DERHAM_PINS = {
 @pytest.mark.parametrize("name", sorted(DERHAM_PINS))
 def test_derham_json_is_pinned(capsys, name):
     assert_pinned(capsys, name, "derham", *DERHAM_PINS[name])
+
+
+def test_verify_all_stdout_is_pinned(capsys):
+    code, out, _ = run(capsys, "verify", "all")
+    assert code == 0
+    assert out == (GOLDEN / "verify_all.txt").read_text()
+
+
+# the window is prec * t + deg_x f + order, prec 6 by default; x*d0 has band
+# offset t = 1, and d0 has t = 0, so there only the precision exceeds 10000
+@pytest.mark.parametrize(
+    "p, f, prec",
+    [
+        ("x*d0", "x^100000000", None),
+        ("x*d0", "x^10", "100000000"),
+        ("x*d0", "x^9994", None),
+        ("d0", "x", "10001"),
+    ],
+)
+def test_decompose_refuses_oversized_input(capsys, p, f, prec):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "decompose", "--p", p, "--f", f, *(("--prec", prec) if prec else ()))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert not out
+    assert "exceeds 10000" in err
+
+
+def test_decompose_accepts_input_at_the_bound(capsys):
+    code, out, _ = run(capsys, "decompose", "--p", "x*d0", "--f", "x^9993", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["x_window"] == 10000
 
 
 def test_decompose_rejects_second_partial(capsys):

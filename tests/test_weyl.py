@@ -298,6 +298,28 @@ def test_products_and_actions_match_the_fraction_oracle(case):
     assert total - q == p and diff + q == p
 
 
+@st.composite
+def grouped_action_cases(draw):
+    """An operator in 2-3 variables whose terms share a few d-exponents,
+    several terms to each, and a polynomial to act on."""
+    n = draw(st.integers(2, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    terms = {}
+    for de in draw(st.lists(exps, min_size=1, max_size=3, unique=True)):
+        for xe in draw(st.lists(exps, min_size=2, max_size=4, unique=True)):
+            terms[(xe, de)] = draw(big_rationals())
+    return WeylOp(n, terms), draw(polys(n, max_terms=8))
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(grouped_action_cases())
+def test_grouped_action_matches_the_fraction_oracle(case):
+    p, f = case
+    got = p.act_on_poly(f)
+    assert got.terms == oracle_action(p, f)
+    assert_clean(got)
+
+
 @settings(deadline=None, derandomize=True, max_examples=100)
 @given(operator_cases())
 def test_weyl_relations_associativity_and_action(case):
@@ -361,7 +383,8 @@ def oracle_euler_identity(q, b):
     for i, g in enumerate(right_coefficients(q)):
         r_op = r_op + remainder(i, b, g)
     p = formal_adjoint(q)
-    residual = WeylOp.from_poly(b) * q - WeylOp.from_poly(p.act_on_poly(b)) - d * r_op
+    p_of_b = MultiPoly(n, oracle_action(p, b))
+    residual = WeylOp.from_poly(b) * q - WeylOp.from_poly(p_of_b) - d * r_op
     return p, r_op, residual
 
 
