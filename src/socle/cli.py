@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from math import comb
 from typing import List, Optional
 
 from .catalog import HYPERSURFACES, PROFILES
@@ -45,6 +46,7 @@ from .seriesdecomp import (
     decompose,
     expansion_condition_report,
     valuation_growth_probe,
+    x_window,
 )
 from .structure import predict
 
@@ -55,6 +57,9 @@ EXIT_UNSTABLE = 3
 
 #: largest precision and tracked x-window of ``decompose`` (one variable: 0.5 s)
 DECOMPOSE_MAX = 10_000
+#: largest estimated sweep size of ``decompose``: the tracked x-window times
+#: the square of the number of B-monomials below the precision (about 4 s)
+DECOMPOSE_SIZE_MAX = 100_000
 
 _INPUT_ERRORS = (
     ParseError,
@@ -215,8 +220,8 @@ def cmd_derham(args) -> int:
             raise _InputError(f"unknown hypersurface {args.catalog!r}; known: {known}")
         entry = HYPERSURFACES[args.catalog]
         kind = kind or "loc-quot"
-        f_text = f_text or entry.f_text
-        n_vars = n_vars or entry.n_vars
+        f_text = f_text if f_text is not None else entry.f_text
+        n_vars = n_vars if n_vars is not None else entry.n_vars
         if cutoff is None:
             cutoff = entry.default_cutoff
 
@@ -306,13 +311,23 @@ def cmd_decompose(args) -> int:
     # unify the variable count across both expressions
     op_probe = parse_operator(args.p)
     f_probe = parse_poly(args.f)
-    n = args.vars or max(op_probe.n_vars, f_probe.n_vars)
+    n = args.vars if args.vars is not None else max(op_probe.n_vars, f_probe.n_vars)
     op = RegularOperator.from_weyl(parse_operator(args.p, n))
     f = parse_poly(args.f, n)
     precision = args.prec if args.prec is not None else 6
-    window = precision * analyze_operator(op).t + f.degree_in(0) + op.order
+    if precision < 1:
+        raise _InputError("--prec must be at least 1")
+    window = x_window(op, analyze_operator(op).t, f, precision)
     if max(precision, window) > DECOMPOSE_MAX:
         raise _InputError(f"precision {precision} or tracked x-window {window} exceeds {DECOMPOSE_MAX}")
+    # each tracked x-power holds a B-series of up to `terms` terms, and a
+    # product of two such series pairs up to terms^2 of them
+    terms = comb(precision - 1 + n - 1, n - 1)
+    if window * terms**2 > DECOMPOSE_SIZE_MAX:
+        raise _InputError(
+            f"tracked x-window {window} times {terms}^2 B-monomials below m_B^{precision} "
+            f"exceeds {DECOMPOSE_SIZE_MAX}"
+        )
     dec = decompose(f, op, precision)
     a = dec.analysis
 

@@ -10,18 +10,24 @@ Two independent routes are provided and cross-checked in the test suite:
 
 The truncation engine filters by pole order: the subcomplex F_K allows pole
 order at most K + j in form degree j, which is stable under d, and raising K
-gives forward maps whose stabilization is the certification signal.  For a
+gives forward maps whose stabilization is the certification signal.  Every
+table comes from one rank formula for the persistent cohomology of a pair of
+cutoffs.  Where the complex ignores the cutoff (R, and E once the cutoff
+clears the window) the pair is one cutoff twice, the map is the identity and
+one pass is exact; otherwise two successive pairs are compared.  For a
 homogeneous input everything splits by internal weight (degree of the
 coefficient minus pole-order times degree of f, plus form degree); the
 contraction against the Euler vector field gives d(i_E w) + i_E(d w) = tau*w
 on the weight-tau piece, so every class of nonzero weight dies in the limit
-and the default window computes only weight 0.  Wider windows remain
-available for diagnostics.
+and the default window computes only weight 0.  An explicit window sums the
+tables of several weights, which the tests use to see the nonzero weights
+vanish.
 
 Pole-complex entries are written from their closed form, with no polynomial
 products: for g = x^e and f = sum_a c_a x^a the numerator of d(g/f^k) in
 direction i is f dg/dx_i - k g df/dx_i = sum_a c_a (e_i - k a_i) x^(e+a-1_i),
-and distinct terms of f land on distinct monomials.
+and distinct terms of f land on distinct monomials.  The polynomial ring is
+the pole complex of f = 1; E keeps its own rule.
 """
 
 from __future__ import annotations
@@ -145,9 +151,17 @@ class ModuleSpec:
         return False
 
 
+def _check_vars(n_vars: int) -> None:
+    if n_vars < 0:
+        raise DomainError(f"the variable count must be nonnegative, got {n_vars}")
+
+
 @dataclass(frozen=True)
 class PolynomialRing(ModuleSpec):
     n_vars: int
+
+    def __post_init__(self):
+        _check_vars(self.n_vars)
 
     def to_json(self) -> dict:
         return {"kind": "R", "vars": self.n_vars}
@@ -164,6 +178,9 @@ class InjectiveHull(ModuleSpec):
     """Injective hull of the residue field at the origin (inverse monomials)."""
 
     n_vars: int
+
+    def __post_init__(self):
+        _check_vars(self.n_vars)
 
     def to_json(self) -> dict:
         return {"kind": "E", "vars": self.n_vars}
@@ -342,36 +359,16 @@ def assemble_complex(spec: ModuleSpec, cutoff: int, tau: int):
       incls[j]  -- inclusion of the polynomial subcomplex (hypersurface
                    quotient mode only, else None).
 
-    For a hypersurface, the column of x^e dx_I / f^k (k = cutoff + j) holds
+    E has its own rule: the column of x^-a dx_I holds -sign * a_i at the row
+    of x^-(a+1_i) dx_(I+i).  Every other engine is a pole complex: for a
+    hypersurface f, the column of x^e dx_I / f^k (k = cutoff + j) holds
     sign * c_a * (e_i - k a_i) at the row of x^(e+a-1_i) dx_(I+i) for every
     term c_a x^a of f and every i not in I, where sign is the wedge sign of
     moving dx_i into place; a zero factor writes no entry.  The inclusion
-    column of x^a dx_I is f^k shifted by a.
+    column of x^a dx_I is f^k shifted by a.  R is the pole complex of the
+    constant 1 (D = 0, entries sign * e_i, no inclusion).
     """
     spec = spec.engine()
-    if isinstance(spec, PolynomialRing):
-        n = spec.n_vars
-        bases = [
-            [(I, e) for I in combinations(range(n), j) for e in graded_piece_basis(tau - j, n)]
-            for j in range(n + 1)
-        ]
-        diffs = []
-        for j in range(n):
-            index = {lab: i for i, lab in enumerate(bases[j + 1])}
-            cols = []
-            for I, e in bases[j]:
-                col: Dict[int, Fraction] = {}
-                for i in range(n):
-                    if i in I or not e[i]:
-                        continue
-                    shifted = list(e)
-                    shifted[i] -= 1
-                    row = index[(_insert_sorted(i, I), tuple(shifted))]
-                    col[row] = Fraction(e[i] * _wedge_sign(i, I))
-                cols.append(col)
-            diffs.append(GradedMatrix.from_columns(bases[j + 1], bases[j], cols))
-        return bases, diffs, None
-
     if isinstance(spec, InjectiveHull):
         n = spec.n_vars
         bases = []
@@ -404,77 +401,62 @@ def assemble_complex(spec: ModuleSpec, cutoff: int, tau: int):
             diffs.append(GradedMatrix.from_columns(bases[j + 1], bases[j], cols))
         return bases, diffs, None
 
-    if isinstance(spec, HypersurfaceLocalization):
-        f = spec.f
-        n = f.n_vars
-        D = f.homogeneous_degree()
-        bases = []
+    if isinstance(spec, PolynomialRing):
+        f, quotient = MultiPoly.one(spec.n_vars), False  # the pole complex of 1
+    elif isinstance(spec, HypersurfaceLocalization):
+        f, quotient = spec.f, spec.quotient_mod_A
+    else:
+        raise UnsupportedSpecError(
+            f"the truncation engine does not assemble {type(spec).__name__}"
+        )
+    n = f.n_vars
+    D = f.homogeneous_degree()
+    bases = []
+    for j in range(n + 1):
+        deg = tau - j + (cutoff + j) * D
+        bases.append(
+            [(I, e) for I in combinations(range(n), j) for e in graded_piece_basis(deg, n)]
+        )
+    # integral coefficients as ints: GradedMatrix stores every entry as a
+    # Fraction anyway, and int products are much cheaper to form
+    f_terms = [(fe, c.numerator if c.denominator == 1 else c) for fe, c in f.terms.items()]
+    diffs = []
+    for j in range(n):
+        k = cutoff + j
+        index = {lab: i for i, lab in enumerate(bases[j + 1])}
+        steps = {
+            I: [(i, _wedge_sign(i, I), _insert_sorted(i, I)) for i in range(n) if i not in I]
+            for I in combinations(range(n), j)
+        }
+        cols = []
+        for I, e in bases[j]:
+            col = {}
+            # exponents of g*f term by term; direction i lowers entry i by one
+            products = [(tuple(a + b for a, b in zip(e, fe)), fe, c) for fe, c in f_terms]
+            for i, sign, J in steps[I]:
+                for s, fe, c in products:
+                    factor = e[i] - k * fe[i]
+                    if factor:
+                        col[index[(J, s[:i] + (s[i] - 1,) + s[i + 1:])]] = sign * factor * c
+            cols.append(col)
+        diffs.append(GradedMatrix.from_columns(bases[j + 1], bases[j], cols))
+    incls = None
+    if quotient:
+        incls = []
         for j in range(n + 1):
-            deg = tau - j + (cutoff + j) * D
-            bases.append(
-                [(I, e) for I in combinations(range(n), j) for e in graded_piece_basis(deg, n)]
-            )
-        # integral coefficients as ints: GradedMatrix stores every entry as a
-        # Fraction anyway, and int products are much cheaper to form
-        f_terms = [(fe, c.numerator if c.denominator == 1 else c) for fe, c in f.terms.items()]
-        diffs = []
-        for j in range(n):
-            k = cutoff + j
-            index = {lab: i for i, lab in enumerate(bases[j + 1])}
-            steps = {
-                I: [(i, _wedge_sign(i, I), _insert_sorted(i, I)) for i in range(n) if i not in I]
+            index = {lab: i for i, lab in enumerate(bases[j])}
+            sub = [
+                (I, a)
                 for I in combinations(range(n), j)
-            }
-            cols = []
-            for I, e in bases[j]:
-                col = {}
-                # exponents of g*f term by term; direction i lowers entry i by one
-                products = [(tuple(a + b for a, b in zip(e, fe)), fe, c) for fe, c in f_terms]
-                for i, sign, J in steps[I]:
-                    for s, fe, c in products:
-                        factor = e[i] - k * fe[i]
-                        if factor:
-                            col[index[(J, s[:i] + (s[i] - 1,) + s[i + 1:])]] = sign * factor * c
-                cols.append(col)
-            diffs.append(GradedMatrix.from_columns(bases[j + 1], bases[j], cols))
-        incls = None
-        if spec.quotient_mod_A:
-            incls = []
-            for j in range(n + 1):
-                index = {lab: i for i, lab in enumerate(bases[j])}
-                sub = [
-                    (I, a)
-                    for I in combinations(range(n), j)
-                    for a in graded_piece_basis(tau - j, n)
-                ]
-                f_k = (f ** (cutoff + j)).terms if sub else {}
-                cols = [
-                    {index[(I, tuple(x + y for x, y in zip(a, exp)))]: c for exp, c in f_k.items()}
-                    for I, a in sub
-                ]
-                incls.append(GradedMatrix.from_columns(bases[j], sub, cols))
-        return bases, diffs, incls
-
-    raise UnsupportedSpecError(
-        f"the truncation engine does not assemble {type(spec).__name__}"
-    )
-
-
-def plain_complex_dims(bases, diffs) -> List[int]:
-    """Cohomology of one assembled complex at a fixed cutoff (no persistence).
-
-    Useful for diagnostics and for exact cases; a fixed cutoff can carry
-    transient classes that die one cutoff later, so certified numbers come
-    from the persistent route below.
-    """
-    ranks = [rank_of_columns(d.columns()) for d in diffs] + [0]
-    out = []
-    for j, basis in enumerate(bases):
-        h = len(basis) - ranks[j] - (ranks[j - 1] if j else 0)
-        if h < 0:
-            raise InternalCheckError("negative cohomology dimension in truncated complex")
-        out.append(h)
-    return out
+                for a in graded_piece_basis(tau - j, n)
+            ]
+            f_k = (f ** (cutoff + j)).terms if sub else {}
+            cols = [
+                {index[(I, tuple(x + y for x, y in zip(a, exp)))]: c for exp, c in f_k.items()}
+                for I, a in sub
+            ]
+            incls.append(GradedMatrix.from_columns(bases[j], sub, cols))
+    return bases, diffs, incls
 
 
 def _embed_columns(spec: ModuleSpec, base_from, index_to):
@@ -513,12 +495,13 @@ def _persistent_tau_dims(
     where M sends (u, w, a, b) to (i u + d' w + a, i(d u) + b); the fiber of
     M over second coordinate zero is exactly the image of the low cycles in
     the high complex modulo nothing, which makes the formula an inclusion-
-    exclusion of plain ranks.
+    exclusion of plain ranks.  At lo = hi the map i is the identity and the
+    formula gives dim H^j of the one complex.
     """
     for cut in (lo_cut, hi_cut):
         if (cut, tau) not in assembled:
             assembled[(cut, tau)] = assemble_complex(spec, cut, tau)
-    bases_lo, diffs_lo, incls_lo = assembled[(lo_cut, tau)]
+    bases_lo, diffs_lo, _ = assembled[(lo_cut, tau)]
     bases_hi, diffs_hi, incls_hi = assembled[(hi_cut, tau)]
     n_pos = len(bases_lo)
     count = sum(len(b) for b in bases_lo) + sum(len(b) for b in bases_hi)
@@ -533,22 +516,15 @@ def _persistent_tau_dims(
     pushed.append([{} for _ in bases_lo[-1]])
 
     dims = []
-    rank_bot_cache: Dict[int, int] = {}
-
-    def bot_columns(j: int):
-        cols = list(diff_hi_cols[j - 1]) if j > 0 else []
-        if a_hi_cols is not None:
-            cols = cols + a_hi_cols[j]
-        return cols
-
     for j in range(n_pos):
         top_cols = list(pushed[j])
-        if a_hi_cols is not None and j + 1 < n_pos:
-            top_cols += a_hi_cols[j + 1]
+        bot_cols = diff_hi_cols[j - 1] if j > 0 else []
+        if a_hi_cols is not None:
+            bot_cols = bot_cols + a_hi_cols[j]
+            if j + 1 < n_pos:
+                top_cols += a_hi_cols[j + 1]
         rank_top = rank_of_columns(c for c in top_cols if c)
-        if j not in rank_bot_cache:
-            rank_bot_cache[j] = rank_of_columns(c for c in bot_columns(j) if c)
-        rank_bot = rank_bot_cache[j]
+        rank_bot = rank_of_columns(c for c in bot_cols if c)
 
         offset = len(bases_hi[j])
         m_cols: List[Dict[int, Fraction]] = []
@@ -557,12 +533,9 @@ def _persistent_tau_dims(
             for r, c in pushed[j][idx].items():
                 col[offset + r] = c
             m_cols.append(col)
-        if j > 0:
-            m_cols += diff_hi_cols[j - 1]
-        if a_hi_cols is not None:
-            m_cols += a_hi_cols[j]
-            if j + 1 < n_pos:
-                m_cols += [{offset + r: c for r, c in col.items()} for col in a_hi_cols[j + 1]]
+        m_cols += bot_cols
+        if a_hi_cols is not None and j + 1 < n_pos:
+            m_cols += [{offset + r: c for r, c in col.items()} for col in a_hi_cols[j + 1]]
         rank_m = rank_of_columns(c for c in m_cols if c)
 
         h = rank_m - rank_top - rank_bot
@@ -619,7 +592,8 @@ def derham_truncated(
     """Dimensions of each de Rham cohomology group from truncated complexes.
 
     Computes the graded complex at two successive pole cutoffs and reports
-    dims at the higher one; ``stabilized`` means the two agreed.  The default
+    dims at the higher one; ``stabilized`` means the two agreed.  A complex
+    that ignores the cutoff (R, E) takes one exact pass at the cutoff.  The default
     window is the zero-weight piece, which carries every stable class (see
     the module docstring); pass an explicit ``degree_window`` to inspect
     transient weights.
@@ -647,28 +621,6 @@ def derham_truncated(
 
     n = ambient_vars(spec)
     engine = spec.engine()
-    if spec.cutoff_free(pole_cutoff, window):
-
-        def plain_piece(tau):
-            bases, diffs, _ = assemble_complex(engine, pole_cutoff, tau)
-            return plain_complex_dims(bases, diffs), sum(len(b) for b in bases)
-
-        dims, basis_count = _window_dims(n, window, plain_piece)
-        if basis_count == 0:
-            raise EmptyComplexError(f"no basis elements in window {window} at cutoff {pole_cutoff}")
-        report = TruncationReport(
-            cutoffs=(pole_cutoff, pole_cutoff),
-            window=window,
-            dims_low=dims,
-            dims_high=dims,
-            stabilized=True,
-            certificate="exact",
-            smooth=None,
-        )
-        return DeRhamDims(dims), report
-
-    # certified route: ranks of the maps H(F_{K-2}) -> H(F_{K-1}) -> H(F_K);
-    # agreement of the two persistent tables is the stabilization signal
     assembled: Dict[Tuple[int, int], tuple] = {}
 
     def pair_dims(lo_cut: int, hi_cut: int):
@@ -676,16 +628,21 @@ def derham_truncated(
             n, window, lambda tau: _persistent_tau_dims(engine, lo_cut, hi_cut, tau, assembled)
         )
 
-    high_pair = (max(1, pole_cutoff - 1), pole_cutoff)
+    # ranks of the maps H(F_{K-2}) -> H(F_{K-1}) -> H(F_K); agreement of the
+    # two persistent tables is the stabilization signal.  A cutoff-free
+    # complex needs one pair, lo = hi = K: the map is the identity, so the
+    # table is dim H^j and it is exact
+    exact = spec.cutoff_free(pole_cutoff, window)
+    high_pair = (pole_cutoff if exact else max(1, pole_cutoff - 1), pole_cutoff)
     dims_high, count_high = pair_dims(*high_pair)
-    if pole_cutoff >= 3:
+    if pole_cutoff >= 3 and not exact:
         low_pair = (pole_cutoff - 2, pole_cutoff - 1)
         dims_low, count_low = pair_dims(*low_pair)
         stabilized = dims_low == dims_high
     else:
         low_pair = high_pair
         dims_low, count_low = dims_high, count_high
-        stabilized = False  # a single pair is never self-certifying
+        stabilized = exact  # one pair certifies only a cutoff-free complex
     if count_low == 0 and count_high == 0:
         raise EmptyComplexError(
             f"no basis elements in window {window} at cutoffs {(low_pair[0], pole_cutoff)}"
@@ -694,7 +651,7 @@ def derham_truncated(
     smooth = None
     if isinstance(engine, HypersurfaceLocalization):
         smooth = jacobian_ring_is_finite(engine.f)
-    certificate = "stabilized" if stabilized else "provisional"
+    certificate = "exact" if exact else "stabilized" if stabilized else "provisional"
 
     report = TruncationReport(
         cutoffs=(high_pair[0], pole_cutoff),
@@ -754,8 +711,7 @@ def completion_flattening(p: MultiPoly, precision: int) -> TruncatedSeries:
         raise DomainError("rank-one connections are one-variable objects")
     if precision < 2:
         raise DomainError("precision must be at least 2")
-    integral = {(e + 1,): c / (e + 1) for (e,), c in p.terms.items()}
-    u = TruncatedSeries(1, precision, {e: -c for e, c in integral.items()}).exp()
+    u = (-TruncatedSeries.from_poly(p, precision - 1).integrate(0)).exp()
     residual = u.differentiate(0) + TruncatedSeries.from_poly(p, precision - 1) * u
     if residual:
         raise InternalCheckError("flattening unit failed its defining equation")

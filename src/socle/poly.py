@@ -5,16 +5,17 @@ coefficients; zero coefficients are never stored.  Instances are treated as
 immutable: no method mutates ``self``, every operation returns a fresh
 polynomial.
 
-Sums and products of polynomials, truncated series and Weyl operators all run
-through one sparse-term kernel, ``_combine``.  Products are fraction-free:
-each factor's terms are scaled to integers by the lcm of their denominators,
-multiplied and accumulated as plain ints (``_accumulate``, which the sweep
-of :mod:`socle.seriesdecomp` and the operator action of :mod:`socle.weyl`
-call directly), and each output term is divided once by the denominator.  Sums merge the
-terms as they are, with one ``Fraction`` addition per shared key.  Results of
-this internal arithmetic are built by ``_trusted`` constructors that skip
-re-validation, since their terms are valid by construction; the public
-constructors keep every check.
+Sums and products of polynomials, truncated series and Weyl operators run
+through two plain functions.  ``_sum_terms`` merges the terms as they are,
+with one ``Fraction`` addition per shared key.  ``_product_terms`` is
+fraction-free: each factor's terms are scaled to integers by the lcm of
+their denominators (``_scaled``), multiplied and accumulated as plain ints
+(``_accumulate``, which the series inverse, the sweep of
+:mod:`socle.seriesdecomp` and the operator action of :mod:`socle.weyl` call
+directly), and each surviving term is divided once by the denominator.
+Results of this internal arithmetic are built by ``_trusted`` constructors
+that skip re-validation, since their terms are valid by construction; the
+public constructors keep every check.
 
 Polynomials, truncated series, Weyl operators and the elements of E share one
 shell, ``_TermShell``: sums, differences, negation, scalar products, equality
@@ -98,59 +99,39 @@ def _accumulate(
     return acc
 
 
-def _combine(
-    base: Mapping[Hashable, Fraction],
-    left: Mapping[Hashable, Fraction],
-    right: Mapping[Hashable, Fraction] | None = None,
-    sign: int = 1,
-    expand: Callable[[Hashable, Hashable], Iterable[Tuple[Hashable, int]]] | None = None,
-    below: int | None = None,
+def _sum_terms(
+    base: Mapping[Hashable, Fraction], other: Mapping[Hashable, Fraction], sign: int
 ) -> Dict[Hashable, Fraction]:
-    """The terms of ``base + sign * left * right`` (``sign`` is 1 or -1).
-
-    A product is formed fraction-free in three steps: (1) ``left`` and
-    ``right`` are scaled to integers by the lcm of their denominators; (2)
-    products are accumulated as plain ints by ``_accumulate``, which takes
-    ``expand`` and ``below``; (3) each accumulated term is divided once by
-    the common denominator, or, where ``base`` has the key, added to it over
-    that denominator with one division.
-
-    ``right`` None stands for the unit: the sum ``base + sign * left`` has
-    no product to accumulate, so its terms are merged as they are, one
-    ``Fraction`` addition per shared key.  Zeros are never stored, and terms
-    of ``base`` that nothing touches are kept as they are.
-    """
+    """The terms of ``base + sign * other`` (``sign`` is 1 or -1): one
+    ``Fraction`` addition per shared key, zeros dropped, every other term
+    kept as it is."""
     out = dict(base)
-    if right is None:
-        for k, c in left.items():
-            b = out.get(k)
-            if b is None:
-                out[k] = c if sign == 1 else -c
-            else:
-                s = b + c if sign == 1 else b - c
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        return out
-    lhs, den = _scaled(left)
-    rhs, rden = _scaled(right)
-    den *= rden
-    if sign != 1:
-        lhs = {k: -v for k, v in lhs.items()}
-    for k, v in _accumulate(lhs, rhs, expand, below).items():
-        c = out.get(k)
-        if c is None:
-            if v:
-                out[k] = Fraction(v, den)
+    for k, c in other.items():
+        b = out.get(k)
+        if b is None:
+            out[k] = c if sign == 1 else -c
         else:
-            d = c.denominator
-            s = Fraction(c.numerator * den + v * d, d * den)
+            s = b + c if sign == 1 else b - c
             if s:
                 out[k] = s
             else:
                 del out[k]
     return out
+
+
+def _product_terms(
+    left: Mapping[Hashable, Fraction],
+    right: Mapping[Hashable, Fraction],
+    expand: Callable[[Hashable, Hashable], Iterable[Tuple[Hashable, int]]] | None = None,
+    below: int | None = None,
+) -> Dict[Hashable, Fraction]:
+    """The terms of ``left * right``, fraction-free: both factors are scaled
+    to integers by ``_scaled``, their products accumulated as plain ints by
+    ``_accumulate`` (which takes ``expand`` and ``below``), and each
+    surviving term is divided once by the common denominator."""
+    (lhs, den), (rhs, rden) = _scaled(left), _scaled(right)
+    den *= rden
+    return {k: Fraction(v, den) for k, v in _accumulate(lhs, rhs, expand, below).items() if v}
 
 
 def _power(base, k: int, result):
@@ -192,7 +173,7 @@ class _TermShell:
     share: ``n_vars`` and a dict of nonzero ``Fraction`` terms, with sums,
     differences, negation, scalar products and equality.
 
-    Sums go through ``_combine``; an int or ``Fraction`` operand is first
+    Sums go through ``_sum_terms``; an int or ``Fraction`` operand is first
     turned into an element by the subclass's ``_scalar`` hook (E has none,
     so it takes no scalar sums).  Operands over different variable counts
     raise ``DimensionMismatch``.  Subclasses add their own products, and
@@ -230,7 +211,7 @@ class _TermShell:
             )
 
     def _sum(self, other, sign: int):
-        return self._like(_combine(self.terms, other.terms, sign=sign))
+        return self._like(_sum_terms(self.terms, other.terms, sign))
 
     def _linear(self, other, sign: int):
         if isinstance(other, (int, Fraction)):
@@ -329,7 +310,7 @@ class MultiPoly(_TermShell):
         if not isinstance(other, MultiPoly):
             return super().__mul__(other)
         self._check(other)
-        return MultiPoly._trusted(self.n_vars, _combine({}, self.terms, other.terms))
+        return MultiPoly._trusted(self.n_vars, _product_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 

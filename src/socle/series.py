@@ -9,8 +9,9 @@ derivative would need unknown terms).
 Products are fraction-free (see :mod:`socle.poly`): the terms are scaled to
 integers by the lcm of their denominators, accumulated as ints and divided
 once per output term.  A product buckets its right factor by total degree
-and skips every bucket whose products would reach the precision.  Results of
-this arithmetic skip re-validation; the public constructor keeps every check.
+and skips every bucket whose products would reach the precision; ``invert``
+solves degree by degree on the same int kernel.  Results of this arithmetic
+skip re-validation; the public constructor keeps every check.
 
 Sums, negation, scalar products and equality come from the shell that
 :mod:`socle.poly` shares among all four algebra types; this class adds only
@@ -24,7 +25,17 @@ from fractions import Fraction
 from typing import Dict, Mapping
 
 from .errors import DimensionMismatch, DomainError, NonUnitError
-from .poly import Exponent, MultiPoly, _coerce, _combine, _TermShell, default_names
+from .poly import (
+    Exponent,
+    MultiPoly,
+    _accumulate,
+    _coerce,
+    _product_terms,
+    _scaled,
+    _sum_terms,
+    _TermShell,
+    default_names,
+)
 
 #: valuation reported for the (truncation-)zero series
 INFINITY = math.inf
@@ -106,7 +117,7 @@ class TruncatedSeries(_TermShell):
 
     def _sum(self, other: "TruncatedSeries", sign: int) -> "TruncatedSeries":
         prec = min(self.precision, other.precision)
-        terms = _combine(self._terms_below(prec), other._terms_below(prec), sign=sign)
+        terms = _sum_terms(self._terms_below(prec), other._terms_below(prec), sign)
         return TruncatedSeries._trusted(self.n_vars, prec, terms)
 
     def __mul__(self, other):
@@ -116,7 +127,7 @@ class TruncatedSeries(_TermShell):
             return super().__mul__(other)
         self._check(other)
         prec = min(self.precision, other.precision)
-        return TruncatedSeries._trusted(self.n_vars, prec, _combine({}, self.terms, other.terms, below=prec))
+        return TruncatedSeries._trusted(self.n_vars, prec, _product_terms(self.terms, other.terms, below=prec))
 
     __rmul__ = __mul__
 
@@ -131,37 +142,35 @@ class TruncatedSeries(_TermShell):
             return INFINITY
         return min(sum(e) for e in self.terms)
 
-    def _graded_slices(self) -> Dict[int, Dict[Exponent, Fraction]]:
-        slices: Dict[int, Dict[Exponent, Fraction]] = {}
-        for exp, c in self.terms.items():
-            slices.setdefault(sum(exp), {})[exp] = c
-        return slices
-
     def invert(self) -> "TruncatedSeries":
-        """Multiplicative inverse at the same precision.
+        """Multiplicative inverse at the same precision; requires a unit
+        constant term.
 
-        Solved degree by degree against the graded slices of self; requires a
-        unit constant term.
+        Fraction-free: self is scaled once to int terms u over den.  With u_k
+        the slice of total degree k, the int slices V_0 = 1 and
+        V_d = -sum_{k=1..d} u_k u0^(k-1) V_(d-k) (one ``_accumulate`` per k)
+        give 1/u = sum_d V_d / u0^(d+1), so each term is divided once.
         """
-        a0 = self.constant_coefficient()
-        if not a0:
+        nums, den = _scaled(self.terms)
+        zero = (0,) * self.n_vars
+        u0 = nums.get(zero)
+        if not u0:
             raise NonUnitError("series has zero constant term")
-        K = self.precision
-        a = self._graded_slices()
-        inv_a0 = 1 / a0
-        b: Dict[int, Dict[Exponent, Fraction]] = {0: {(0,) * self.n_vars: inv_a0}}
-        for d in range(1, K):
-            acc: Dict[Exponent, Fraction] = {}
-            for e_deg, a_slice in a.items():
-                b_slice = b.get(d - e_deg)
-                if e_deg and b_slice:
-                    acc = _combine(acc, a_slice, b_slice)
-            if acc:
-                b[d] = {e: -inv_a0 * c for e, c in acc.items()}
-        terms: Dict[Exponent, Fraction] = {}
-        for slice_ in b.values():
-            terms.update(slice_)
-        return TruncatedSeries._trusted(self.n_vars, K, terms)
+        weighted: Dict[int, Dict[Exponent, int]] = {}  # k -> u_k u0^(k-1)
+        for e, v in nums.items():
+            k = sum(e)
+            if k:
+                weighted.setdefault(k, {})[e] = v * u0 ** (k - 1)
+        slices, terms, power = [{zero: 1}], {zero: Fraction(den, u0)}, u0
+        for d in range(1, self.precision):
+            acc: Dict[Exponent, int] = {}
+            for k, u_k in weighted.items():
+                if k <= d:
+                    _accumulate(u_k, slices[d - k], acc=acc)
+            slices.append({e: -v for e, v in acc.items() if v})
+            power *= u0
+            terms.update((e, Fraction(den * v, power)) for e, v in slices[d].items())
+        return TruncatedSeries._trusted(self.n_vars, self.precision, terms)
 
     def exp(self) -> "TruncatedSeries":
         """exp of a series with zero constant term, at the same precision."""

@@ -129,10 +129,7 @@ def _falling_poly(i: int) -> List[Fraction]:
 
 def _integer_roots(coeffs: Sequence[Fraction]) -> List[int]:
     """Nonnegative integer roots of a rational polynomial, by bounded scan."""
-    denom = 1
-    for c in coeffs:
-        denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in coeffs]
+    ints = list(_scaled(dict(enumerate(coeffs)))[0].values())
     while ints and ints[-1] == 0:
         ints.pop()
     if not ints:
@@ -243,6 +240,13 @@ def _condition_report(
     }
 
 
+def x_window(p: RegularOperator, t: int, f: MultiPoly, precision: int) -> int:
+    """The last x-power ``decompose`` tracks for f at m_B-order ``precision``,
+    with t the band offset of p: K*t + deg_x f + r, wide enough that f and
+    every correction with visible effect stay inside."""
+    return precision * t + f.degree_in(0) + p.order
+
+
 # ------------------------------------------------------------- decomposition
 
 # The sweep holds a truncated B-series as a pair (nums, den): int numerators
@@ -330,11 +334,8 @@ def decompose(
     p: RegularOperator,
     precision: int,
 ) -> Decomposition:
-    """Split f as e-part plus P(b-part), exact to m_B-order `precision`.
-
-    The tracked x-degree range is precision * t + deg_x f + order, wide
-    enough that f and every correction with visible effect stay inside.
-    """
+    """Split f as e-part plus P(b-part), exact to m_B-order `precision`,
+    over the x-powers 0..``x_window``."""
     if precision < 1:
         raise DomainError("precision must be at least 1")
     if isinstance(f, TruncatedSeries):
@@ -349,8 +350,7 @@ def decompose(
     n = p.n_vars
     K = precision
 
-    deg_f = f.degree_in(0) if f else 0
-    window = K * t + deg_f + r
+    window = x_window(p, t, f, K)
 
     def scaled(c: MultiPoly) -> _Scaled:
         return _scaled(TruncatedSeries.from_poly(c, K).terms)

@@ -10,7 +10,8 @@ formula
 applied componentwise, so no rewriting search is ever needed.  The integer
 weights C(b, nu) * g(g-1)...(g-nu+1) are cached per (b_i, g_i), and a
 coordinate with min(b_i, g_i) = 0 contributes no expansion.  Products are
-fraction-free (see :mod:`socle.poly`): coefficients are scaled to integers
+the fraction-free ``_product_terms`` of :mod:`socle.poly` with
+``_normal_order`` as its expansion rule: coefficients are scaled to integers
 by the lcm of their denominators, accumulated as ints and divided once per
 output term.  ``_act`` applies operators to polynomials with one product per
 d-exponent, on that derivative of the polynomial.  Results of internal
@@ -18,11 +19,12 @@ arithmetic skip re-validation; the public constructor keeps every check.
 
 The module also carries the function space operators act on besides
 polynomials: the injective hull of the residue field at the origin, spanned
-by inverse monomials with all exponents >= 1.  Its sums and the operator
-action run through the same kernel.  Both classes take their sums, negation,
-scalar products and equality from the shell that :mod:`socle.poly` shares
-among all four algebra types, and ``WeylOp.render`` and ``EElement.render``
-follow the same sign-and-magnitude rule as ``MultiPoly.render``.
+by inverse monomials with all exponents >= 1.  The operator action on it is
+``_product_terms`` with ``_apply_inverse`` as the expansion rule.  Both
+classes take their sums, negation, scalar products and equality from the
+shell that :mod:`socle.poly` shares among all four algebra types, and
+``WeylOp.render`` and ``EElement.render`` follow the same sign-and-magnitude
+rule as ``MultiPoly.render``.
 
 Adjoints and the Euler identity are taken in the partial of the first
 variable, the one :class:`socle.seriesdecomp.RegularOperator` differentiates
@@ -47,9 +49,9 @@ from .poly import (
     MultiPoly,
     _accumulate,
     _coerce,
-    _combine,
     _power,
     _power_factors,
+    _product_terms,
     _render,
     _scaled,
     _TermShell,
@@ -180,7 +182,7 @@ class WeylOp(_TermShell):
         if not isinstance(other, WeylOp):
             return super().__mul__(other)
         self._check(other)
-        return WeylOp._trusted(self.n_vars, _combine({}, self.terms, other.terms, expand=_normal_order))
+        return WeylOp._trusted(self.n_vars, _product_terms(self.terms, other.terms, _normal_order))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -207,7 +209,7 @@ class WeylOp(_TermShell):
     def act_on_e(self, v: "EElement") -> "EElement":
         if v.n_vars != self.n_vars:
             raise DimensionMismatch("element lives over a different variable count")
-        return EElement._trusted(self.n_vars, _combine({}, self.terms, v.terms, expand=_apply_inverse))
+        return EElement._trusted(self.n_vars, _product_terms(self.terms, v.terms, _apply_inverse))
 
     # ------------------------------------------------------------- inspection
 

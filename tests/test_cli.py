@@ -218,6 +218,52 @@ def test_decompose_accepts_input_at_the_bound(capsys):
     assert json.loads(out)["x_window"] == 10000
 
 
+SWEEP_CASE = ("--p", "(x+y)*d0^2+y*d0+3", "--f", "x^8*y^3+x^2*y")
+
+
+def test_decompose_refuses_a_large_sweep(capsys):
+    # window 90 times 80^2 B-monomials is far past the bound; unrefused,
+    # this input runs for minutes
+    start = time.perf_counter()
+    code, out, err = run(capsys, "decompose", *SWEEP_CASE, "--prec", "80")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert not out
+    assert "exceeds 100000" in err
+
+
+def test_decompose_accepts_a_small_sweep(capsys):
+    code, out, _ = run(capsys, "decompose", *SWEEP_CASE, "--prec", "20", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["x_window"] == 30
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decompose", "--p", "d0", "--f", "x", "--vars", "0"),
+        ("decompose", "--p", "d0", "--f", "x", "--vars", "-1"),
+        ("derham", "--kind", "R", "--vars", "-1"),
+        ("derham", "--kind", "E", "--vars", "-1"),
+        ("derham", "--catalog", "conic-p2", "--vars", "0"),
+    ],
+)
+def test_bad_variable_counts_are_input_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert not out
+    assert ("-1" if "-1" in argv else "0 variables") in err
+
+
+@pytest.mark.parametrize("kind", ["R", "E"])
+def test_no_variables_is_a_point(capsys, kind):
+    code, out, _ = run(capsys, "derham", "--kind", kind, "--vars", "0", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["dims"] == [1]
+    assert payload["certificate"] == "exact"
+
+
 def test_decompose_rejects_second_partial(capsys):
     code, _, err = run(capsys, "decompose", "--p", "d0 + d1", "--f", "x")
     assert code == 2

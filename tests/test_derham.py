@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import socle.derham
 from socle.catalog import PROFILES
 from socle.errors import (
+    DomainError,
     EmptyComplexError,
     InconsistentSequenceError,
     UnsupportedSpecError,
@@ -76,6 +77,49 @@ def test_truncated_engine_matches_closed_forms():
             dims, report = derham_truncated(spec, pole_cutoff=4)
             assert list(dims) == want, spec
             assert report.certificate in ("exact", "stabilized")
+
+
+@pytest.mark.parametrize("cutoff", [3, 4, 5])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_cutoff_free_specs_over_a_weight_window(n, cutoff):
+    # R and E ignore the cutoff: one pass over weights -2..2 is exact, and
+    # every nonzero weight (R has them at tau = 1, 2) adds nothing
+    for spec in (PolynomialRing(n), InjectiveHull(n)):
+        dims, report = derham_truncated(spec, cutoff, degree_window=(-2, 2))
+        assert dims == derham_closed_form(spec), spec
+        assert report.certificate == "exact"
+        assert report.cutoffs == (cutoff, cutoff)
+
+
+@pytest.mark.parametrize("n, tau", [(1, 2), (2, 1), (2, 3), (3, 2), (3, 4)])
+def test_ring_differential_is_the_exterior_derivative(n, tau):
+    # d(x^e dx_I) = sum_i e_i x^(e - 1_i) dx_i ^ dx_I, written into the
+    # sorted index set with the sign of moving dx_i past the smaller indices
+    bases, diffs, incls = assemble_complex(PolynomialRing(n), 4, tau)
+    assert incls is None
+    for j in range(n + 1):
+        assert bases[j] == [
+            (I, e) for I in combinations(range(n), j) for e in graded_piece_basis(tau - j, n)
+        ]
+    for j, d in enumerate(diffs):
+        assert (d.cols, d.rows) == (bases[j], bases[j + 1])
+        row = {label: r for r, label in enumerate(bases[j + 1])}
+        want = {}
+        for col, (I, e) in enumerate(bases[j]):
+            for i in range(n):
+                if i in I or not e[i]:
+                    continue
+                sign = (-1) ** sum(1 for k in I if k < i)
+                target = (tuple(sorted(I + (i,))), e[:i] + (e[i] - 1,) + e[i + 1:])
+                want[(row[target], col)] = Fraction(sign * e[i])
+        assert list(d.entries.items()) == list(want.items())
+        assert all(type(v) is Fraction for v in d.entries.values())
+
+
+def test_ring_and_hull_reject_negative_variable_counts():
+    for kind in (PolynomialRing, InjectiveHull):
+        with pytest.raises(DomainError, match="-1"):
+            kind(-1)
 
 
 def test_truncated_injective_hull_small():

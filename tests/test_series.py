@@ -181,3 +181,42 @@ def test_cancelling_series_terms_are_never_stored(series):
     assert got == s * s - t * t
     assert_clean(got)
     assert not (s * t - t * s).terms
+
+
+@st.composite
+def invertible_series(draw):
+    """A series at precision 1-8 with a nonzero constant term of either sign
+    and up to six further terms, all with 64-bit numerators and denominators."""
+    n = draw(st.integers(1, 3))
+    precision = draw(st.integers(1, 8))
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 4)] * n), big_rationals(), max_size=6))
+    sign = draw(st.sampled_from([-1, 1]))
+    terms[(0,) * n] = sign * Fraction(draw(st.integers(1, BIG)), draw(st.integers(1, BIG)))
+    return TruncatedSeries(n, precision, terms)
+
+
+def oracle_inverse(s):
+    """1/s degree by degree over Fractions: w_0 = 1/a_0 and
+    w_d = -(1/a_0) * sum of a_e w_g over sum(e) >= 1, sum(e) + sum(g) = d."""
+    zero = (0,) * s.n_vars
+    a0 = s.terms[zero]
+    w = {zero: 1 / a0}
+    for d in range(1, s.precision):
+        acc = {}
+        for e1, c1 in s.terms.items():
+            for e2, c2 in w.items():
+                if sum(e1) and sum(e1) + sum(e2) == d:
+                    e = tuple(x + y for x, y in zip(e1, e2))
+                    acc[e] = acc.get(e, Fraction(0)) + c1 * c2
+        w.update({e: -c / a0 for e, c in acc.items() if c})
+    return w
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(invertible_series())
+def test_invert_matches_the_degree_by_degree_oracle(s):
+    inv = s.invert()
+    assert inv.terms == oracle_inverse(s)
+    assert inv.precision == s.precision
+    assert_clean(inv)
+    assert s * inv == TruncatedSeries.one(s.n_vars, s.precision)
