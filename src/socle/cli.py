@@ -21,6 +21,7 @@ from typing import List, Optional
 
 from .catalog import HYPERSURFACES, PROFILES
 from .derham import (
+    HypersurfaceLocalization,
     ambient_vars,
     completion_flattening,
     derham_closed_form,
@@ -60,6 +61,11 @@ DECOMPOSE_MAX = 10_000
 #: largest estimated sweep size of ``decompose``: the tracked x-window times
 #: the square of the number of B-monomials below the precision (about 4 s)
 DECOMPOSE_SIZE_MAX = 100_000
+
+#: largest weight-0 basis of the top complex of ``derham`` (see
+#: ``_basis_size``); the cubic threefold at cutoff 3 has 108880 and takes
+#: about 19 s
+DERHAM_BASIS_MAX = 120_000
 
 _INPUT_ERRORS = (
     ParseError,
@@ -208,6 +214,17 @@ def cmd_predict(args) -> int:
 # ------------------------------------------------------------------- derham
 
 
+def _basis_size(spec, cutoff: int) -> int:
+    """Size of the weight-0 basis at the cutoff, in closed form: the sum over
+    j of C(n, j) * C(kD - j + n - 1, n - 1) with k = cutoff + j, D = deg f
+    (D = 0 counts the one element of R and of E)."""
+    engine = spec.engine()
+    D = engine.f.homogeneous_degree() if isinstance(engine, HypersurfaceLocalization) else 0
+    n = ambient_vars(spec)
+    degrees = [(j, (cutoff + j) * D - j) for j in range(n + 1)]
+    return sum(comb(n, j) * comb(deg + n - 1, n - 1) for j, deg in degrees if n and deg >= 0)
+
+
 def cmd_derham(args) -> int:
     kind = args.kind
     f_text = args.f
@@ -270,6 +287,12 @@ def cmd_derham(args) -> int:
     if requested < 2:
         raise _InputError("--pole-cutoff must be at least 2")
     effective, capped = _capped_cutoff(requested)
+    size = _basis_size(spec, effective)
+    if size > DERHAM_BASIS_MAX:
+        raise _InputError(
+            f"the complex at pole cutoff {effective} has {size} basis elements, "
+            f"which exceeds {DERHAM_BASIS_MAX}"
+        )
     dims, report = derham_truncated(spec, pole_cutoff=effective)
 
     n = ambient_vars(spec)
@@ -317,7 +340,7 @@ def cmd_decompose(args) -> int:
     precision = args.prec if args.prec is not None else 6
     if precision < 1:
         raise _InputError("--prec must be at least 1")
-    window = x_window(op, analyze_operator(op).t, f, precision)
+    window = x_window(op, analyze_operator(op, root_limit=DECOMPOSE_MAX).t, f, precision)
     if max(precision, window) > DECOMPOSE_MAX:
         raise _InputError(f"precision {precision} or tracked x-window {window} exceeds {DECOMPOSE_MAX}")
     # each tracked x-power holds a B-series of up to `terms` terms, and a

@@ -12,10 +12,14 @@ The truncation engine filters by pole order: the subcomplex F_K allows pole
 order at most K + j in form degree j, which is stable under d, and raising K
 gives forward maps whose stabilization is the certification signal.  Every
 table comes from one rank formula for the persistent cohomology of a pair of
-cutoffs.  Where the complex ignores the cutoff (R, and E once the cutoff
-clears the window) the pair is one cutoff twice, the map is the identity and
-one pass is exact; otherwise two successive pairs are compared.  For a
-homogeneous input everything splits by internal weight (degree of the
+cutoffs (``_persistent_dims``): with r(K, j) = rank[d C_(j-1) | A_j] in the
+complex at cutoff K (A the polynomial subcomplex in quotient mode, else 0),
+rank H^j(F_lo -> F_hi) = rank M - r(lo, j+1) - r(hi, j).  The pairs
+(K-2, K-1) and (K-1, K) share the ranks of F_(K-1), so each r(K, j) is
+eliminated once, and M continues the elimination of r(hi, j).  Where the
+complex ignores the cutoff (R, and E once the cutoff clears the window) the
+pair is one cutoff twice, the map is the identity and one pass is exact.
+For a homogeneous input everything splits by internal weight (degree of the
 coefficient minus pole-order times degree of f, plus form degree); the
 contraction against the Euler vector field gives d(i_E w) + i_E(d w) = tau*w
 on the weight-tau piece, so every class of nonzero weight dies in the limit
@@ -23,11 +27,18 @@ and the default window computes only weight 0.  An explicit window sums the
 tables of several weights, which the tests use to see the nonzero weights
 vanish.
 
+Ranks are cleared (Chen and Kerber, Persistent homology computation with a
+twist, 2011): a basis element at a pivot row of r(K, j) has a fully reduced
+pivot vector in B + A, a cycle modulo A, so its column is dropped from d_j
+and from the u-block of M without changing either span, and is never
+built.  Columns are primitive integer dicts from the start: f is scaled to
+its primitive integer multiple, which scales every column by a unit.
+
 Pole-complex entries are written from their closed form, with no polynomial
 products: for g = x^e and f = sum_a c_a x^a the numerator of d(g/f^k) in
 direction i is f dg/dx_i - k g df/dx_i = sum_a c_a (e_i - k a_i) x^(e+a-1_i),
 and distinct terms of f land on distinct monomials.  The polynomial ring is
-the pole complex of f = 1; E keeps its own rule.
+the pole complex of f = 1, and E the same on negative exponents.
 """
 
 from __future__ import annotations
@@ -36,6 +47,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -47,7 +59,7 @@ from .errors import (
     UnsupportedSpecError,
 )
 from .grammar import parse_poly
-from .linalg import GradedMatrix, _compose_columns, rank_of_columns
+from .linalg import GradedMatrix, _content_free, _integral, _reduce_into, rank_of_columns
 from .poly import MultiPoly, graded_piece_basis
 from .series import TruncatedSeries
 
@@ -350,211 +362,206 @@ def _insert_sorted(i: int, index_set: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(sorted(index_set + (i,)))
 
 
+def _pole_terms(spec: ModuleSpec) -> Dict[Tuple[int, ...], Fraction]:
+    """f as {exponent: coefficient} for an engine spec.
+
+    R is the pole complex of f = 1, and E the pole complex of 1 on negative
+    exponents, with a basis rule of its own (``_Piece``).
+    """
+    if isinstance(spec, HypersurfaceLocalization):
+        return spec.f.terms
+    if isinstance(spec, (PolynomialRing, InjectiveHull)):
+        return {(0,) * spec.n_vars: Fraction(1)}
+    raise UnsupportedSpecError(
+        f"the truncation engine does not assemble {type(spec).__name__}"
+    )
+
+
+class _Piece:
+    """The weight-tau piece of an engine's complex at one pole cutoff.
+
+    The basis of form degree j is x^e dx_I / f^k with k = cutoff + j and
+    deg e = tau - j + kD; for E it is x^e dx_I with every e_i <= -1,
+    deg e = tau - j, present only while -tau <= cutoff.  Columns are built
+    on demand from the rule in ``assemble_complex``, with f given as
+    {exponent: coefficient}: with integer f every entry is an int.
+
+    The rank path asks for r(j) = rank[d C_(j-1) | A_j] in order of j.  Each
+    is eliminated once; the d columns it reads are only those outside the
+    pivot rows of r(j-1) (clearing), built once and shared with the
+    persistence matrix, and its pivot state stays live until the next rank,
+    for that matrix to continue.
+    """
+
+    def __init__(self, spec: ModuleSpec, f, cutoff: int, tau: int):
+        n = spec.ambient_vars()
+        degree = sum(next(iter(f)))
+        self.n, self.f, self.cutoff, self.tau = n, f, cutoff, tau
+        self.quotient = isinstance(spec, HypersurfaceLocalization) and spec.quotient_mod_A
+        hull = isinstance(spec, InjectiveHull)
+        self.bases = []
+        for j in range(n + 1):
+            deg = tau - j + (cutoff + j) * degree
+            if not hull:
+                exps = graded_piece_basis(deg, n)
+            elif -tau <= cutoff:
+                exps = [tuple(-1 - a for a in e) for e in graded_piece_basis(-deg - n, n)]
+            else:
+                exps = []
+            # no index sets without exponents: R and E have C(n, j) of them
+            sets = combinations(range(n), j) if exps else ()
+            self.bases.append([(I, e) for I in sets for e in exps])
+        self.index = [{lab: i for i, lab in enumerate(b)} for b in self.bases]
+        self.ranks: List[int] = []
+        self.kept: List[List[int]] = []  # basis indices off the pivot rows of r(j)
+        self.live = None  # (j, pivots, occur) of the latest r(j)
+        self.dcols: Dict[int, list] = {}
+
+    def d_columns(self, j: int, kept: Sequence[int]) -> List[dict]:
+        """Columns of d_j at the basis indices ``kept`` (empty at j = n)."""
+        n, k = self.n, self.cutoff + j
+        index, basis = self.index[j + 1] if j < n else {}, self.bases[j]
+        f = list(self.f.items())
+        steps: Dict[Tuple[int, ...], list] = {}
+        cols = []
+        for idx in kept:
+            I, e = basis[idx]
+            if I not in steps:
+                steps[I] = [
+                    (i, _wedge_sign(i, I), _insert_sorted(i, I)) for i in range(n) if i not in I
+                ]
+            col = {}
+            for fe, c in f:
+                # the exponent of g*f, lowered by one in direction i
+                s = list(map(add, e, fe))
+                for i, sign, J in steps[I]:
+                    factor = e[i] - k * fe[i]
+                    if factor:
+                        s[i] -= 1
+                        col[index[(J, tuple(s))]] = sign * factor * c
+                        s[i] += 1
+            cols.append(col)
+        return cols
+
+    def a_columns(self, j: int) -> Tuple[list, List[dict]]:
+        """Labels and columns of the polynomial j-forms x^a dx_I = x^a f^k dx_I / f^k
+        (quotient mode; none otherwise)."""
+        if not self.quotient or j > self.n:
+            return [], []
+        n, index = self.n, self.index[j]
+        exps = graded_piece_basis(self.tau - j, n)
+        sub = [(I, a) for I in combinations(range(n), j) for a in exps]
+        f_k = (MultiPoly(n, self.f) ** (self.cutoff + j)).terms if sub else {}
+        return sub, [
+            {index[(I, tuple(map(add, a, exp)))]: c for exp, c in f_k.items()} for I, a in sub
+        ]
+
+    def rank(self, j: int) -> int:
+        """r(j), 0 past the top degree; every r(i) with i <= j is then known."""
+        while len(self.ranks) <= min(j, self.n):
+            self._eliminate(len(self.ranks))
+        return self.ranks[j] if j <= self.n else 0
+
+    def _eliminate(self, j: int) -> None:
+        pivots: Dict[int, Dict[int, int]] = {}
+        occur: Dict[int, set] = {}
+        cols = [dict(c) for c in self.d_kept(j - 1)] if j else []
+        _reduce_into(pivots, occur, cols + [_integral(c) for c in self.a_columns(j)[1]])
+        self.ranks.append(len(pivots))
+        self.kept.append([i for i in range(len(self.bases[j])) if i not in pivots])
+        self.live = (j, pivots, occur)
+
+    def d_kept(self, j: int) -> List[dict]:
+        """d_j on the basis indices that survive clearing by r(j), built once."""
+        cols = self.dcols.get(j)
+        if cols is None:
+            cols = self.dcols[j] = self.d_columns(j, self.kept[j])
+        return cols
+
+    def take(self, j: int):
+        """The live pivot state of r(j), handed over once."""
+        self.rank(j)
+        live, self.live = self.live, None
+        if live is None or live[0] != j:
+            raise InternalCheckError(f"the pivot state of r({j}) is no longer live")
+        return live[1], live[2]
+
+
 def assemble_complex(spec: ModuleSpec, cutoff: int, tau: int):
     """Graded piece of the de Rham complex at internal weight tau.
 
     Returns (bases, diffs, incls):
-      bases[j]  -- list of column labels in form degree j,
+      bases[j]  -- list of column labels (I, e) in form degree j,
       diffs[j]  -- GradedMatrix C^j -> C^(j+1),
       incls[j]  -- inclusion of the polynomial subcomplex (hypersurface
                    quotient mode only, else None).
 
-    E has its own rule: the column of x^-a dx_I holds -sign * a_i at the row
-    of x^-(a+1_i) dx_(I+i).  Every other engine is a pole complex: for a
-    hypersurface f, the column of x^e dx_I / f^k (k = cutoff + j) holds
-    sign * c_a * (e_i - k a_i) at the row of x^(e+a-1_i) dx_(I+i) for every
-    term c_a x^a of f and every i not in I, where sign is the wedge sign of
-    moving dx_i into place; a zero factor writes no entry.  The inclusion
-    column of x^a dx_I is f^k shifted by a.  R is the pole complex of the
-    constant 1 (D = 0, entries sign * e_i, no inclusion).
+    Every engine is a pole complex: for a hypersurface f, the column of
+    x^e dx_I / f^k (k = cutoff + j) holds sign * c_a * (e_i - k a_i) at the
+    row of x^(e+a-1_i) dx_(I+i) for every term c_a x^a of f and every i not
+    in I, where sign is the wedge sign of moving dx_i into place; a zero
+    factor writes no entry.  The inclusion column of x^a dx_I is f^k shifted
+    by a.  R is the pole complex of the constant 1 (D = 0, entries
+    sign * e_i, no inclusion), and E the same on exponents e <= -1: the
+    column of x^e dx_I holds sign * e_i at the row of x^(e-1_i) dx_(I+i).
+    The rank path builds the same columns through ``_Piece``.
     """
     spec = spec.engine()
-    if isinstance(spec, InjectiveHull):
-        n = spec.n_vars
-        bases = []
-        for j in range(n + 1):
-            weight = j - tau  # total inverse-monomial degree
-            if weight < n or weight > cutoff + j:
-                bases.append([])
-                continue
-            vecs = [
-                tuple(e + 1 for e in inner)
-                for inner in graded_piece_basis(weight - n, n)
-            ]
-            bases.append([(I, a) for I in combinations(range(n), j) for a in vecs])
-        diffs = []
-        for j in range(n):
-            index = {lab: i for i, lab in enumerate(bases[j + 1])}
-            cols = []
-            for I, a in bases[j]:
-                col: Dict[int, Fraction] = {}
-                for i in range(n):
-                    if i in I:
-                        continue
-                    bumped = list(a)
-                    bumped[i] += 1
-                    key = (_insert_sorted(i, I), tuple(bumped))
-                    row = index.get(key)
-                    if row is not None:
-                        col[row] = Fraction(-a[i] * _wedge_sign(i, I))
-                cols.append(col)
-            diffs.append(GradedMatrix.from_columns(bases[j + 1], bases[j], cols))
-        return bases, diffs, None
-
-    if isinstance(spec, PolynomialRing):
-        f, quotient = MultiPoly.one(spec.n_vars), False  # the pole complex of 1
-    elif isinstance(spec, HypersurfaceLocalization):
-        f, quotient = spec.f, spec.quotient_mod_A
-    else:
-        raise UnsupportedSpecError(
-            f"the truncation engine does not assemble {type(spec).__name__}"
-        )
-    n = f.n_vars
-    D = f.homogeneous_degree()
-    bases = []
-    for j in range(n + 1):
-        deg = tau - j + (cutoff + j) * D
-        bases.append(
-            [(I, e) for I in combinations(range(n), j) for e in graded_piece_basis(deg, n)]
-        )
-    # integral coefficients as ints: GradedMatrix stores every entry as a
-    # Fraction anyway, and int products are much cheaper to form
-    f_terms = [(fe, c.numerator if c.denominator == 1 else c) for fe, c in f.terms.items()]
-    diffs = []
-    for j in range(n):
-        k = cutoff + j
-        index = {lab: i for i, lab in enumerate(bases[j + 1])}
-        steps = {
-            I: [(i, _wedge_sign(i, I), _insert_sorted(i, I)) for i in range(n) if i not in I]
-            for I in combinations(range(n), j)
-        }
-        cols = []
-        for I, e in bases[j]:
-            col = {}
-            # exponents of g*f term by term; direction i lowers entry i by one
-            products = [(tuple(a + b for a, b in zip(e, fe)), fe, c) for fe, c in f_terms]
-            for i, sign, J in steps[I]:
-                for s, fe, c in products:
-                    factor = e[i] - k * fe[i]
-                    if factor:
-                        col[index[(J, s[:i] + (s[i] - 1,) + s[i + 1:])]] = sign * factor * c
-            cols.append(col)
-        diffs.append(GradedMatrix.from_columns(bases[j + 1], bases[j], cols))
+    piece = _Piece(spec, _pole_terms(spec), cutoff, tau)
+    bases = piece.bases
+    diffs = [
+        GradedMatrix.from_columns(bases[j + 1], base, piece.d_columns(j, range(len(base))))
+        for j, base in enumerate(bases[:-1])
+    ]
     incls = None
-    if quotient:
-        incls = []
-        for j in range(n + 1):
-            index = {lab: i for i, lab in enumerate(bases[j])}
-            sub = [
-                (I, a)
-                for I in combinations(range(n), j)
-                for a in graded_piece_basis(tau - j, n)
-            ]
-            f_k = (f ** (cutoff + j)).terms if sub else {}
-            cols = [
-                {index[(I, tuple(x + y for x, y in zip(a, exp)))]: c for exp, c in f_k.items()}
-                for I, a in sub
-            ]
-            incls.append(GradedMatrix.from_columns(bases[j], sub, cols))
+    if piece.quotient:
+        incls = [GradedMatrix.from_columns(base, *piece.a_columns(j)) for j, base in enumerate(bases)]
     return bases, diffs, incls
 
 
-def _embed_columns(spec: ModuleSpec, base_from, index_to):
-    """Columns of the cutoff-raising chain map on one position's basis.
+def _persistent_dims(lo: _Piece, hi: _Piece) -> List[int]:
+    """Ranks of H^j(F_lo) -> H^j(F_hi) for one weight piece.
 
-    For pole complexes the map multiplies the numerator by f; for the
-    polynomial ring and the injective hull the bases are literally nested.
+    Uses only matrix ranks: writing r(K, j) = rank[d C_(j-1) | A_j] in the
+    complex at cutoff K, with A the polynomial subcomplex in quotient mode
+    (else 0), and i the injective chain map F_lo -> F_hi, which maps A_lo
+    onto A_hi,
+
+        rank H^j = rank M - r(lo, j+1) - r(hi, j)
+
+    where M sends (u, w, a, b) in C_lo,j + C_hi,j-1 + A_hi,j + A_lo,j+1 to
+    (i u + d w + a, d u + b).  The kernel of the second coordinate is the
+    low cycles modulo A, so the first coordinate maps it onto i(Z) + B_hi +
+    A_hi.  M continues the live pivot state of r(hi, j), whose columns are
+    exactly (d w + a, 0).  A u at a pivot row of r(lo, j) is cleared: its
+    fully reduced pivot vector lies in B_lo + A_lo, so its M column lies in
+    the span of the (d w + a, 0) and (0, b) columns and of the remaining u.
+    At lo = hi the map i is the identity and the formula gives dim H^j.
     """
-    if isinstance(spec, HypersurfaceLocalization):
-        f = spec.f
-        cols = []
-        for I, e in base_from:
-            col: Dict[int, Fraction] = {}
-            for fe, fc in f.terms.items():
-                key = (I, tuple(a + b for a, b in zip(e, fe)))
-                col[index_to[key]] = fc
-            cols.append(col)
-        return cols
-    return [{index_to[lab]: Fraction(1)} for lab in base_from]
-
-
-def _persistent_tau_dims(
-    spec: ModuleSpec, lo_cut: int, hi_cut: int, tau: int, assembled: Dict[Tuple[int, int], tuple]
-) -> Tuple[List[int], int]:
-    """Ranks of H^j(F_lo) -> H^j(F_hi) for the weight-tau piece.
-
-    ``assembled`` maps (cutoff, tau) to the complex already assembled for
-    this spec, so successive cutoff pairs share their common complex.
-
-    Uses only matrix ranks: writing Z for cycles of the low complex, B' for
-    boundaries of the high one, and A for the polynomial subcomplex in
-    quotient mode,
-
-        rank H^j = rank M - rank[i(d C_j) | A'_{j+1}] - rank[d' C'_{j-1} | A'_j]
-
-    where M sends (u, w, a, b) to (i u + d' w + a, i(d u) + b); the fiber of
-    M over second coordinate zero is exactly the image of the low cycles in
-    the high complex modulo nothing, which makes the formula an inclusion-
-    exclusion of plain ranks.  At lo = hi the map i is the identity and the
-    formula gives dim H^j of the one complex.
-    """
-    for cut in (lo_cut, hi_cut):
-        if (cut, tau) not in assembled:
-            assembled[(cut, tau)] = assemble_complex(spec, cut, tau)
-    bases_lo, diffs_lo, _ = assembled[(lo_cut, tau)]
-    bases_hi, diffs_hi, incls_hi = assembled[(hi_cut, tau)]
-    n_pos = len(bases_lo)
-    count = sum(len(b) for b in bases_lo) + sum(len(b) for b in bases_hi)
-    index_hi = [{lab: i for i, lab in enumerate(b)} for b in bases_hi]
-    embed = [_embed_columns(spec, bases_lo[j], index_hi[j]) for j in range(n_pos)]
-    diff_lo_cols = [m.columns() for m in diffs_lo]
-    diff_hi_cols = [m.columns() for m in diffs_hi]
-    a_hi_cols = [m.columns() for m in incls_hi] if incls_hi is not None else None
-
-    # i(d u) for every low column, position by position
-    pushed = [_compose_columns(embed[j + 1], diff_lo_cols[j]) for j in range(n_pos - 1)]
-    pushed.append([{} for _ in bases_lo[-1]])
-
+    n = lo.n
+    # i multiplies numerators by f, and is the identity at lo = hi
+    shifts = lo.f.items() if lo is not hi else [((0,) * n, 1)]
     dims = []
-    for j in range(n_pos):
-        top_cols = list(pushed[j])
-        bot_cols = diff_hi_cols[j - 1] if j > 0 else []
-        if a_hi_cols is not None:
-            bot_cols = bot_cols + a_hi_cols[j]
-            if j + 1 < n_pos:
-                top_cols += a_hi_cols[j + 1]
-        rank_top = rank_of_columns(c for c in top_cols if c)
-        rank_bot = rank_of_columns(c for c in bot_cols if c)
-
-        offset = len(bases_hi[j])
-        m_cols: List[Dict[int, Fraction]] = []
-        for idx in range(len(bases_lo[j])):
-            col = dict(embed[j][idx])
-            for r, c in pushed[j][idx].items():
+    for j in range(n + 1):
+        pivots, occur = hi.take(j)
+        bottom, top = len(pivots), lo.rank(j + 1)
+        offset = len(hi.bases[j])
+        index, basis = hi.index[j], lo.bases[j]
+        b_cols = map(_integral, lo.a_columns(j + 1)[1])
+        cols = [{offset + r: c for r, c in col.items()} for col in b_cols]
+        for idx, d in zip(lo.kept[j], lo.d_kept(j)):
+            I, e = basis[idx]
+            col = {index[(I, tuple(map(add, e, fe)))]: c for fe, c in shifts}
+            for r, c in d.items():
                 col[offset + r] = c
-            m_cols.append(col)
-        m_cols += bot_cols
-        if a_hi_cols is not None and j + 1 < n_pos:
-            m_cols += [{offset + r: c for r, c in col.items()} for col in a_hi_cols[j + 1]]
-        rank_m = rank_of_columns(c for c in m_cols if c)
-
-        h = rank_m - rank_top - rank_bot
+            cols.append(col)
+        lo.dcols.pop(j)
+        _reduce_into(pivots, occur, cols)
+        h = len(pivots) - top - bottom
         if h < 0:
             raise InternalCheckError("negative persistent rank in truncated complex")
         dims.append(h)
-    return dims, count
-
-
-def _window_dims(n: int, window: Tuple[int, int], piece) -> Tuple[Tuple[int, ...], int]:
-    """Sum over the weights tau of the window of piece(tau) = (dims, basis count)."""
-    total = [0] * (n + 1)
-    basis_count = 0
-    for tau in range(window[0], window[1] + 1):
-        dims, count = piece(tau)
-        basis_count += count
-        for j in range(n + 1):
-            total[j] += dims[j]
-    return tuple(total), basis_count
+    return dims
 
 
 def jacobian_ring_is_finite(f: MultiPoly) -> bool:
@@ -621,32 +628,40 @@ def derham_truncated(
 
     n = ambient_vars(spec)
     engine = spec.engine()
-    assembled: Dict[Tuple[int, int], tuple] = {}
-
-    def pair_dims(lo_cut: int, hi_cut: int):
-        return _window_dims(
-            n, window, lambda tau: _persistent_tau_dims(engine, lo_cut, hi_cut, tau, assembled)
-        )
-
+    # every column scales by a unit under f -> c f, so f's primitive integer
+    # multiple gives the same ranks with int columns throughout
+    f = _content_free(_integral(_pole_terms(engine)))
     # ranks of the maps H(F_{K-2}) -> H(F_{K-1}) -> H(F_K); agreement of the
     # two persistent tables is the stabilization signal.  A cutoff-free
     # complex needs one pair, lo = hi = K: the map is the identity, so the
-    # table is dim H^j and it is exact
+    # table is dim H^j and it is exact.  The low pair runs first: its M
+    # continues the live pivot states of F_{K-1}, whose ranks the high pair
+    # then only reads
     exact = spec.cutoff_free(pole_cutoff, window)
-    high_pair = (pole_cutoff if exact else max(1, pole_cutoff - 1), pole_cutoff)
-    dims_high, count_high = pair_dims(*high_pair)
-    if pole_cutoff >= 3 and not exact:
-        low_pair = (pole_cutoff - 2, pole_cutoff - 1)
-        dims_low, count_low = pair_dims(*low_pair)
-        stabilized = dims_low == dims_high
+    K = pole_cutoff
+    if exact:
+        pairs = [(K, K)]
+    elif K >= 3:
+        pairs = [(K - 2, K - 1), (K - 1, K)]
     else:
-        low_pair = high_pair
-        dims_low, count_low = dims_high, count_high
-        stabilized = exact  # one pair certifies only a cutoff-free complex
-    if count_low == 0 and count_high == 0:
+        pairs = [(max(1, K - 1), K)]
+    tables = [[0] * (n + 1) for _ in pairs]
+    basis_count = 0
+    for tau in range(window[0], window[1] + 1):
+        pieces: Dict[int, _Piece] = {}
+        for table, (lo, hi) in zip(tables, pairs):
+            for cut in (lo, hi):
+                if cut not in pieces:
+                    pieces[cut] = _Piece(engine, f, cut, tau)
+            for j, h in enumerate(_persistent_dims(pieces[lo], pieces[hi])):
+                table[j] += h
+        basis_count += sum(len(b) for piece in pieces.values() for b in piece.bases)
+    if basis_count == 0:
         raise EmptyComplexError(
-            f"no basis elements in window {window} at cutoffs {(low_pair[0], pole_cutoff)}"
+            f"no basis elements in window {window} at cutoffs {(pairs[0][0], K)}"
         )
+    dims_low, dims_high = tuple(tables[0]), tuple(tables[-1])
+    stabilized = dims_low == dims_high if len(pairs) == 2 else exact
 
     smooth = None
     if isinstance(engine, HypersurfaceLocalization):
@@ -654,7 +669,7 @@ def derham_truncated(
     certificate = "exact" if exact else "stabilized" if stabilized else "provisional"
 
     report = TruncationReport(
-        cutoffs=(high_pair[0], pole_cutoff),
+        cutoffs=(pairs[-1][0], pole_cutoff),
         window=window,
         dims_low=dims_low,
         dims_high=dims_high,

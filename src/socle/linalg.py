@@ -79,7 +79,14 @@ class GradedMatrix:
         """Matrix of self applied after inner (self @ inner)."""
         if len(self.cols) != len(inner.rows):
             raise DimensionMismatch("inner target size differs from outer source size")
-        out_cols = _compose_columns(self.columns(), inner.columns())
+        outer = self.columns()
+        out_cols = []
+        for col in inner.columns():
+            acc: SparseColumn = {}
+            for k, c in col.items():
+                for i, v in outer[k].items():
+                    acc[i] = acc.get(i, 0) + c * v
+            out_cols.append(acc)
         return GradedMatrix.from_columns(self.rows, inner.cols, out_cols)
 
     def is_zero(self) -> bool:
@@ -87,25 +94,6 @@ class GradedMatrix:
 
     def __repr__(self):
         return f"GradedMatrix({len(self.rows)}x{len(self.cols)}, nnz={len(self.entries)})"
-
-
-def _compose_columns(
-    outer: Sequence[SparseColumn], inner: Iterable[SparseColumn]
-) -> List[SparseColumn]:
-    """Columns of outer after inner: each inner column c becomes the sparse
-    sum of c[k] * outer[k]."""
-    out = []
-    for col in inner:
-        acc: SparseColumn = {}
-        for k, c in col.items():
-            for i, v in outer[k].items():
-                s = acc.get(i, Fraction(0)) + c * v
-                if s:
-                    acc[i] = s
-                else:
-                    acc.pop(i, None)
-        out.append(acc)
-    return out
 
 
 def _content_free(v: Dict[int, int]) -> Dict[int, int]:
@@ -119,8 +107,28 @@ def _integer_pivots(columns: Iterable[SparseColumn]) -> Dict[int, Dict[int, int]
     Returns {pivot_row: primitive integer vector}; each vector is nonzero at
     its pivot row and has no entry at any other pivot row, so it is a
     multiple of the reduced rational vector ``eliminate_columns`` returns.
-    Each column is first scaled to integers, which keeps its span.  Reducing
-    v by a pivot vector w with pivot entry p cross-multiplies,
+    Each column is first scaled to integers, which keeps its span.
+    """
+    pivots: Dict[int, Dict[int, int]] = {}
+    _reduce_into(pivots, {}, map(_integral, columns))
+    return pivots
+
+
+def _integral(col: SparseColumn) -> Dict[int, int]:
+    den = lcm(*(c.denominator for c in col.values()))
+    return {r: c.numerator * (den // c.denominator) for r, c in col.items() if c}
+
+
+def _reduce_into(
+    pivots: Dict[int, Dict[int, int]], occur: Dict[int, set], columns: Iterable[Dict[int, int]]
+) -> None:
+    """Add integer columns to a fully reduced pivot state, in place.
+
+    ``pivots`` is {pivot_row: primitive integer vector} as ``_integer_pivots``
+    returns it, and ``occur`` maps each row to the pivot rows whose vectors
+    touch it; both start empty, and a later call resumes where an earlier
+    one stopped.  The columns are consumed: each dict may be changed.
+    Reducing v by a pivot vector w with pivot entry p cross-multiplies,
     v <- (p/g) v - (c/g) w with c = v[pivot] and g = gcd(p, c), and the
     content is stripped after every column and every back-substitution.
 
@@ -132,12 +140,8 @@ def _integer_pivots(columns: Iterable[SparseColumn]) -> Dict[int, Dict[int, int]
     of smallest bit length.  Breaking ties by bit length before the row kept
     more entries and larger coefficients there, and was no faster.
     """
-    pivots: Dict[int, Dict[int, int]] = {}
-    # occurrence index: row -> pivot rows whose vectors touch it
-    occur: Dict[int, set] = {}
-    for col in columns:
-        den = lcm(*(c.denominator for c in col.values()))
-        v = {r: c.numerator * (den // c.denominator) for r, c in col.items() if c}
+    occur_get = occur.get
+    for v in columns:
         for pr in [r for r in v if r in pivots]:
             c = v.pop(pr)
             w = pivots[pr]
@@ -155,14 +159,19 @@ def _integer_pivots(columns: Iterable[SparseColumn]) -> Dict[int, Dict[int, int]
                     v.pop(r, None)
         if not v:
             continue
-        v = _content_free(v)
-        pr = min(v, key=lambda r: (len(occur.get(r, ())), r))
+        # inline on the path every column takes; a single entry needs no choice
+        g = gcd(*v.values())
+        if g != 1:
+            v = {r: x // g for r, x in v.items()}
+        if len(v) == 1:
+            pr = next(iter(v))
+        else:
+            pr = min(v, key=lambda r: (len(occur_get(r, ())), r))
         p = v[pr]
         # keep older pivot vectors free of the new pivot row
-        for other in list(occur.get(pr, ())):
+        for other in occur.pop(pr, ()):
             w = pivots[other]
             c = w.pop(pr)
-            occur[pr].discard(other)
             g = gcd(p, c)
             a, b = p // g, c // g
             if a != 1:
@@ -184,7 +193,6 @@ def _integer_pivots(columns: Iterable[SparseColumn]) -> Dict[int, Dict[int, int]
         for r in v:
             if r != pr:
                 occur.setdefault(r, set()).add(pr)
-    return pivots
 
 
 def eliminate_columns(columns: Iterable[SparseColumn]) -> Dict[int, SparseColumn]:

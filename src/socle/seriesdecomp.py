@@ -127,8 +127,9 @@ def _falling_poly(i: int) -> List[Fraction]:
     return coeffs
 
 
-def _integer_roots(coeffs: Sequence[Fraction]) -> List[int]:
-    """Nonnegative integer roots of a rational polynomial, by bounded scan."""
+def _integer_roots(coeffs: Sequence[Fraction], limit: Optional[int] = None) -> List[int]:
+    """Nonnegative integer roots of a rational polynomial, by bounded scan;
+    a scan bound above ``limit`` raises DomainError before the scan."""
     ints = list(_scaled(dict(enumerate(coeffs)))[0].values())
     while ints and ints[-1] == 0:
         ints.pop()
@@ -136,6 +137,8 @@ def _integer_roots(coeffs: Sequence[Fraction]) -> List[int]:
         raise DomainError("the zero polynomial has every root")
     lead = abs(ints[-1])
     bound = 1 + max(abs(c) for c in ints) // lead
+    if limit is not None and bound > limit:
+        raise DomainError(f"indicial root bound {bound} exceeds {limit}")
     roots = []
     for ell in range(0, bound + 1):
         acc = 0
@@ -146,8 +149,9 @@ def _integer_roots(coeffs: Sequence[Fraction]) -> List[int]:
     return roots
 
 
-def analyze_operator(p: RegularOperator) -> OperatorAnalysis:
-    """Extract the band offset, indicial polynomial, and thresholds of P."""
+def analyze_operator(p: RegularOperator, root_limit: Optional[int] = None) -> OperatorAnalysis:
+    """Extract the band offset, indicial polynomial, and thresholds of P;
+    ``root_limit`` bounds the scan for the indicial roots."""
     r = p.order
     # slices of a_i x^(r-i) along powers of x
     shifted_slices: List[Dict[int, MultiPoly]] = []
@@ -176,7 +180,7 @@ def analyze_operator(p: RegularOperator) -> OperatorAnalysis:
             g[idx] += lam * c
     if not any(g):
         raise InternalCheckError("indicial polynomial vanished; lambdas cannot all be zero")
-    roots = _integer_roots(g)
+    roots = _integer_roots(g, root_limit)
     largest = max(roots) if roots else None
     ell0 = max(r, (largest + 1) if largest is not None else 0)
     return OperatorAnalysis(

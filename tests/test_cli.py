@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from socle.catalog import PROFILES
-from socle.cli import main
+from socle.cli import _basis_size, main
+from socle.derham import assemble_complex, spec_from_json
 from socle.structure import predict
 
 
@@ -106,6 +107,32 @@ def test_derham_cutoff_cap(monkeypatch, capsys):
     assert payload["capped"] is True
     assert payload["requested_cutoff"] == 6
     assert payload["certificate"] == "provisional"
+
+
+def test_derham_refuses_an_oversized_complex(capsys):
+    # 2579238 basis elements at cutoff 400; unrefused, this runs for minutes
+    start = time.perf_counter()
+    code, out, err = run(capsys, "derham", "--kind", "loc", "--f", "x^2+y^2+z^2", "--pole-cutoff", "400")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert not out
+    assert "2579238 basis elements, which exceeds 120000" in err
+
+
+@pytest.mark.parametrize(
+    "spec, cutoff",
+    [
+        ({"kind": "loc-quot", "f": "x^3 + y^3 + z^3 + w^3"}, 4),
+        ({"kind": "loc", "f": "x*y"}, 5),
+        ({"kind": "loc", "f": "x*z", "vars": 3}, 3),
+        ({"kind": "R", "vars": 3}, 4),
+        ({"kind": "E", "vars": 2}, 4),
+    ],
+)
+def test_derham_bound_counts_the_assembled_basis(spec, cutoff):
+    spec = spec_from_json(spec)
+    bases, _, _ = assemble_complex(spec, cutoff, 0)
+    assert _basis_size(spec, cutoff) == sum(map(len, bases))
 
 
 def test_derham_rejects_bad_cap(monkeypatch, capsys):
@@ -210,6 +237,17 @@ def test_decompose_refuses_oversized_input(capsys, p, f, prec):
     assert code == 2
     assert not out
     assert "exceeds 10000" in err
+
+
+def test_decompose_refuses_a_large_indicial_root_bound(capsys):
+    # the indicial polynomial l - 10^9 would send the root scan through
+    # 10^9 integers
+    start = time.perf_counter()
+    code, out, err = run(capsys, "decompose", "--p", "x*d0 - 1000000000", "--f", "x")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert not out
+    assert "indicial root bound 1000000001 exceeds 10000" in err
 
 
 def test_decompose_accepts_input_at_the_bound(capsys):

@@ -23,6 +23,7 @@ from socle.derham import (
     MonomialLocalization,
     PolynomialRing,
     RankOneConnection,
+    ambient_vars,
     assemble_complex,
     completion_flattening,
     derham_closed_form,
@@ -34,10 +35,10 @@ from socle.derham import (
     spec_to_json,
 )
 from socle.grammar import parse_poly
-from socle.linalg import GradedMatrix
+from socle.linalg import GradedMatrix, rank_of_columns
 from socle.poly import MultiPoly, graded_piece_basis
 from socle.series import TruncatedSeries
-from socle.structure import predict
+from socle.structure import BettiProfile, predict
 
 
 def test_closed_form_polynomial_ring():
@@ -278,23 +279,37 @@ def test_derham_dims_hash_agrees_with_tuple_equality():
 
 
 def test_each_cutoff_complex_is_assembled_once(monkeypatch):
-    # the pairs (K-2, K-1) and (K-1, K) share the cutoff K-1 complex
+    # the pairs (K-2, K-1) and (K-1, K) share the cutoff K-1 complex: each
+    # (cutoff, position) set of d columns is built once, and each
+    # per-complex rank r(K, j) is eliminated once
     cases = [
         (spec_from_json({"kind": "loc-quot", "f": "x^2 + y^2 + z^2"}), 6, [0, 1, 0, 0]),
         (MonomialLocalization(2, frozenset({0, 1})), 4, [1, 2, 1]),
     ]
-    original = socle.derham.assemble_complex
+    piece = socle.derham._Piece
+    d_columns, eliminate = piece.d_columns, piece._eliminate
     for spec, cutoff, want_dims in cases:
-        calls = []
+        built, eliminated = [], []
 
-        def counting(spec, cutoff, tau):
-            calls.append((cutoff, tau))
-            return original(spec, cutoff, tau)
+        def counting_columns(self, j, kept):
+            built.append((self.cutoff, self.tau, j))
+            return d_columns(self, j, kept)
 
-        monkeypatch.setattr(socle.derham, "assemble_complex", counting)
+        def counting_eliminate(self, j):
+            eliminated.append((self.cutoff, self.tau, j))
+            return eliminate(self, j)
+
+        monkeypatch.setattr(piece, "d_columns", counting_columns)
+        monkeypatch.setattr(piece, "_eliminate", counting_eliminate)
         dims, report = derham_truncated(spec, cutoff)
         monkeypatch.undo()
-        assert sorted(calls) == [(k, 0) for k in range(cutoff - 2, cutoff + 1)]
+        n = len(want_dims) - 1
+        cutoffs = range(cutoff - 2, cutoff + 1)
+        assert sorted(eliminated) == [(k, 0, j) for k in cutoffs for j in range(n + 1)]
+        # the top complex is never the low end of a pair, so it needs no d_n
+        assert sorted(built) == [
+            (k, 0, j) for k in cutoffs for j in range(n + 1 if k < cutoff else n)
+        ]
         assert list(dims) == want_dims
         assert (dims, report) == derham_truncated(spec, cutoff)
         assert report.certificate == "stabilized"
@@ -311,7 +326,6 @@ def test_scaling_f_changes_no_table():
         assert scaled == plain, text
 
 
-@pytest.mark.slow
 def test_fermat_cubic_surface_matches_prediction():
     spec = spec_from_json({"kind": "loc-quot", "f": "x^3 + y^3 + z^3 + w^3"})
     dims, report = derham_truncated(spec, 4)
@@ -320,12 +334,29 @@ def test_fermat_cubic_surface_matches_prediction():
     assert report.certificate == "stabilized"
 
 
+def test_fermat_quartic_surface_matches_prediction():
+    spec = spec_from_json({"kind": "loc-quot", "f": "x^4 + y^4 + z^4 + w^4"})
+    dims, report = derham_truncated(spec, 3)
+    want = predict(BettiProfile(3, 2, (1, 0, 22, 0, 1))).critical_dims
+    assert list(dims) == list(want) == [0, 1, 0, 21, 21]
+    assert report.certificate == "stabilized"
+
+
+@pytest.mark.slow
+def test_cubic_threefold_matches_prediction():
+    spec = spec_from_json({"kind": "loc-quot", "f": "x0^3 + x1^3 + x2^3 + x3^3 + x4^3"})
+    dims, report = derham_truncated(spec, 3)
+    want = predict(BettiProfile(4, 3, (1, 0, 1, 10, 1, 0, 1))).critical_dims
+    assert list(dims) == list(want) == [0, 1, 0, 0, 10, 10]
+    assert report.certificate == "stabilized"
+
+
 # ------------------------------------------------- property tests (hypothesis)
 
 
 @st.composite
-def pole_complex_pieces(draw):
-    """A homogeneous f with rational coefficients and one piece of its complex.
+def hypersurfaces(draw):
+    """A homogeneous f with rational coefficients, in loc or loc-quot mode.
 
     f has at most three variables and degree at most three, and its support
     is drawn from the monomials in a random subset of the variables, so f
@@ -341,8 +372,13 @@ def pole_complex_pieces(draw):
     support = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=4, unique=True))
     coefficient = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9))
     f = MultiPoly(n, {e: draw(coefficient) for e in support})
-    spec = HypersurfaceLocalization(f, quotient_mod_A=draw(st.booleans()))
-    return spec, draw(st.integers(1, 3)), draw(st.integers(-1, 1))
+    return HypersurfaceLocalization(f, quotient_mod_A=draw(st.booleans()))
+
+
+@st.composite
+def pole_complex_pieces(draw):
+    """A random hypersurface spec and one piece of its complex."""
+    return draw(hypersurfaces()), draw(st.integers(1, 3)), draw(st.integers(-1, 1))
 
 
 @settings(deadline=None, derandomize=True, max_examples=60)
@@ -375,3 +411,84 @@ def test_assembled_columns_match_polynomial_products(case):
         for (I, a), col in zip(incl.cols, incl.columns()):
             want = {(I, exp): c for exp, c in (MultiPoly.monomial(n, a) * f_k).terms.items()}
             assert {bases[j][r]: c for r, c in col.items()} == want
+
+
+def plain_persistent_dims(spec, lo, hi, tau):
+    """The persistence formula as plain ranks of assembled matrices.
+
+    rank H^j = rank M - rank[i(d C_j) | A_hi,j+1] - rank[d C_hi,j-1 | A_hi,j],
+    where M sends (u, w, a, b) to (i u + d w + a, i(d u) + b) and i is the
+    chain map F_lo -> F_hi that multiplies numerators by f.  Returns the
+    table and the basis count of both complexes.
+    """
+    engine = spec.engine()
+    bases_lo, diffs_lo, _ = assemble_complex(spec, lo, tau)
+    bases_hi, diffs_hi, incls = assemble_complex(spec, hi, tau)
+    n = len(bases_lo) - 1
+    if lo < hi and isinstance(engine, HypersurfaceLocalization):
+        f = engine.f.terms
+    else:  # the nested bases of R and E, or one complex twice
+        f = {(0,) * n: 1}
+    iotas = []
+    for j in range(n + 1):
+        index = {label: r for r, label in enumerate(bases_hi[j])}
+        columns = [
+            {index[(I, tuple(a + b for a, b in zip(e, fe)))]: c for fe, c in f.items()}
+            for I, e in bases_lo[j]
+        ]
+        iotas.append(GradedMatrix.from_columns(bases_hi[j], bases_lo[j], columns))
+    pushed = [iotas[j + 1].compose(diffs_lo[j]).columns() for j in range(n)]
+    pushed.append([{} for _ in bases_lo[n]])
+    a_cols = [m.columns() for m in incls] if incls else [[] for _ in range(n + 1)]
+    a_cols.append([])
+    dims = []
+    for j in range(n + 1):
+        offset = len(bases_hi[j])
+
+        def shifted(col):
+            return {offset + r: c for r, c in col.items()}
+
+        bottom = (diffs_hi[j - 1].columns() if j else []) + a_cols[j]
+        top = pushed[j] + a_cols[j + 1]
+        m = [{**i_u, **shifted(d_u)} for i_u, d_u in zip(iotas[j].columns(), pushed[j])]
+        m += bottom + [shifted(col) for col in a_cols[j + 1]]
+        dims.append(rank_of_columns(m) - rank_of_columns(top) - rank_of_columns(bottom))
+    return dims
+
+
+def plain_window_dims(spec, lo, hi, window):
+    total = [0] * (ambient_vars(spec) + 1)
+    for tau in range(window[0], window[1] + 1):
+        for j, h in enumerate(plain_persistent_dims(spec, lo, hi, tau)):
+            total[j] += h
+    return tuple(total)
+
+
+@st.composite
+def truncation_inputs(draw):
+    """A spec of any kind the engine assembles, a cutoff of at most 5 and a
+    weight window around 0 that often holds nonzero weights."""
+    n = draw(st.integers(0, 3))
+    kind = draw(st.sampled_from(("hypersurface", "R", "E", "monomial")))
+    if kind == "hypersurface":
+        spec = draw(hypersurfaces())
+    elif kind == "R":
+        spec = PolynomialRing(n)
+    elif kind == "E":
+        spec = InjectiveHull(n)
+    else:
+        spec = MonomialLocalization(n, frozenset(i for i in range(n) if draw(st.booleans())))
+    window = (draw(st.integers(-2, 0)), draw(st.integers(0, 2)))
+    return spec, draw(st.integers(1, 5)), window
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(truncation_inputs())
+def test_truncated_tables_match_the_plain_rank_formula(case):
+    # cleared integer ranks, shared per complex, against plain ranks of
+    # the assembled matrices with the pushed block i(d u)
+    spec, cutoff, window = case
+    dims, report = derham_truncated(spec, cutoff, degree_window=window)
+    assert list(dims) == list(plain_window_dims(spec, *report.cutoffs, window))
+    low = report.cutoffs if cutoff < 3 or report.certificate == "exact" else (cutoff - 2, cutoff - 1)
+    assert report.dims_low == plain_window_dims(spec, *low, window)
