@@ -63,9 +63,11 @@ DECOMPOSE_MAX = 10_000
 DECOMPOSE_SIZE_MAX = 100_000
 
 #: largest weight-0 basis of the top complex of ``derham`` (see
-#: ``_basis_size``); the cubic threefold at cutoff 3 has 108880 and takes
-#: about 19 s
-DERHAM_BASIS_MAX = 120_000
+#: ``_basis_size``); the Fermat quartic threefold at cutoff 3 has 354690 and
+#: takes about 2.5 s and 280 MB.  A dense f costs more per element:
+#: x0^3+x1^3+x2^3+x3^3+x0*x1*x2+2*x1*x2*x3-x0^2*x3+3*x1^2*x2 at cutoff 4 has
+#: 16080 and takes about 22 s (2-core x86-64, Python 3.11)
+DERHAM_BASIS_MAX = 400_000
 
 _INPUT_ERRORS = (
     ParseError,

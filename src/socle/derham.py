@@ -28,11 +28,16 @@ tables of several weights, which the tests use to see the nonzero weights
 vanish.
 
 Ranks are cleared (Chen and Kerber, Persistent homology computation with a
-twist, 2011): a basis element at a pivot row of r(K, j) has a fully reduced
-pivot vector in B + A, a cycle modulo A, so its column is dropped from d_j
-and from the u-block of M without changing either span, and is never
-built.  Columns are primitive integer dicts from the start: f is scaled to
-its primitive integer multiple, which scales every column by a unit.
+twist, 2011): a basis element at a pivot row of r(K, j) is dropped from d_j
+and from the u-block of M without changing either span, and its column is
+never built.  The elimination keeps only column-echelon form, whose pivot
+vector at row p lies in B + A (a cycle modulo A) and touches, besides p,
+only rows above p, kept ones and pivot rows.  By induction in decreasing
+pivot row the columns at those pivot rows already lie in the span of the
+kept columns (plus A), so the column at p does too.  Columns are primitive
+integer dicts from the start: f is scaled to its primitive integer
+multiple, which scales every column by a unit.  Their rows are the packed
+keys of ``_Piece``, with no lookup table.
 
 Pole-complex entries are written from their closed form, with no polynomial
 products: for g = x^e and f = sum_a c_a x^a the numerator of d(g/f^k) in
@@ -47,7 +52,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -60,7 +64,7 @@ from .errors import (
 )
 from .grammar import parse_poly
 from .linalg import GradedMatrix, _content_free, _integral, _reduce_into, rank_of_columns
-from .poly import MultiPoly, graded_piece_basis
+from .poly import MultiPoly, graded_piece_basis, graded_piece_codes
 from .series import TruncatedSeries
 
 
@@ -111,7 +115,8 @@ class TruncationReport:
     cutoff at all, otherwise "stabilized" or "provisional" according to
     whether two successive cutoffs agreed.  ``smooth`` records the Jacobian
     finiteness gate for hypersurface inputs (None when not applicable);
-    non-smooth inputs still run but their stabilization is only heuristic.
+    non-smooth inputs still run, and a hypersurface that fails the gate
+    reports agreement as "heuristic" instead of "stabilized".
     """
 
     cutoffs: Tuple[int, int]
@@ -358,10 +363,6 @@ def _wedge_sign(i: int, index_set: Tuple[int, ...]) -> int:
     return -1 if sum(1 for k in index_set if k < i) % 2 else 1
 
 
-def _insert_sorted(i: int, index_set: Tuple[int, ...]) -> Tuple[int, ...]:
-    return tuple(sorted(index_set + (i,)))
-
-
 def _pole_terms(spec: ModuleSpec) -> Dict[Tuple[int, ...], Fraction]:
     """f as {exponent: coefficient} for an engine spec.
 
@@ -377,69 +378,107 @@ def _pole_terms(spec: ModuleSpec) -> Dict[Tuple[int, ...], Fraction]:
     )
 
 
+def _key_width(n: int, f, cutoff: int, window: Tuple[int, int]) -> int:
+    """Bits per digit of the packed basis keys of every piece of the pole
+    complex of f at cutoffs up to ``cutoff`` over ``window``: room for the
+    index-set mask and for all exponents, E's negative ones included (each
+    |e_i| <= |deg e| + n + 1).  The top cutoff bounds the lower ones: a
+    nonnegative degree only grows with the cutoff, and a negative one has no
+    monomials unless D = 0, where the cutoff does not enter."""
+    degree = sum(next(iter(f)))
+    top = max(abs(tau - j + (cutoff + j) * degree) for tau in window for j in range(n + 1))
+    return max(n, (top + n + 1).bit_length())
+
+
 class _Piece:
     """The weight-tau piece of an engine's complex at one pole cutoff.
 
     The basis of form degree j is x^e dx_I / f^k with k = cutoff + j and
     deg e = tau - j + kD; for E it is x^e dx_I with every e_i <= -1,
-    deg e = tau - j, present only while -tau <= cutoff.  Columns are built
-    on demand from the rule in ``assemble_complex``, with f given as
+    deg e = tau - j, present only while -tau <= cutoff.  It is stored as
+    the index sets ``sets[j]`` times the exponents ``exps[j]``, element
+    s * len(exps[j]) + t being (sets[j][s], exps[j][t]).  Each element has
+    the packed key mask(I) + sum_i e_i << (width * (i + 1)) (``keys[j]``),
+    and the keys are the row numbers of every column: they are one-to-one
+    on (I, e), and linear, so the row of x^(e+a-1_i) dx_(I+i) is the key of
+    x^e dx_I plus one precomputed int.  Pieces compared by
+    ``_persistent_dims`` share one ``width``.  Columns are built on demand
+    from the rule in ``assemble_complex``, with f given as
     {exponent: coefficient}: with integer f every entry is an int.
 
     The rank path asks for r(j) = rank[d C_(j-1) | A_j] in order of j.  Each
     is eliminated once; the d columns it reads are only those outside the
-    pivot rows of r(j-1) (clearing), built once and shared with the
-    persistence matrix, and its pivot state stays live until the next rank,
-    for that matrix to continue.
+    pivot rows of r(j-1) (clearing), built once and, when the piece is the
+    ``low`` end of a pair, kept for the persistence matrix; its pivot state
+    stays live until the next rank, for that matrix to continue.
     """
 
-    def __init__(self, spec: ModuleSpec, f, cutoff: int, tau: int):
+    def __init__(self, spec: ModuleSpec, f, cutoff: int, tau: int, width: int, low: bool = True):
         n = spec.ambient_vars()
         degree = sum(next(iter(f)))
-        self.n, self.f, self.cutoff, self.tau = n, f, cutoff, tau
+        self.n, self.f, self.cutoff, self.tau, self.width = n, f, cutoff, tau, width
+        # only the low end of a pair reads its d columns again, in M
+        self.low = low
         self.quotient = isinstance(spec, HypersurfaceLocalization) and spec.quotient_mod_A
         hull = isinstance(spec, InjectiveHull)
-        self.bases = []
+        self.units = [1 << (width * (i + 1)) for i in range(n)]
+        self.sets, self.exps, self.keys = [], [], []
         for j in range(n + 1):
             deg = tau - j + (cutoff + j) * degree
             if not hull:
-                exps = graded_piece_basis(deg, n)
+                exps, codes = graded_piece_codes(deg, n, width)
             elif -tau <= cutoff:
-                exps = [tuple(-1 - a for a in e) for e in graded_piece_basis(-deg - n, n)]
+                # e = -1 - a, and codes are linear
+                exps, codes = graded_piece_codes(-deg - n, n, width)
+                ones = sum(self.units)
+                exps = [tuple(-1 - a for a in e) for e in exps]
+                codes = [-ones - c for c in codes]
             else:
-                exps = []
+                exps, codes = [], []
             # no index sets without exponents: R and E have C(n, j) of them
-            sets = combinations(range(n), j) if exps else ()
-            self.bases.append([(I, e) for I in sets for e in exps])
-        self.index = [{lab: i for i, lab in enumerate(b)} for b in self.bases]
+            sets = list(combinations(range(n), j)) if exps else []
+            keys = [mask + c for mask in map(_mask, sets) for c in codes]
+            self.sets.append(sets)
+            self.exps.append(exps)
+            self.keys.append(keys)
         self.ranks: List[int] = []
         self.kept: List[List[int]] = []  # basis indices off the pivot rows of r(j)
-        self.live = None  # (j, pivots, occur) of the latest r(j)
+        self.live = None  # (j, pivots) of the latest r(j)
         self.dcols: Dict[int, list] = {}
+
+    def code(self, e: Sequence[int]) -> int:
+        """The packed code of an exponent, the key of x^e with I empty."""
+        return sum(x * u for x, u in zip(e, self.units))
+
+    def labels(self, j: int) -> list:
+        """The basis of form degree j as (I, e) pairs."""
+        return [(I, e) for I in self.sets[j] for e in self.exps[j]]
 
     def d_columns(self, j: int, kept: Sequence[int]) -> List[dict]:
         """Columns of d_j at the basis indices ``kept`` (empty at j = n)."""
         n, k = self.n, self.cutoff + j
-        index, basis = self.index[j + 1] if j < n else {}, self.bases[j]
-        f = list(self.f.items())
-        steps: Dict[Tuple[int, ...], list] = {}
+        keys, exps = self.keys[j], self.exps[j]
+        f = [(fe, c, self.code(fe)) for fe, c in self.f.items()]
+        # per index set I: (i, k a_i, sign * c_a, key step) for every term
+        # c_a x^a of f and every i not in I
+        steps = [
+            [
+                (i, k * fe[i], _wedge_sign(i, I) * c, code + (1 << i) - self.units[i])
+                for fe, c, code in f
+                for i in range(n)
+                if i not in I
+            ]
+            for I in self.sets[j]
+        ]
+        m = len(exps)
         cols = []
         for idx in kept:
-            I, e = basis[idx]
-            if I not in steps:
-                steps[I] = [
-                    (i, _wedge_sign(i, I), _insert_sorted(i, I)) for i in range(n) if i not in I
-                ]
+            e, key = exps[idx % m], keys[idx]
             col = {}
-            for fe, c in f:
-                # the exponent of g*f, lowered by one in direction i
-                s = list(map(add, e, fe))
-                for i, sign, J in steps[I]:
-                    factor = e[i] - k * fe[i]
-                    if factor:
-                        s[i] -= 1
-                        col[index[(J, tuple(s))]] = sign * factor * c
-                        s[i] += 1
+            for i, ka, sc, step in steps[idx // m]:
+                factor = e[i] - ka
+                if factor:
+                    col[key + step] = sc * factor
             cols.append(col)
         return cols
 
@@ -448,12 +487,17 @@ class _Piece:
         (quotient mode; none otherwise)."""
         if not self.quotient or j > self.n:
             return [], []
-        n, index = self.n, self.index[j]
-        exps = graded_piece_basis(self.tau - j, n)
-        sub = [(I, a) for I in combinations(range(n), j) for a in exps]
-        f_k = (MultiPoly(n, self.f) ** (self.cutoff + j)).terms if sub else {}
-        return sub, [
-            {index[(I, tuple(map(add, a, exp)))]: c for exp, c in f_k.items()} for I, a in sub
+        n = self.n
+        exps, codes = graded_piece_codes(self.tau - j, n, self.width)
+        if not exps:
+            return [], []
+        f_k = (MultiPoly(n, self.f) ** (self.cutoff + j)).terms
+        f_k = [(self.code(exp), c) for exp, c in f_k.items()]
+        sets = list(combinations(range(n), j))
+        return [(I, a) for I in sets for a in exps], [
+            {mask + code + shift: c for shift, c in f_k}
+            for mask in map(_mask, sets)
+            for code in codes
         ]
 
     def rank(self, j: int) -> int:
@@ -464,12 +508,13 @@ class _Piece:
 
     def _eliminate(self, j: int) -> None:
         pivots: Dict[int, Dict[int, int]] = {}
-        occur: Dict[int, set] = {}
-        cols = [dict(c) for c in self.d_kept(j - 1)] if j else []
-        _reduce_into(pivots, occur, cols + [_integral(c) for c in self.a_columns(j)[1]])
+        _reduce_into(pivots, self.d_kept(j - 1) if j else ())
+        if not self.low:
+            self.dcols.pop(j - 1, None)
+        _reduce_into(pivots, map(_integral, self.a_columns(j)[1]))
         self.ranks.append(len(pivots))
-        self.kept.append([i for i in range(len(self.bases[j])) if i not in pivots])
-        self.live = (j, pivots, occur)
+        self.kept.append([i for i, key in enumerate(self.keys[j]) if key not in pivots])
+        self.live = (j, pivots)
 
     def d_kept(self, j: int) -> List[dict]:
         """d_j on the basis indices that survive clearing by r(j), built once."""
@@ -478,13 +523,17 @@ class _Piece:
             cols = self.dcols[j] = self.d_columns(j, self.kept[j])
         return cols
 
-    def take(self, j: int):
+    def take(self, j: int) -> Dict[int, Dict[int, int]]:
         """The live pivot state of r(j), handed over once."""
         self.rank(j)
         live, self.live = self.live, None
         if live is None or live[0] != j:
             raise InternalCheckError(f"the pivot state of r({j}) is no longer live")
-        return live[1], live[2]
+        return live[1]
+
+
+def _mask(index_set: Sequence[int]) -> int:
+    return sum(1 << i for i in index_set)
 
 
 def assemble_complex(spec: ModuleSpec, cutoff: int, tau: int):
@@ -507,15 +556,24 @@ def assemble_complex(spec: ModuleSpec, cutoff: int, tau: int):
     The rank path builds the same columns through ``_Piece``.
     """
     spec = spec.engine()
-    piece = _Piece(spec, _pole_terms(spec), cutoff, tau)
-    bases = piece.bases
+    f = _pole_terms(spec)
+    n = spec.ambient_vars()
+    piece = _Piece(spec, f, cutoff, tau, _key_width(n, f, cutoff, (tau, tau)))
+    bases = [piece.labels(j) for j in range(n + 1)]
+    rows = [dict(zip(keys, range(len(keys)))) for keys in piece.keys]
+
+    def matrix(j, labels, columns):
+        return GradedMatrix.from_columns(
+            bases[j], labels, [{rows[j][r]: c for r, c in col.items()} for col in columns]
+        )
+
     diffs = [
-        GradedMatrix.from_columns(bases[j + 1], base, piece.d_columns(j, range(len(base))))
+        matrix(j + 1, base, piece.d_columns(j, range(len(base))))
         for j, base in enumerate(bases[:-1])
     ]
     incls = None
     if piece.quotient:
-        incls = [GradedMatrix.from_columns(base, *piece.a_columns(j)) for j, base in enumerate(bases)]
+        incls = [matrix(j, *piece.a_columns(j)) for j in range(n + 1)]
     return bases, diffs, incls
 
 
@@ -532,31 +590,32 @@ def _persistent_dims(lo: _Piece, hi: _Piece) -> List[int]:
     where M sends (u, w, a, b) in C_lo,j + C_hi,j-1 + A_hi,j + A_lo,j+1 to
     (i u + d w + a, d u + b).  The kernel of the second coordinate is the
     low cycles modulo A, so the first coordinate maps it onto i(Z) + B_hi +
-    A_hi.  M continues the live pivot state of r(hi, j), whose columns are
-    exactly (d w + a, 0).  A u at a pivot row of r(lo, j) is cleared: its
-    fully reduced pivot vector lies in B_lo + A_lo, so its M column lies in
-    the span of the (d w + a, 0) and (0, b) columns and of the remaining u.
-    At lo = hi the map i is the identity and the formula gives dim H^j.
+    A_hi.  Rows are the packed keys of both pieces: the first block holds
+    j-forms and the second (j+1)-forms, so no key is in both.  M continues
+    the live pivot state of r(hi, j), whose columns are exactly
+    (d w + a, 0).  A u at a pivot row of r(lo, j) is cleared: its
+    echelon pivot vector lies in B_lo + A_lo, so its M column lies in the
+    span of the (d w + a, 0) and (0, b) columns and of the M columns at the
+    rows the vector also touches, which are kept or, by induction in
+    decreasing pivot row, themselves in that span.  At lo = hi the map i is
+    the identity and the formula gives dim H^j.
     """
     n = lo.n
     # i multiplies numerators by f, and is the identity at lo = hi
-    shifts = lo.f.items() if lo is not hi else [((0,) * n, 1)]
+    shifts = [(lo.code(fe), c) for fe, c in lo.f.items()] if lo is not hi else [(0, 1)]
     dims = []
     for j in range(n + 1):
-        pivots, occur = hi.take(j)
+        pivots = hi.take(j)
         bottom, top = len(pivots), lo.rank(j + 1)
-        offset = len(hi.bases[j])
-        index, basis = hi.index[j], lo.bases[j]
-        b_cols = map(_integral, lo.a_columns(j + 1)[1])
-        cols = [{offset + r: c for r, c in col.items()} for col in b_cols]
+        keys = lo.keys[j]
+        cols = list(map(_integral, lo.a_columns(j + 1)[1]))
         for idx, d in zip(lo.kept[j], lo.d_kept(j)):
-            I, e = basis[idx]
-            col = {index[(I, tuple(map(add, e, fe)))]: c for fe, c in shifts}
-            for r, c in d.items():
-                col[offset + r] = c
+            key = keys[idx]
+            col = {key + shift: c for shift, c in shifts}
+            col.update(d)
             cols.append(col)
         lo.dcols.pop(j)
-        _reduce_into(pivots, occur, cols)
+        _reduce_into(pivots, cols)
         h = len(pivots) - top - bottom
         if h < 0:
             raise InternalCheckError("negative persistent rank in truncated complex")
@@ -639,6 +698,7 @@ def derham_truncated(
     # then only reads
     exact = spec.cutoff_free(pole_cutoff, window)
     K = pole_cutoff
+    width = _key_width(n, f, K, window)
     if exact:
         pairs = [(K, K)]
     elif K >= 3:
@@ -647,15 +707,16 @@ def derham_truncated(
         pairs = [(max(1, K - 1), K)]
     tables = [[0] * (n + 1) for _ in pairs]
     basis_count = 0
+    lows = {lo for lo, _ in pairs}
     for tau in range(window[0], window[1] + 1):
         pieces: Dict[int, _Piece] = {}
         for table, (lo, hi) in zip(tables, pairs):
             for cut in (lo, hi):
                 if cut not in pieces:
-                    pieces[cut] = _Piece(engine, f, cut, tau)
+                    pieces[cut] = _Piece(engine, f, cut, tau, width, low=cut in lows)
             for j, h in enumerate(_persistent_dims(pieces[lo], pieces[hi])):
                 table[j] += h
-        basis_count += sum(len(b) for piece in pieces.values() for b in piece.bases)
+        basis_count += sum(len(keys) for piece in pieces.values() for keys in piece.keys)
     if basis_count == 0:
         raise EmptyComplexError(
             f"no basis elements in window {window} at cutoffs {(pairs[0][0], K)}"
@@ -667,6 +728,10 @@ def derham_truncated(
     if isinstance(engine, HypersurfaceLocalization):
         smooth = jacobian_ring_is_finite(engine.f)
     certificate = "exact" if exact else "stabilized" if stabilized else "provisional"
+    # past a failed smoothness gate agreement certifies nothing; a monomial
+    # localization, which often fails the gate, is checked by its closed form
+    if certificate == "stabilized" and smooth is False and isinstance(spec, HypersurfaceLocalization):
+        certificate = "heuristic"
 
     report = TruncationReport(
         cutoffs=(pairs[-1][0], pole_cutoff),

@@ -397,20 +397,41 @@ def graded_piece_basis(degree: int, n_vars: int) -> list:
     Listed in descending lexicographic order; the count is the stars-and-bars
     binomial.  Negative degree gives the empty list.
     """
+    return graded_piece_codes(degree, n_vars, 0)[0]
+
+
+def graded_piece_codes(degree: int, n_vars: int, width: int) -> Tuple[list, list]:
+    """``graded_piece_basis`` together with the packed code of each exponent,
+    sum_i e_i << (width * (i + 1)).
+
+    The code is linear in the exponent, so multiplying by x^a adds the code
+    of a; it is one-to-one on exponents whose entries span fewer than
+    2^width values, and leaves the lowest ``width`` bits to the caller.  The
+    codes are updated step by step while the exponents are enumerated.
+    """
     if n_vars < 0:
         raise DomainError("n_vars must be nonnegative")
-    if degree < 0:
-        return []
+    if degree < 0 or (n_vars == 0 and degree):
+        return [], []
     if n_vars == 0:
-        return [()] if degree == 0 else []
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for first in range(remaining, -1, -1):
-            rec(prefix + (first,), remaining - first, slots - 1)
-
-    rec((), degree, n_vars)
-    return out
+        return [()], [0]
+    units = [1 << (width * (i + 1)) for i in range(n_vars)]
+    last = n_vars - 1
+    e = [degree] + [0] * last
+    code = degree * units[0]
+    exps, codes = [tuple(e)], [code]
+    while True:
+        # the successor in descending lex order moves one unit from the last
+        # nonzero entry before the tail to its right, and the tail with it
+        p = last - 1
+        while p >= 0 and not e[p]:
+            p -= 1
+        if p < 0:
+            return exps, codes
+        t = e[last]
+        e[last] = 0
+        e[p] -= 1
+        e[p + 1] = t + 1
+        code += (t + 1) * units[p + 1] - t * units[last] - units[p]
+        exps.append(tuple(e))
+        codes.append(code)

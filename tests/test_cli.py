@@ -116,7 +116,27 @@ def test_derham_refuses_an_oversized_complex(capsys):
     assert time.perf_counter() - start < 1
     assert code == 2
     assert not out
-    assert "2579238 basis elements, which exceeds 120000" in err
+    assert "2579238 basis elements, which exceeds 400000" in err
+
+
+def test_derham_non_smooth_hypersurface_is_heuristic(capsys):
+    # agreement past a failed smoothness gate certifies nothing, but the run
+    # still answers; the monomial localization keeps its certificate
+    code, out, _ = run(
+        capsys, "derham", "--kind", "loc-quot", "--f", "x*y*z", "--vars", "3", "--format", "json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["dims"] == [0, 3, 3, 1]
+    assert (payload["certificate"], payload["smooth"], payload["stabilized"]) == (
+        "heuristic",
+        False,
+        True,
+    )
+    code, out, _ = run(capsys, "derham", "--kind", "loc", "--f", "x*y*z", "--vars", "3")
+    assert code == 0
+    assert "certificate: stabilized" in out
+    assert "smooth complement gate: NOT smooth" in out
 
 
 @pytest.mark.parametrize(

@@ -342,12 +342,20 @@ def test_fermat_quartic_surface_matches_prediction():
     assert report.certificate == "stabilized"
 
 
-@pytest.mark.slow
 def test_cubic_threefold_matches_prediction():
     spec = spec_from_json({"kind": "loc-quot", "f": "x0^3 + x1^3 + x2^3 + x3^3 + x4^3"})
     dims, report = derham_truncated(spec, 3)
     want = predict(BettiProfile(4, 3, (1, 0, 1, 10, 1, 0, 1))).critical_dims
     assert list(dims) == list(want) == [0, 1, 0, 0, 10, 10]
+    assert report.certificate == "stabilized"
+
+
+@pytest.mark.slow
+def test_quartic_threefold_matches_prediction():
+    spec = spec_from_json({"kind": "loc-quot", "f": "x0^4 + x1^4 + x2^4 + x3^4 + x4^4"})
+    dims, report = derham_truncated(spec, 3)
+    want = predict(BettiProfile(4, 3, (1, 0, 1, 60, 1, 0, 1))).critical_dims
+    assert list(dims) == list(want) == [0, 1, 0, 0, 60, 60]
     assert report.certificate == "stabilized"
 
 
@@ -411,6 +419,55 @@ def test_assembled_columns_match_polynomial_products(case):
         for (I, a), col in zip(incl.cols, incl.columns()):
             want = {(I, exp): c for exp, c in (MultiPoly.monomial(n, a) * f_k).terms.items()}
             assert {bases[j][r]: c for r, c in col.items()} == want
+
+
+@st.composite
+def engine_pieces(draw):
+    """A piece of any engine's complex: a random hypersurface (loc or
+    loc-quot), R, or E at a weight that gives it negative exponents in
+    several degrees, with keys as wide as a pair with the next cutoff uses."""
+    kind = draw(st.sampled_from(("hypersurface", "R", "E")))
+    cutoff = draw(st.integers(1, 3))
+    if kind == "hypersurface":
+        spec, tau = draw(hypersurfaces()), draw(st.integers(-1, 1))
+    else:
+        n = draw(st.integers(1, 3))
+        spec = PolynomialRing(n) if kind == "R" else InjectiveHull(n)
+        tau = draw(st.integers(-cutoff, 0))
+    return spec, cutoff, tau
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(engine_pieces())
+def test_piece_columns_follow_the_closed_form_at_their_keys(case):
+    spec, cutoff, tau = case
+    f = socle.derham._pole_terms(spec)
+    n = spec.ambient_vars()
+    width = socle.derham._key_width(n, f, cutoff + 1, (tau, tau))
+    piece = socle.derham._Piece(spec, f, cutoff, tau, width)
+    for j in range(n + 1):
+        labels = piece.labels(j)
+        # keys are one-to-one, and each is mask(I) + code(e)
+        assert len(set(piece.keys[j])) == len(labels)
+        for (I, e), key in zip(labels, piece.keys[j]):
+            assert key == sum(1 << i for i in I) + piece.code(e)
+            if isinstance(spec, InjectiveHull):
+                assert all(x <= -1 for x in e)
+    for j in range(n):
+        k = cutoff + j
+        label_at = dict(zip(piece.keys[j + 1], piece.labels(j + 1)))
+        labels = piece.labels(j)
+        for (I, e), col in zip(labels, piece.d_columns(j, range(len(labels)))):
+            want = {}
+            for a, c in f.items():
+                for i in range(n):
+                    factor = e[i] - k * a[i]
+                    if i in I or not factor:
+                        continue
+                    sign = -1 if sum(1 for m in I if m < i) % 2 else 1
+                    target = tuple(x + y - (m == i) for m, (x, y) in enumerate(zip(e, a)))
+                    want[(tuple(sorted(I + (i,))), target)] = sign * c * factor
+            assert {label_at[r]: c for r, c in col.items()} == want
 
 
 def plain_persistent_dims(spec, lo, hi, tau):

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from socle.linalg import (
     GradedMatrix,
     _integer_pivots,
+    _integral,
+    _reduce_into,
     eliminate_columns,
     rank_of_columns,
 )
@@ -246,3 +248,33 @@ def test_integer_pivots_under_back_substitution(case):
         assert gcd(*vec.values()) == 1
         assert vec.get(row)
         assert not any(other in vec for other in pivots if other != row)
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(columns_sharing_few_rows(), st.integers(0, 24))
+def test_reduce_into_is_echelon_resumable_and_leaves_its_input(case, split):
+    n_rows, columns = case
+    ints = [_integral(col) for col in columns]
+    before = [dict(col) for col in ints]
+    pivots = {}
+    _reduce_into(pivots, ints)
+    assert ints == before
+    want = dense_rank(to_dense(n_rows, columns))
+    assert len(pivots) == want
+    older = []
+    for row, vec in pivots.items():  # in insertion order
+        assert all(type(x) is int and x for x in vec.values())
+        assert gcd(*vec.values()) == 1
+        # the lowest row is the pivot, and no older pivot row is touched
+        assert min(vec) == row
+        assert not any(r in vec for r in older)
+        older.append(row)
+    # the echelon vectors span the input
+    basis = [{r: Fraction(x) for r, x in vec.items()} for vec in pivots.values()]
+    assert dense_rank(to_dense(n_rows, columns + basis)) == want
+    # resuming from a saved state gives the same state as one call
+    resumed = {}
+    _reduce_into(resumed, ints[:split])
+    _reduce_into(resumed, ints[split:])
+    assert list(resumed.items()) == list(pivots.items())
+    assert ints == before
