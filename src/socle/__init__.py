@@ -7,9 +7,11 @@ Four layers:
   (`GradedMatrix`), and a small text grammar for both;
 - the operator algebra: normally ordered differential operators (`WeylOp`),
   formal adjoints, and the simple module E of inverse monomials (`EElement`);
-- de Rham engines: module specs that each answer their own per-kind
-  questions, closed forms, pole-filtration truncation with a stabilization
-  certificate, rank-one connections, and the long-exact-sequence splicer;
+- de Rham engines: module specs for R, E, monomial localizations and R[1/f]
+  (optionally mod R), each answering its own per-kind questions and each a
+  pole complex; closed forms, pole-filtration truncation with a
+  stabilization certificate, the rank-one connection route
+  (`derham_rank_one`), and the long-exact-sequence splicer;
 - structure predictions: Betti-profile bookkeeping, cone homology, E-copy
   counts, simplicity and vanishing verdicts, plus the series decomposition
   along a regular operator that powers the one-variable reductions.
@@ -43,12 +45,10 @@ from .weyl import (
 )
 from .derham import (
     DeRhamDims,
-    DirectSum,
     HypersurfaceLocalization,
     InjectiveHull,
     MonomialLocalization,
     PolynomialRing,
-    RankOneConnection,
     TruncationReport,
     ambient_vars,
     completion_flattening,
@@ -116,8 +116,6 @@ __all__ = [
     "InjectiveHull",
     "MonomialLocalization",
     "HypersurfaceLocalization",
-    "RankOneConnection",
-    "DirectSum",
     "spec_to_json",
     "spec_from_json",
     "ambient_vars",

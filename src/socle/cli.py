@@ -21,7 +21,6 @@ from typing import List, Optional
 
 from .catalog import HYPERSURFACES, PROFILES
 from .derham import (
-    HypersurfaceLocalization,
     ambient_vars,
     completion_flattening,
     derham_closed_form,
@@ -59,8 +58,10 @@ EXIT_UNSTABLE = 3
 #: largest precision and tracked x-window of ``decompose`` (one variable: 0.5 s)
 DECOMPOSE_MAX = 10_000
 #: largest estimated sweep size of ``decompose``: the tracked x-window times
-#: the square of the number of B-monomials below the precision (about 4 s)
-DECOMPOSE_SIZE_MAX = 100_000
+#: the number of pairs of B-monomials whose degrees sum below the precision
+#: (the costliest inputs measured at the bound take about 3.5 s with one
+#: B-variable, 0.4 s with two and 0.15 s with three; 2-core x86-64, Python 3.11)
+DECOMPOSE_SIZE_MAX = 52_000
 
 #: largest weight-0 basis of the top complex of ``derham`` (see
 #: ``_basis_size``); the Fermat quartic threefold at cutoff 3 has 354690 and
@@ -218,10 +219,9 @@ def cmd_predict(args) -> int:
 
 def _basis_size(spec, cutoff: int) -> int:
     """Size of the weight-0 basis at the cutoff, in closed form: the sum over
-    j of C(n, j) * C(kD - j + n - 1, n - 1) with k = cutoff + j, D = deg f
-    (D = 0 counts the one element of R and of E)."""
-    engine = spec.engine()
-    D = engine.f.homogeneous_degree() if isinstance(engine, HypersurfaceLocalization) else 0
+    j of C(n, j) * C(kD - j + n - 1, n - 1) with k = cutoff + j, D = deg of the
+    pole polynomial (D = 0 counts the one element of R and of E)."""
+    D = sum(next(iter(spec.pole_terms())))
     n = ambient_vars(spec)
     degrees = [(j, (cutoff + j) * D - j) for j in range(n + 1)]
     return sum(comb(n, j) * comb(deg + n - 1, n - 1) for j, deg in degrees if n and deg >= 0)
@@ -251,7 +251,7 @@ def cmd_derham(args) -> int:
         if f_text is None:
             raise _InputError("rank-one connections need --f with the connection polynomial")
         p = parse_poly(f_text, 1)
-        # the default adapts to deg p the way derham_truncated does
+        # the default adapts to deg p: derham_rank_one needs at least deg p + 3
         default = max(12, int(max(p.degree(), 0)) + 3)
         precision = args.prec if args.prec is not None else default
         dims = derham_rank_one(p, precision=precision)
@@ -345,13 +345,14 @@ def cmd_decompose(args) -> int:
     window = x_window(op, analyze_operator(op, root_limit=DECOMPOSE_MAX).t, f, precision)
     if max(precision, window) > DECOMPOSE_MAX:
         raise _InputError(f"precision {precision} or tracked x-window {window} exceeds {DECOMPOSE_MAX}")
-    # each tracked x-power holds a B-series of up to `terms` terms, and a
-    # product of two such series pairs up to terms^2 of them
-    terms = comb(precision - 1 + n - 1, n - 1)
-    if window * terms**2 > DECOMPOSE_SIZE_MAX:
+    # each tracked x-power holds a B-series below m_B^K in m = n - 1
+    # variables, and a product of two such series pairs up only the terms
+    # whose degrees sum below K: C(K - 1 + 2m, 2m) pairs
+    pairs = comb(precision - 1 + 2 * (n - 1), 2 * (n - 1))
+    if window * pairs > DECOMPOSE_SIZE_MAX:
         raise _InputError(
-            f"tracked x-window {window} times {terms}^2 B-monomials below m_B^{precision} "
-            f"exceeds {DECOMPOSE_SIZE_MAX}"
+            f"tracked x-window {window} times {pairs} pairs of B-monomials below "
+            f"m_B^{precision} exceeds {DECOMPOSE_SIZE_MAX}"
         )
     dec = decompose(f, op, precision)
     a = dec.analysis

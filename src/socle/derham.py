@@ -3,7 +3,7 @@
 Two independent routes are provided and cross-checked in the test suite:
 
 * closed forms, where a formula is known (polynomial ring, injective hull of
-  the origin, localization at a squarefree monomial, direct sums);
+  the origin, localization at a squarefree monomial);
 * a truncated complex engine that assembles the actual graded pieces of the
   de Rham complex and computes ranks with exact fraction-free elimination
   over the integers.
@@ -43,7 +43,8 @@ Pole-complex entries are written from their closed form, with no polynomial
 products: for g = x^e and f = sum_a c_a x^a the numerator of d(g/f^k) in
 direction i is f dg/dx_i - k g df/dx_i = sum_a c_a (e_i - k a_i) x^(e+a-1_i),
 and distinct terms of f land on distinct monomials.  The polynomial ring is
-the pole complex of f = 1, and E the same on negative exponents.
+the pole complex of f = 1, and E the same on negative exponents: every
+spec gives its f (``ModuleSpec.pole_terms``).
 """
 
 from __future__ import annotations
@@ -63,8 +64,8 @@ from .errors import (
     UnsupportedSpecError,
 )
 from .grammar import parse_poly
-from .linalg import GradedMatrix, _content_free, _integral, _reduce_into, rank_of_columns
-from .poly import MultiPoly, graded_piece_basis, graded_piece_codes
+from .linalg import GradedMatrix, _content_free, _reduce_into, rank_of_columns
+from .poly import MultiPoly, _accumulate, _scaled, graded_piece_basis, graded_piece_codes
 from .series import TruncatedSeries
 
 
@@ -167,6 +168,12 @@ class ModuleSpec:
         so one pass is exact and no second cutoff is compared."""
         return False
 
+    def pole_terms(self) -> Dict[Tuple[int, ...], Fraction]:
+        """The pole polynomial f as {exponent: coefficient}.  Every spec is a
+        pole complex: R that of the constant 1, and E the same on negative
+        exponents, with a basis rule of its own (``_Piece``)."""
+        return {(0,) * self.ambient_vars(): Fraction(1)}
+
 
 def _check_vars(n_vars: int) -> None:
     if n_vars < 0:
@@ -241,6 +248,9 @@ class MonomialLocalization(ModuleSpec):
             return PolynomialRing(self.n_vars)
         return HypersurfaceLocalization(self.product())
 
+    def pole_terms(self) -> Dict[Tuple[int, ...], Fraction]:
+        return self.product().terms
+
 
 @dataclass(eq=False, frozen=True)
 class HypersurfaceLocalization(ModuleSpec):
@@ -260,46 +270,8 @@ class HypersurfaceLocalization(ModuleSpec):
     def ambient_vars(self) -> int:
         return self.f.n_vars
 
-
-@dataclass(eq=False, frozen=True)
-class RankOneConnection(ModuleSpec):
-    """k[x] with the twisted derivation a -> a' + a*p."""
-
-    p: MultiPoly
-
-    def __post_init__(self):
-        if self.p.n_vars != 1:
-            raise DomainError("rank-one connections are one-variable objects")
-
-    def to_json(self) -> dict:
-        return {"kind": "rank-one", "f": self.p.render(), "vars": 1}
-
-    def ambient_vars(self) -> int:
-        return 1
-
-
-@dataclass(eq=False, frozen=True)
-class DirectSum(ModuleSpec):
-    parts: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if not self.parts:
-            raise DomainError("direct sum needs at least one part")
-
-    def to_json(self) -> dict:
-        return {"kind": "sum", "parts": [p.to_json() for p in self.parts]}
-
-    def ambient_vars(self) -> int:
-        sizes = {p.ambient_vars() for p in self.parts}
-        if len(sizes) != 1:
-            raise DimensionMismatch("direct sum parts live over different variable counts")
-        return sizes.pop()
-
-    def closed_form(self) -> DeRhamDims:
-        parts = [p.closed_form() for p in self.parts]
-        n = self.ambient_vars()
-        return DeRhamDims(tuple(sum(p[j] for p in parts) for j in range(n + 1)))
+    def pole_terms(self) -> Dict[Tuple[int, ...], Fraction]:
+        return self.f.terms
 
 
 def _known(spec) -> ModuleSpec:
@@ -337,10 +309,6 @@ def spec_from_json(data: dict) -> ModuleSpec:
             if s is not None:
                 return MonomialLocalization(f.n_vars, s)
         return HypersurfaceLocalization(f, quotient_mod_A=(kind == "loc-quot"))
-    if kind == "rank-one":
-        return RankOneConnection(parse_poly(data["f"], 1))
-    if kind == "sum":
-        return DirectSum(tuple(spec_from_json(p) for p in data["parts"]))
     raise UnsupportedSpecError(f"unknown module kind {kind!r}")
 
 
@@ -352,7 +320,7 @@ def ambient_vars(spec: ModuleSpec) -> int:
 
 
 def derham_closed_form(spec: ModuleSpec) -> DeRhamDims:
-    """Known-answer route: R, E, monomial localizations, and direct sums."""
+    """Known-answer route: R, E and monomial localizations."""
     return _known(spec).closed_form()
 
 
@@ -361,21 +329,6 @@ def derham_closed_form(spec: ModuleSpec) -> DeRhamDims:
 
 def _wedge_sign(i: int, index_set: Tuple[int, ...]) -> int:
     return -1 if sum(1 for k in index_set if k < i) % 2 else 1
-
-
-def _pole_terms(spec: ModuleSpec) -> Dict[Tuple[int, ...], Fraction]:
-    """f as {exponent: coefficient} for an engine spec.
-
-    R is the pole complex of f = 1, and E the pole complex of 1 on negative
-    exponents, with a basis rule of its own (``_Piece``).
-    """
-    if isinstance(spec, HypersurfaceLocalization):
-        return spec.f.terms
-    if isinstance(spec, (PolynomialRing, InjectiveHull)):
-        return {(0,) * spec.n_vars: Fraction(1)}
-    raise UnsupportedSpecError(
-        f"the truncation engine does not assemble {type(spec).__name__}"
-    )
 
 
 def _key_width(n: int, f, cutoff: int, window: Tuple[int, int]) -> int:
@@ -482,21 +435,22 @@ class _Piece:
             cols.append(col)
         return cols
 
-    def a_columns(self, j: int) -> Tuple[list, List[dict]]:
-        """Labels and columns of the polynomial j-forms x^a dx_I = x^a f^k dx_I / f^k
-        (quotient mode; none otherwise)."""
+    def a_columns(self, j: int) -> List[dict]:
+        """Columns of the polynomial j-forms x^a dx_I = x^a f^k dx_I / f^k, I then
+        a in basis order (quotient mode; none otherwise)."""
         if not self.quotient or j > self.n:
-            return [], []
+            return []
         n = self.n
-        exps, codes = graded_piece_codes(self.tau - j, n, self.width)
-        if not exps:
-            return [], []
-        f_k = (MultiPoly(n, self.f) ** (self.cutoff + j)).terms
-        f_k = [(self.code(exp), c) for exp, c in f_k.items()]
-        sets = list(combinations(range(n), j))
-        return [(I, a) for I in sets for a in exps], [
+        codes = graded_piece_codes(self.tau - j, n, self.width)[1]
+        if not codes:
+            return []
+        f_k = {(0,) * n: 1}
+        for _ in range(self.cutoff + j):
+            f_k = _accumulate(f_k, self.f)
+        f_k = [(self.code(exp), c) for exp, c in f_k.items() if c]
+        return [
             {mask + code + shift: c for shift, c in f_k}
-            for mask in map(_mask, sets)
+            for mask in map(_mask, combinations(range(n), j))
             for code in codes
         ]
 
@@ -511,7 +465,7 @@ class _Piece:
         _reduce_into(pivots, self.d_kept(j - 1) if j else ())
         if not self.low:
             self.dcols.pop(j - 1, None)
-        _reduce_into(pivots, map(_integral, self.a_columns(j)[1]))
+        _reduce_into(pivots, self.a_columns(j))
         self.ranks.append(len(pivots))
         self.kept.append([i for i, key in enumerate(self.keys[j]) if key not in pivots])
         self.live = (j, pivots)
@@ -556,7 +510,7 @@ def assemble_complex(spec: ModuleSpec, cutoff: int, tau: int):
     The rank path builds the same columns through ``_Piece``.
     """
     spec = spec.engine()
-    f = _pole_terms(spec)
+    f = spec.pole_terms()
     n = spec.ambient_vars()
     piece = _Piece(spec, f, cutoff, tau, _key_width(n, f, cutoff, (tau, tau)))
     bases = [piece.labels(j) for j in range(n + 1)]
@@ -573,7 +527,11 @@ def assemble_complex(spec: ModuleSpec, cutoff: int, tau: int):
     ]
     incls = None
     if piece.quotient:
-        incls = [matrix(j, *piece.a_columns(j)) for j in range(n + 1)]
+        incls = []
+        for j in range(n + 1):
+            exps = graded_piece_basis(tau - j, n)
+            labels = [(I, a) for I in combinations(range(n), j) for a in exps]
+            incls.append(matrix(j, labels, piece.a_columns(j)))
     return bases, diffs, incls
 
 
@@ -608,7 +566,7 @@ def _persistent_dims(lo: _Piece, hi: _Piece) -> List[int]:
         pivots = hi.take(j)
         bottom, top = len(pivots), lo.rank(j + 1)
         keys = lo.keys[j]
-        cols = list(map(_integral, lo.a_columns(j + 1)[1]))
+        cols = lo.a_columns(j + 1)
         for idx, d in zip(lo.kept[j], lo.d_kept(j)):
             key = keys[idx]
             col = {key + shift: c for shift, c in shifts}
@@ -666,21 +624,6 @@ def derham_truncated(
     """
     if pole_cutoff < 1:
         raise DomainError("pole cutoff must be at least 1")
-    if isinstance(spec, DirectSum):
-        raise UnsupportedSpecError("run the truncation engine on the summands instead")
-    if isinstance(spec, RankOneConnection):
-        precision = max(pole_cutoff, int(max(spec.p.degree(), 0)) + 3)
-        dims = derham_rank_one(spec.p, precision)
-        report = TruncationReport(
-            cutoffs=(precision, precision),
-            window=(0, 0),
-            dims_low=dims.dims,
-            dims_high=dims.dims,
-            stabilized=True,
-            certificate="exact",
-        )
-        return dims, report
-
     window = tuple(degree_window) if degree_window is not None else (0, 0)
     if window[0] > window[1]:
         raise DomainError("degree window must be nondecreasing")
@@ -689,7 +632,7 @@ def derham_truncated(
     engine = spec.engine()
     # every column scales by a unit under f -> c f, so f's primitive integer
     # multiple gives the same ranks with int columns throughout
-    f = _content_free(_integral(_pole_terms(engine)))
+    f = _content_free(_scaled(engine.pole_terms())[0])
     # ranks of the maps H(F_{K-2}) -> H(F_{K-1}) -> H(F_K); agreement of the
     # two persistent tables is the stabilization signal.  A cutoff-free
     # complex needs one pair, lo = hi = K: the map is the identity, so the

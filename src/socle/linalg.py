@@ -21,11 +21,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd
 from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
 from .errors import DimensionMismatch
+from .poly import _scaled
 
+#: {row: entry}, zero entries never stored (as ``GradedMatrix.columns`` gives)
 SparseColumn = Dict[int, Fraction]
 
 
@@ -114,16 +116,11 @@ def _integer_pivots(columns: Iterable[SparseColumn]) -> Dict[int, Dict[int, int]
     then, so no step adds a pivot-row entry.
     """
     echelon: Dict[int, Dict[int, int]] = {}
-    _reduce_into(echelon, map(_integral, columns))
+    _reduce_into(echelon, (_scaled(col)[0] for col in columns))
     pivots: Dict[int, Dict[int, int]] = {}
     for pr in sorted(echelon, reverse=True):
         pivots[pr] = _content_free(_reduce_column(pivots, echelon[pr]))
     return pivots
-
-
-def _integral(col: SparseColumn) -> Dict[int, int]:
-    den = lcm(*(c.denominator for c in col.values()))
-    return {r: c.numerator * (den // c.denominator) for r, c in col.items() if c}
 
 
 def _reduce_into(pivots: Dict[int, Dict[int, int]], columns: Iterable[Dict[int, int]]) -> None:
@@ -217,5 +214,5 @@ def eliminate_columns(columns: Iterable[SparseColumn]) -> Dict[int, SparseColumn
 
 def rank_of_columns(columns: Iterable[SparseColumn]) -> int:
     pivots: Dict[int, Dict[int, int]] = {}
-    _reduce_into(pivots, map(_integral, columns))
+    _reduce_into(pivots, (_scaled(col)[0] for col in columns))
     return len(pivots)

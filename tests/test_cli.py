@@ -280,20 +280,29 @@ SWEEP_CASE = ("--p", "(x+y)*d0^2+y*d0+3", "--f", "x^8*y^3+x^2*y")
 
 
 def test_decompose_refuses_a_large_sweep(capsys):
-    # window 90 times 80^2 B-monomials is far past the bound; unrefused,
-    # this input runs for minutes
+    # window 90 times C(81, 2) pairs of B-monomials is far past the bound;
+    # unrefused, this input runs for minutes
     start = time.perf_counter()
     code, out, err = run(capsys, "decompose", *SWEEP_CASE, "--prec", "80")
     assert time.perf_counter() - start < 1
     assert code == 2
     assert not out
-    assert "exceeds 100000" in err
+    assert "exceeds 52000" in err
 
 
 def test_decompose_accepts_a_small_sweep(capsys):
     code, out, _ = run(capsys, "decompose", *SWEEP_CASE, "--prec", "20", "--format", "json")
     assert code == 0
     assert json.loads(out)["x_window"] == 30
+
+
+def test_decompose_accepts_a_sweep_in_two_b_variables(capsys):
+    # window 22 times C(15, 4) = 1365 pairs: 30030, inside the bound; the
+    # square of the 78 B-monomials (133848) refused it
+    p, f = "(x0+x1+x2)*d0^2 + (x1+x2)*d0 + 3", "x0^8*x1^3 + x0^2*x2"
+    code, out, _ = run(capsys, "decompose", "--p", p, "--f", f, "--prec", "12", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["x_window"] == 22
 
 
 @pytest.mark.parametrize(

@@ -17,12 +17,10 @@ from socle.errors import (
 )
 from socle.derham import (
     DeRhamDims,
-    DirectSum,
     HypersurfaceLocalization,
     InjectiveHull,
     MonomialLocalization,
     PolynomialRing,
-    RankOneConnection,
     ambient_vars,
     assemble_complex,
     completion_flattening,
@@ -60,11 +58,6 @@ def test_closed_form_monomial_binomials():
                 spec = MonomialLocalization(n, frozenset(subset))
                 dims = list(derham_closed_form(spec))
                 assert dims == [math.comb(size, j) for j in range(n + 1)]
-
-
-def test_closed_form_direct_sum_is_additive():
-    ds = DirectSum((InjectiveHull(2), PolynomialRing(2), InjectiveHull(2)))
-    assert list(derham_closed_form(ds)) == [1, 0, 2]
 
 
 def test_truncated_engine_matches_closed_forms():
@@ -192,11 +185,6 @@ def test_empty_window_raises():
         derham_truncated(InjectiveHull(1), 3, degree_window=(4, 4))
 
 
-def test_direct_sum_rejected_by_truncation_engine():
-    with pytest.raises(UnsupportedSpecError):
-        derham_truncated(DirectSum((PolynomialRing(1),)), 4)
-
-
 def test_les_splice_frozen():
     dims = les_splice([1, 0], [1, 1], [0, 0])
     assert list(dims) == [0, 1]
@@ -256,8 +244,6 @@ def test_spec_json_round_trip():
         InjectiveHull(3),
         MonomialLocalization(3, frozenset({0, 2})),
         spec_from_json({"kind": "loc-quot", "f": "x^3 + y^3 + z^3"}),
-        RankOneConnection(parse_poly("x^2", 1)),
-        DirectSum((PolynomialRing(1), InjectiveHull(1))),
     ]
     for spec in specs:
         # specs with polynomial fields deliberately skip __eq__; the JSON
@@ -265,9 +251,11 @@ def test_spec_json_round_trip():
         assert spec_to_json(spec_from_json(spec_to_json(spec))) == spec_to_json(spec)
 
 
-def test_unknown_kind_rejected():
+@pytest.mark.parametrize("kind", ["mystery", "rank-one", "sum"])
+def test_unknown_kind_rejected(kind):
+    # rank-one connections run through derham_rank_one, not a module spec
     with pytest.raises(UnsupportedSpecError):
-        spec_from_json({"kind": "mystery"})
+        spec_from_json({"kind": kind, "f": "x^2", "parts": []})
 
 
 def test_derham_dims_hash_agrees_with_tuple_equality():
@@ -441,7 +429,7 @@ def engine_pieces(draw):
 @given(engine_pieces())
 def test_piece_columns_follow_the_closed_form_at_their_keys(case):
     spec, cutoff, tau = case
-    f = socle.derham._pole_terms(spec)
+    f = spec.pole_terms()
     n = spec.ambient_vars()
     width = socle.derham._key_width(n, f, cutoff + 1, (tau, tau))
     piece = socle.derham._Piece(spec, f, cutoff, tau, width)
@@ -478,14 +466,11 @@ def plain_persistent_dims(spec, lo, hi, tau):
     chain map F_lo -> F_hi that multiplies numerators by f.  Returns the
     table and the basis count of both complexes.
     """
-    engine = spec.engine()
     bases_lo, diffs_lo, _ = assemble_complex(spec, lo, tau)
     bases_hi, diffs_hi, incls = assemble_complex(spec, hi, tau)
     n = len(bases_lo) - 1
-    if lo < hi and isinstance(engine, HypersurfaceLocalization):
-        f = engine.f.terms
-    else:  # the nested bases of R and E, or one complex twice
-        f = {(0,) * n: 1}
+    # i multiplies numerators by f (1 for R and E), the identity at lo = hi
+    f = spec.pole_terms() if lo < hi else {(0,) * n: 1}
     iotas = []
     for j in range(n + 1):
         index = {label: r for r, label in enumerate(bases_hi[j])}

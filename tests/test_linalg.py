@@ -9,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 from socle.linalg import (
     GradedMatrix,
     _integer_pivots,
-    _integral,
     _reduce_into,
     eliminate_columns,
     rank_of_columns,
 )
+from socle.poly import _scaled
 
 
 def dense_rank(rows):
@@ -254,7 +254,7 @@ def test_integer_pivots_under_back_substitution(case):
 @given(columns_sharing_few_rows(), st.integers(0, 24))
 def test_reduce_into_is_echelon_resumable_and_leaves_its_input(case, split):
     n_rows, columns = case
-    ints = [_integral(col) for col in columns]
+    ints = [_scaled(col)[0] for col in columns]
     before = [dict(col) for col in ints]
     pivots = {}
     _reduce_into(pivots, ints)
