@@ -59,8 +59,8 @@ EXIT_UNSTABLE = 3
 DECOMPOSE_MAX = 10_000
 #: largest estimated sweep size of ``decompose``: the tracked x-window times
 #: the number of pairs of B-monomials whose degrees sum below the precision
-#: (the costliest inputs measured at the bound take about 3.5 s with one
-#: B-variable, 0.4 s with two and 0.15 s with three; 2-core x86-64, Python 3.11)
+#: (the costliest inputs measured at the bound take about 2 s with one
+#: B-variable, 0.25 s with two and 0.07 s with three; 2-core x86-64, Python 3.11)
 DECOMPOSE_SIZE_MAX = 52_000
 
 #: largest weight-0 basis of the top complex of ``derham`` (see
@@ -342,6 +342,14 @@ def cmd_decompose(args) -> int:
     precision = args.prec if args.prec is not None else 6
     if precision < 1:
         raise _InputError("--prec must be at least 1")
+    # the indicial polynomial costs about r(r+1)/2 coefficient steps, before
+    # the root bound can refuse it
+    r = op.order
+    if r * (r + 1) // 2 > DECOMPOSE_SIZE_MAX:
+        raise _InputError(
+            f"operator order {r} needs {r * (r + 1) // 2} indicial steps, "
+            f"which exceeds {DECOMPOSE_SIZE_MAX}"
+        )
     window = x_window(op, analyze_operator(op, root_limit=DECOMPOSE_MAX).t, f, precision)
     if max(precision, window) > DECOMPOSE_MAX:
         raise _InputError(f"precision {precision} or tracked x-window {window} exceeds {DECOMPOSE_MAX}")

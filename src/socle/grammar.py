@@ -6,12 +6,15 @@ Accepted tokens: integer and rational literals (``3``, ``3/2``), variables
 multiplies (``2x``, ``x d0``), and in the operator algebra multiplication is
 composition, so ``d0 x0`` normal-orders to ``x0 d0 + 1``.
 
-Parse errors carry the 1-based byte offset of the offending input.
+Parse errors carry the 1-based byte offset of the offending input.  A power
+whose expansion would take more than about a second (``POWER_WORK_MAX``) is a
+parse error at its exponent, before it is expanded.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, prod
 from typing import List, NamedTuple, Optional
 
 from .errors import ParseError
@@ -19,6 +22,51 @@ from .poly import MultiPoly
 from .weyl import WeylOp
 
 _ALIASES = {"x": 0, "y": 1, "z": 2, "w": 3}
+
+#: largest estimated work of one power (``_power_work``); with integer
+#: coefficients the inputs at the bound parse in 0.7-1.1 s: (x+y)^805,
+#: (x+y+z)^58, (x+y+z+w)^25, (x0+...+x9)^7 and (x0*d0)^117 (rational
+#: coefficients, (5/7*x+11/3*y)^805: 2.5 s); 2-core x86-64, Python 3.11
+POWER_WORK_MAX = 250_000
+
+
+def _power_work(base: WeylOp, e: int) -> int:
+    """An estimate of the term products that ``base ** e`` forms.
+
+    A power base^j of a base with k terms has at most C(j+k-1, k-1) terms
+    when its variables commute.  Each variable i whose x_i and d_i both
+    occur, at most X_i and D_i times in a term, multiplies that by the
+    j*min(X_i, D_i) + 1 lower terms that normal ordering adds, and turns each
+    pair of terms of a product base^a * base^b into up to
+    min(a*D_i, b*X_i) + 1 terms.  The work is the sum, over the products that
+    binary powering (``poly._power``) forms, of the terms of both factors
+    times the terms that one pair of them expands to.
+    """
+    k = max(len(base.terms), 1)
+    xs, ds = [xe for xe, _ in base.terms], [de for _, de in base.terms]
+    degrees = [
+        (max((e[i] for e in xs), default=0), max((e[i] for e in ds), default=0))
+        for i in range(base.n_vars)
+    ]
+    both = [(x, d) for x, d in degrees if x and d]
+
+    def terms(j: int) -> int:
+        return comb(j + k - 1, k - 1) * prod(j * min(x, d) + 1 for x, d in both)
+
+    def pairs(a: int, b: int) -> int:
+        return terms(a) * terms(b) * prod(min(a * d, b * x) + 1 for x, d in both)
+
+    work, done, step = 0, 0, 1
+    while e:
+        if e & 1:
+            if done:
+                work += pairs(done, step)
+            done += step
+        if e > 1:
+            work += pairs(step, step)
+            step *= 2
+        e >>= 1
+    return work
 
 
 class _Token(NamedTuple):
@@ -155,7 +203,15 @@ class _Parser:
                 etok = self.advance()
                 if etok.kind != "NUM" or etok.value.denominator != 1 or etok.value < 0:
                     raise ParseError("exponent must be a nonnegative integer", etok.offset)
-                value = value ** int(etok.value)
+                e = int(etok.value)
+                work = _power_work(value, e)
+                if work > POWER_WORK_MAX:
+                    raise ParseError(
+                        f"power {e} of a {len(value.terms)}-term base needs about {work} "
+                        f"term products, which exceeds {POWER_WORK_MAX}",
+                        etok.offset,
+                    )
+                value = value**e
             else:
                 break
         return value * sign if sign < 0 else value

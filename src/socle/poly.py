@@ -12,7 +12,9 @@ fraction-free: each factor's terms are scaled to integers by the lcm of
 their denominators (``_scaled``), multiplied and accumulated as plain ints
 (``_accumulate``, which the series inverse, the sweep of
 :mod:`socle.seriesdecomp` and the operator action of :mod:`socle.weyl` call
-directly), and each surviving term is divided once by the denominator.
+directly), and each surviving term is divided once by the denominator.  The
+sweep's keys are packed ints, whose products ``_accumulate`` forms by one
+int addition each, truncated by their degree digit.
 Results of this internal arithmetic are built by ``_trusted`` constructors
 that skip re-validation, since their terms are valid by construction; the
 public constructors keep every check.
@@ -63,20 +65,36 @@ def _accumulate(
     expand: Callable[[Hashable, Hashable], Iterable[Tuple[Hashable, int]]] | None = None,
     below: int | None = None,
     acc: Dict[Hashable, int] | None = None,
+    shift: int | None = None,
 ) -> Dict[Hashable, int]:
     """The int terms of the product ``lhs * rhs`` of two int term dicts; a
     term may cancel to 0 and is then still listed.
 
     With ``expand`` None the keys are exponent tuples that add: the right
     factor is bucketed by total degree once, and with ``below`` every bucket
-    whose products would reach total degree ``below`` is skipped.  Otherwise
-    ``expand(k1, k2)`` lists the (key, int weight) terms a pair of keys
-    combines to, such as a normal-ordered operator product.  With ``acc``
-    the terms are added into that dict, which is returned.
+    whose products would reach total degree ``below`` is skipped.  With
+    ``shift`` (and ``below``) the keys are instead packed ints that add, with
+    the total degree in the digit from bit ``shift`` up and digits below it
+    that never carry; such keys order by degree first, so the right factor is
+    sorted once and each row stops at the first key whose product reaches
+    total degree ``below``.
+    Otherwise ``expand(k1, k2)`` lists the (key, int weight) terms a pair of
+    keys combines to, such as a normal-ordered operator product.  With
+    ``acc`` the terms are added into that dict, which is returned.
     """
     acc = {} if acc is None else acc
     get = acc.get
-    if expand is None:
+    if shift is not None:
+        ordered = sorted(rhs.items())
+        cap = below << shift
+        for k1, v1 in lhs.items():
+            room = cap - k1
+            for k2, v2 in ordered:
+                if k2 >= room:
+                    break
+                k = k1 + k2
+                acc[k] = get(k, 0) + v1 * v2
+    elif expand is None:
         buckets: Dict[int, list] = {}
         for e2, v2 in rhs.items():
             buckets.setdefault(sum(e2), []).append((e2, v2))

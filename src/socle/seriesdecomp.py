@@ -23,15 +23,22 @@ order of m_B (that is the band condition), so after K sweeps the residual
 vanishes identically at precision K.  Unit-coefficient spill upward is
 cancelled later within the same sweep.
 
-The sweep is fraction-free (Bareiss, Math. Comp. 1968).  Every residual
-position, e-part and b-part is held as int numerators over one denominator,
-with zeros dropped and the common gcd divided out.  Every generator the
-sweep can touch has its expansion conditions checked up front; its column
-and pivot inverse are scaled to integers once, when the sweep first reaches
-it.  Each product is accumulated as ints truncated below K by the kernel of
-:mod:`socle.poly` and merged over the lcm of the two denominators.
-``Fraction`` terms are built only once per e-part and b-part, when the
-result is handed out.
+The sweep is fraction-free (Bareiss, Math. Comp. 1968).  A B-series is
+held as int numerators over one denominator, keyed by packed ints: the
+total degree in the top digit, the B-exponents below it (``_pack``).  A
+product of two keys is then one int addition, the truncation below K reads
+the degree digit, and the least key carries the valuation.  Keys are packed
+once, when f's slices, the columns and the pivot inverses come in, and
+unpacked once, when the e- and b-series go out as ``Fraction`` terms.
+Every generator the sweep can touch has its expansion conditions checked up
+front; its column, pivot and pivot inverse are scaled to integers once, when
+the sweep first reaches it.  Each product is accumulated by the int kernel
+of :mod:`socle.poly` and left as a pending piece at its x-position; the
+pieces of a position are summed once, over the lcm of their denominators,
+when the sweep visits it, and the e- and b-parts once at the end.  The sum
+is made primitive (zeros dropped, gcd 1, denominator positive), so every
+value the sweep reads has one canonical form.  The pivot cancellation is
+checked exactly, by cross-multiplication of gamma and delta times the pivot.
 """
 
 from __future__ import annotations
@@ -116,17 +123,6 @@ class OperatorAnalysis:
         return acc
 
 
-def _falling_poly(i: int) -> List[Fraction]:
-    """Coefficients of l(l-1)...(l-i+1), ascending."""
-    coeffs = [Fraction(1)]
-    for k in range(i):
-        shifted = [Fraction(0)] + coeffs  # multiply by l
-        for idx, c in enumerate(coeffs):
-            shifted[idx] -= k * c  # minus k times
-        coeffs = shifted
-    return coeffs
-
-
 def _integer_roots(coeffs: Sequence[Fraction], limit: Optional[int] = None) -> List[int]:
     """Nonnegative integer roots of a rational polynomial, by bounded scan;
     a scan bound above ``limit`` raises DomainError before the scan."""
@@ -169,15 +165,19 @@ def analyze_operator(p: RegularOperator, root_limit: Optional[int] = None) -> Op
     lambdas = tuple(
         sl.get(t, MultiPoly.zero(p.n_vars)).constant_term() for sl in shifted_slices
     )
-    g = [Fraction(0)]
-    for i, lam in enumerate(lambdas):
-        if not lam:
-            continue
-        fp = _falling_poly(i)
-        if len(g) < len(fp):
-            g += [Fraction(0)] * (len(fp) - len(g))
-        for idx, c in enumerate(fp):
-            g[idx] += lam * c
+    # g = sum_i lambda_i l(l-1)...(l-i+1); each falling factorial, as int
+    # coefficients ascending, is the previous one times (l - i + 1)
+    top = max((i for i, lam in enumerate(lambdas) if lam), default=0)
+    g = [Fraction(0)] * (top + 1)
+    falling = [1]
+    for i, lam in enumerate(lambdas[: top + 1]):
+        if i:
+            falling = [0] + falling
+            for idx in range(i):
+                falling[idx] -= (i - 1) * falling[idx + 1]
+        if lam:
+            for idx, c in enumerate(falling):
+                g[idx] += lam * c
     if not any(g):
         raise InternalCheckError("indicial polynomial vanished; lambdas cannot all be zero")
     roots = _integer_roots(g, root_limit)
@@ -254,11 +254,34 @@ def x_window(p: RegularOperator, t: int, f: MultiPoly, precision: int) -> int:
 # ------------------------------------------------------------- decomposition
 
 # The sweep holds a truncated B-series as a pair (nums, den): int numerators
-# keyed by exponent over one positive denominator, as ``poly._scaled`` gives.
-_Scaled = Tuple[Dict[Tuple[int, ...], int], int]
+# over one positive denominator, as ``poly._scaled`` gives, keyed by packed
+# B-monomials (``_pack``).
+_Scaled = Tuple[Dict[int, int], int]
 
 
-def _primitive(nums: Dict[Tuple[int, ...], int], den: int) -> _Scaled:
+def _pack(exp: Tuple[int, ...], width: int) -> int:
+    """The packed key of a B-monomial: the exponents of variables 1..m in
+    digits of ``width`` bits, lowest first, and the total degree in the digit
+    above them, from bit ``width * m`` up.  ``exp[0]``, the power of the
+    distinguished variable, is 0 and not stored.
+
+    Keys add as exponents do while no digit reaches 2^width; below precision
+    K with width ``(2K).bit_length()`` the digits of a product of two keys
+    stay under 2K.  Keys order by total degree first, so ``min(keys) >>
+    (width * m)`` is the valuation."""
+    key = sum(exp) << (width * (len(exp) - 1))
+    for i, e in enumerate(exp[1:]):
+        key += e << (width * i)
+    return key
+
+
+def _unpack(key: int, width: int, n_vars: int) -> Tuple[int, ...]:
+    """The exponent tuple of a key ``_pack`` made, over ``n_vars`` variables."""
+    mask = (1 << width) - 1
+    return (0,) + tuple((key >> (width * i)) & mask for i in range(n_vars - 1))
+
+
+def _primitive(nums: Dict[int, int], den: int) -> _Scaled:
     """(nums, den) with zero numerators dropped and the gcd of the rest and
     den divided out, so that the integers stay small."""
     nums = {e: v for e, v in nums.items() if v}
@@ -268,15 +291,18 @@ def _primitive(nums: Dict[Tuple[int, ...], int], den: int) -> _Scaled:
     return {e: v // g for e, v in nums.items()}, den // g
 
 
-def _merge(a: _Scaled, b: _Scaled, sign: int) -> _Scaled:
-    """a + sign * b, over the lcm of the two denominators."""
-    (a_nums, a_den), (b_nums, b_den) = a, b
-    den = math.lcm(a_den, b_den)
-    a_scale, b_scale = den // a_den, sign * (den // b_den)
-    out = {e: v * a_scale for e, v in a_nums.items()}
+def _merge(pieces: Sequence[_Scaled]) -> _Scaled:
+    """The sum of the pieces, over the lcm of their denominators, made
+    primitive: one canonical pair (den > 0, gcd 1) for each sum of values."""
+    if len(pieces) == 1:
+        return _primitive(*pieces[0])
+    den = math.lcm(*(d for _, d in pieces))
+    out: Dict[int, int] = {}
     get = out.get
-    for e, v in b_nums.items():
-        out[e] = get(e, 0) + v * b_scale
+    for nums, d in pieces:
+        scale = den // d
+        for e, v in nums.items():
+            out[e] = get(e, 0) + v * scale
     return _primitive(out, den)
 
 
@@ -355,21 +381,28 @@ def decompose(
     K = precision
 
     window = x_window(p, t, f, K)
+    width = (2 * K).bit_length()
+    shift = width * (n - 1)
 
-    def scaled(c: MultiPoly) -> _Scaled:
-        return _scaled(TruncatedSeries.from_poly(c, K).terms)
+    def scaled(terms: Dict[Tuple[int, ...], Fraction], sign: int = 1) -> _Scaled:
+        nums, den = _scaled(terms)
+        return {_pack(e, width): sign * v for e, v in nums.items()}, den
+
+    def truncated(c: MultiPoly, sign: int = 1) -> _Scaled:
+        return scaled(TruncatedSeries.from_poly(c, K).terms, sign)
 
     def product(a: _Scaled, b: _Scaled) -> _Scaled:
-        return _accumulate(a[0], b[0], below=K), a[1] * b[1]
+        return _accumulate(a[0], b[0], below=K, shift=shift), a[1] * b[1]
 
-    zero: _Scaled = ({}, 1)
-    # residual coefficients, one truncated B-series per tracked x-power
-    residual: List[_Scaled] = [zero] * (window + 1)
+    # the pieces still to be summed at each tracked x-power; the sweep sums
+    # a position's pieces when it visits it
+    pending: List[List[_Scaled]] = [[] for _ in range(window + 1)]
     for j, sl in f.x0_slices().items():
-        residual[j] = scaled(sl)
+        pending[j].append(truncated(sl))
 
     # every generator the sweep can touch is checked up front; its scaled
-    # column and pivot inverse are built when the sweep first reaches it
+    # column (negated, pivot apart), pivot and pivot inverse are built when
+    # the sweep first reaches it
     expansions: Dict[int, Dict[int, MultiPoly]] = {}
     for ell in range(ell0, window + r - t + 1):
         col = expansions[ell] = expansion_coeffs(p, ell)
@@ -378,60 +411,73 @@ def decompose(
             raise DomainError(
                 f"operator fails its expansion conditions at generator index {ell}: {report}"
             )
-    generators: Dict[int, Tuple[Dict[int, _Scaled], _Scaled]] = {}
+    generators: Dict[int, Tuple[List[Tuple[int, _Scaled]], _Scaled, _Scaled]] = {}
 
-    e_parts: List[_Scaled] = [zero] * s
-    b_parts: Dict[int, _Scaled] = {}
+    e_parts: List[List[_Scaled]] = [[] for _ in range(s)]
+    b_parts: Dict[int, List[_Scaled]] = {}
     sweep_vals: List[float] = []
 
     for sweep in range(1, K + 1):
         sweep_min = math.inf
         for j in range(window + 1):
-            gamma = residual[j]
-            if not gamma[0]:
+            pieces = pending[j]
+            if not pieces:
                 continue
-            v = min(map(sum, gamma[0]))
+            pending[j] = []
+            gamma = _merge(pieces)
+            g_nums, g_den = gamma
+            if not g_nums:
+                continue
+            v = min(g_nums) >> shift
             if v < sweep - 1:
                 raise InternalCheckError(
                     f"coherence failure: sweep {sweep} found valuation {v} at position {j}"
                 )
             sweep_min = min(sweep_min, v)
             if j < s:
-                e_parts[j] = _merge(e_parts[j], gamma, 1)
-                residual[j] = zero
+                e_parts[j].append(gamma)
                 continue
             ell = j + r - t
             if ell not in generators:
                 col = expansions[ell]
                 generators[ell] = (
-                    {m: scaled(c) for m, c in col.items() if m <= window},
-                    _scaled(TruncatedSeries.from_poly(col[j], K).invert().terms),
+                    [(m, truncated(c, -1)) for m, c in col.items() if m <= window and m != j],
+                    truncated(col[j]),
+                    scaled(TruncatedSeries.from_poly(col[j], K).invert().terms),
                 )
-            column, inverse = generators[ell]
+            column, pivot, inverse = generators[ell]
             delta = _primitive(*product(gamma, inverse))
-            b_parts[ell] = _merge(b_parts.get(ell, zero), delta, 1)
-            for m, c in column.items():
-                residual[m] = _merge(residual[m], product(delta, c), -1)
-            if residual[j][0]:
+            b_parts.setdefault(ell, []).append(delta)
+            for m, c in column:
+                pending[m].append(product(delta, c))
+            # gamma - delta * pivot is what the sweep leaves at j: it must be 0
+            back_nums, back_den = product(delta, pivot)
+            back_nums = {e: v for e, v in back_nums.items() if v}
+            if back_nums.keys() != g_nums.keys() or any(
+                v * g_den != g_nums[e] * back_den for e, v in back_nums.items()
+            ):
                 raise InternalCheckError("pivot cancellation was not exact")
         sweep_vals.append(sweep_min)
         if sweep_min == math.inf:
             break  # residual already empty; later sweeps are no-ops
 
-    if any(nums for nums, _ in residual):
+    if any(_merge(pieces)[0] for pieces in pending if pieces):
         raise InternalCheckError("residual survived all sweeps at the stated precision")
 
-    def series(part: _Scaled) -> TruncatedSeries:
-        nums, den = part
-        return TruncatedSeries._trusted(n, K, {e: Fraction(v, den) for e, v in nums.items()})
+    def series(pieces: List[_Scaled]) -> TruncatedSeries:
+        nums, den = _merge(pieces)
+        return TruncatedSeries._trusted(
+            n, K, {_unpack(e, width, n): Fraction(v, den) for e, v in nums.items()}
+        )
 
+    b = {ell: series(pieces) for ell, pieces in sorted(b_parts.items())}
     return Decomposition(
         operator=p,
         analysis=analysis,
         precision=K,
         x_window=window,
-        e=tuple(series(v) for v in e_parts),
-        b={ell: series(v) for ell, v in sorted(b_parts.items()) if v[0]},
+        e=tuple(series(pieces) for pieces in e_parts),
+        b={ell: v for ell, v in b.items() if v},
         sweep_valuations=tuple(sweep_vals),
     )
 

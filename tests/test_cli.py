@@ -270,6 +270,35 @@ def test_decompose_refuses_a_large_indicial_root_bound(capsys):
     assert "indicial root bound 1000000001 exceeds 10000" in err
 
 
+@pytest.mark.parametrize("p", ["d0^1000", "d0^3000"])
+def test_decompose_refuses_a_high_order_before_its_indicial_polynomial(capsys, p):
+    # the indicial polynomial of order r costs about r(r+1)/2 steps, and
+    # building it took seconds before the root bound refused the input
+    start = time.perf_counter()
+    code, out, err = run(capsys, "decompose", "--p", p, "--f", "x0", "--prec", "2")
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert not out
+    assert "exceeds 52000" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decompose", "--p", "x*d0", "--f", "(x0+x1)^3000"),
+        ("decompose", "--p", "(x0+d0)^80", "--f", "x"),
+        ("derham", "--kind", "loc", "--f", "(x+y+z)^2000"),
+    ],
+)
+def test_oversized_powers_exit_2(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert not out
+    assert "exceeds 250000" in err
+
+
 def test_decompose_accepts_input_at_the_bound(capsys):
     code, out, _ = run(capsys, "decompose", "--p", "x*d0", "--f", "x^9993", "--format", "json")
     assert code == 0

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -84,3 +85,34 @@ def test_operator_round_trip():
 
 def test_whitespace_is_insignificant():
     assert parse_poly(" 1+ x ^ 2 ", 1) == parse_poly("1+x^2", 1)
+
+
+@pytest.mark.parametrize(
+    "text, offset",
+    [
+        ("(x+y+z)^60", 9),
+        ("(x+y+z)^2000", 9),
+        ("(x0+x1)^3000", 9),
+        ("(x0+d0)^80", 9),
+        ("(x0*d0)^1000", 9),
+        ("((x+y)^30)^30", 12),
+        ("2*(x+y+z)^100 + 1", 11),
+    ],
+)
+def test_oversized_powers_are_refused_before_expansion(text, offset):
+    # each of these expands for seconds to hours; the estimate refuses it at
+    # its exponent before any product is formed
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as exc:
+        parse_operator(text)
+    assert time.perf_counter() - start < 0.1
+    assert exc.value.offset == offset
+    assert "exceeds 250000" in str(exc.value)
+
+
+def test_powers_within_the_bound_still_expand():
+    assert parse_poly("x0^100000000", 1) == MultiPoly.monomial(1, (100000000,))
+    assert parse_operator("d0^2", 1) == WeylOp.d_gen(1, 0) * WeylOp.d_gen(1, 0)
+    assert len(parse_poly("(x+y+z)^20", 3).terms) == 231
+    assert parse_operator("(x0*d0)^2", 1) == parse_operator("x0^2*d0^2 + x0*d0", 1)
+    assert parse_poly("(x-x)^3", 1) == MultiPoly.zero(1)

@@ -16,6 +16,8 @@ from socle.seriesdecomp import (
     OperatorAnalysis,
     RegularOperator,
     _merge,
+    _pack,
+    _unpack,
     analyze_operator,
     decompose,
     expansion_coeffs,
@@ -386,6 +388,7 @@ SWEEP_OPERATORS = (
     ("(x0 + x1 + x2)*d0 + x1*x2", 3),
     ("x*d0", 1),
     ("x*d0", 2),
+    ("(x0 + x1 + x2 + x3)*d0 + x1*x3", 4),
 )
 
 
@@ -465,22 +468,57 @@ def test_fraction_free_sweep_matches_the_plain_series_sweep(inputs):
 
 
 @st.composite
-def scaled_pairs(draw):
-    """A (numerators, den) pair in one variable; zeros and a common factor
-    allowed."""
-    nums = draw(st.dictionaries(st.tuples(st.integers(0, 4)), st.integers(-BIG, BIG), max_size=5))
-    return nums, draw(st.integers(1, BIG))
+def scaled_pieces(draw):
+    """One to four (numerators, den) pieces keyed by packed ints; zeros, a
+    common factor and cancelling keys allowed."""
+    piece = st.tuples(
+        st.dictionaries(st.integers(0, 4), st.integers(-BIG, BIG), max_size=5),
+        st.integers(1, BIG),
+    )
+    return draw(st.lists(piece, min_size=1, max_size=4))
 
 
 @settings(deadline=None, derandomize=True, max_examples=100)
-@given(scaled_pairs(), scaled_pairs(), st.sampled_from((1, -1)))
-def test_merged_pairs_are_exact_and_primitive(a, b, sign):
+@given(scaled_pieces())
+def test_merged_pairs_are_exact_and_primitive(pieces):
     # the sweep's integers stay small: zeros dropped, common gcd divided out
-    nums, den = _merge(a, b, sign)
+    nums, den = _merge(pieces)
     want = {}
-    for (part_nums, part_den), part_sign in ((a, 1), (b, sign)):
+    for part_nums, part_den in pieces:
         for e, v in part_nums.items():
-            want[e] = want.get(e, 0) + part_sign * Fraction(v, part_den)
+            want[e] = want.get(e, 0) + Fraction(v, part_den)
     assert {e: Fraction(v, den) for e, v in nums.items()} == {e: c for e, c in want.items() if c}
     assert den > 0 and all(nums.values())
     assert math.gcd(den, *nums.values()) == 1
+
+
+@st.composite
+def packed_monomials(draw):
+    """A variable count 1-5, a precision 1-12 and two B-monomials below it,
+    with the distinguished variable's exponent 0."""
+    n, K = draw(st.integers(1, 5)), draw(st.integers(1, 12))
+
+    def monomial():
+        exp = [0] * n
+        for _ in range(draw(st.integers(0, K - 1)) if n > 1 else 0):
+            exp[draw(st.integers(1, n - 1))] += 1
+        return tuple(exp)
+
+    return n, K, monomial(), monomial()
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(packed_monomials())
+def test_packed_keys_round_trip_add_and_order_by_degree(inputs):
+    n, K, a, b = inputs
+    width = (2 * K).bit_length()
+    shift = width * (n - 1)
+    ka, kb = _pack(a, width), _pack(b, width)
+    assert _unpack(ka, width, n) == a and _unpack(kb, width, n) == b
+    # a product adds the keys, and its degree digit is the total degree
+    ab = tuple(x + y for x, y in zip(a, b))
+    assert ka + kb == _pack(ab, width) and (ka + kb) >> shift == sum(ab)
+    # the degree digit orders keys, so the least key carries the valuation
+    if sum(a) < sum(b):
+        assert ka < kb
+    assert min(ka, kb) >> shift == min(sum(a), sum(b))
