@@ -8,9 +8,11 @@ Four layers:
 - the operator algebra: normally ordered differential operators (`WeylOp`),
   formal adjoints, and the simple module E of inverse monomials (`EElement`);
 - de Rham engines: module specs for R, E, monomial localizations and R[1/f]
-  (optionally mod R), each answering its own per-kind questions and each a
-  pole complex; closed forms, pole-filtration truncation with a
-  stabilization certificate, the rank-one connection route
+  (optionally mod R), each a pole complex that answers every per-kind
+  question the engine asks (basis rule, quotient flag, smoothness gate,
+  certificate), read from JSON by `spec_from_json` alone; closed forms,
+  pole-filtration truncation with a stabilization certificate, the
+  rank-one connection route
   (`derham_rank_one`), and the long-exact-sequence splicer;
 - structure predictions: Betti-profile bookkeeping, cone homology, E-copy
   counts, simplicity and vanishing verdicts, plus the series decomposition
@@ -50,7 +52,6 @@ from .derham import (
     MonomialLocalization,
     PolynomialRing,
     TruncationReport,
-    ambient_vars,
     completion_flattening,
     derham_closed_form,
     derham_rank_one,
@@ -58,7 +59,6 @@ from .derham import (
     jacobian_ring_is_finite,
     les_splice,
     spec_from_json,
-    spec_to_json,
 )
 from .structure import (
     BettiProfile,
@@ -116,9 +116,7 @@ __all__ = [
     "InjectiveHull",
     "MonomialLocalization",
     "HypersurfaceLocalization",
-    "spec_to_json",
     "spec_from_json",
-    "ambient_vars",
     "derham_closed_form",
     "derham_truncated",
     "derham_rank_one",

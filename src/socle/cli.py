@@ -21,23 +21,13 @@ from typing import List, Optional
 
 from .catalog import HYPERSURFACES, PROFILES
 from .derham import (
-    ambient_vars,
     completion_flattening,
     derham_closed_form,
     derham_rank_one,
     derham_truncated,
     spec_from_json,
 )
-from .errors import (
-    DimensionMismatch,
-    DomainError,
-    EmptyComplexError,
-    InconsistentSequenceError,
-    NotLefschetzError,
-    ParseError,
-    UnsupportedSpecError,
-)
-from .grammar import parse_operator, parse_poly
+from .grammar import parse_operator, parse_poly, used_vars
 from .poly import MultiPoly
 from .series import TruncatedSeries
 from .seriesdecomp import (
@@ -70,19 +60,12 @@ DECOMPOSE_SIZE_MAX = 52_000
 #: 16080 and takes about 22 s (2-core x86-64, Python 3.11)
 DERHAM_BASIS_MAX = 400_000
 
-_INPUT_ERRORS = (
-    ParseError,
-    DomainError,
-    DimensionMismatch,
-    UnsupportedSpecError,
-    EmptyComplexError,
-    InconsistentSequenceError,
-    NotLefschetzError,
-)
-
-
 class _InputError(Exception):
-    """User-facing input problem outside the library error types."""
+    """User-facing input problem outside the library error types.
+
+    ``main`` reports it, and every ValueError, with exit 2: each library
+    input error is a ValueError, and so is Python's refusal to convert an
+    int past its digit limit to or from text."""
 
 
 # ----------------------------------------------------------------- plumbing
@@ -222,7 +205,7 @@ def _basis_size(spec, cutoff: int) -> int:
     j of C(n, j) * C(kD - j + n - 1, n - 1) with k = cutoff + j, D = deg of the
     pole polynomial (D = 0 counts the one element of R and of E)."""
     D = sum(next(iter(spec.pole_terms())))
-    n = ambient_vars(spec)
+    n = spec.n_vars
     degrees = [(j, (cutoff + j) * D - j) for j in range(n + 1)]
     return sum(comb(n, j) * comb(deg + n - 1, n - 1) for j, deg in degrees if n and deg >= 0)
 
@@ -271,20 +254,7 @@ def cmd_derham(args) -> int:
         _emit(args, lines, payload)
         return EXIT_OK
 
-    if kind in ("R", "E"):
-        if n_vars is None:
-            raise _InputError(f"--kind {kind} needs --vars")
-        spec_json = {"kind": kind, "vars": n_vars}
-    elif kind in ("loc", "loc-quot"):
-        if f_text is None:
-            raise _InputError(f"--kind {kind} needs --f")
-        spec_json = {"kind": kind, "f": f_text}
-        if n_vars is not None:
-            spec_json["vars"] = n_vars
-    else:
-        raise _InputError(f"unknown kind {kind!r}")
-
-    spec = spec_from_json(spec_json)
+    spec = spec_from_json({"kind": kind, "f": f_text, "vars": n_vars})
     requested = cutoff if cutoff is not None else 6
     if requested < 2:
         raise _InputError("--pole-cutoff must be at least 2")
@@ -297,7 +267,7 @@ def cmd_derham(args) -> int:
         )
     dims, report = derham_truncated(spec, pole_cutoff=effective)
 
-    n = ambient_vars(spec)
+    n = spec.n_vars
     lines = [
         f"module kind: {kind}" + (f", f = {f_text}" if f_text else f", {n} variables"),
         f"dims (j = 0..{n}): {list(dims)}",
@@ -333,10 +303,8 @@ def cmd_decompose(args) -> int:
         raise _InputError("decompose needs --p with an operator expression")
     if args.f is None:
         raise _InputError("decompose needs --f with a polynomial")
-    # unify the variable count across both expressions
-    op_probe = parse_operator(args.p)
-    f_probe = parse_poly(args.f)
-    n = args.vars if args.vars is not None else max(op_probe.n_vars, f_probe.n_vars)
+    # one variable count for both expressions, each parsed once
+    n = args.vars if args.vars is not None else used_vars(args.p, args.f)
     op = RegularOperator.from_weyl(parse_operator(args.p, n))
     f = parse_poly(args.f, n)
     precision = args.prec if args.prec is not None else 6
@@ -627,10 +595,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except _INPUT_ERRORS as exc:
+    except (_InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

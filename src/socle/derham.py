@@ -44,7 +44,10 @@ products: for g = x^e and f = sum_a c_a x^a the numerator of d(g/f^k) in
 direction i is f dg/dx_i - k g df/dx_i = sum_a c_a (e_i - k a_i) x^(e+a-1_i),
 and distinct terms of f land on distinct monomials.  The polynomial ring is
 the pole complex of f = 1, and E the same on negative exponents: every
-spec gives its f (``ModuleSpec.pole_terms``).
+spec gives its f (``ModuleSpec.pole_terms``).  The engine takes the spec
+itself and asks it every question that depends on the kind: f, the basis
+rule, the quotient flag, the smoothness gate and what agreement of two
+cutoffs certifies.  ``spec_from_json`` is the one place that reads a kind.
 """
 
 from __future__ import annotations
@@ -146,22 +149,16 @@ class TruncationReport:
 
 class ModuleSpec:
     """Base of the module specs.  Every question whose answer depends on the
-    kind of module is a method here, overridden by the kinds it concerns."""
+    kind of module is an attribute or a method here, overridden by the kinds
+    it concerns; every spec also has ``n_vars``."""
 
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
-    def ambient_vars(self) -> int:
-        return self.n_vars
+    #: whether the complex is taken modulo the polynomial subcomplex A
+    quotient_mod_A = False
 
     def closed_form(self) -> DeRhamDims:
         raise UnsupportedSpecError(
             f"no closed form for {type(self).__name__}; use the truncation engine"
         )
-
-    def engine(self) -> "ModuleSpec":
-        """The spec whose complex the truncation engine assembles."""
-        return self
 
     def cutoff_free(self, pole_cutoff: int, window: Tuple[int, int]) -> bool:
         """Whether the complex at this cutoff and window ignores the cutoff,
@@ -171,8 +168,23 @@ class ModuleSpec:
     def pole_terms(self) -> Dict[Tuple[int, ...], Fraction]:
         """The pole polynomial f as {exponent: coefficient}.  Every spec is a
         pole complex: R that of the constant 1, and E the same on negative
-        exponents, with a basis rule of its own (``_Piece``)."""
-        return {(0,) * self.ambient_vars(): Fraction(1)}
+        exponents, with a basis rule of its own (``basis``)."""
+        return {(0,) * self.n_vars: Fraction(1)}
+
+    def basis(self, deg: int, tau: int, cutoff: int, width: int):
+        """The numerator exponents of degree ``deg`` in the weight-tau piece
+        at the cutoff, with their packed codes (``graded_piece_codes``)."""
+        return graded_piece_codes(deg, self.n_vars, width)
+
+    def smoothness_gate(self) -> Optional[bool]:
+        """The Jacobian gate of the pole polynomial; None where none applies."""
+        return None
+
+    def agreement(self, smooth: Optional[bool]) -> str:
+        """The certificate of two agreeing cutoffs.  Here it is "stabilized"
+        whatever the gate says: a monomial localization, which often fails
+        the gate, is checked by its closed form."""
+        return "stabilized"
 
 
 def _check_vars(n_vars: int) -> None:
@@ -186,9 +198,6 @@ class PolynomialRing(ModuleSpec):
 
     def __post_init__(self):
         _check_vars(self.n_vars)
-
-    def to_json(self) -> dict:
-        return {"kind": "R", "vars": self.n_vars}
 
     def closed_form(self) -> DeRhamDims:
         return DeRhamDims((1,) + (0,) * self.n_vars)
@@ -206,9 +215,6 @@ class InjectiveHull(ModuleSpec):
     def __post_init__(self):
         _check_vars(self.n_vars)
 
-    def to_json(self) -> dict:
-        return {"kind": "E", "vars": self.n_vars}
-
     def closed_form(self) -> DeRhamDims:
         return DeRhamDims((0,) * self.n_vars + (1,))
 
@@ -217,10 +223,21 @@ class InjectiveHull(ModuleSpec):
         # cutoff clears the window
         return window == (0, 0) or -window[0] <= pole_cutoff - 1
 
+    def basis(self, deg: int, tau: int, cutoff: int, width: int):
+        """x^e with every e_i <= -1, present only while -tau <= cutoff: e = -1 - a
+        with deg a = -deg - n, and codes are linear."""
+        n = self.n_vars
+        if -tau > cutoff:
+            return [], []
+        exps, codes = graded_piece_codes(-deg - n, n, width)
+        ones = sum(1 << (width * (i + 1)) for i in range(n))
+        return [tuple(-1 - a for a in e) for e in exps], [-ones - c for c in codes]
+
 
 @dataclass(frozen=True)
 class MonomialLocalization(ModuleSpec):
-    """Localization of the polynomial ring at a product of distinct variables."""
+    """Localization of the polynomial ring at a product of distinct variables,
+    the pole complex of x_S (of 1, the ring itself, when nothing is inverted)."""
 
     n_vars: int
     inverted: frozenset
@@ -235,21 +252,15 @@ class MonomialLocalization(ModuleSpec):
         exp = [int(i in self.inverted) for i in range(self.n_vars)]
         return MultiPoly.monomial(self.n_vars, exp)
 
-    def to_json(self) -> dict:
-        return {"kind": "loc", "f": self.product().render(), "vars": self.n_vars}
-
     def closed_form(self) -> DeRhamDims:
         m = len(self.inverted)
         return DeRhamDims(tuple(comb(m, j) for j in range(self.n_vars + 1)))
 
-    def engine(self) -> ModuleSpec:
-        """The ring itself when nothing is inverted, else the pole complex of x_S."""
-        if not self.inverted:
-            return PolynomialRing(self.n_vars)
-        return HypersurfaceLocalization(self.product())
-
     def pole_terms(self) -> Dict[Tuple[int, ...], Fraction]:
         return self.product().terms
+
+    def smoothness_gate(self) -> Optional[bool]:
+        return jacobian_ring_is_finite(self.product()) if self.inverted else None
 
 
 @dataclass(eq=False, frozen=True)
@@ -263,15 +274,19 @@ class HypersurfaceLocalization(ModuleSpec):
         if not self.f or not self.f.is_homogeneous() or self.f.homogeneous_degree() < 1:
             raise DomainError("localization needs a nonzero homogeneous f of degree >= 1")
 
-    def to_json(self) -> dict:
-        kind = "loc-quot" if self.quotient_mod_A else "loc"
-        return {"kind": kind, "f": self.f.render(), "vars": self.f.n_vars}
-
-    def ambient_vars(self) -> int:
+    @property
+    def n_vars(self) -> int:
         return self.f.n_vars
 
     def pole_terms(self) -> Dict[Tuple[int, ...], Fraction]:
         return self.f.terms
+
+    def smoothness_gate(self) -> Optional[bool]:
+        return jacobian_ring_is_finite(self.f)
+
+    def agreement(self, smooth: Optional[bool]) -> str:
+        # past a failed smoothness gate agreement certifies nothing
+        return "heuristic" if smooth is False else "stabilized"
 
 
 def _known(spec) -> ModuleSpec:
@@ -279,10 +294,6 @@ def _known(spec) -> ModuleSpec:
     if not isinstance(spec, ModuleSpec):
         raise UnsupportedSpecError(f"unknown spec {spec!r}")
     return spec
-
-
-def spec_to_json(spec: ModuleSpec) -> dict:
-    return _known(spec).to_json()
 
 
 def _squarefree_variable_set(f: MultiPoly) -> Optional[frozenset]:
@@ -296,24 +307,33 @@ def _squarefree_variable_set(f: MultiPoly) -> Optional[frozenset]:
 
 
 def spec_from_json(data: dict) -> ModuleSpec:
+    """The spec of {"kind": "R" | "E", "vars": n} or {"kind": "loc" |
+    "loc-quot", "f": text, "vars": n (optional)}; the one place that reads
+    the kind.  A squarefree monomial under "loc" is a MonomialLocalization."""
     kind = data.get("kind")
+    if kind not in ("R", "E", "loc", "loc-quot"):
+        raise UnsupportedSpecError(f"unknown module kind {kind!r}")
+
+    def field(name: str, kind_of: type, required: bool = True):
+        value = data.get(name)
+        if value is None and not required:
+            return None
+        if type(value) is not kind_of:
+            raise UnsupportedSpecError(
+                f"module kind {kind!r} needs {name!r} as {kind_of.__name__}"
+            )
+        return value
+
     if kind == "R":
-        return PolynomialRing(int(data["vars"]))
+        return PolynomialRing(field("vars", int))
     if kind == "E":
-        return InjectiveHull(int(data["vars"]))
-    if kind in ("loc", "loc-quot"):
-        n = int(data["vars"]) if "vars" in data else None
-        f = parse_poly(data["f"], n)
-        if kind == "loc":
-            s = _squarefree_variable_set(f)
-            if s is not None:
-                return MonomialLocalization(f.n_vars, s)
-        return HypersurfaceLocalization(f, quotient_mod_A=(kind == "loc-quot"))
-    raise UnsupportedSpecError(f"unknown module kind {kind!r}")
-
-
-def ambient_vars(spec: ModuleSpec) -> int:
-    return _known(spec).ambient_vars()
+        return InjectiveHull(field("vars", int))
+    f = parse_poly(field("f", str), field("vars", int, required=False))
+    if kind == "loc":
+        s = _squarefree_variable_set(f)
+        if s is not None:
+            return MonomialLocalization(f.n_vars, s)
+    return HypersurfaceLocalization(f, quotient_mod_A=(kind == "loc-quot"))
 
 
 # -------------------------------------------------------------- closed forms
@@ -344,13 +364,14 @@ def _key_width(n: int, f, cutoff: int, window: Tuple[int, int]) -> int:
 
 
 class _Piece:
-    """The weight-tau piece of an engine's complex at one pole cutoff.
+    """The weight-tau piece of a spec's complex at one pole cutoff.
 
     The basis of form degree j is x^e dx_I / f^k with k = cutoff + j and
     deg e = tau - j + kD; for E it is x^e dx_I with every e_i <= -1,
-    deg e = tau - j, present only while -tau <= cutoff.  It is stored as
-    the index sets ``sets[j]`` times the exponents ``exps[j]``, element
-    s * len(exps[j]) + t being (sets[j][s], exps[j][t]).  Each element has
+    deg e = tau - j, present only while -tau <= cutoff (the spec's
+    ``basis``).  It is stored as the index sets ``sets[j]`` times the
+    exponents ``exps[j]``, element s * len(exps[j]) + t being
+    (sets[j][s], exps[j][t]).  Each element has
     the packed key mask(I) + sum_i e_i << (width * (i + 1)) (``keys[j]``),
     and the keys are the row numbers of every column: they are one-to-one
     on (I, e), and linear, so the row of x^(e+a-1_i) dx_(I+i) is the key of
@@ -367,27 +388,16 @@ class _Piece:
     """
 
     def __init__(self, spec: ModuleSpec, f, cutoff: int, tau: int, width: int, low: bool = True):
-        n = spec.ambient_vars()
+        n = spec.n_vars
         degree = sum(next(iter(f)))
         self.n, self.f, self.cutoff, self.tau, self.width = n, f, cutoff, tau, width
         # only the low end of a pair reads its d columns again, in M
         self.low = low
-        self.quotient = isinstance(spec, HypersurfaceLocalization) and spec.quotient_mod_A
-        hull = isinstance(spec, InjectiveHull)
+        self.quotient = spec.quotient_mod_A
         self.units = [1 << (width * (i + 1)) for i in range(n)]
         self.sets, self.exps, self.keys = [], [], []
         for j in range(n + 1):
-            deg = tau - j + (cutoff + j) * degree
-            if not hull:
-                exps, codes = graded_piece_codes(deg, n, width)
-            elif -tau <= cutoff:
-                # e = -1 - a, and codes are linear
-                exps, codes = graded_piece_codes(-deg - n, n, width)
-                ones = sum(self.units)
-                exps = [tuple(-1 - a for a in e) for e in exps]
-                codes = [-ones - c for c in codes]
-            else:
-                exps, codes = [], []
+            exps, codes = spec.basis(tau - j + (cutoff + j) * degree, tau, cutoff, width)
             # no index sets without exponents: R and E have C(n, j) of them
             sets = list(combinations(range(n), j)) if exps else []
             keys = [mask + c for mask in map(_mask, sets) for c in codes]
@@ -509,9 +519,8 @@ def assemble_complex(spec: ModuleSpec, cutoff: int, tau: int):
     column of x^e dx_I holds sign * e_i at the row of x^(e-1_i) dx_(I+i).
     The rank path builds the same columns through ``_Piece``.
     """
-    spec = spec.engine()
     f = spec.pole_terms()
-    n = spec.ambient_vars()
+    n = spec.n_vars
     piece = _Piece(spec, f, cutoff, tau, _key_width(n, f, cutoff, (tau, tau)))
     bases = [piece.labels(j) for j in range(n + 1)]
     rows = [dict(zip(keys, range(len(keys)))) for keys in piece.keys]
@@ -628,11 +637,10 @@ def derham_truncated(
     if window[0] > window[1]:
         raise DomainError("degree window must be nondecreasing")
 
-    n = ambient_vars(spec)
-    engine = spec.engine()
+    n = _known(spec).n_vars
     # every column scales by a unit under f -> c f, so f's primitive integer
     # multiple gives the same ranks with int columns throughout
-    f = _content_free(_scaled(engine.pole_terms())[0])
+    f = _content_free(_scaled(spec.pole_terms())[0])
     # ranks of the maps H(F_{K-2}) -> H(F_{K-1}) -> H(F_K); agreement of the
     # two persistent tables is the stabilization signal.  A cutoff-free
     # complex needs one pair, lo = hi = K: the map is the identity, so the
@@ -656,7 +664,7 @@ def derham_truncated(
         for table, (lo, hi) in zip(tables, pairs):
             for cut in (lo, hi):
                 if cut not in pieces:
-                    pieces[cut] = _Piece(engine, f, cut, tau, width, low=cut in lows)
+                    pieces[cut] = _Piece(spec, f, cut, tau, width, low=cut in lows)
             for j, h in enumerate(_persistent_dims(pieces[lo], pieces[hi])):
                 table[j] += h
         basis_count += sum(len(keys) for piece in pieces.values() for keys in piece.keys)
@@ -667,14 +675,8 @@ def derham_truncated(
     dims_low, dims_high = tuple(tables[0]), tuple(tables[-1])
     stabilized = dims_low == dims_high if len(pairs) == 2 else exact
 
-    smooth = None
-    if isinstance(engine, HypersurfaceLocalization):
-        smooth = jacobian_ring_is_finite(engine.f)
-    certificate = "exact" if exact else "stabilized" if stabilized else "provisional"
-    # past a failed smoothness gate agreement certifies nothing; a monomial
-    # localization, which often fails the gate, is checked by its closed form
-    if certificate == "stabilized" and smooth is False and isinstance(spec, HypersurfaceLocalization):
-        certificate = "heuristic"
+    smooth = spec.smoothness_gate()
+    certificate = "exact" if exact else spec.agreement(smooth) if stabilized else "provisional"
 
     report = TruncationReport(
         cutoffs=(pairs[-1][0], pole_cutoff),

@@ -243,12 +243,20 @@ class _Parser:
         raise ParseError("expected a number, variable, partial, or '('", tok.offset)
 
 
+def _used_vars(tokens: List[_Token]) -> int:
+    """The inferred variable count: one past the largest index used, at least 1."""
+    return 1 + max((t.value for t in tokens if t.kind in ("XVAR", "DVAR")), default=0)
+
+
 def _parse_tokens(tokens: List[_Token], n_vars: Optional[int]) -> WeylOp:
     """Parse a token list; infer the variable count when not given."""
-    if n_vars is None:
-        used = [t.value for t in tokens if t.kind in ("XVAR", "DVAR")]
-        n_vars = 1 + max(used) if used else 1
-    return _Parser(tokens, n_vars).parse()
+    return _Parser(tokens, _used_vars(tokens) if n_vars is None else n_vars).parse()
+
+
+def used_vars(*texts: str) -> int:
+    """The variable count that parsing the texts together infers, without
+    parsing them: tokenizing is linear, while expanding a power is not."""
+    return max(_used_vars(_tokenize(text)) for text in texts)
 
 
 def parse_operator(text: str, n_vars: Optional[int] = None) -> WeylOp:

@@ -134,7 +134,9 @@ def _integer_roots(coeffs: Sequence[Fraction], limit: Optional[int] = None) -> L
     lead = abs(ints[-1])
     bound = 1 + max(abs(c) for c in ints) // lead
     if limit is not None and bound > limit:
-        raise DomainError(f"indicial root bound {bound} exceeds {limit}")
+        # past a machine word the digits say nothing the size does not
+        shown = bound if bound.bit_length() <= 64 else f"of {bound.bit_length()} bits"
+        raise DomainError(f"indicial root bound {shown} exceeds {limit}")
     roots = []
     for ell in range(0, bound + 1):
         acc = 0

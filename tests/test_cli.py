@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from socle.catalog import PROFILES
+from socle import grammar
 from socle.cli import _basis_size, main
 from socle.derham import assemble_complex, spec_from_json
 from socle.structure import predict
@@ -211,13 +212,17 @@ def test_decompose_json_is_pinned(capsys, name, p, f, prec):
 
 
 # one input per spec route: the two cutoff-free complexes, a localization at
-# no variable (persistent route over R, no smoothness key), a non-smooth
-# monomial, a hypersurface in both modes, and rank one; and every catalog entry
+# no variable (persistent route over R, no smoothness key), a monomial that
+# passes the gate and one that fails it (still "stabilized"), a hypersurface
+# in both modes, a non-smooth one whose agreement is "heuristic", and rank
+# one; and every catalog entry
 DERHAM_PINS = {
     "derham_ring_two_vars": ("--kind", "R", "--vars", "2"),
     "derham_hull_three_vars": ("--kind", "E", "--vars", "3"),
     "derham_loc_nothing_inverted": ("--kind", "loc", "--f", "1", "--vars", "2"),
+    "derham_loc_monomial_smooth": ("--kind", "loc", "--f", "x*y", "--vars", "2"),
     "derham_loc_monomial_not_smooth": ("--kind", "loc", "--f", "x*y", "--vars", "3"),
+    "derham_loc_quot_heuristic": ("--kind", "loc-quot", "--f", "x*y*z", "--vars", "3"),
     "derham_loc_conic": ("--kind", "loc", "--f", "x^2+y^2+z^2"),
     "derham_catalog_conic": ("--catalog", "conic-p2"),
     "derham_catalog_fermat_cubic": ("--catalog", "fermat-cubic-p2"),
@@ -268,6 +273,58 @@ def test_decompose_refuses_a_large_indicial_root_bound(capsys):
     assert code == 2
     assert not out
     assert "indicial root bound 1000000001 exceeds 10000" in err
+
+
+def test_decompose_refuses_a_huge_indicial_root_bound_briefly(capsys):
+    # the bound of d0^321 has 667 digits; the refusal gives its size instead
+    code, out, err = run(capsys, "decompose", "--p", "d0^321", "--f", "x0", "--prec", "2")
+    assert code == 2
+    assert not out
+    assert len(err.encode()) < 200
+    assert "indicial root bound of 2213 bits exceeds 10000" in err
+
+
+@pytest.mark.parametrize("f", ["3^10000*x", "7" * 5000 + "*x"])
+def test_integers_too_long_for_text_are_input_errors(capsys, f):
+    # Python refuses int <-> str conversions past 4300 digits with a
+    # ValueError: on output for 3^10000, on parsing for the 5000-digit literal
+    code, out, err = run(capsys, "decompose", "--p", "x*d0", "--f", f)
+    assert code == 2
+    assert not out
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_decompose_parses_each_expression_once(capsys, monkeypatch):
+    parses = []
+    original = grammar._Parser.parse
+
+    def counted(parser):
+        parses.append(parser.n_vars)
+        return original(parser)
+
+    monkeypatch.setattr(grammar._Parser, "parse", counted)
+    code, _, _ = run(capsys, "decompose", "--p", "x*d0 + x1", "--f", "x0^2*x2")
+    assert code == 0
+    # both in the three variables the two expressions use together
+    assert parses == [3, 3]
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (("--kind", "R"), "vars"),
+        (("--kind", "E", "--f", "x"), "vars"),
+        (("--kind", "loc", "--vars", "2"), "f"),
+        (("--kind", "loc-quot"), "f"),
+    ],
+)
+def test_derham_names_a_missing_spec_field(capsys, argv, field):
+    code, out, err = run(capsys, "derham", *argv)
+    assert code == 2
+    assert not out
+    assert err.startswith("error: ")
+    assert repr(field) in err
 
 
 @pytest.mark.parametrize("p", ["d0^1000", "d0^3000"])

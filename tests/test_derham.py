@@ -21,7 +21,6 @@ from socle.derham import (
     InjectiveHull,
     MonomialLocalization,
     PolynomialRing,
-    ambient_vars,
     assemble_complex,
     completion_flattening,
     derham_closed_form,
@@ -30,7 +29,6 @@ from socle.derham import (
     jacobian_ring_is_finite,
     les_splice,
     spec_from_json,
-    spec_to_json,
 )
 from socle.grammar import parse_poly
 from socle.linalg import GradedMatrix, rank_of_columns
@@ -238,17 +236,71 @@ def test_jacobian_gate():
     assert not jacobian_ring_is_finite(parse_poly("x^3 - y^2*z", 3))
 
 
-def test_spec_json_round_trip():
-    specs = [
-        PolynomialRing(2),
-        InjectiveHull(3),
-        MonomialLocalization(3, frozenset({0, 2})),
-        spec_from_json({"kind": "loc-quot", "f": "x^3 + y^3 + z^3"}),
-    ]
-    for spec in specs:
-        # specs with polynomial fields deliberately skip __eq__; the JSON
-        # form is their canonical identity
-        assert spec_to_json(spec_from_json(spec_to_json(spec))) == spec_to_json(spec)
+def test_spec_from_json_builds_each_kind():
+    assert spec_from_json({"kind": "R", "vars": 2}) == PolynomialRing(2)
+    assert spec_from_json({"kind": "E", "vars": 3}) == InjectiveHull(3)
+    # a squarefree monomial under loc is a monomial localization, in the
+    # declared variables when given
+    spec = spec_from_json({"kind": "loc", "f": "x0*x2", "vars": 4})
+    assert spec == MonomialLocalization(4, frozenset({0, 2}))
+    assert spec.n_vars == 4
+    assert spec_from_json({"kind": "loc", "f": "x*z"}) == MonomialLocalization(3, frozenset({0, 2}))
+    # any other f, and any f under loc-quot, is a hypersurface; specs with
+    # polynomial fields skip __eq__, so compare their fields
+    for data, f_text, n, quotient in [
+        ({"kind": "loc", "f": "x^2 + y^2 + z^2"}, "x^2 + y^2 + z^2", 3, False),
+        ({"kind": "loc", "f": "2*x*y", "vars": 2}, "2*x*y", 2, False),
+        ({"kind": "loc", "f": "x^2*y"}, "x^2*y", 2, False),
+        ({"kind": "loc-quot", "f": "x^3 + y^3 + z^3"}, "x^3 + y^3 + z^3", 3, True),
+        ({"kind": "loc-quot", "f": "x*y*z"}, "x*y*z", 3, True),
+    ]:
+        spec = spec_from_json(data)
+        assert type(spec) is HypersurfaceLocalization
+        assert spec.f == parse_poly(f_text, n)
+        assert spec.n_vars == n
+        assert spec.quotient_mod_A is quotient
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ({"kind": "R"}, "vars"),
+        ({"kind": "E", "f": "x"}, "vars"),
+        ({"kind": "loc"}, "f"),
+        ({"kind": "loc-quot", "vars": 3}, "f"),
+        ({"kind": "R", "vars": "2"}, "vars"),
+        ({"kind": "E", "vars": 2.0}, "vars"),
+        ({"kind": "R", "vars": True}, "vars"),
+        ({"kind": "loc", "f": 3}, "f"),
+        ({"kind": "loc", "f": "x*y", "vars": "2"}, "vars"),
+    ],
+)
+def test_spec_from_json_names_a_missing_or_ill_typed_field(data, field):
+    with pytest.raises(UnsupportedSpecError, match=repr(field)):
+        spec_from_json(data)
+
+
+@st.composite
+def monomial_localizations(draw):
+    """A localization at a nonempty set of at most three variables."""
+    n = draw(st.integers(1, 3))
+    return MonomialLocalization(n, frozenset(draw(st.sets(st.integers(0, n - 1), min_size=1))))
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(monomial_localizations())
+def test_monomial_localization_runs_as_the_hypersurface_of_its_product(spec):
+    # the engine builds a monomial localization as the pole complex of x_S;
+    # only the certificate rule differs, so compare everything else
+    twin = HypersurfaceLocalization(spec.product())
+    assert twin.n_vars == spec.n_vars
+    for cutoff in (2, 3):
+        dims, report = derham_truncated(spec, cutoff, degree_window=(-1, 1))
+        twin_dims, twin_report = derham_truncated(twin, cutoff, degree_window=(-1, 1))
+        assert dims == twin_dims
+        assert report.dims_low == twin_report.dims_low
+        assert report.cutoffs == twin_report.cutoffs
+        assert report.smooth == twin_report.smooth
 
 
 @pytest.mark.parametrize("kind", ["mystery", "rank-one", "sum"])
@@ -430,7 +482,7 @@ def engine_pieces(draw):
 def test_piece_columns_follow_the_closed_form_at_their_keys(case):
     spec, cutoff, tau = case
     f = spec.pole_terms()
-    n = spec.ambient_vars()
+    n = spec.n_vars
     width = socle.derham._key_width(n, f, cutoff + 1, (tau, tau))
     piece = socle.derham._Piece(spec, f, cutoff, tau, width)
     for j in range(n + 1):
@@ -499,7 +551,7 @@ def plain_persistent_dims(spec, lo, hi, tau):
 
 
 def plain_window_dims(spec, lo, hi, window):
-    total = [0] * (ambient_vars(spec) + 1)
+    total = [0] * (spec.n_vars + 1)
     for tau in range(window[0], window[1] + 1):
         for j, h in enumerate(plain_persistent_dims(spec, lo, hi, tau)):
             total[j] += h
