@@ -309,7 +309,8 @@ def _squarefree_variable_set(f: MultiPoly) -> Optional[frozenset]:
 def spec_from_json(data: dict) -> ModuleSpec:
     """The spec of {"kind": "R" | "E", "vars": n} or {"kind": "loc" |
     "loc-quot", "f": text, "vars": n (optional)}; the one place that reads
-    the kind.  A squarefree monomial under "loc" is a MonomialLocalization."""
+    the kind.  R and E refuse an "f".  A squarefree monomial under "loc" is
+    a MonomialLocalization."""
     kind = data.get("kind")
     if kind not in ("R", "E", "loc", "loc-quot"):
         raise UnsupportedSpecError(f"unknown module kind {kind!r}")
@@ -324,10 +325,11 @@ def spec_from_json(data: dict) -> ModuleSpec:
             )
         return value
 
-    if kind == "R":
-        return PolynomialRing(field("vars", int))
-    if kind == "E":
-        return InjectiveHull(field("vars", int))
+    if kind in ("R", "E"):
+        n = field("vars", int)
+        if data.get("f") is not None:
+            raise UnsupportedSpecError(f"module kind {kind!r} takes no 'f'")
+        return PolynomialRing(n) if kind == "R" else InjectiveHull(n)
     f = parse_poly(field("f", str), field("vars", int, required=False))
     if kind == "loc":
         s = _squarefree_variable_set(f)

@@ -2,20 +2,25 @@
 
 Accepted tokens: integer and rational literals (``3``, ``3/2``), variables
 ``x0``..``x9`` with ``x y z w`` as aliases for the first four, partials
-``d0``..``d9``, the operators ``+ - * ^`` and parentheses.  Juxtaposition
-multiplies (``2x``, ``x d0``), and in the operator algebra multiplication is
-composition, so ``d0 x0`` normal-orders to ``x0 d0 + 1``.
+``d0``..``d9``, the operators ``+ - * ^`` and parentheses.  Digits are the
+ASCII ``0``..``9`` only.  Juxtaposition multiplies (``2x``, ``x d0``), and in
+the operator algebra multiplication is composition, so ``d0 x0``
+normal-orders to ``x0 d0 + 1``.
 
-Parse errors carry the 1-based byte offset of the offending input.  A power
-whose expansion would take more than about a second (``POWER_WORK_MAX``) is a
-parse error at its exponent, before it is expanded.
+Parse errors carry the 1-based byte offset of the offending input; every
+accepted character is ASCII, so any other character is an error at its own
+offset.  A power or a product whose expansion would take more than about a
+second (``POWER_WORK_MAX``) is a parse error before it is expanded: a power
+at its exponent, a product at its ``*`` or, for juxtaposed factors, at the
+right factor.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import comb, prod
-from typing import List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional, Tuple
 
 from .errors import ParseError
 from .poly import MultiPoly
@@ -23,11 +28,28 @@ from .weyl import WeylOp
 
 _ALIASES = {"x": 0, "y": 1, "z": 2, "w": 3}
 
-#: largest estimated work of one power (``_power_work``); with integer
+#: largest estimated work of one power (``_power_work``) or product
+#: (``_product_work``); with integer
 #: coefficients the inputs at the bound parse in 0.7-1.1 s: (x+y)^805,
 #: (x+y+z)^58, (x+y+z+w)^25, (x0+...+x9)^7 and (x0*d0)^117 (rational
 #: coefficients, (5/7*x+11/3*y)^805: 2.5 s); 2-core x86-64, Python 3.11
 POWER_WORK_MAX = 250_000
+
+
+def _degrees(op: WeylOp) -> List[Tuple[int, int]]:
+    """(X_i, D_i) per variable i: the largest x_i and d_i exponents of op."""
+    return [
+        (max((xe[i] for xe, _ in op.terms), default=0), max((de[i] for _, de in op.terms), default=0))
+        for i in range(op.n_vars)
+    ]
+
+
+def _product_work(a: WeylOp, b: WeylOp) -> int:
+    """An estimate of the term products that ``a * b`` forms: each pair of
+    terms expands to at most min(D_i(a), X_i(b)) + 1 terms per variable i
+    under normal ordering."""
+    pairs = prod(min(d, x) + 1 for (_, d), (x, _) in zip(_degrees(a), _degrees(b)))
+    return len(a.terms) * len(b.terms) * pairs
 
 
 def _power_work(base: WeylOp, e: int) -> int:
@@ -43,12 +65,7 @@ def _power_work(base: WeylOp, e: int) -> int:
     times the terms that one pair of them expands to.
     """
     k = max(len(base.terms), 1)
-    xs, ds = [xe for xe, _ in base.terms], [de for _, de in base.terms]
-    degrees = [
-        (max((e[i] for e in xs), default=0), max((e[i] for e in ds), default=0))
-        for i in range(base.n_vars)
-    ]
-    both = [(x, d) for x, d in degrees if x and d]
+    both = [(x, d) for x, d in _degrees(base) if x and d]
 
     def terms(j: int) -> int:
         return comb(j + k - 1, k - 1) * prod(j * min(x, d) + 1 for x, d in both)
@@ -75,67 +92,45 @@ class _Token(NamedTuple):
     offset: int  # 1-based byte offset
 
 
+#: one alternative per token kind; digits are ASCII only, and the last
+#: alternative takes any other character, so ``finditer`` never skips one
+_SCANNER = re.compile(
+    r"(?P<SPACE>[ \t\r\n]+)"
+    r"|(?P<OP>[-+*^()])"
+    r"|(?P<VAR>[xXyYzZwWdD][0-9]*)"
+    r"|(?P<NUM>[0-9]+(?:/[0-9]+)?)"
+    r"|(?P<BAD>.)",
+    re.DOTALL,
+)
+
+
 def _tokenize(text: str) -> List[_Token]:
+    # every accepted character is ASCII and the first other one raises, so a
+    # character's byte offset is its index plus one
     tokens: List[_Token] = []
-    i = 0
-    byte_pos = 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        start = byte_pos
-        if ch in " \t\r\n":
-            i += 1
-            byte_pos += len(ch.encode("utf-8"))
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            num = int(text[i:j])
-            den = None
-            if j < n and text[j] == "/":
-                k = j + 1
-                if k < n and text[k].isdigit():
-                    m = k
-                    while m < n and text[m].isdigit():
-                        m += 1
-                    den = int(text[k:m])
-                    j = m
-            if den == 0:
-                raise ParseError("zero denominator in rational literal", start)
-            value = Fraction(num, den) if den is not None else Fraction(num)
-            tokens.append(_Token("NUM", value, start))
-            byte_pos += j - i
-            i = j
-            continue
-        if ch in "xXyYzZwWdD":
+    for m in _SCANNER.finditer(text):
+        kind, lexeme, offset = m.lastgroup, m.group(), m.start() + 1
+        if kind == "OP":
+            tokens.append(_Token("OP", lexeme, offset))
+        elif kind == "NUM":
+            num, _, den = lexeme.partition("/")
+            if den and not int(den):
+                raise ParseError("zero denominator in rational literal", offset)
+            tokens.append(_Token("NUM", Fraction(int(num), int(den or 1)), offset))
+        elif kind == "VAR":
+            ch, index = lexeme[0], lexeme[1:]
             lower = ch.lower()
-            if i + 1 < n and text[i + 1].isdigit():
-                if i + 2 < n and text[i + 2].isdigit():
-                    raise ParseError("variable indices run 0..9", start)
-                idx = int(text[i + 1])
-                if lower == "d":
-                    tokens.append(_Token("DVAR", idx, start))
-                elif lower == "x":
-                    tokens.append(_Token("XVAR", idx, start))
-                else:
-                    raise ParseError(f"indexed form is only for x/d, not {ch!r}", start)
-                i += 2
-                byte_pos += 2
-                continue
-            if lower == "d":
-                raise ParseError("expected a digit after 'd'", start)
-            tokens.append(_Token("XVAR", _ALIASES[lower], start))
-            i += 1
-            byte_pos += 1
-            continue
-        if ch in "+-*^()":
-            tokens.append(_Token("OP", ch, start))
-            i += 1
-            byte_pos += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", start)
-    tokens.append(_Token("END", None, byte_pos))
+            if len(index) > 1:
+                raise ParseError("variable indices run 0..9", offset)
+            if index and lower not in "xd":
+                raise ParseError(f"indexed form is only for x/d, not {ch!r}", offset)
+            if not index and lower == "d":
+                raise ParseError("expected a digit after 'd'", offset)
+            value = int(index) if index else _ALIASES[lower]
+            tokens.append(_Token("DVAR" if lower == "d" else "XVAR", value, offset))
+        elif kind == "BAD":
+            raise ParseError(f"unexpected character {lexeme!r}", offset)
+    tokens.append(_Token("END", None, len(text) + 1))
     return tokens
 
 
@@ -179,14 +174,22 @@ class _Parser:
     def term(self) -> WeylOp:
         value = self.factor()
         while True:
+            # an oversized product is refused at its '*', or at the first
+            # token of the right factor when the factors are juxtaposed
             tok = self.peek()
             if tok.kind == "OP" and tok.value == "*":
                 self.advance()
-                value = value * self.factor()
-            elif self._starts_factor(tok):
-                value = value * self.factor()
-            else:
+            elif not self._starts_factor(tok):
                 return value
+            rhs = self.factor()
+            work = _product_work(value, rhs)
+            if work > POWER_WORK_MAX:
+                raise ParseError(
+                    f"product of a {len(value.terms)}-term and a {len(rhs.terms)}-term "
+                    f"factor needs about {work} term products, which exceeds {POWER_WORK_MAX}",
+                    tok.offset,
+                )
+            value = value * rhs
 
     def factor(self) -> WeylOp:
         sign = 1

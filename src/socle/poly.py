@@ -20,9 +20,11 @@ that skip re-validation, since their terms are valid by construction; the
 public constructors keep every check.
 
 Polynomials, truncated series, Weyl operators and the elements of E share one
-shell, ``_TermShell``: sums, differences, negation, scalar products, equality
-and the variable-count check are defined there once.  ``_render`` is the one
-sign-and-magnitude text rule of polynomials, operators and E.
+shell, ``_TermShell``: the one validating public constructor (each type
+checks its own keys in ``_key``), sums, differences, negation, scalar
+products, equality and the variable-count check are defined there once.
+``_render`` is the one sign-and-magnitude text rule of polynomials,
+operators and E.
 """
 
 from __future__ import annotations
@@ -188,8 +190,9 @@ def _render(terms: Mapping[Hashable, Fraction], factors: Callable[[Hashable], li
 
 class _TermShell:
     """What polynomials, truncated series, Weyl operators and elements of E
-    share: ``n_vars`` and a dict of nonzero ``Fraction`` terms, with sums,
-    differences, negation, scalar products and equality.
+    share: ``n_vars`` and a dict of nonzero ``Fraction`` terms, with the
+    public constructor, sums, differences, negation, scalar products and
+    equality.
 
     Sums go through ``_sum_terms``; an int or ``Fraction`` operand is first
     turned into an element by the subclass's ``_scalar`` hook (E has none,
@@ -199,6 +202,29 @@ class _TermShell:
     """
 
     __slots__ = ("n_vars", "terms")
+
+    def __init__(self, n_vars: int, terms: Mapping[Hashable, Fraction] | None = None):
+        """The public constructor: the subclass's ``_key(n_vars, key)``
+        normalizes each key, raises on an invalid one or returns None to drop
+        its term; each coefficient is coerced to ``Fraction`` and zero terms
+        are dropped."""
+        clean: Dict[Hashable, Fraction] = {}
+        for key, c in (terms or {}).items():
+            key = self._key(n_vars, key)
+            if key is None:
+                continue
+            c = _coerce(c)
+            if c:
+                clean[key] = c
+        self.n_vars = n_vars
+        self.terms = clean
+
+    @classmethod
+    def zero(cls, n_vars: int):
+        return cls(n_vars, {})
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.n_vars}, {self.render()!r})"
 
     @classmethod
     def _trusted(cls, n_vars: int, terms: Dict[Hashable, Fraction]):
@@ -283,22 +309,16 @@ class MultiPoly(_TermShell):
     def __init__(self, n_vars: int, terms: Mapping[Exponent, Fraction] | None = None):
         if n_vars < 0:
             raise DomainError("n_vars must be nonnegative")
-        clean: Dict[Exponent, Fraction] = {}
-        for exp, c in (terms or {}).items():
-            exp = tuple(exp)
-            if len(exp) != n_vars or any(e < 0 for e in exp):
-                raise DomainError(f"bad exponent {exp} for {n_vars} variables")
-            c = _coerce(c)
-            if c:
-                clean[exp] = c
-        self.n_vars = n_vars
-        self.terms = clean
+        super().__init__(n_vars, terms)
+
+    @staticmethod
+    def _key(n_vars: int, exp) -> Exponent:
+        exp = tuple(exp)
+        if len(exp) != n_vars or any(e < 0 for e in exp):
+            raise DomainError(f"bad exponent {exp} for {n_vars} variables")
+        return exp
 
     # ---------------------------------------------------------------- builders
-
-    @classmethod
-    def zero(cls, n_vars: int) -> "MultiPoly":
-        return cls(n_vars, {})
 
     @classmethod
     def constant(cls, n_vars: int, c) -> "MultiPoly":
@@ -397,9 +417,6 @@ class MultiPoly(_TermShell):
         """Deterministic text form, parseable by :mod:`socle.grammar`."""
         names = names or default_names(self.n_vars)
         return _render(self.terms, lambda exp: _power_factors(names, exp))
-
-    def __repr__(self):
-        return f"MultiPoly({self.n_vars}, {self.render()!r})"
 
 
 def default_names(n_vars: int) -> Tuple[str, ...]:

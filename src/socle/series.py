@@ -49,19 +49,13 @@ class TruncatedSeries(_TermShell):
     def __init__(self, n_vars: int, precision: int, terms: Mapping[Exponent, Fraction] | None = None):
         if precision < 1:
             raise DomainError("precision must be at least 1")
-        clean: Dict[Exponent, Fraction] = {}
-        for exp, c in (terms or {}).items():
-            exp = tuple(exp)
-            if len(exp) != n_vars or any(e < 0 for e in exp):
-                raise DomainError(f"bad exponent {exp} for {n_vars} variables")
-            if sum(exp) >= precision:
-                continue
-            c = _coerce(c)
-            if c:
-                clean[exp] = c
-        self.n_vars = n_vars
         self.precision = precision
-        self.terms = clean
+        super().__init__(n_vars, terms)
+
+    def _key(self, n_vars: int, exp) -> Exponent | None:
+        """A polynomial's exponent, dropped past the precision."""
+        exp = MultiPoly._key(n_vars, exp)
+        return exp if sum(exp) < self.precision else None
 
     @classmethod
     def _trusted(cls, n_vars: int, precision: int, terms: Dict[Exponent, Fraction]) -> "TruncatedSeries":

@@ -30,9 +30,9 @@ product of two keys is then one int addition, the truncation below K reads
 the degree digit, and the least key carries the valuation.  Keys are packed
 once, when f's slices, the columns and the pivot inverses come in, and
 unpacked once, when the e- and b-series go out as ``Fraction`` terms.
-Every generator the sweep can touch has its expansion conditions checked up
-front; its column, pivot and pivot inverse are scaled to integers once, when
-the sweep first reaches it.  Each product is accumulated by the int kernel
+When the sweep first reaches a generator, it checks the generator's
+expansion conditions and scales its column, pivot and pivot inverse to
+integers, once.  Each product is accumulated by the int kernel
 of :mod:`socle.poly` and left as a pending piece at its x-position; the
 pieces of a position are summed once, over the lcm of their denominators,
 when the sweep visits it, and the e- and b-parts once at the end.  The sum
@@ -378,7 +378,7 @@ def decompose(
         raise DimensionMismatch("f lives over a different variable count")
 
     analysis = analyze_operator(p)
-    r, t, s, ell0 = p.order, analysis.t, analysis.s, analysis.ell0
+    r, t, s = p.order, analysis.t, analysis.s
     n = p.n_vars
     K = precision
 
@@ -402,17 +402,9 @@ def decompose(
     for j, sl in f.x0_slices().items():
         pending[j].append(truncated(sl))
 
-    # every generator the sweep can touch is checked up front; its scaled
-    # column (negated, pivot apart), pivot and pivot inverse are built when
-    # the sweep first reaches it
-    expansions: Dict[int, Dict[int, MultiPoly]] = {}
-    for ell in range(ell0, window + r - t + 1):
-        col = expansions[ell] = expansion_coeffs(p, ell)
-        report = _condition_report(p, analysis, ell, col)
-        if not (report["support_ok"] and report["band_ok"] and report["pivot_unit"]):
-            raise DomainError(
-                f"operator fails its expansion conditions at generator index {ell}: {report}"
-            )
+    # a generator's expansion conditions are checked, and its scaled column
+    # (negated, pivot apart), pivot and pivot inverse built, when the sweep
+    # first reaches it
     generators: Dict[int, Tuple[List[Tuple[int, _Scaled]], _Scaled, _Scaled]] = {}
 
     e_parts: List[List[_Scaled]] = [[] for _ in range(s)]
@@ -441,7 +433,12 @@ def decompose(
                 continue
             ell = j + r - t
             if ell not in generators:
-                col = expansions[ell]
+                col = expansion_coeffs(p, ell)
+                report = _condition_report(p, analysis, ell, col)
+                if not (report["support_ok"] and report["band_ok"] and report["pivot_unit"]):
+                    raise DomainError(
+                        f"operator fails its expansion conditions at generator index {ell}: {report}"
+                    )
                 generators[ell] = (
                     [(m, truncated(c, -1)) for m, c in col.items() if m <= window and m != j],
                     truncated(col[j]),

@@ -127,24 +127,19 @@ class WeylOp(_TermShell):
     def __init__(self, n_vars: int, terms: Mapping[TermKey, Fraction] | None = None):
         if n_vars < 1:
             raise DomainError("need at least one variable")
-        clean: Dict[TermKey, Fraction] = {}
-        for (xe, de), c in (terms or {}).items():
-            xe, de = tuple(xe), tuple(de)
-            if len(xe) != n_vars or len(de) != n_vars:
-                raise DimensionMismatch(f"exponents {xe}, {de} do not fit {n_vars} variables")
-            if any(e < 0 for e in xe + de):
-                raise DomainError("negative exponent in operator term")
-            c = _coerce(c)
-            if c:
-                clean[(xe, de)] = c
-        self.n_vars = n_vars
-        self.terms = clean
+        super().__init__(n_vars, terms)
+
+    @staticmethod
+    def _key(n_vars: int, key) -> TermKey:
+        xe, de = key
+        xe, de = tuple(xe), tuple(de)
+        if len(xe) != n_vars or len(de) != n_vars:
+            raise DimensionMismatch(f"exponents {xe}, {de} do not fit {n_vars} variables")
+        if any(e < 0 for e in xe + de):
+            raise DomainError("negative exponent in operator term")
+        return xe, de
 
     # ---------------------------------------------------------------- builders
-
-    @classmethod
-    def zero(cls, n_vars: int) -> "WeylOp":
-        return cls(n_vars, {})
 
     @classmethod
     def one(cls, n_vars: int) -> "WeylOp":
@@ -233,9 +228,6 @@ class WeylOp(_TermShell):
         return _render(
             self.terms, lambda k: _power_factors(names, k[0]) + _power_factors(partials, k[1])
         )
-
-    def __repr__(self):
-        return f"WeylOp({self.n_vars}, {self.render()!r})"
 
 
 def normal_order(raw: Iterable[Tuple[Fraction, Sequence[Tuple[str, int]]]], n_vars: int) -> WeylOp:
@@ -372,17 +364,12 @@ class EElement(_TermShell):
 
     __slots__ = ()
 
-    def __init__(self, n_vars: int, terms: Mapping[Exponent, Fraction] | None = None):
-        clean: Dict[Exponent, Fraction] = {}
-        for a, c in (terms or {}).items():
-            a = tuple(a)
-            if len(a) != n_vars or any(ai < 1 for ai in a):
-                raise DomainError(f"inverse-monomial exponent {a} must have all entries >= 1")
-            c = _coerce(c)
-            if c:
-                clean[a] = c
-        self.n_vars = n_vars
-        self.terms = clean
+    @staticmethod
+    def _key(n_vars: int, a) -> Exponent:
+        a = tuple(a)
+        if len(a) != n_vars or any(ai < 1 for ai in a):
+            raise DomainError(f"inverse-monomial exponent {a} must have all entries >= 1")
+        return a
 
     @classmethod
     def socle(cls, n_vars: int) -> "EElement":
@@ -392,13 +379,6 @@ class EElement(_TermShell):
     def inverse_monomial(cls, n_vars: int, a: Sequence[int], c=1) -> "EElement":
         return cls(n_vars, {tuple(a): _coerce(c)})
 
-    @classmethod
-    def zero(cls, n_vars: int) -> "EElement":
-        return cls(n_vars, {})
-
     def render(self, names: Sequence[str] | None = None) -> str:
         names = names or default_names(self.n_vars)
         return _render(self.terms, lambda a: [f"{v}^-{ai}" for v, ai in zip(names, a)])
-
-    def __repr__(self):
-        return f"EElement({self.n_vars}, {self.render()!r})"

@@ -317,6 +317,7 @@ def test_decompose_parses_each_expression_once(capsys, monkeypatch):
         (("--kind", "E", "--f", "x"), "vars"),
         (("--kind", "loc", "--vars", "2"), "f"),
         (("--kind", "loc-quot"), "f"),
+        (("--kind", "R", "--vars", "2", "--f", "x $ y"), "f"),
     ],
 )
 def test_derham_names_a_missing_spec_field(capsys, argv, field):
@@ -345,6 +346,7 @@ def test_decompose_refuses_a_high_order_before_its_indicial_polynomial(capsys, p
         ("decompose", "--p", "x*d0", "--f", "(x0+x1)^3000"),
         ("decompose", "--p", "(x0+d0)^80", "--f", "x"),
         ("derham", "--kind", "loc", "--f", "(x+y+z)^2000"),
+        ("derham", "--kind", "loc", "--f", "(x+y+z)^31*(x+y+z)^31"),
     ],
 )
 def test_oversized_powers_exit_2(capsys, argv):
@@ -354,6 +356,14 @@ def test_oversized_powers_exit_2(capsys, argv):
     assert code == 2
     assert not out
     assert "exceeds 250000" in err
+
+
+def test_non_ascii_digits_are_parse_errors(capsys):
+    code, out, err = run(capsys, "derham", "--kind", "loc", "--f", "x²+y^2")
+    assert code == 2
+    assert not out
+    assert err.startswith("error: parse error at byte 2")
+    assert "Traceback" not in err
 
 
 def test_decompose_accepts_input_at_the_bound(capsys):

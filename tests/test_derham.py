@@ -273,6 +273,9 @@ def test_spec_from_json_builds_each_kind():
         ({"kind": "R", "vars": True}, "vars"),
         ({"kind": "loc", "f": 3}, "f"),
         ({"kind": "loc", "f": "x*y", "vars": "2"}, "vars"),
+        # R and E read no f, so they refuse one
+        ({"kind": "R", "vars": 2, "f": "x $ y"}, "f"),
+        ({"kind": "E", "vars": 2, "f": "x"}, "f"),
     ],
 )
 def test_spec_from_json_names_a_missing_or_ill_typed_field(data, field):

@@ -3,9 +3,10 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from socle.errors import ParseError
-from socle.grammar import parse_operator, parse_poly
+from socle.grammar import _tokenize, parse_operator, parse_poly
 from socle.poly import MultiPoly
 from socle.weyl import WeylOp
 
@@ -63,6 +64,41 @@ def test_parse_errors_carry_byte_offsets():
         assert fragment in str(exc.value), text
 
 
+@pytest.mark.parametrize("text, offset", [("x²", 2), ("٣*x", 1), ("x٣", 2), ("٣٣ $", 1)])
+def test_non_ascii_digits_are_parse_errors(text, offset):
+    # digits are ASCII only: none of these is a literal or a variable index
+    with pytest.raises(ParseError) as exc:
+        parse_operator(text)
+    assert exc.value.offset == offset
+    assert "unexpected character" in str(exc.value)
+
+
+LEXEMES = ["x", "Y", "z", "w", "x3", "X0", "d1", "D2", "7", "12", "3/4", "0/5",
+           "+", "-", "*", "^", "(", ")", " ", "\t", "\n"]
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(
+    st.one_of(
+        st.text(alphabet=" \t\r\n0123456789/+-*^()xXyYzZwWdD$", max_size=20),
+        st.lists(st.sampled_from(LEXEMES), max_size=12).map("".join),
+    )
+)
+def test_token_offsets_point_at_their_tokens(text):
+    try:
+        tokens = _tokenize(text)
+    except ParseError as exc:
+        assert 1 <= exc.offset <= len(text)
+        return
+    offsets = [t.offset for t in tokens]
+    assert all(a < b for a, b in zip(offsets, offsets[1:]))
+    assert tokens[-1].kind == "END" and tokens[-1].offset == len(text) + 1
+    starts = {"NUM": "0123456789", "XVAR": "xXyYzZwW", "DVAR": "dD"}
+    for tok in tokens[:-1]:
+        ch = text[tok.offset - 1]
+        assert ch == tok.value if tok.kind == "OP" else ch in starts[tok.kind]
+
+
 def test_poly_parser_rejects_partials():
     with pytest.raises(ParseError) as exc:
         parse_poly("x*d0", 1)
@@ -116,3 +152,39 @@ def test_powers_within_the_bound_still_expand():
     assert len(parse_poly("(x+y+z)^20", 3).terms) == 231
     assert parse_operator("(x0*d0)^2", 1) == parse_operator("x0^2*d0^2 + x0*d0", 1)
     assert parse_poly("(x-x)^3", 1) == MultiPoly.zero(1)
+
+
+@pytest.mark.parametrize(
+    "text, offset",
+    [
+        ("(x+y+z)^31*(x+y+z)^31", 11),
+        ("(x+y+z)^31 (x+y+z)^31", 12),
+        ("(d0 d1 d2)^300 * (x0 x1 x2)^300", 16),
+        ("1 + (x+y+z+w)^13*(x+y+z+w)^13", 17),
+    ],
+)
+def test_oversized_products_are_refused_before_expansion(text, offset):
+    # the estimate counts term pairs times the Leibniz terms of each pair;
+    # it refuses at the '*', or at the right factor of a juxtaposition
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as exc:
+        parse_operator(text)
+    assert time.perf_counter() - start < 0.5
+    assert exc.value.offset == offset
+    assert "exceeds 250000" in str(exc.value)
+
+
+def test_a_product_of_two_large_powers_is_refused():
+    # unbounded, this product of two 1326-term factors took 8.6 s; the
+    # factors themselves take about 0.8 s (2-core x86-64, Python 3.11)
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as exc:
+        parse_poly("(x+y+z)^50*(x+y+z)^50")
+    assert time.perf_counter() - start < 4
+    assert exc.value.offset == 11
+    assert "1326-term" in str(exc.value)
+
+
+def test_products_within_the_bound_still_expand():
+    assert len(parse_poly("(x+y+z)^30*(x+y+z)^30").terms) == 1891
+    assert parse_operator("d0^3*x0^3", 1) == parse_operator("(d0^3)(x0^3)", 1)

@@ -1,11 +1,12 @@
 """The shell shared by polynomials, truncated series, Weyl operators and E:
 rendering pins and the scalar rules every type follows."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
 
-from socle.errors import DimensionMismatch
+from socle.errors import DimensionMismatch, DomainError
 from socle.poly import MultiPoly
 from socle.series import TruncatedSeries
 from socle.weyl import EElement, WeylOp
@@ -151,3 +152,66 @@ def test_e_has_no_scalar_sum():
         v + EElement.socle(3)
     with pytest.raises(TypeError):
         hash(v)
+
+
+# ---------------------------------------------------- public constructors
+
+# per type: a constructor over two variables, a valid key, a key it drops
+# (a series drops terms past its precision), and bad calls, each with the
+# error type and message it raises
+CHECKED = {
+    "poly": (
+        lambda terms: MultiPoly(2, terms),
+        (1, 0),
+        None,
+        [
+            (lambda: MultiPoly(2, {(1, -1): 1}), DomainError, "bad exponent (1, -1) for 2 variables"),
+            (lambda: MultiPoly(2, {(1,): 1}), DomainError, "bad exponent (1,) for 2 variables"),
+            (lambda: MultiPoly(-1), DomainError, "n_vars must be nonnegative"),
+        ],
+    ),
+    "series": (
+        lambda terms: TruncatedSeries(2, 3, terms),
+        (1, 0),
+        (2, 1),
+        [
+            (lambda: TruncatedSeries(2, 3, {(5, -1): 1}), DomainError, "bad exponent (5, -1) for 2 variables"),
+            (lambda: TruncatedSeries(2, 0), DomainError, "precision must be at least 1"),
+        ],
+    ),
+    "weyl": (
+        lambda terms: WeylOp(2, terms),
+        ((1, 0), (0, 1)),
+        None,
+        [
+            (lambda: WeylOp(2, {((1, 0), (1,)): 1}), DimensionMismatch, "exponents (1, 0), (1,) do not fit 2 variables"),
+            (lambda: WeylOp(2, {((1, 0), (0, -1)): 1}), DomainError, "negative exponent in operator term"),
+            (lambda: WeylOp(0), DomainError, "need at least one variable"),
+        ],
+    ),
+    "e": (
+        lambda terms: EElement(2, terms),
+        (1, 2),
+        None,
+        [
+            (lambda: EElement(2, {(0, 1): 1}), DomainError, "inverse-monomial exponent (0, 1) must have all entries >= 1"),
+            (lambda: EElement(2, {(1, 1, 1): 1}), DomainError, "inverse-monomial exponent (1, 1, 1) must have all entries >= 1"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CHECKED))
+def test_public_constructors_check_keys_and_drop_zeros(kind):
+    make, key, dropped, bad_calls = CHECKED[kind]
+    for call, error, message in bad_calls:
+        with pytest.raises(error, match=re.escape(message)):
+            call()
+    with pytest.raises(DomainError, match="coefficient must be an integer or Fraction"):
+        make({key: 0.5})
+    assert make({key: 0}).terms == {}
+    assert make({key: F(2, 4)}).terms == {key: F(1, 2)}
+    assert type(make({key: 3}).terms[key]) is F
+    if dropped:
+        # a dropped term is never read, not even its coefficient
+        assert make({key: 1, dropped: 0.5}).terms == {key: 1}
