@@ -3,8 +3,8 @@
 Four layers:
 
 - exact arithmetic: sparse multivariate polynomials (`MultiPoly`), truncated
-  power series (`TruncatedSeries`), labelled sparse linear algebra
-  (`GradedMatrix`), and a small text grammar for both;
+  power series (`TruncatedSeries`), exact sparse ranks, and a small text
+  grammar for both;
 - the operator algebra: normally ordered differential operators (`WeylOp`),
   formal adjoints, and the simple module E of inverse monomials (`EElement`);
 - de Rham engines: module specs for R, E, monomial localizations and R[1/f]
@@ -35,7 +35,7 @@ from .errors import (
 )
 from .poly import MultiPoly, default_names, graded_piece_basis
 from .series import TruncatedSeries
-from .linalg import GradedMatrix, eliminate_columns, rank_of_columns
+from .linalg import eliminate_columns, rank_of_columns
 from .grammar import parse_operator, parse_poly
 from .weyl import (
     EElement,
@@ -99,7 +99,6 @@ __all__ = [
     "default_names",
     "graded_piece_basis",
     "TruncatedSeries",
-    "GradedMatrix",
     "eliminate_columns",
     "rank_of_columns",
     "parse_poly",

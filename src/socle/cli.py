@@ -59,6 +59,10 @@ DECOMPOSE_SIZE_MAX = 52_000
 #: x0^3+x1^3+x2^3+x3^3+x0*x1*x2+2*x1*x2*x3-x0^2*x3+3*x1^2*x2 at cutoff 4 has
 #: 16080 and takes about 22 s (2-core x86-64, Python 3.11)
 DERHAM_BASIS_MAX = 400_000
+#: largest precision of a rank-one connection (``derham_rank_one``); at the
+#: bound x^2+x takes 0.14 s, 5/7*x^5-3/11*x^2+2 0.85 s and the costliest p
+#: measured, (x+1/3)^12, 8.2 s (2-core x86-64, Python 3.11)
+RANK_ONE_PRECISION_MAX = 2000
 
 class _InputError(Exception):
     """User-facing input problem outside the library error types.
@@ -237,6 +241,10 @@ def cmd_derham(args) -> int:
         # the default adapts to deg p: derham_rank_one needs at least deg p + 3
         default = max(12, int(max(p.degree(), 0)) + 3)
         precision = args.prec if args.prec is not None else default
+        if precision > RANK_ONE_PRECISION_MAX:
+            raise _InputError(
+                f"rank-one precision {precision} exceeds {RANK_ONE_PRECISION_MAX}"
+            )
         dims = derham_rank_one(p, precision=precision)
         lines = [
             "module: rank-one connection (d/dx + p) on one variable",

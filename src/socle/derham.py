@@ -52,7 +52,7 @@ cutoffs certifies.  ``spec_from_json`` is the one place that reads a kind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -75,40 +75,21 @@ from .series import TruncatedSeries
 # ------------------------------------------------------------- result types
 
 
-@dataclass(frozen=True)
-class DeRhamDims:
-    """Cohomology dimensions indexed by form degree 0..n."""
+class DeRhamDims(tuple):
+    """Cohomology dimensions indexed by form degree 0..n: a tuple of
+    nonnegative ints."""
 
-    dims: Tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        if any(d < 0 for d in self.dims):
+    def __new__(cls, dims):
+        dims = tuple(int(d) for d in dims)
+        if any(d < 0 for d in dims):
             raise DomainError("cohomology dimensions cannot be negative")
+        return super().__new__(cls, dims)
 
     @property
     def euler(self) -> int:
-        return sum((-1) ** j * d for j, d in enumerate(self.dims))
-
-    def __getitem__(self, j):
-        return self.dims[j]
-
-    def __len__(self):
-        return len(self.dims)
-
-    def __iter__(self):
-        return iter(self.dims)
-
-    def __eq__(self, other):
-        if isinstance(other, DeRhamDims):
-            return self.dims == other.dims
-        if isinstance(other, (list, tuple)):
-            return list(self.dims) == list(other)
-        return NotImplemented
-
-    def __hash__(self):
-        # equal to tuples, so it must hash like one
-        return hash(self.dims)
+        return sum((-1) ** j * d for j, d in enumerate(self))
 
 
 @dataclass(frozen=True)
@@ -528,9 +509,8 @@ def assemble_complex(spec: ModuleSpec, cutoff: int, tau: int):
     rows = [dict(zip(keys, range(len(keys)))) for keys in piece.keys]
 
     def matrix(j, labels, columns):
-        return GradedMatrix.from_columns(
-            bases[j], labels, [{rows[j][r]: c for r, c in col.items()} for col in columns]
-        )
+        entries = {(rows[j][r], s): c for s, col in enumerate(columns) for r, c in col.items()}
+        return GradedMatrix(bases[j], labels, entries)
 
     diffs = [
         matrix(j + 1, base, piece.d_columns(j, range(len(base))))

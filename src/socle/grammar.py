@@ -114,9 +114,13 @@ def _tokenize(text: str) -> List[_Token]:
             tokens.append(_Token("OP", lexeme, offset))
         elif kind == "NUM":
             num, _, den = lexeme.partition("/")
-            if den and not int(den):
+            try:
+                num, den = int(num), int(den or 1)
+            except ValueError:  # past the interpreter's int/str digit limit
+                raise ParseError("literal too long", offset) from None
+            if not den:
                 raise ParseError("zero denominator in rational literal", offset)
-            tokens.append(_Token("NUM", Fraction(int(num), int(den or 1)), offset))
+            tokens.append(_Token("NUM", Fraction(num, den), offset))
         elif kind == "VAR":
             ch, index = lexeme[0], lexeme[1:]
             lower = ch.lower()

@@ -22,17 +22,18 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
-from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Sequence, Tuple
 
 from .errors import DimensionMismatch
 from .poly import _scaled
 
-#: {row: entry}, zero entries never stored (as ``GradedMatrix.columns`` gives)
+#: {row: entry}, zero entries never stored
 SparseColumn = Dict[int, Fraction]
 
 
 class GradedMatrix:
-    """A sparse rational matrix with labelled rows (target) and columns (source).
+    """A sparse rational matrix with labelled rows (target) and columns
+    (source), the record ``derham.assemble_complex`` returns.
 
     The map sends the basis vector of column ``j`` to
     ``sum_i entries[i, j] * row_i``.
@@ -55,47 +56,6 @@ class GradedMatrix:
             c = Fraction(c)
             if c:
                 self.entries[(i, j)] = c
-
-    @classmethod
-    def from_columns(
-        cls,
-        rows: Sequence[Hashable],
-        cols: Sequence[Hashable],
-        columns: Sequence[SparseColumn],
-    ) -> "GradedMatrix":
-        entries = {
-            (i, j): c
-            for j, col in enumerate(columns)
-            for i, c in col.items()
-            if c
-        }
-        return cls(rows, cols, entries)
-
-    def columns(self) -> List[SparseColumn]:
-        cols: List[SparseColumn] = [{} for _ in self.cols]
-        for (i, j), c in self.entries.items():
-            cols[j][i] = c
-        return cols
-
-    def compose(self, inner: "GradedMatrix") -> "GradedMatrix":
-        """Matrix of self applied after inner (self @ inner)."""
-        if len(self.cols) != len(inner.rows):
-            raise DimensionMismatch("inner target size differs from outer source size")
-        outer = self.columns()
-        out_cols = []
-        for col in inner.columns():
-            acc: SparseColumn = {}
-            for k, c in col.items():
-                for i, v in outer[k].items():
-                    acc[i] = acc.get(i, 0) + c * v
-            out_cols.append(acc)
-        return GradedMatrix.from_columns(self.rows, inner.cols, out_cols)
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def __repr__(self):
-        return f"GradedMatrix({len(self.rows)}x{len(self.cols)}, nnz={len(self.entries)})"
 
 
 def _content_free(v: Dict[int, int]) -> Dict[int, int]:

@@ -12,9 +12,11 @@ fraction-free: each factor's terms are scaled to integers by the lcm of
 their denominators (``_scaled``), multiplied and accumulated as plain ints
 (``_accumulate``, which the series inverse, the sweep of
 :mod:`socle.seriesdecomp` and the operator action of :mod:`socle.weyl` call
-directly), and each surviving term is divided once by the denominator.  The
-sweep's keys are packed ints, whose products ``_accumulate`` forms by one
-int addition each, truncated by their degree digit.
+directly), and each surviving term is divided once by the denominator.
+Exponent-tuple products form every pair of terms; a truncated series drops
+the terms past its precision afterwards.  The sweep's keys are packed ints,
+whose products ``_accumulate`` forms by one int addition each, truncated by
+their degree digit.
 Results of this internal arithmetic are built by ``_trusted`` constructors
 that skip re-validation, since their terms are valid by construction; the
 public constructors keep every check.
@@ -30,7 +32,7 @@ operators and E.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf, lcm
+from math import lcm
 from operator import add
 from typing import Callable, Dict, Hashable, Iterable, Mapping, Sequence, Tuple
 
@@ -65,21 +67,19 @@ def _accumulate(
     lhs: Mapping[Hashable, int],
     rhs: Mapping[Hashable, int],
     expand: Callable[[Hashable, Hashable], Iterable[Tuple[Hashable, int]]] | None = None,
-    below: int | None = None,
     acc: Dict[Hashable, int] | None = None,
+    below: int | None = None,
     shift: int | None = None,
 ) -> Dict[Hashable, int]:
     """The int terms of the product ``lhs * rhs`` of two int term dicts; a
     term may cancel to 0 and is then still listed.
 
-    With ``expand`` None the keys are exponent tuples that add: the right
-    factor is bucketed by total degree once, and with ``below`` every bucket
-    whose products would reach total degree ``below`` is skipped.  With
-    ``shift`` (and ``below``) the keys are instead packed ints that add, with
-    the total degree in the digit from bit ``shift`` up and digits below it
-    that never carry; such keys order by degree first, so the right factor is
-    sorted once and each row stops at the first key whose product reaches
-    total degree ``below``.
+    With ``expand`` None the keys are exponent tuples that add, and every
+    pair of terms is formed.  With ``shift`` and ``below`` the keys are
+    instead packed ints that add, with the total degree in the digit from bit
+    ``shift`` up and digits below it that never carry; such keys order by
+    degree first, so the right factor is sorted once and each row stops at
+    the first key whose product reaches total degree ``below``.
     Otherwise ``expand(k1, k2)`` lists the (key, int weight) terms a pair of
     keys combines to, such as a normal-ordered operator product.  With
     ``acc`` the terms are added into that dict, which is returned.
@@ -97,19 +97,10 @@ def _accumulate(
                 k = k1 + k2
                 acc[k] = get(k, 0) + v1 * v2
     elif expand is None:
-        buckets: Dict[int, list] = {}
-        for e2, v2 in rhs.items():
-            buckets.setdefault(sum(e2), []).append((e2, v2))
-        ordered = sorted(buckets.items())
-        top = inf if below is None else below
         for e1, v1 in lhs.items():
-            room = top - sum(e1)
-            for degree, bucket in ordered:
-                if degree >= room:
-                    break
-                for e2, v2 in bucket:
-                    e = tuple(map(add, e1, e2))
-                    acc[e] = get(e, 0) + v1 * v2
+            for e2, v2 in rhs.items():
+                e = tuple(map(add, e1, e2))
+                acc[e] = get(e, 0) + v1 * v2
     else:
         for k1, v1 in lhs.items():
             for k2, v2 in rhs.items():
@@ -143,15 +134,14 @@ def _product_terms(
     left: Mapping[Hashable, Fraction],
     right: Mapping[Hashable, Fraction],
     expand: Callable[[Hashable, Hashable], Iterable[Tuple[Hashable, int]]] | None = None,
-    below: int | None = None,
 ) -> Dict[Hashable, Fraction]:
     """The terms of ``left * right``, fraction-free: both factors are scaled
     to integers by ``_scaled``, their products accumulated as plain ints by
-    ``_accumulate`` (which takes ``expand`` and ``below``), and each
-    surviving term is divided once by the common denominator."""
+    ``_accumulate`` (which takes ``expand``), and each surviving term is
+    divided once by the common denominator."""
     (lhs, den), (rhs, rden) = _scaled(left), _scaled(right)
     den *= rden
-    return {k: Fraction(v, den) for k, v in _accumulate(lhs, rhs, expand, below).items() if v}
+    return {k: Fraction(v, den) for k, v in _accumulate(lhs, rhs, expand).items() if v}
 
 
 def _power(base, k: int, result):

@@ -8,10 +8,10 @@ derivative would need unknown terms).
 
 Products are fraction-free (see :mod:`socle.poly`): the terms are scaled to
 integers by the lcm of their denominators, accumulated as ints and divided
-once per output term.  A product buckets its right factor by total degree
-and skips every bucket whose products would reach the precision; ``invert``
-solves degree by degree on the same int kernel.  Results of this arithmetic
-skip re-validation; the public constructor keeps every check.
+once per output term.  A product forms every pair of terms and drops those
+of total degree at least the precision; ``invert`` solves degree by degree
+on the same int kernel.  Results of this arithmetic skip re-validation; the
+public constructor keeps every check.
 
 Sums, negation, scalar products and equality come from the shell that
 :mod:`socle.poly` shares among all four algebra types; this class adds only
@@ -121,7 +121,8 @@ class TruncatedSeries(_TermShell):
             return super().__mul__(other)
         self._check(other)
         prec = min(self.precision, other.precision)
-        return TruncatedSeries._trusted(self.n_vars, prec, _product_terms(self.terms, other.terms, below=prec))
+        terms = _product_terms(self.terms, other.terms)
+        return TruncatedSeries._trusted(self.n_vars, prec, {e: c for e, c in terms.items() if sum(e) < prec})
 
     __rmul__ = __mul__
 

@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, DomainError, InternalCheckError
 from .poly import MultiPoly, _accumulate, _scaled
@@ -361,19 +361,13 @@ class Decomposition:
         }
 
 
-def decompose(
-    f: Union[MultiPoly, TruncatedSeries],
-    p: RegularOperator,
-    precision: int,
-) -> Decomposition:
-    """Split f as e-part plus P(b-part), exact to m_B-order `precision`,
-    over the x-powers 0..``x_window``."""
+def decompose(f: MultiPoly, p: RegularOperator, precision: int) -> Decomposition:
+    """Split the polynomial f as e-part plus P(b-part), exact to m_B-order
+    `precision`, over the x-powers 0..``x_window``."""
     if precision < 1:
         raise DomainError("precision must be at least 1")
-    if isinstance(f, TruncatedSeries):
-        f = f.poly_part()
     if not isinstance(f, MultiPoly):
-        raise DomainError("f must be a polynomial or truncated series")
+        raise DomainError("f must be a polynomial")
     if f.n_vars != p.n_vars:
         raise DimensionMismatch("f lives over a different variable count")
 

@@ -9,7 +9,8 @@ import pytest
 from socle.catalog import PROFILES
 from socle import grammar
 from socle.cli import _basis_size, main
-from socle.derham import assemble_complex, spec_from_json
+import socle.derham
+from socle.derham import spec_from_json
 from socle.structure import predict
 
 
@@ -120,6 +121,22 @@ def test_derham_refuses_an_oversized_complex(capsys):
     assert "2579238 basis elements, which exceeds 400000" in err
 
 
+def test_derham_refuses_an_oversized_rank_one_precision(capsys):
+    # unrefused, x^2+x at --prec 10000 already takes about 9 s, and the
+    # cost grows faster than the square of the precision
+    start = time.perf_counter()
+    code, out, err = run(capsys, "derham", "--kind", "rank-one", "--f", "x", "--prec", "100000000")
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert not out
+    assert "rank-one precision 100000000 exceeds 2000" in err
+    assert "Traceback" not in err
+    # the bound itself is accepted
+    code, out, _ = run(capsys, "derham", "--kind", "rank-one", "--f", "x", "--prec", "2000")
+    assert code == 0
+    assert "dims (j = 0..1): [0, 1]" in out
+
+
 def test_derham_non_smooth_hypersurface_is_heuristic(capsys):
     # agreement past a failed smoothness gate certifies nothing, but the run
     # still answers; the monomial localization keeps its certificate
@@ -151,9 +168,12 @@ def test_derham_non_smooth_hypersurface_is_heuristic(capsys):
     ],
 )
 def test_derham_bound_counts_the_assembled_basis(spec, cutoff):
+    # the weight-0 piece the engine ranks at the top cutoff
     spec = spec_from_json(spec)
-    bases, _, _ = assemble_complex(spec, cutoff, 0)
-    assert _basis_size(spec, cutoff) == sum(map(len, bases))
+    f = spec.pole_terms()
+    width = socle.derham._key_width(spec.n_vars, f, cutoff, (0, 0))
+    piece = socle.derham._Piece(spec, f, cutoff, 0, width)
+    assert _basis_size(spec, cutoff) == sum(map(len, piece.keys))
 
 
 def test_derham_rejects_bad_cap(monkeypatch, capsys):

@@ -31,8 +31,8 @@ from socle.derham import (
     spec_from_json,
 )
 from socle.grammar import parse_poly
-from socle.linalg import GradedMatrix, rank_of_columns
-from socle.poly import MultiPoly, graded_piece_basis
+from socle.linalg import _content_free, rank_of_columns
+from socle.poly import MultiPoly, _scaled, graded_piece_basis
 from socle.series import TruncatedSeries
 from socle.structure import BettiProfile, predict
 
@@ -129,6 +129,40 @@ def test_injective_hull_via_splice():
     assert list(quotient) == list(derham_closed_form(InjectiveHull(1)))
 
 
+def engine_piece(spec, cutoff, tau, width_cutoff=None):
+    """The piece ``derham_truncated`` ranks: the primitive integer multiple of
+    f, keys wide enough for cutoffs up to ``width_cutoff`` (default: this one)."""
+    f = _content_free(_scaled(spec.pole_terms())[0])
+    width = socle.derham._key_width(spec.n_vars, f, width_cutoff or cutoff, (tau, tau))
+    return socle.derham._Piece(spec, f, cutoff, tau, width)
+
+
+def d_map(piece, j):
+    """d_j of a piece as {key: column} over its whole basis."""
+    keys = piece.keys[j]
+    return dict(zip(keys, piece.d_columns(j, range(len(keys)))))
+
+
+def apply(linear_map, vector):
+    """The image of a {key: c} vector under a {key: column} map, zeros dropped."""
+    out = {}
+    for key, c in vector.items():
+        for row, v in linear_map[key].items():
+            out[row] = out.get(row, 0) + c * v
+    return {row: v for row, v in out.items() if v}
+
+
+def inclusion(lo, hi, j, f):
+    """The chain map F_lo -> F_hi in form degree j as {key: column}, built
+    from labels: (I, e) goes to (I, e + a) with weight c_a for each term c_a x^a
+    of f."""
+    key_at = dict(zip(hi.labels(j), hi.keys[j]))
+    return {
+        key: {key_at[(I, tuple(x + y for x, y in zip(e, a)))]: c for a, c in f.items()}
+        for (I, e), key in zip(lo.labels(j), lo.keys[j])
+    }
+
+
 def test_differential_squares_to_zero():
     cases = [
         (spec_from_json({"kind": "loc-quot", "f": "x^2 + y^2"}), 3, 0),
@@ -138,35 +172,32 @@ def test_differential_squares_to_zero():
         (PolynomialRing(2), 3, 1),
     ]
     for spec, cutoff, tau in cases:
-        bases, diffs, _ = assemble_complex(spec, cutoff, tau)
-        for j in range(len(diffs) - 1):
-            assert diffs[j + 1].compose(diffs[j]).is_zero(), (spec, j)
+        piece = engine_piece(spec, cutoff, tau)
+        assert any(piece.keys), spec
+        for j in range(spec.n_vars - 1):
+            d_next = d_map(piece, j + 1)
+            for key, col in d_map(piece, j).items():
+                assert apply(d_next, col) == {}, (spec, j, key)
 
 
 def test_filtration_inclusion_is_a_chain_map():
     """Multiplying numerators by f commutes with the pole differential."""
-    f = parse_poly("x^2 + y^2", 2)
-    spec = HypersurfaceLocalization(f)
-    lo, hi = 3, 4
-    bases_lo, diffs_lo, _ = assemble_complex(spec, lo, 0)
-    bases_hi, diffs_hi, _ = assemble_complex(spec, hi, 0)
-    iotas = []
-    for j, base in enumerate(bases_lo):
-        hi_index = {label: i for i, label in enumerate(bases_hi[j])}
-        columns = []
-        for (index_set, exp) in base:
-            col = {}
-            for fexp, c in f.terms.items():
-                target = tuple(e + fe for e, fe in zip(exp, fexp))
-                col[hi_index[(index_set, target)]] = c
-            columns.append(col)
-        iotas.append(
-            GradedMatrix.from_columns(list(bases_hi[j]), list(base), columns)
-        )
-    for j in range(len(diffs_lo)):
-        left = diffs_hi[j].compose(iotas[j])
-        right = iotas[j + 1].compose(diffs_lo[j])
-        assert left.entries == right.entries
+    lo_cut, hi_cut = 3, 4
+    for spec in (
+        HypersurfaceLocalization(parse_poly("x^2 + y^2", 2)),
+        HypersurfaceLocalization(parse_poly("x^2 + 2*y^2 - x*y", 2)),
+        MonomialLocalization(3, frozenset({0, 2})),
+    ):
+        lo, hi = (engine_piece(spec, cut, 0, hi_cut) for cut in (lo_cut, hi_cut))
+        n = spec.n_vars
+        iotas = [inclusion(lo, hi, j, lo.f) for j in range(n + 1)]
+        for j in range(n):
+            d_lo, d_hi = d_map(lo, j), d_map(hi, j)
+            for key in lo.keys[j]:
+                left = apply(d_hi, iotas[j][key])
+                assert left == apply(iotas[j + 1], d_lo[key]), (spec, j, key)
+                # i is injective, so the check never compares two empty images
+                assert bool(left) == bool(d_lo[key])
 
 
 def test_nonzero_weights_contribute_nothing():
@@ -319,6 +350,13 @@ def test_derham_dims_hash_agrees_with_tuple_equality():
     assert hash(dims) == hash((0, 1))
     assert {(0, 1): "table"}[dims] == "table"
     assert len({dims, DeRhamDims((0, 1)), (0, 1)}) == 1
+    # a tuple, so a list never compares equal
+    assert dims != [0, 1]
+    assert (len(dims), dims[1], list(dims), dims.euler) == (2, 1, [0, 1], -1)
+    # entries are coerced to int, and a negative one is refused
+    assert all(type(d) is int for d in DeRhamDims([Fraction(2), True]))
+    with pytest.raises(DomainError):
+        DeRhamDims((1, -1))
 
 
 def test_each_cutoff_complex_is_assembled_once(monkeypatch):
@@ -436,13 +474,18 @@ def pole_complex_pieces(draw):
 @given(pole_complex_pieces())
 def test_assembled_columns_match_polynomial_products(case):
     spec, cutoff, tau = case
-    f = spec.f
-    n = f.n_vars
-    bases, diffs, incls = assemble_complex(spec, cutoff, tau)
-    for j, d in enumerate(diffs):
+    n = spec.n_vars
+    piece = engine_piece(spec, cutoff, tau)
+    # the engine's f is the primitive integer multiple of the spec's
+    f = MultiPoly(n, piece.f)
+    e0, c0 = next(iter(piece.f.items()))
+    assert f == spec.f * (c0 / spec.f.terms[e0])
+    label_at = [dict(zip(piece.keys[j], piece.labels(j))) for j in range(n + 1)]
+    for j in range(n):
         k = cutoff + j
-        assert all(isinstance(c, Fraction) for c in d.entries.values())
-        for (I, e), col in zip(bases[j], d.columns()):
+        labels = piece.labels(j)
+        for (I, e), col in zip(labels, piece.d_columns(j, range(len(labels)))):
+            assert all(type(c) is int for c in col.values())
             # numerator of d(g/f^k) in direction i is f dg/dx_i - k g df/dx_i
             g = MultiPoly.monomial(n, e)
             want = {}
@@ -453,15 +496,22 @@ def test_assembled_columns_match_polynomial_products(case):
                 J = tuple(sorted(I + (i,)))
                 numer = f * g.partial_derivative(i) - k * g * f.partial_derivative(i)
                 want.update({(J, exp): sign * c for exp, c in numer.terms.items()})
-            assert {bases[j + 1][r]: c for r, c in col.items()} == want
-    for j in range(len(diffs) - 1):
-        assert diffs[j + 1].compose(diffs[j]).is_zero()
-    assert (incls is not None) == spec.quotient_mod_A
-    for j, incl in enumerate(incls or ()):
+            assert {label_at[j + 1][r]: c for r, c in col.items()} == want
+    for j in range(n - 1):
+        d_next = d_map(piece, j + 1)
+        assert all(apply(d_next, col) == {} for col in d_map(piece, j).values())
+    # polynomial forms x^a dx_I = x^a f^k dx_I / f^k, I then a in basis order
+    for j in range(n + 1):
+        columns = piece.a_columns(j)
+        if not spec.quotient_mod_A:
+            assert columns == []
+            continue
         f_k = f ** (cutoff + j)
-        for (I, a), col in zip(incl.cols, incl.columns()):
+        labels = [(I, a) for I in combinations(range(n), j) for a in graded_piece_basis(tau - j, n)]
+        assert len(columns) == len(labels)
+        for (I, a), col in zip(labels, columns):
             want = {(I, exp): c for exp, c in (MultiPoly.monomial(n, a) * f_k).terms.items()}
-            assert {bases[j][r]: c for r, c in col.items()} == want
+            assert {label_at[j][r]: c for r, c in col.items()} == want
 
 
 @st.composite
@@ -514,42 +564,38 @@ def test_piece_columns_follow_the_closed_form_at_their_keys(case):
 
 
 def plain_persistent_dims(spec, lo, hi, tau):
-    """The persistence formula as plain ranks of assembled matrices.
+    """The persistence formula as plain ranks of the pieces' columns.
 
-    rank H^j = rank M - rank[i(d C_j) | A_hi,j+1] - rank[d C_hi,j-1 | A_hi,j],
+    rank H^j = rank M - rank[i(d C_lo,j) | A_hi,j+1] - rank[d C_hi,j-1 | A_hi,j],
     where M sends (u, w, a, b) to (i u + d w + a, i(d u) + b) and i is the
-    chain map F_lo -> F_hi that multiplies numerators by f.  Returns the
-    table and the basis count of both complexes.
+    chain map F_lo -> F_hi that multiplies numerators by the spec's own f,
+    built from labels.  Rows are the packed keys, tagged 0 in the first
+    block and 1 in the second.  Every rank is a fresh ``rank_of_columns``
+    call over whole bases: no clearing and no shared pivot state.
     """
-    bases_lo, diffs_lo, _ = assemble_complex(spec, lo, tau)
-    bases_hi, diffs_hi, incls = assemble_complex(spec, hi, tau)
-    n = len(bases_lo) - 1
+    f = spec.pole_terms()
+    n = spec.n_vars
+    width = socle.derham._key_width(n, f, hi, (tau, tau))
+    p_lo, p_hi = (socle.derham._Piece(spec, f, cut, tau, width) for cut in (lo, hi))
     # i multiplies numerators by f (1 for R and E), the identity at lo = hi
-    f = spec.pole_terms() if lo < hi else {(0,) * n: 1}
-    iotas = []
-    for j in range(n + 1):
-        index = {label: r for r, label in enumerate(bases_hi[j])}
-        columns = [
-            {index[(I, tuple(a + b for a, b in zip(e, fe)))]: c for fe, c in f.items()}
-            for I, e in bases_lo[j]
-        ]
-        iotas.append(GradedMatrix.from_columns(bases_hi[j], bases_lo[j], columns))
-    pushed = [iotas[j + 1].compose(diffs_lo[j]).columns() for j in range(n)]
-    pushed.append([{} for _ in bases_lo[n]])
-    a_cols = [m.columns() for m in incls] if incls else [[] for _ in range(n + 1)]
-    a_cols.append([])
+    iotas = [inclusion(p_lo, p_hi, j, f if lo < hi else {(0,) * n: 1}) for j in range(n + 1)]
+    iotas.append({})
+
+    def tagged(block, col):
+        return {(block, r): c for r, c in col.items()}
+
     dims = []
     for j in range(n + 1):
-        offset = len(bases_hi[j])
-
-        def shifted(col):
-            return {offset + r: c for r, c in col.items()}
-
-        bottom = (diffs_hi[j - 1].columns() if j else []) + a_cols[j]
-        top = pushed[j] + a_cols[j + 1]
-        m = [{**i_u, **shifted(d_u)} for i_u, d_u in zip(iotas[j].columns(), pushed[j])]
-        m += bottom + [shifted(col) for col in a_cols[j + 1]]
-        dims.append(rank_of_columns(m) - rank_of_columns(top) - rank_of_columns(bottom))
+        pushed = [apply(iotas[j + 1], col) for col in d_map(p_lo, j).values()]
+        bottom = list(d_map(p_hi, j - 1).values()) if j else []
+        bottom += p_hi.a_columns(j)
+        a_next = p_hi.a_columns(j + 1)
+        m = [
+            {**tagged(0, iotas[j][key]), **tagged(1, d_u)}
+            for key, d_u in zip(p_lo.keys[j], pushed)
+        ]
+        m += [tagged(0, col) for col in bottom] + [tagged(1, col) for col in a_next]
+        dims.append(rank_of_columns(m) - rank_of_columns(pushed + a_next) - rank_of_columns(bottom))
     return dims
 
 
@@ -583,7 +629,7 @@ def truncation_inputs(draw):
 @given(truncation_inputs())
 def test_truncated_tables_match_the_plain_rank_formula(case):
     # cleared integer ranks, shared per complex, against plain ranks of
-    # the assembled matrices with the pushed block i(d u)
+    # the pieces' columns with the pushed block i(d u)
     spec, cutoff, window = case
     dims, report = derham_truncated(spec, cutoff, degree_window=window)
     assert list(dims) == list(plain_window_dims(spec, *report.cutoffs, window))

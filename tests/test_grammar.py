@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -71,6 +72,21 @@ def test_non_ascii_digits_are_parse_errors(text, offset):
         parse_operator(text)
     assert exc.value.offset == offset
     assert "unexpected character" in str(exc.value)
+
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="this interpreter has no int/str digit limit")
+@pytest.mark.parametrize("literal", ["7" * 5000, "1/" + "7" * 5000, "7" * 5000 + "/3"])
+def test_a_literal_past_the_digit_limit_is_a_parse_error(literal):
+    assert len(literal) > DIGIT_LIMIT
+    with pytest.raises(ParseError) as exc:
+        parse_poly("x+" + literal)
+    assert exc.value.offset == 3
+    assert "literal too long" in str(exc.value)
+    # at the limit the literal is read
+    assert parse_poly("x+" + "7" * DIGIT_LIMIT).terms[(0,)] == int("7" * DIGIT_LIMIT)
 
 
 LEXEMES = ["x", "Y", "z", "w", "x3", "X0", "d1", "D2", "7", "12", "3/4", "0/5",

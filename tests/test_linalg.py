@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from socle.errors import DimensionMismatch
 from socle.linalg import (
     GradedMatrix,
     _integer_pivots,
@@ -82,6 +84,14 @@ def test_eliminate_columns_invariants():
         assert len(pivots) == dense_rank(dense)
 
 
+def columns_of(m):
+    """The sparse columns of a GradedMatrix, read from its entries."""
+    cols = [{} for _ in m.cols]
+    for (i, j), c in m.entries.items():
+        cols[j][i] = c
+    return cols
+
+
 def test_graded_matrix_rank_and_cokernel():
     rng = random.Random(7)
     for _ in range(60):
@@ -91,53 +101,31 @@ def test_graded_matrix_rank_and_cokernel():
         m = GradedMatrix(
             rows=[f"r{i}" for i in range(n_rows)],
             cols=[f"c{j}" for j in range(n_cols)],
-            entries={
-                (i, j): dense[i][j]
-                for i in range(n_rows)
-                for j in range(n_cols)
-                if dense[i][j]
-            },
+            entries={(i, j): dense[i][j] for i in range(n_rows) for j in range(n_cols)},
         )
+        # zeros are dropped and the rest kept as they are
+        assert all(type(c) is Fraction and c for c in m.entries.values())
+        columns = columns_of(m)
+        assert columns == to_columns(dense)
         r = dense_rank(dense)
-        assert rank_of_columns(m.columns()) == r
+        assert rank_of_columns(columns) == r
         # the non-pivot rows label a cokernel basis
-        pivots = eliminate_columns(m.columns())
+        pivots = eliminate_columns(columns)
         assert len(pivots) == r
         assert set(pivots) <= set(range(n_rows))
 
 
-def test_compose_matches_dense_product():
-    rng = random.Random(19)
-    for _ in range(40):
-        a_rows, inner, b_cols = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
-        a = random_dense(rng, a_rows, inner)
-        b = random_dense(rng, inner, b_cols)
-        ma = GradedMatrix(
-            rows=list(range(a_rows)),
-            cols=list(range(inner)),
-            entries={(i, j): a[i][j] for i in range(a_rows) for j in range(inner) if a[i][j]},
-        )
-        mb = GradedMatrix(
-            rows=list(range(inner)),
-            cols=list(range(b_cols)),
-            entries={(i, j): b[i][j] for i in range(inner) for j in range(b_cols) if b[i][j]},
-        )
-        prod = ma.compose(mb)
-        dense_prod = [
-            [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(b_cols)]
-            for i in range(a_rows)
-        ]
-        assert rank_of_columns(prod.columns()) == dense_rank(dense_prod)
-        for j, col in enumerate(prod.columns()):
-            for i in range(a_rows):
-                assert col.get(i, Fraction(0)) == dense_prod[i][j]
-
-
 def test_zero_matrix():
-    m = GradedMatrix(rows=[0, 1], cols=[0], entries={})
-    assert m.is_zero()
-    assert rank_of_columns(m.columns()) == 0
-    assert eliminate_columns(m.columns()) == {}
+    m = GradedMatrix(rows=[0, 1], cols=[0], entries={(1, 0): 0})
+    assert m.entries == {}
+    assert rank_of_columns(columns_of(m)) == 0
+    assert eliminate_columns(columns_of(m)) == {}
+
+
+def test_graded_matrix_refuses_an_entry_outside_its_shape():
+    for entry in ((2, 0), (0, 1), (-1, 0)):
+        with pytest.raises(DimensionMismatch):
+            GradedMatrix(rows=[0, 1], cols=[0], entries={entry: 1})
 
 
 # ------------------------------------------------- property tests (hypothesis)
@@ -184,8 +172,7 @@ def test_rank_and_cokernel_agree_with_dense_oracle(case):
     n_rows, columns = case
     want = dense_rank(to_dense(n_rows, columns))
     assert rank_of_columns(columns) == want
-    m = GradedMatrix.from_columns(list(range(n_rows)), list(range(len(columns))), columns)
-    pivots = eliminate_columns(m.columns())
+    pivots = eliminate_columns(columns)
     assert len(pivots) == want
     assert set(pivots) <= set(range(n_rows))
 

@@ -239,13 +239,12 @@ def test_decompose_past_shifted_roots():
     assert dec.reconstruction() == f.x0_slices()
 
 
-def test_decompose_accepts_truncated_series_input():
+def test_decompose_refuses_truncated_series_input():
+    # f is a polynomial; a series is refused, not read through its terms
     p = op_from_text("x*d0", 1)
     f = const(1, 2) + xpow(1, 2, 4)
-    direct = decompose(f, p, precision=5)
-    wrapped = decompose(TruncatedSeries.from_poly(f, 5), p, precision=5)
-    assert direct.e == wrapped.e
-    assert direct.b == wrapped.b
+    with pytest.raises(DomainError, match="polynomial"):
+        decompose(TruncatedSeries.from_poly(f, 5), p, precision=5)
 
 
 def test_reconstruction_randomized():
