@@ -55,14 +55,15 @@ DECOMPOSE_SIZE_MAX = 52_000
 
 #: largest weight-0 basis of the top complex of ``derham`` (see
 #: ``_basis_size``); the Fermat quartic threefold at cutoff 3 has 354690 and
-#: takes about 2.5 s and 280 MB.  A dense f costs more per element:
+#: takes about 5 s and 230 MB.  A dense f costs more per element:
 #: x0^3+x1^3+x2^3+x3^3+x0*x1*x2+2*x1*x2*x3-x0^2*x3+3*x1^2*x2 at cutoff 4 has
-#: 16080 and takes about 22 s (2-core x86-64, Python 3.11)
+#: 16080 and takes about 17 s (2-core x86-64, Python 3.11)
 DERHAM_BASIS_MAX = 400_000
-#: largest precision of a rank-one connection (``derham_rank_one``); at the
-#: bound x^2+x takes 0.14 s, 5/7*x^5-3/11*x^2+2 0.85 s and the costliest p
-#: measured, (x+1/3)^12, 8.2 s (2-core x86-64, Python 3.11)
-RANK_ONE_PRECISION_MAX = 2000
+#: largest work of ``derham_rank_one``: precision^2 * terms of p * its largest
+#: numerator plus denominator bits; x^2+x passes up to precision 2236 (0.2 s),
+#: (x+1/3)^12 (9 s at 2000) up to 264, and the costliest p measured at the
+#: bound, x^100+1/3 at 1825, takes 1.7 s (2-core x86-64, Python 3.11)
+RANK_ONE_WORK_MAX = 20_000_000
 
 class _InputError(Exception):
     """User-facing input problem outside the library error types.
@@ -241,9 +242,12 @@ def cmd_derham(args) -> int:
         # the default adapts to deg p: derham_rank_one needs at least deg p + 3
         default = max(12, int(max(p.degree(), 0)) + 3)
         precision = args.prec if args.prec is not None else default
-        if precision > RANK_ONE_PRECISION_MAX:
+        bits = max((abs(c.numerator).bit_length() + c.denominator.bit_length() for c in p.terms.values()), default=1)
+        work = precision**2 * max(len(p.terms), 1) * bits
+        if work > RANK_ONE_WORK_MAX:
             raise _InputError(
-                f"rank-one precision {precision} exceeds {RANK_ONE_PRECISION_MAX}"
+                f"rank-one precision {precision} with {len(p.terms)} terms of up to {bits} bits "
+                f"needs work {work}, which exceeds {RANK_ONE_WORK_MAX}"
             )
         dims = derham_rank_one(p, precision=precision)
         lines = [

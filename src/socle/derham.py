@@ -14,9 +14,11 @@ gives forward maps whose stabilization is the certification signal.  Every
 table comes from one rank formula for the persistent cohomology of a pair of
 cutoffs (``_persistent_dims``): with r(K, j) = rank[d C_(j-1) | A_j] in the
 complex at cutoff K (A the polynomial subcomplex in quotient mode, else 0),
-rank H^j(F_lo -> F_hi) = rank M - r(lo, j+1) - r(hi, j).  The pairs
-(K-2, K-1) and (K-1, K) share the ranks of F_(K-1), so each r(K, j) is
-eliminated once, and M continues the elimination of r(hi, j).  Where the
+rank H^j(F_lo -> F_hi) = rank[P_hi(j) | Q_lo(j)] - r(hi, j), where P_hi(j)
+spans B_hi + A_hi and Q_lo(j), with dim H^j(F_lo) vectors, comes out of the
+low complex's own elimination of r(lo, j+1) (the standard persistence
+algorithm: Zomorodian and Carlsson, Computing persistent homology, 2005).
+Each r(K, j) is eliminated once.  Where the
 complex ignores the cutoff (R, and E once the cutoff clears the window) the
 pair is one cutoff twice, the map is the identity and one pass is exact.
 For a homogeneous input everything splits by internal weight (degree of the
@@ -29,15 +31,13 @@ vanish.
 
 Ranks are cleared (Chen and Kerber, Persistent homology computation with a
 twist, 2011): a basis element at a pivot row of r(K, j) is dropped from d_j
-and from the u-block of M without changing either span, and its column is
-never built.  The elimination keeps only column-echelon form, whose pivot
-vector at row p lies in B + A (a cycle modulo A) and touches, besides p,
-only rows above p, kept ones and pivot rows.  By induction in decreasing
-pivot row the columns at those pivot rows already lie in the span of the
-kept columns (plus A), so the column at p does too.  Columns are primitive
-integer dicts from the start: f is scaled to its primitive integer
-multiple, which scales every column by a unit.  Their rows are the packed
-keys of ``_Piece``, with no lookup table.
+without changing the span of [d C_j | A_(j+1)], and its column is never
+built.  The elimination keeps only column-echelon form, whose pivot vector
+at row p lies in B + A (so d maps it into A) and touches, besides p, only
+rows above p, kept ones and pivot rows; by induction in decreasing pivot
+row, C_j = span kept + B + A.  Columns are primitive integer dicts from the
+start: f is scaled to its primitive integer multiple, which scales every
+column by a unit.  Their rows are the packed keys of ``_Piece``.
 
 Pole-complex entries are written from their closed form, with no polynomial
 products: for g = x^e and f = sum_a c_a x^a the numerator of d(g/f^k) in
@@ -340,7 +340,9 @@ def _key_width(n: int, f, cutoff: int, window: Tuple[int, int]) -> int:
     index-set mask and for all exponents, E's negative ones included (each
     |e_i| <= |deg e| + n + 1).  The top cutoff bounds the lower ones: a
     nonnegative degree only grows with the cutoff, and a negative one has no
-    monomials unless D = 0, where the cutoff does not enter."""
+    monomials unless D = 0, where the cutoff does not enter.  So every key,
+    E's negative ones included, has |key| < 2^(width (n+1)), and a low
+    piece's tails at rows key + 2^(width (n+1) + 1) lie above every key."""
     degree = sum(next(iter(f)))
     top = max(abs(tau - j + (cutoff + j) * degree) for tau in window for j in range(n + 1))
     return max(n, (top + n + 1).bit_length())
@@ -352,32 +354,33 @@ class _Piece:
     The basis of form degree j is x^e dx_I / f^k with k = cutoff + j and
     deg e = tau - j + kD; for E it is x^e dx_I with every e_i <= -1,
     deg e = tau - j, present only while -tau <= cutoff (the spec's
-    ``basis``).  It is stored as the index sets ``sets[j]`` times the
-    exponents ``exps[j]``, element s * len(exps[j]) + t being
-    (sets[j][s], exps[j][t]).  Each element has
-    the packed key mask(I) + sum_i e_i << (width * (i + 1)) (``keys[j]``),
-    and the keys are the row numbers of every column: they are one-to-one
-    on (I, e), and linear, so the row of x^(e+a-1_i) dx_(I+i) is the key of
-    x^e dx_I plus one precomputed int.  Pieces compared by
-    ``_persistent_dims`` share one ``width``.  Columns are built on demand
-    from the rule in ``assemble_complex``, with f given as
-    {exponent: coefficient}: with integer f every entry is an int.
+    ``basis``).  Element s * len(exps[j]) + t is (sets[j][s], exps[j][t]),
+    with the packed key mask(I) + sum_i e_i << (width * (i + 1))
+    (``keys[j]``).  Keys are the row numbers of every column: one-to-one on
+    (I, e) and linear, so the row of x^(e+a-1_i) dx_(I+i) is the key of
+    x^e dx_I plus one precomputed int.  Pieces of a pair share one
+    ``width``.  With f given as {exponent: int} every entry is an int.
 
     The rank path asks for r(j) = rank[d C_(j-1) | A_j] in order of j.  Each
-    is eliminated once; the d columns it reads are only those outside the
-    pivot rows of r(j-1) (clearing), built once and, when the piece is the
-    ``low`` end of a pair, kept for the persistence matrix; its pivot state
-    stays live until the next rank, for that matrix to continue.
+    is eliminated once, from the d columns off the pivot rows of r(j-1)
+    (clearing); its pivot state stays live for ``_persistent_dims`` to
+    continue.  The low end of a pair, with its high end at cutoff ``high``,
+    carries the chain map i into it, multiplication of numerators by
+    f^(high - cutoff) (``image``), and gives each d column d u the tail u at
+    a row offset above every key.  A pivot row then stays in the d-block
+    unless the d-part reduces to 0, so the d-block pivots are those of r(j).
+    The pivots in the offset block, popped, un-offset and pushed through i,
+    are ``cycles[j-1]``, a basis of i(Z_A ∩ span kept); a tail u instead of
+    i u holds one entry instead of the terms of f.
     """
 
-    def __init__(self, spec: ModuleSpec, f, cutoff: int, tau: int, width: int, low: bool = True):
+    def __init__(self, spec: ModuleSpec, f, cutoff: int, tau: int, width: int, high: Optional[int] = None):
         n = spec.n_vars
         degree = sum(next(iter(f)))
         self.n, self.f, self.cutoff, self.tau, self.width = n, f, cutoff, tau, width
-        # only the low end of a pair reads its d columns again, in M
-        self.low = low
         self.quotient = spec.quotient_mod_A
         self.units = [1 << (width * (i + 1)) for i in range(n)]
+        self.offset = 2 << (width * (n + 1))  # above every key (``_key_width``)
         self.sets, self.exps, self.keys = [], [], []
         for j in range(n + 1):
             exps, codes = spec.basis(tau - j + (cutoff + j) * degree, tau, cutoff, width)
@@ -390,18 +393,28 @@ class _Piece:
         self.ranks: List[int] = []
         self.kept: List[List[int]] = []  # basis indices off the pivot rows of r(j)
         self.live = None  # (j, pivots) of the latest r(j)
-        self.dcols: Dict[int, list] = {}
+        # i as {key shift: coefficient}, None off the low end of a pair
+        self.image = None if high is None else self.f_power(high - cutoff)
+        self.cycles: Dict[int, List[dict]] = {}
 
     def code(self, e: Sequence[int]) -> int:
         """The packed code of an exponent, the key of x^e with I empty."""
         return sum(x * u for x, u in zip(e, self.units))
 
+    def f_power(self, m: int) -> Dict[int, int]:
+        """f^m as {packed code of the exponent: coefficient}."""
+        f_m = {(0,) * self.n: 1}
+        for _ in range(m):
+            f_m = _accumulate(f_m, self.f)
+        return {self.code(exp): c for exp, c in f_m.items() if c}
+
     def labels(self, j: int) -> list:
         """The basis of form degree j as (I, e) pairs."""
         return [(I, e) for I in self.sets[j] for e in self.exps[j]]
 
-    def d_columns(self, j: int, kept: Sequence[int]) -> List[dict]:
-        """Columns of d_j at the basis indices ``kept`` (empty at j = n)."""
+    def d_columns(self, j: int, kept: Sequence[int], tails: bool = False) -> List[dict]:
+        """Columns of d_j at the basis indices ``kept`` (empty at j = n); with
+        ``tails``, the column of u also holds 1 at its offset row."""
         n, k = self.n, self.cutoff + j
         keys, exps = self.keys[j], self.exps[j]
         f = [(fe, c, self.code(fe)) for fe, c in self.f.items()]
@@ -420,7 +433,7 @@ class _Piece:
         cols = []
         for idx in kept:
             e, key = exps[idx % m], keys[idx]
-            col = {}
+            col = {key + self.offset: 1} if tails else {}
             for i, ka, sc, step in steps[idx // m]:
                 factor = e[i] - ka
                 if factor:
@@ -433,17 +446,13 @@ class _Piece:
         a in basis order (quotient mode; none otherwise)."""
         if not self.quotient or j > self.n:
             return []
-        n = self.n
-        codes = graded_piece_codes(self.tau - j, n, self.width)[1]
+        codes = graded_piece_codes(self.tau - j, self.n, self.width)[1]
         if not codes:
             return []
-        f_k = {(0,) * n: 1}
-        for _ in range(self.cutoff + j):
-            f_k = _accumulate(f_k, self.f)
-        f_k = [(self.code(exp), c) for exp, c in f_k.items() if c]
+        f_k = self.f_power(self.cutoff + j)
         return [
-            {mask + code + shift: c for shift, c in f_k}
-            for mask in map(_mask, combinations(range(n), j))
+            {mask + code + shift: c for shift, c in f_k.items()}
+            for mask in map(_mask, combinations(range(self.n), j))
             for code in codes
         ]
 
@@ -454,21 +463,37 @@ class _Piece:
         return self.ranks[j] if j <= self.n else 0
 
     def _eliminate(self, j: int) -> None:
+        tails = j > 0 and self.image is not None
+        cols = self.d_columns(j - 1, self.kept[j - 1], tails) if j else []
+        cols += self.a_columns(j)
         pivots: Dict[int, Dict[int, int]] = {}
-        _reduce_into(pivots, self.d_kept(j - 1) if j else ())
-        if not self.low:
-            self.dcols.pop(j - 1, None)
-        _reduce_into(pivots, self.a_columns(j))
+        _reduce_into(pivots, cols)
+        if tails:
+            # the tails are distinct unit vectors and A_j is independent, so
+            # no column reduces to 0; one that does lost its tail, say to a
+            # collision of a key with an offset row
+            if len(pivots) != len(cols):
+                raise InternalCheckError(f"a column of r({j}) lost its tail")
+            offset = self.offset
+            cycles = [pivots.pop(p) for p in [p for p in pivots if p >= offset]]
+            self.cycles[j - 1] = [self.push({r - offset: c for r, c in v.items()}) for v in cycles]
         self.ranks.append(len(pivots))
         self.kept.append([i for i, key in enumerate(self.keys[j]) if key not in pivots])
         self.live = (j, pivots)
 
-    def d_kept(self, j: int) -> List[dict]:
-        """d_j on the basis indices that survive clearing by r(j), built once."""
-        cols = self.dcols.get(j)
-        if cols is None:
-            cols = self.dcols[j] = self.d_columns(j, self.kept[j])
-        return cols
+    def cycle_images(self, j: int) -> List[dict]:
+        """Q(j), a basis of i(Z_A ∩ span kept) in form degree j, handed over
+        once; at the top degree every n-form is a cycle, and no d_n is built."""
+        if j < self.n:
+            self.rank(j + 1)
+            return self.cycles.pop(j)
+        self.rank(j)
+        keys = self.keys[j]
+        return [self.push({keys[idx]: 1}) for idx in self.kept[j]]
+
+    def push(self, v: Dict[int, int]) -> Dict[int, int]:
+        """i v, zeros dropped."""
+        return {r: x for r, x in _accumulate(v, self.image, lambda a, b: ((a + b, 1),)).items() if x}
 
     def take(self, j: int) -> Dict[int, Dict[int, int]]:
         """The live pivot state of r(j), handed over once."""
@@ -492,15 +517,11 @@ def assemble_complex(spec: ModuleSpec, cutoff: int, tau: int):
       incls[j]  -- inclusion of the polynomial subcomplex (hypersurface
                    quotient mode only, else None).
 
-    Every engine is a pole complex: for a hypersurface f, the column of
-    x^e dx_I / f^k (k = cutoff + j) holds sign * c_a * (e_i - k a_i) at the
-    row of x^(e+a-1_i) dx_(I+i) for every term c_a x^a of f and every i not
-    in I, where sign is the wedge sign of moving dx_i into place; a zero
-    factor writes no entry.  The inclusion column of x^a dx_I is f^k shifted
-    by a.  R is the pole complex of the constant 1 (D = 0, entries
-    sign * e_i, no inclusion), and E the same on exponents e <= -1: the
-    column of x^e dx_I holds sign * e_i at the row of x^(e-1_i) dx_(I+i).
-    The rank path builds the same columns through ``_Piece``.
+    The column of x^e dx_I / f^k (k = cutoff + j) holds sign * c_a *
+    (e_i - k a_i) at the row of x^(e+a-1_i) dx_(I+i) for every term c_a x^a
+    of f and every i not in I, sign the wedge sign of moving dx_i into place
+    (module docstring); the inclusion column of x^a dx_I is f^k shifted by
+    a.  These are the columns of ``_Piece``, which the rank path uses.
     """
     f = spec.pole_terms()
     n = spec.n_vars
@@ -529,46 +550,32 @@ def assemble_complex(spec: ModuleSpec, cutoff: int, tau: int):
 def _persistent_dims(lo: _Piece, hi: _Piece) -> List[int]:
     """Ranks of H^j(F_lo) -> H^j(F_hi) for one weight piece.
 
-    Uses only matrix ranks: writing r(K, j) = rank[d C_(j-1) | A_j] in the
-    complex at cutoff K, with A the polynomial subcomplex in quotient mode
-    (else 0), and i the injective chain map F_lo -> F_hi, which maps A_lo
-    onto A_hi,
+    With Z_A the cycles modulo A and i the injective chain map F_lo -> F_hi,
+    which maps A_lo into A_hi, the image is i(Z_A,lo) + B_hi + A_hi modulo
+    B_hi + A_hi, so rank H^j = rank[P_hi(j) | Q_lo(j)] - r(hi, j), with
+    P_hi(j) the pivot vectors of r(hi, j), a basis of B_hi + A_hi, and
+    Q_lo(j) = ``lo.cycle_images(j)``, a basis of i(Z_A,lo ∩ span kept).
 
-        rank H^j = rank M - r(lo, j+1) - r(hi, j)
+    That suffices: i of a cleared pivot vector of r(lo, j) lies in B_hi +
+    A_hi, as the vector lies in B_lo + A_lo, so with C_j = span kept + B_lo
+    + A_lo (module docstring) Z_A,lo = (Z_A,lo ∩ span kept) + B_lo + A_lo.
+    And span Q = i(Z_A,lo ∩ span kept): a combination of the columns d u + u
+    (u offset) and a of r(lo, j+1) has no d-block row exactly when d u + a =
+    0, and is then u; the offset pivots span those u.  A nonzero vector of
+    B_lo + A_lo has its lowest row at a pivot row, which no kept element
+    touches, so the sum is direct and len(Q) = dim H^j(F_lo).
 
-    where M sends (u, w, a, b) in C_lo,j + C_hi,j-1 + A_hi,j + A_lo,j+1 to
-    (i u + d w + a, d u + b).  The kernel of the second coordinate is the
-    low cycles modulo A, so the first coordinate maps it onto i(Z) + B_hi +
-    A_hi.  Rows are the packed keys of both pieces: the first block holds
-    j-forms and the second (j+1)-forms, so no key is in both.  M continues
-    the live pivot state of r(hi, j), whose columns are exactly
-    (d w + a, 0).  A u at a pivot row of r(lo, j) is cleared: its
-    echelon pivot vector lies in B_lo + A_lo, so its M column lies in the
-    span of the (d w + a, 0) and (0, b) columns and of the M columns at the
-    rows the vector also touches, which are kept or, by induction in
-    decreasing pivot row, themselves in that span.  At lo = hi the map i is
-    the identity and the formula gives dim H^j.
+    When the high piece is the low end of another pair, or lo = hi, its
+    pivot vectors carry tails that stand for nothing in F_hi, so a Q vector
+    counts only when its residual keeps a row below the offset.  At lo = hi
+    the map i is the identity and the formula gives dim H^j.
     """
-    n = lo.n
-    # i multiplies numerators by f, and is the identity at lo = hi
-    shifts = [(lo.code(fe), c) for fe, c in lo.f.items()] if lo is not hi else [(0, 1)]
     dims = []
-    for j in range(n + 1):
+    for j in range(lo.n + 1):
         pivots = hi.take(j)
-        bottom, top = len(pivots), lo.rank(j + 1)
-        keys = lo.keys[j]
-        cols = lo.a_columns(j + 1)
-        for idx, d in zip(lo.kept[j], lo.d_kept(j)):
-            key = keys[idx]
-            col = {key + shift: c for shift, c in shifts}
-            col.update(d)
-            cols.append(col)
-        lo.dcols.pop(j)
-        _reduce_into(pivots, cols)
-        h = len(pivots) - top - bottom
-        if h < 0:
-            raise InternalCheckError("negative persistent rank in truncated complex")
-        dims.append(h)
+        bottom = len(pivots)
+        _reduce_into(pivots, lo.cycle_images(j))
+        dims.append(sum(1 for p in pivots if p < lo.offset) - bottom)
     return dims
 
 
@@ -624,11 +631,10 @@ def derham_truncated(
     # multiple gives the same ranks with int columns throughout
     f = _content_free(_scaled(spec.pole_terms())[0])
     # ranks of the maps H(F_{K-2}) -> H(F_{K-1}) -> H(F_K); agreement of the
-    # two persistent tables is the stabilization signal.  A cutoff-free
-    # complex needs one pair, lo = hi = K: the map is the identity, so the
-    # table is dim H^j and it is exact.  The low pair runs first: its M
-    # continues the live pivot states of F_{K-1}, whose ranks the high pair
-    # then only reads
+    # two tables is the stabilization signal.  A cutoff-free complex needs one
+    # pair, lo = hi = K, whose map is the identity: the table is dim H^j, exact.
+    # A low end is built with its high cutoff, so that its eliminations yield
+    # its cycle images; the low pair's continue the live pivot states of F_{K-1}
     exact = spec.cutoff_free(pole_cutoff, window)
     K = pole_cutoff
     width = _key_width(n, f, K, window)
@@ -640,13 +646,13 @@ def derham_truncated(
         pairs = [(max(1, K - 1), K)]
     tables = [[0] * (n + 1) for _ in pairs]
     basis_count = 0
-    lows = {lo for lo, _ in pairs}
+    highs = dict(pairs)
     for tau in range(window[0], window[1] + 1):
         pieces: Dict[int, _Piece] = {}
         for table, (lo, hi) in zip(tables, pairs):
             for cut in (lo, hi):
                 if cut not in pieces:
-                    pieces[cut] = _Piece(spec, f, cut, tau, width, low=cut in lows)
+                    pieces[cut] = _Piece(spec, f, cut, tau, width, highs.get(cut))
             for j, h in enumerate(_persistent_dims(pieces[lo], pieces[hi])):
                 table[j] += h
         basis_count += sum(len(keys) for piece in pieces.values() for keys in piece.keys)

@@ -10,9 +10,10 @@ normal-orders to ``x0 d0 + 1``.
 Parse errors carry the 1-based byte offset of the offending input; every
 accepted character is ASCII, so any other character is an error at its own
 offset.  A power or a product whose expansion would take more than about a
-second (``POWER_WORK_MAX``) is a parse error before it is expanded: a power
-at its exponent, a product at its ``*`` or, for juxtaposed factors, at the
-right factor.
+second (``POWER_WORK_MAX``), or whose coefficients would pass
+``COEFFICIENT_BITS_MAX`` bits, is a parse error before it is expanded: a
+power at its exponent, a product at its ``*`` or, for juxtaposed factors, at
+the right factor.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ _ALIASES = {"x": 0, "y": 1, "z": 2, "w": 3}
 #: (x+y+z)^58, (x+y+z+w)^25, (x0+...+x9)^7 and (x0*d0)^117 (rational
 #: coefficients, (5/7*x+11/3*y)^805: 2.5 s); 2-core x86-64, Python 3.11
 POWER_WORK_MAX = 250_000
+#: largest estimated coefficient bits of a power or a product (``_bits``),
+#: twice the longest literal the default int/str digit limit lets through
+COEFFICIENT_BITS_MAX = 32_768
 
 
 def _degrees(op: WeylOp) -> List[Tuple[int, int]]:
@@ -50,6 +54,18 @@ def _product_work(a: WeylOp, b: WeylOp) -> int:
     under normal ordering."""
     pairs = prod(min(d, x) + 1 for (_, d), (x, _) in zip(_degrees(a), _degrees(b)))
     return len(a.terms) * len(b.terms) * pairs
+
+
+def _bits(offset: int, what: str, scale: int, *ops: WeylOp) -> None:
+    """Refuse a power or a product past ``COEFFICIENT_BITS_MAX``: with b about
+    log2 of the largest |numerator| * denominator, base^e with k terms has
+    coefficients of about e * (b(base) + log2 k) bits, lhs * rhs of about
+    b(lhs) + b(rhs) + log2 of the smaller term count."""
+    sizes = [[abs(c.numerator).bit_length() + c.denominator.bit_length() - 2 for c in op.terms.values()] for op in ops]
+    terms = min(len(op.terms) for op in ops)
+    bits = scale * (sum(max(s, default=0) for s in sizes) + max(terms - 1, 0).bit_length())
+    if bits > COEFFICIENT_BITS_MAX:
+        raise ParseError(f"{what} has coefficients of about {bits} bits, which exceeds {COEFFICIENT_BITS_MAX}", offset)
 
 
 def _power_work(base: WeylOp, e: int) -> int:
@@ -193,6 +209,7 @@ class _Parser:
                     f"factor needs about {work} term products, which exceeds {POWER_WORK_MAX}",
                     tok.offset,
                 )
+            _bits(tok.offset, "product", 1, value, rhs)
             value = value * rhs
 
     def factor(self) -> WeylOp:
@@ -218,6 +235,7 @@ class _Parser:
                         f"term products, which exceeds {POWER_WORK_MAX}",
                         etok.offset,
                     )
+                _bits(etok.offset, f"power {e}", e, value)
                 value = value**e
             else:
                 break

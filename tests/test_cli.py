@@ -129,12 +129,25 @@ def test_derham_refuses_an_oversized_rank_one_precision(capsys):
     assert time.perf_counter() - start < 0.5
     assert code == 2
     assert not out
-    assert "rank-one precision 100000000 exceeds 2000" in err
+    assert "rank-one precision 100000000 with 1 terms of up to 2 bits" in err
+    assert "which exceeds 20000000" in err
     assert "Traceback" not in err
-    # the bound itself is accepted
-    code, out, _ = run(capsys, "derham", "--kind", "rank-one", "--f", "x", "--prec", "2000")
-    assert code == 0
-    assert "dims (j = 0..1): [0, 1]" in out
+    # precision 2000 is accepted for p = x and x^2+x
+    for p, want in (("x", "[0, 1]"), ("x^2+x", "[0, 2]")):
+        code, out, _ = run(capsys, "derham", "--kind", "rank-one", "--f", p, "--prec", "2000")
+        assert code == 0
+        assert f"dims (j = 0..1): {want}" in out
+
+
+def test_derham_refuses_a_costly_rank_one_connection(capsys):
+    # the work bound counts the terms and coefficient bits of p as well:
+    # unrefused, (x+1/3)^12 at precision 2000 takes about 9 s
+    start = time.perf_counter()
+    code, out, err = run(capsys, "derham", "--kind", "rank-one", "--f", "(x+1/3)^12", "--prec", "2000")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert not out
+    assert "with 13 terms of up to 23 bits needs work 1196000000, which exceeds 20000000" in err
 
 
 def test_derham_non_smooth_hypersurface_is_heuristic(capsys):
@@ -376,6 +389,17 @@ def test_oversized_powers_exit_2(capsys, argv):
     assert code == 2
     assert not out
     assert "exceeds 250000" in err
+
+
+def test_a_power_with_oversized_coefficients_exits_2(capsys):
+    # unrefused, 3^10000000 is computed for about 8 s before the run fails
+    start = time.perf_counter()
+    code, out, err = run(capsys, "derham", "--kind", "loc", "--f", "3^10000000*x")
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert not out
+    assert err.startswith("error: parse error at byte 3: power 10000000")
+    assert "Traceback" not in err
 
 
 def test_non_ascii_digits_are_parse_errors(capsys):

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from socle.errors import (
     DomainError,
     EmptyComplexError,
     InconsistentSequenceError,
+    InternalCheckError,
     UnsupportedSpecError,
 )
 from socle.derham import (
@@ -362,7 +364,8 @@ def test_derham_dims_hash_agrees_with_tuple_equality():
 def test_each_cutoff_complex_is_assembled_once(monkeypatch):
     # the pairs (K-2, K-1) and (K-1, K) share the cutoff K-1 complex: each
     # (cutoff, position) set of d columns is built once, and each
-    # per-complex rank r(K, j) is eliminated once
+    # per-complex rank r(K, j) is eliminated once; a low end gets its cycle
+    # images from those eliminations, so no piece builds d_n
     cases = [
         (spec_from_json({"kind": "loc-quot", "f": "x^2 + y^2 + z^2"}), 6, [0, 1, 0, 0]),
         (MonomialLocalization(2, frozenset({0, 1})), 4, [1, 2, 1]),
@@ -372,9 +375,9 @@ def test_each_cutoff_complex_is_assembled_once(monkeypatch):
     for spec, cutoff, want_dims in cases:
         built, eliminated = [], []
 
-        def counting_columns(self, j, kept):
+        def counting_columns(self, j, kept, *tails):
             built.append((self.cutoff, self.tau, j))
-            return d_columns(self, j, kept)
+            return d_columns(self, j, kept, *tails)
 
         def counting_eliminate(self, j):
             eliminated.append((self.cutoff, self.tau, j))
@@ -387,10 +390,7 @@ def test_each_cutoff_complex_is_assembled_once(monkeypatch):
         n = len(want_dims) - 1
         cutoffs = range(cutoff - 2, cutoff + 1)
         assert sorted(eliminated) == [(k, 0, j) for k in cutoffs for j in range(n + 1)]
-        # the top complex is never the low end of a pair, so it needs no d_n
-        assert sorted(built) == [
-            (k, 0, j) for k in cutoffs for j in range(n + 1 if k < cutoff else n)
-        ]
+        assert sorted(built) == [(k, 0, j) for k in cutoffs for j in range(n)]
         assert list(dims) == want_dims
         assert (dims, report) == derham_truncated(spec, cutoff)
         assert report.certificate == "stabilized"
@@ -635,3 +635,50 @@ def test_truncated_tables_match_the_plain_rank_formula(case):
     assert list(dims) == list(plain_window_dims(spec, *report.cutoffs, window))
     low = report.cutoffs if cutoff < 3 or report.certificate == "exact" else (cutoff - 2, cutoff - 1)
     assert report.dims_low == plain_window_dims(spec, *low, window)
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(truncation_inputs())
+def test_cycle_images_count_the_low_cohomology(case):
+    # Z_A ∩ span kept meets B + A only in 0, so a low end hands over exactly
+    # dim H^j(F_lo) cycle images; and each pair's table is the oracle's
+    spec, cutoff, window = case
+    piece = socle.derham._Piece
+    cycle_images, persistent_dims = piece.cycle_images, socle.derham._persistent_dims
+    counts, tables = {}, {}
+
+    def counting_images(self, j):
+        images = cycle_images(self, j)
+        counts[(self.cutoff, self.tau, j)] = len(images)
+        return images
+
+    def recording_dims(lo, hi):
+        dims = persistent_dims(lo, hi)
+        tables[(lo.cutoff, hi.cutoff, lo.tau)] = dims
+        return dims
+
+    with mock.patch.object(piece, "cycle_images", counting_images), mock.patch.object(
+        socle.derham, "_persistent_dims", recording_dims
+    ):
+        derham_truncated(spec, cutoff, degree_window=window)
+    taus = range(window[0], window[1] + 1)
+    lows = {lo for lo, _, _ in tables}
+    assert sorted(counts) == sorted(
+        (lo, tau, j) for lo in lows for tau in taus for j in range(spec.n_vars + 1)
+    )
+    own = {(lo, tau): plain_persistent_dims(spec, lo, lo, tau) for lo in lows for tau in taus}
+    for (lo, tau, j), count in counts.items():
+        assert count == own[(lo, tau)][j], (lo, tau, j)
+    for (lo, hi, tau), dims in tables.items():
+        assert dims == plain_persistent_dims(spec, lo, hi, tau), (lo, hi, tau)
+
+
+def test_a_lost_tail_is_an_internal_error(monkeypatch):
+    # with the tails dropped, a cycle of the low complex reduces to 0 in
+    # r(lo, j+1), which the independence check refuses
+    d_columns = socle.derham._Piece.d_columns
+    monkeypatch.setattr(
+        socle.derham._Piece, "d_columns", lambda self, j, kept, tails=False: d_columns(self, j, kept)
+    )
+    with pytest.raises(InternalCheckError, match="lost its tail"):
+        derham_truncated(MonomialLocalization(2, frozenset({0, 1})), 4)

@@ -201,6 +201,33 @@ def test_a_product_of_two_large_powers_is_refused():
     assert "1326-term" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "text, offset",
+    [
+        ("3^10000000*x", 3),
+        ("x + (2/3)^100000", 11),
+        ("(3^39*x+y)^805", 12),
+        ("3^30000*3^30000", 8),
+    ],
+)
+def test_oversized_coefficients_are_refused_before_expansion(text, offset):
+    # few terms, so the work estimate lets these through; unrefused,
+    # 3^10000000 alone takes about 8 s
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as exc:
+        parse_poly(text)
+    assert time.perf_counter() - start < 0.1
+    assert exc.value.offset == offset
+    assert "bits, which exceeds 32768" in str(exc.value)
+
+
+def test_coefficients_within_the_bit_bound_still_expand():
+    assert parse_poly("3^20000*x", 1).terms == {(1,): Fraction(3) ** 20000}
+    assert parse_poly("x0^100000000", 1) == MultiPoly.monomial(1, (100000000,))
+    # the estimate is e * (bits of the base + log2 of its terms): 100 * 5
+    assert len(parse_poly("(5/7*x+11/3*y)^100", 2).terms) == 101
+
+
 def test_products_within_the_bound_still_expand():
     assert len(parse_poly("(x+y+z)^30*(x+y+z)^30").terms) == 1891
     assert parse_operator("d0^3*x0^3", 1) == parse_operator("(d0^3)(x0^3)", 1)
