@@ -342,7 +342,8 @@ def _key_width(n: int, f, cutoff: int, window: Tuple[int, int]) -> int:
     nonnegative degree only grows with the cutoff, and a negative one has no
     monomials unless D = 0, where the cutoff does not enter.  So every key,
     E's negative ones included, has |key| < 2^(width (n+1)), and a low
-    piece's tails at rows key + 2^(width (n+1) + 1) lie above every key."""
+    piece's tails, at rows key + 2^(width (n+1) + 1), lie at or above that
+    bound, which no key reaches."""
     degree = sum(next(iter(f)))
     top = max(abs(tau - j + (cutoff + j) * degree) for tau in window for j in range(n + 1))
     return max(n, (top + n + 1).bit_length())
@@ -366,12 +367,13 @@ class _Piece:
     (clearing); its pivot state stays live for ``_persistent_dims`` to
     continue.  The low end of a pair, with its high end at cutoff ``high``,
     carries the chain map i into it, multiplication of numerators by
-    f^(high - cutoff) (``image``), and gives each d column d u the tail u at
-    a row offset above every key.  A pivot row then stays in the d-block
-    unless the d-part reduces to 0, so the d-block pivots are those of r(j).
-    The pivots in the offset block, popped, un-offset and pushed through i,
-    are ``cycles[j-1]``, a basis of i(Z_A ∩ span kept); a tail u instead of
-    i u holds one entry instead of the terms of f.
+    f^(high - cutoff) (``image``), and gives each d column d u the tail u
+    at the row key(u) + 2 bound, where every |key| < ``bound``.  A pivot
+    row then stays below ``bound`` unless the d-part reduces to 0, so those
+    pivots are the ones of r(j).  The pivots at or above ``bound``, popped,
+    shifted back and pushed through i, are ``cycles[j-1]``, a basis of
+    i(Z_A ∩ span kept); a tail u instead of i u holds one entry, not the
+    terms of f.
     """
 
     def __init__(self, spec: ModuleSpec, f, cutoff: int, tau: int, width: int, high: Optional[int] = None):
@@ -380,7 +382,7 @@ class _Piece:
         self.n, self.f, self.cutoff, self.tau, self.width = n, f, cutoff, tau, width
         self.quotient = spec.quotient_mod_A
         self.units = [1 << (width * (i + 1)) for i in range(n)]
-        self.offset = 2 << (width * (n + 1))  # above every key (``_key_width``)
+        self.bound = 1 << (width * (n + 1))  # |key| < bound (``_key_width``)
         self.sets, self.exps, self.keys = [], [], []
         for j in range(n + 1):
             exps, codes = spec.basis(tau - j + (cutoff + j) * degree, tau, cutoff, width)
@@ -414,7 +416,7 @@ class _Piece:
 
     def d_columns(self, j: int, kept: Sequence[int], tails: bool = False) -> List[dict]:
         """Columns of d_j at the basis indices ``kept`` (empty at j = n); with
-        ``tails``, the column of u also holds 1 at its offset row."""
+        ``tails``, the column of u also holds 1 at the row key(u) + 2 bound."""
         n, k = self.n, self.cutoff + j
         keys, exps = self.keys[j], self.exps[j]
         f = [(fe, c, self.code(fe)) for fe, c in self.f.items()]
@@ -429,11 +431,11 @@ class _Piece:
             ]
             for I in self.sets[j]
         ]
-        m = len(exps)
+        m, tail = len(exps), 2 * self.bound
         cols = []
         for idx in kept:
             e, key = exps[idx % m], keys[idx]
-            col = {key + self.offset: 1} if tails else {}
+            col = {key + tail: 1} if tails else {}
             for i, ka, sc, step in steps[idx // m]:
                 factor = e[i] - ka
                 if factor:
@@ -471,12 +473,12 @@ class _Piece:
         if tails:
             # the tails are distinct unit vectors and A_j is independent, so
             # no column reduces to 0; one that does lost its tail, say to a
-            # collision of a key with an offset row
+            # collision of a key with a tail row
             if len(pivots) != len(cols):
                 raise InternalCheckError(f"a column of r({j}) lost its tail")
-            offset = self.offset
-            cycles = [pivots.pop(p) for p in [p for p in pivots if p >= offset]]
-            self.cycles[j - 1] = [self.push({r - offset: c for r, c in v.items()}) for v in cycles]
+            bound = self.bound
+            cycles = [pivots.pop(p) for p in [p for p in pivots if p >= bound]]
+            self.cycles[j - 1] = [self.push({r - 2 * bound: c for r, c in v.items()}) for v in cycles]
         self.ranks.append(len(pivots))
         self.kept.append([i for i, key in enumerate(self.keys[j]) if key not in pivots])
         self.live = (j, pivots)
@@ -560,14 +562,15 @@ def _persistent_dims(lo: _Piece, hi: _Piece) -> List[int]:
     A_hi, as the vector lies in B_lo + A_lo, so with C_j = span kept + B_lo
     + A_lo (module docstring) Z_A,lo = (Z_A,lo ∩ span kept) + B_lo + A_lo.
     And span Q = i(Z_A,lo ∩ span kept): a combination of the columns d u + u
-    (u offset) and a of r(lo, j+1) has no d-block row exactly when d u + a =
-    0, and is then u; the offset pivots span those u.  A nonzero vector of
-    B_lo + A_lo has its lowest row at a pivot row, which no kept element
-    touches, so the sum is direct and len(Q) = dim H^j(F_lo).
+    (u shifted) and a of r(lo, j+1) has no row below ``bound`` exactly when
+    d u + a = 0, and is then u; the pivots at or above ``bound`` span those
+    u.  A nonzero vector of B_lo + A_lo has its lowest row at a pivot row,
+    which no kept element touches, so the sum is direct and len(Q) =
+    dim H^j(F_lo).
 
     When the high piece is the low end of another pair, or lo = hi, its
     pivot vectors carry tails that stand for nothing in F_hi, so a Q vector
-    counts only when its residual keeps a row below the offset.  At lo = hi
+    counts only when its residual keeps a row below ``bound``.  At lo = hi
     the map i is the identity and the formula gives dim H^j.
     """
     dims = []
@@ -575,7 +578,7 @@ def _persistent_dims(lo: _Piece, hi: _Piece) -> List[int]:
         pivots = hi.take(j)
         bottom = len(pivots)
         _reduce_into(pivots, lo.cycle_images(j))
-        dims.append(sum(1 for p in pivots if p < lo.offset) - bottom)
+        dims.append(sum(1 for p in pivots if p < lo.bound) - bottom)
     return dims
 
 
