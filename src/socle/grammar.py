@@ -35,8 +35,11 @@ _ALIASES = {"x": 0, "y": 1, "z": 2, "w": 3}
 #: (x+y+z)^58, (x+y+z+w)^25, (x0+...+x9)^7 and (x0*d0)^117 (rational
 #: coefficients, (5/7*x+11/3*y)^805: 2.5 s); 2-core x86-64, Python 3.11
 POWER_WORK_MAX = 250_000
-#: largest estimated coefficient bits of a power or a product (``_bits``),
-#: twice the longest literal the default int/str digit limit lets through
+#: largest estimated coefficient bits of a power or a product, twice the
+#: longest literal the default int/str digit limit lets through: with b about
+#: log2 of the largest |numerator| * denominator (``_bits``), base^e with k
+#: terms has about e * (b(base) + log2 k), lhs * rhs about b(lhs) + b(rhs) +
+#: log2 of the smaller term count
 COEFFICIENT_BITS_MAX = 32_768
 
 
@@ -56,16 +59,17 @@ def _product_work(a: WeylOp, b: WeylOp) -> int:
     return len(a.terms) * len(b.terms) * pairs
 
 
-def _bits(offset: int, what: str, scale: int, *ops: WeylOp) -> None:
-    """Refuse a power or a product past ``COEFFICIENT_BITS_MAX``: with b about
-    log2 of the largest |numerator| * denominator, base^e with k terms has
-    coefficients of about e * (b(base) + log2 k) bits, lhs * rhs of about
-    b(lhs) + b(rhs) + log2 of the smaller term count."""
-    sizes = [[abs(c.numerator).bit_length() + c.denominator.bit_length() - 2 for c in op.terms.values()] for op in ops]
-    terms = min(len(op.terms) for op in ops)
-    bits = scale * (sum(max(s, default=0) for s in sizes) + max(terms - 1, 0).bit_length())
-    if bits > COEFFICIENT_BITS_MAX:
-        raise ParseError(f"{what} has coefficients of about {bits} bits, which exceeds {COEFFICIENT_BITS_MAX}", offset)
+def _bits(op: WeylOp) -> int:
+    """About log2 of op's largest |numerator| * denominator, 0 for +-1."""
+    sizes = (abs(c.numerator).bit_length() + c.denominator.bit_length() - 2 for c in op.terms.values())
+    return max(sizes, default=0)
+
+
+def _refuse_past(limit: int, offset: int, text: str, estimate: int) -> None:
+    """A ParseError at ``offset`` when ``estimate`` exceeds ``limit``; ``text``
+    says what needs it, with {} for the estimate."""
+    if estimate > limit:
+        raise ParseError(f"{text.format(estimate)}, which exceeds {limit}", offset)
 
 
 def _power_work(base: WeylOp, e: int) -> int:
@@ -202,14 +206,11 @@ class _Parser:
             elif not self._starts_factor(tok):
                 return value
             rhs = self.factor()
+            what = f"product of a {len(value.terms)}-term and a {len(rhs.terms)}-term factor"
             work = _product_work(value, rhs)
-            if work > POWER_WORK_MAX:
-                raise ParseError(
-                    f"product of a {len(value.terms)}-term and a {len(rhs.terms)}-term "
-                    f"factor needs about {work} term products, which exceeds {POWER_WORK_MAX}",
-                    tok.offset,
-                )
-            _bits(tok.offset, "product", 1, value, rhs)
+            _refuse_past(POWER_WORK_MAX, tok.offset, what + " needs about {} term products", work)
+            bits = _bits(value) + _bits(rhs) + max(min(len(value.terms), len(rhs.terms)) - 1, 0).bit_length()
+            _refuse_past(COEFFICIENT_BITS_MAX, tok.offset, what + " has coefficients of about {} bits", bits)
             value = value * rhs
 
     def factor(self) -> WeylOp:
@@ -228,14 +229,11 @@ class _Parser:
                 if etok.kind != "NUM" or etok.value.denominator != 1 or etok.value < 0:
                     raise ParseError("exponent must be a nonnegative integer", etok.offset)
                 e = int(etok.value)
+                what = f"power {e} of a {len(value.terms)}-term base"
                 work = _power_work(value, e)
-                if work > POWER_WORK_MAX:
-                    raise ParseError(
-                        f"power {e} of a {len(value.terms)}-term base needs about {work} "
-                        f"term products, which exceeds {POWER_WORK_MAX}",
-                        etok.offset,
-                    )
-                _bits(etok.offset, f"power {e}", e, value)
+                _refuse_past(POWER_WORK_MAX, etok.offset, what + " needs about {} term products", work)
+                bits = e * (_bits(value) + max(len(value.terms) - 1, 0).bit_length())
+                _refuse_past(COEFFICIENT_BITS_MAX, etok.offset, what + " has coefficients of about {} bits", bits)
                 value = value**e
             else:
                 break
