@@ -9,8 +9,8 @@ Four layers:
   formal adjoints, and the simple module E of inverse monomials (`EElement`);
 - de Rham engines: module specs for R, E, monomial localizations and R[1/f]
   (optionally mod R), each a pole complex that answers every per-kind
-  question the engine asks (basis rule, quotient flag, smoothness gate,
-  certificate), read from JSON by `spec_from_json` alone; closed forms,
+  question the engine asks (basis rule, the class of 1 at weight 0,
+  smoothness gate, certificate), read from JSON by `spec_from_json` alone; closed forms,
   pole-filtration truncation with a stabilization certificate, the
   rank-one connection route
   (`derham_rank_one`), and the long-exact-sequence splicer;

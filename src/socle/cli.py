@@ -227,6 +227,11 @@ def cmd_derham(args) -> int:
             raise _InputError(f"unknown hypersurface {args.catalog!r}; known: {known}")
         entry = HYPERSURFACES[args.catalog]
         kind = kind or "loc-quot"
+        if kind not in ("loc", "loc-quot"):
+            raise _InputError(
+                f"catalog entry {args.catalog!r} is a hypersurface, "
+                f"so it needs --kind loc or loc-quot, not {kind!r}"
+            )
         f_text = f_text if f_text is not None else entry.f_text
         n_vars = n_vars if n_vars is not None else entry.n_vars
         if cutoff is None:

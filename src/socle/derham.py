@@ -10,34 +10,38 @@ Two independent routes are provided and cross-checked in the test suite:
 
 The truncation engine filters by pole order: the subcomplex F_K allows pole
 order at most K + j in form degree j, which is stable under d, and raising K
-gives forward maps whose stabilization is the certification signal.  Every
-table comes from one rank formula for the persistent cohomology of a pair of
-cutoffs (``_persistent_dims``): with r(K, j) = rank[d C_(j-1) | A_j] in the
-complex at cutoff K (A the polynomial subcomplex in quotient mode, else 0),
-rank H^j(F_lo -> F_hi) = rank[P_hi(j) | Q_lo(j)] - r(hi, j), where P_hi(j)
-spans B_hi + A_hi and Q_lo(j), with dim H^j(F_lo) vectors, comes out of the
-low complex's own elimination of r(lo, j+1) (the standard persistence
-algorithm: Zomorodian and Carlsson, Computing persistent homology, 2005).
-Each r(K, j) is eliminated once.  Where the
-complex ignores the cutoff (R, and E once the cutoff clears the window) the
-pair is one cutoff twice, the map is the identity and one pass is exact.
-For a homogeneous input everything splits by internal weight (degree of the
+gives forward maps whose stabilization is the certification signal.  For a
+homogeneous input everything splits by internal weight (degree of the
 coefficient minus pole-order times degree of f, plus form degree); the
 contraction against the Euler vector field gives d(i_E w) + i_E(d w) = tau*w
 on the weight-tau piece, so every class of nonzero weight dies in the limit
 and the default window computes only weight 0.  An explicit window sums the
 tables of several weights, which the tests use to see the nonzero weights
-vanish.
+vanish.  In quotient mode the complex is taken modulo the polynomial
+subcomplex, which i_E preserves: its weight-tau piece lies in every F_K and
+is acyclic for tau != 0, and at weight 0 it is k*1 in degree 0.  So the
+engine takes out A = k * (f^K / f^K) at weight 0 and A = 0 elsewhere, and a
+loc-quot table is the loc table minus 1 in degree 0 when the window holds 0.
+
+Every table comes from one rank formula for the persistent cohomology of a
+pair of cutoffs (``_persistent_dims``): with r(K, j) = rank[d C_(j-1) | A_j]
+in the complex at cutoff K, rank H^j(F_lo -> F_hi) = rank[P_hi(j) | Q_lo(j)]
+- r(hi, j), where P_hi(j) spans B_hi + A_hi and Q_lo(j), with dim H^j(F_lo)
+vectors, comes out of the low complex's own elimination of r(lo, j+1) (the
+standard persistence algorithm: Zomorodian and Carlsson, Computing
+persistent homology, 2005).  Each r(K, j) is eliminated once.  Where the
+complex ignores the cutoff (R, and E once the cutoff clears the window) the
+pair is one cutoff twice, the map is the identity and one pass is exact.
 
 Ranks are cleared (Chen and Kerber, Persistent homology computation with a
 twist, 2011): a basis element at a pivot row of r(K, j) is dropped from d_j
-without changing the span of [d C_j | A_(j+1)], and its column is never
-built.  The elimination keeps only column-echelon form, whose pivot vector
-at row p lies in B + A (so d maps it into A) and touches, besides p, only
-rows above p, kept ones and pivot rows; by induction in decreasing pivot
-row, C_j = span kept + B + A.  Columns are primitive integer dicts from the
-start: f is scaled to its primitive integer multiple, which scales every
-column by a unit.  Their rows are the packed keys of ``_Piece``.
+without changing d C_j, and its column is never built.  The elimination
+keeps only column-echelon form, whose pivot vector at row p lies in B + A
+(so d maps it to 0) and touches, besides p, only rows above p, kept ones and
+pivot rows; by induction in decreasing pivot row, C_j = span kept + B + A.
+Columns are primitive integer dicts from the start: f is scaled to its
+primitive integer multiple, which scales every column by a unit.  Their
+rows are the packed keys of ``_Piece``.
 
 Pole-complex entries are written from their closed form, with no polynomial
 products: for g = x^e and f = sum_a c_a x^a the numerator of d(g/f^k) in
@@ -46,8 +50,9 @@ and distinct terms of f land on distinct monomials.  The polynomial ring is
 the pole complex of f = 1, and E the same on negative exponents: every
 spec gives its f (``ModuleSpec.pole_terms``).  The engine takes the spec
 itself and asks it every question that depends on the kind: f, the basis
-rule, the quotient flag, the smoothness gate and what agreement of two
-cutoffs certifies.  ``spec_from_json`` is the one place that reads a kind.
+rule, whether the class of 1 is taken out, the smoothness gate and what
+agreement of two cutoffs certifies.  ``spec_from_json`` is the one place
+that reads a kind.
 """
 
 from __future__ import annotations
@@ -107,7 +112,6 @@ class TruncationReport:
     cutoffs: Tuple[int, int]
     window: Tuple[int, int]
     dims_low: Tuple[int, ...]
-    dims_high: Tuple[int, ...]
     stabilized: bool
     certificate: str
     smooth: Optional[bool] = None
@@ -133,7 +137,8 @@ class ModuleSpec:
     kind of module is an attribute or a method here, overridden by the kinds
     it concerns; every spec also has ``n_vars``."""
 
-    #: whether the complex is taken modulo the polynomial subcomplex A
+    #: whether the complex is taken modulo the polynomial subcomplex, which
+    #: takes out the class of 1 at weight 0 (module docstring)
     quotient_mod_A = False
 
     def closed_form(self) -> DeRhamDims:
@@ -362,7 +367,8 @@ class _Piece:
     x^e dx_I plus one precomputed int.  Pieces of a pair share one
     ``width``.  With f given as {exponent: int} every entry is an int.
 
-    The rank path asks for r(j) = rank[d C_(j-1) | A_j] in order of j.  Each
+    The rank path asks for r(j) = rank[d C_(j-1) | A_j] in order of j, A the
+    span of 1 = f^cutoff / f^cutoff at weight 0 in quotient mode, else 0.  Each
     is eliminated once, from the d columns off the pivot rows of r(j-1)
     (clearing); its pivot state stays live for ``_persistent_dims`` to
     continue.  The low end of a pair, with its high end at cutoff ``high``,
@@ -372,7 +378,7 @@ class _Piece:
     row then stays below ``bound`` unless the d-part reduces to 0, so those
     pivots are the ones of r(j).  The pivots at or above ``bound``, popped,
     shifted back and pushed through i, are ``cycles[j-1]``, a basis of
-    i(Z_A ∩ span kept); a tail u instead of i u holds one entry, not the
+    i(Z ∩ span kept); a tail u instead of i u holds one entry, not the
     terms of f.
     """
 
@@ -380,7 +386,7 @@ class _Piece:
         n = spec.n_vars
         degree = sum(next(iter(f)))
         self.n, self.f, self.cutoff, self.tau, self.width = n, f, cutoff, tau, width
-        self.quotient = spec.quotient_mod_A
+        self.one = spec.quotient_mod_A and tau == 0  # whether A_0 = k * 1
         self.units = [1 << (width * (i + 1)) for i in range(n)]
         self.bound = 1 << (width * (n + 1))  # |key| < bound (``_key_width``)
         self.sets, self.exps, self.keys = [], [], []
@@ -443,21 +449,6 @@ class _Piece:
             cols.append(col)
         return cols
 
-    def a_columns(self, j: int) -> List[dict]:
-        """Columns of the polynomial j-forms x^a dx_I = x^a f^k dx_I / f^k, I then
-        a in basis order (quotient mode; none otherwise)."""
-        if not self.quotient or j > self.n:
-            return []
-        codes = graded_piece_codes(self.tau - j, self.n, self.width)[1]
-        if not codes:
-            return []
-        f_k = self.f_power(self.cutoff + j)
-        return [
-            {mask + code + shift: c for shift, c in f_k.items()}
-            for mask in map(_mask, combinations(range(self.n), j))
-            for code in codes
-        ]
-
     def rank(self, j: int) -> int:
         """r(j), 0 past the top degree; every r(i) with i <= j is then known."""
         while len(self.ranks) <= min(j, self.n):
@@ -466,14 +457,16 @@ class _Piece:
 
     def _eliminate(self, j: int) -> None:
         tails = j > 0 and self.image is not None
-        cols = self.d_columns(j - 1, self.kept[j - 1], tails) if j else []
-        cols += self.a_columns(j)
+        if j:
+            cols = self.d_columns(j - 1, self.kept[j - 1], tails)
+        else:
+            cols = [self.f_power(self.cutoff)] if self.one else []
         pivots: Dict[int, Dict[int, int]] = {}
         _reduce_into(pivots, cols)
         if tails:
-            # the tails are distinct unit vectors and A_j is independent, so
-            # no column reduces to 0; one that does lost its tail, say to a
-            # collision of a key with a tail row
+            # the tails are distinct unit vectors, so no column reduces to 0;
+            # one that does lost its tail, say to a collision of a key with a
+            # tail row
             if len(pivots) != len(cols):
                 raise InternalCheckError(f"a column of r({j}) lost its tail")
             bound = self.bound
@@ -484,7 +477,7 @@ class _Piece:
         self.live = (j, pivots)
 
     def cycle_images(self, j: int) -> List[dict]:
-        """Q(j), a basis of i(Z_A ∩ span kept) in form degree j, handed over
+        """Q(j), a basis of i(Z ∩ span kept) in form degree j, handed over
         once; at the top degree every n-form is a cycle, and no d_n is built."""
         if j < self.n:
             self.rank(j + 1)
@@ -513,60 +506,47 @@ def _mask(index_set: Sequence[int]) -> int:
 def assemble_complex(spec: ModuleSpec, cutoff: int, tau: int):
     """Graded piece of the de Rham complex at internal weight tau.
 
-    Returns (bases, diffs, incls):
-      bases[j]  -- list of column labels (I, e) in form degree j,
-      diffs[j]  -- GradedMatrix C^j -> C^(j+1),
-      incls[j]  -- inclusion of the polynomial subcomplex (hypersurface
-                   quotient mode only, else None).
+    Returns (bases, diffs, None): bases[j] lists the column labels (I, e) in
+    form degree j and diffs[j] is the GradedMatrix C^j -> C^(j+1); the None
+    keeps the shape that the tracer of ``benchmarks`` unpacks.
 
     The column of x^e dx_I / f^k (k = cutoff + j) holds sign * c_a *
     (e_i - k a_i) at the row of x^(e+a-1_i) dx_(I+i) for every term c_a x^a
     of f and every i not in I, sign the wedge sign of moving dx_i into place
-    (module docstring); the inclusion column of x^a dx_I is f^k shifted by
-    a.  These are the columns of ``_Piece``, which the rank path uses.
+    (module docstring).  These are the columns of ``_Piece``, which the rank
+    path uses.
     """
     f = spec.pole_terms()
     n = spec.n_vars
     piece = _Piece(spec, f, cutoff, tau, _key_width(n, f, cutoff, (tau, tau)))
     bases = [piece.labels(j) for j in range(n + 1)]
-    rows = [dict(zip(keys, range(len(keys)))) for keys in piece.keys]
-
-    def matrix(j, labels, columns):
-        entries = {(rows[j][r], s): c for s, col in enumerate(columns) for r, c in col.items()}
-        return GradedMatrix(bases[j], labels, entries)
-
-    diffs = [
-        matrix(j + 1, base, piece.d_columns(j, range(len(base))))
-        for j, base in enumerate(bases[:-1])
-    ]
-    incls = None
-    if piece.quotient:
-        incls = []
-        for j in range(n + 1):
-            exps = graded_piece_basis(tau - j, n)
-            labels = [(I, a) for I in combinations(range(n), j) for a in exps]
-            incls.append(matrix(j, labels, piece.a_columns(j)))
-    return bases, diffs, incls
+    diffs = []
+    for j, base in enumerate(bases[:-1]):
+        row = dict(zip(piece.keys[j + 1], range(len(bases[j + 1]))))
+        columns = piece.d_columns(j, range(len(base)))
+        entries = {(row[r], s): c for s, col in enumerate(columns) for r, c in col.items()}
+        diffs.append(GradedMatrix(bases[j + 1], base, entries))
+    return bases, diffs, None
 
 
 def _persistent_dims(lo: _Piece, hi: _Piece) -> List[int]:
     """Ranks of H^j(F_lo) -> H^j(F_hi) for one weight piece.
 
-    With Z_A the cycles modulo A and i the injective chain map F_lo -> F_hi,
-    which maps A_lo into A_hi, the image is i(Z_A,lo) + B_hi + A_hi modulo
-    B_hi + A_hi, so rank H^j = rank[P_hi(j) | Q_lo(j)] - r(hi, j), with
-    P_hi(j) the pivot vectors of r(hi, j), a basis of B_hi + A_hi, and
-    Q_lo(j) = ``lo.cycle_images(j)``, a basis of i(Z_A,lo ∩ span kept).
+    A is 0 in every degree that d reaches, so the cycles Z modulo A are
+    plain cycles.  With i the injective chain map F_lo -> F_hi, which maps
+    A_lo onto A_hi (1 to 1), the image is i(Z_lo) + B_hi + A_hi modulo B_hi
+    + A_hi, so rank H^j = rank[P_hi(j) | Q_lo(j)] - r(hi, j), with P_hi(j)
+    the pivot vectors of r(hi, j), a basis of B_hi + A_hi, and Q_lo(j) =
+    ``lo.cycle_images(j)``, a basis of i(Z_lo ∩ span kept).
 
     That suffices: i of a cleared pivot vector of r(lo, j) lies in B_hi +
     A_hi, as the vector lies in B_lo + A_lo, so with C_j = span kept + B_lo
-    + A_lo (module docstring) Z_A,lo = (Z_A,lo ∩ span kept) + B_lo + A_lo.
-    And span Q = i(Z_A,lo ∩ span kept): a combination of the columns d u + u
-    (u shifted) and a of r(lo, j+1) has no row below ``bound`` exactly when
-    d u + a = 0, and is then u; the pivots at or above ``bound`` span those
-    u.  A nonzero vector of B_lo + A_lo has its lowest row at a pivot row,
-    which no kept element touches, so the sum is direct and len(Q) =
-    dim H^j(F_lo).
+    + A_lo (module docstring) Z_lo = (Z_lo ∩ span kept) + B_lo + A_lo.  And
+    span Q = i(Z_lo ∩ span kept): a combination of the columns d u + u (u
+    shifted) of r(lo, j+1) has no row below ``bound`` exactly when d u = 0,
+    and is then u; the pivots at or above ``bound`` span those u.  A nonzero
+    vector of B_lo + A_lo has its lowest row at a pivot row, which no kept
+    element touches, so the sum is direct and len(Q) = dim H^j(F_lo).
 
     When the high piece is the low end of another pair, or lo = hi, its
     pivot vectors carry tails that stand for nothing in F_hi, so a Q vector
@@ -663,8 +643,8 @@ def derham_truncated(
         raise EmptyComplexError(
             f"no basis elements in window {window} at cutoffs {(pairs[0][0], K)}"
         )
-    dims_low, dims_high = tuple(tables[0]), tuple(tables[-1])
-    stabilized = dims_low == dims_high if len(pairs) == 2 else exact
+    dims_low, dims = tuple(tables[0]), DeRhamDims(tables[-1])
+    stabilized = dims_low == dims if len(pairs) == 2 else exact
 
     smooth = spec.smoothness_gate()
     certificate = "exact" if exact else spec.agreement(smooth) if stabilized else "provisional"
@@ -673,12 +653,11 @@ def derham_truncated(
         cutoffs=(pairs[-1][0], pole_cutoff),
         window=window,
         dims_low=dims_low,
-        dims_high=dims_high,
         stabilized=stabilized,
         certificate=certificate,
         smooth=smooth,
     )
-    return DeRhamDims(dims_high), report
+    return dims, report
 
 
 # ---------------------------------------------------------------- rank one

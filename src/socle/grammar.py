@@ -30,11 +30,16 @@ from .weyl import WeylOp
 _ALIASES = {"x": 0, "y": 1, "z": 2, "w": 3}
 
 #: largest estimated work of one power (``_power_work``) or product
-#: (``_product_work``); with integer
-#: coefficients the inputs at the bound parse in 0.7-1.1 s: (x+y)^805,
-#: (x+y+z)^58, (x+y+z+w)^25, (x0+...+x9)^7 and (x0*d0)^117 (rational
-#: coefficients, (5/7*x+11/3*y)^805: 2.5 s); 2-core x86-64, Python 3.11
+#: (``_product_work``), in term products weighted by coefficient size
+#: (``_refuse_costly``); the inputs at the bound parse in 0.6-1.2 s:
+#: (x+y)^805, (3*x+y)^805, (x+y+z)^58, (x+y+z+w)^25, (x0+...+x9)^7,
+#: (x0*d0)^117, (5/7*x+11/3*y)^581, (65535*x+y)^401 and
+#: (123456789*x+y)^353, where unweighted (123456789*x+y)^805 took 13 s;
+#: 2-core x86-64, Python 3.11
 POWER_WORK_MAX = 250_000
+#: a term product of b-bit coefficients costs about 1 + b // 2048 products of
+#: small ones (``_bits`` estimates b); measured on (c*x+y)^805 for c up to 3^20
+_BITS_PER_PRODUCT = 2048
 #: largest estimated coefficient bits of a power or a product, twice the
 #: longest literal the default int/str digit limit lets through: with b about
 #: log2 of the largest |numerator| * denominator (``_bits``), base^e with k
@@ -65,11 +70,18 @@ def _bits(op: WeylOp) -> int:
     return max(sizes, default=0)
 
 
-def _refuse_past(limit: int, offset: int, text: str, estimate: int) -> None:
-    """A ParseError at ``offset`` when ``estimate`` exceeds ``limit``; ``text``
-    says what needs it, with {} for the estimate."""
-    if estimate > limit:
-        raise ParseError(f"{text.format(estimate)}, which exceeds {limit}", offset)
+def _refuse_costly(offset: int, what: str, work: int, bits: int) -> None:
+    """A ParseError at ``offset`` when a power or a product, ``what``, has
+    coefficients of about ``bits`` bits past ``COEFFICIENT_BITS_MAX``, or
+    ``work`` term products past ``POWER_WORK_MAX`` once each is weighted by
+    the coefficient size."""
+    for limit, text, estimate in (
+        (COEFFICIENT_BITS_MAX, "has coefficients of about {} bits", bits),
+        (POWER_WORK_MAX, "needs about {} term products, weighted by coefficient size",
+         work * (1 + bits // _BITS_PER_PRODUCT)),
+    ):
+        if estimate > limit:
+            raise ParseError(f"{what} {text.format(estimate)}, which exceeds {limit}", offset)
 
 
 def _power_work(base: WeylOp, e: int) -> int:
@@ -207,10 +219,8 @@ class _Parser:
                 return value
             rhs = self.factor()
             what = f"product of a {len(value.terms)}-term and a {len(rhs.terms)}-term factor"
-            work = _product_work(value, rhs)
-            _refuse_past(POWER_WORK_MAX, tok.offset, what + " needs about {} term products", work)
             bits = _bits(value) + _bits(rhs) + max(min(len(value.terms), len(rhs.terms)) - 1, 0).bit_length()
-            _refuse_past(COEFFICIENT_BITS_MAX, tok.offset, what + " has coefficients of about {} bits", bits)
+            _refuse_costly(tok.offset, what, _product_work(value, rhs), bits)
             value = value * rhs
 
     def factor(self) -> WeylOp:
@@ -230,10 +240,8 @@ class _Parser:
                     raise ParseError("exponent must be a nonnegative integer", etok.offset)
                 e = int(etok.value)
                 what = f"power {e} of a {len(value.terms)}-term base"
-                work = _power_work(value, e)
-                _refuse_past(POWER_WORK_MAX, etok.offset, what + " needs about {} term products", work)
                 bits = e * (_bits(value) + max(len(value.terms) - 1, 0).bit_length())
-                _refuse_past(COEFFICIENT_BITS_MAX, etok.offset, what + " has coefficients of about {} bits", bits)
+                _refuse_costly(etok.offset, what, _power_work(value, e), bits)
                 value = value**e
             else:
                 break

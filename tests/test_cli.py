@@ -94,6 +94,15 @@ def test_derham_needs_kind_or_catalog(capsys):
     assert "--kind" in err
 
 
+@pytest.mark.parametrize("kind", ["R", "E", "rank-one"])
+def test_derham_catalog_needs_a_hypersurface_kind(capsys, kind):
+    # the entry fills in f, so the conflict is the kind, not a given --f
+    code, out, err = run(capsys, "derham", "--catalog", "conic-p2", "--kind", kind)
+    assert code == 2
+    assert not out
+    assert f"'conic-p2' is a hypersurface, so it needs --kind loc or loc-quot, not '{kind}'" in err
+
+
 def test_derham_cutoff_cap(monkeypatch, capsys):
     monkeypatch.setenv("DERHAM_MAX_CUTOFF", "2")
     code, out, _ = run(capsys, "derham", "--kind", "loc", "--f", "x", "--vars", "1")

@@ -500,18 +500,15 @@ def test_assembled_columns_match_polynomial_products(case):
     for j in range(n - 1):
         d_next = d_map(piece, j + 1)
         assert all(apply(d_next, col) == {} for col in d_map(piece, j).values())
-    # polynomial forms x^a dx_I = x^a f^k dx_I / f^k, I then a in basis order
-    for j in range(n + 1):
-        columns = piece.a_columns(j)
-        if not spec.quotient_mod_A:
-            assert columns == []
-            continue
-        f_k = f ** (cutoff + j)
-        labels = [(I, a) for I in combinations(range(n), j) for a in graded_piece_basis(tau - j, n)]
-        assert len(columns) == len(labels)
-        for (I, a), col in zip(labels, columns):
-            want = {(I, exp): c for exp, c in (MultiPoly.monomial(n, a) * f_k).terms.items()}
-            assert {label_at[j][r]: c for r, c in col.items()} == want
+    # the one polynomial form the engine takes out, 1 = f^K / f^K in degree 0
+    # at weight 0 in quotient mode, is the pivot vector of r(0)
+    pivots = piece.take(0)
+    if spec.quotient_mod_A and tau == 0:
+        (col,) = pivots.values()
+        want = {((), exp): c for exp, c in (f**cutoff).terms.items()}
+        assert {label_at[0][r]: c for r, c in col.items()} == want
+    else:
+        assert pivots == {}
 
 
 @st.composite
@@ -563,15 +560,35 @@ def test_piece_columns_follow_the_closed_form_at_their_keys(case):
             assert {label_at[r]: c for r, c in col.items()} == want
 
 
+def polynomial_forms(spec, piece, j):
+    """The polynomial j-forms x^a dx_I = x^a f^k dx_I / f^k (k = cutoff + j) of
+    the piece's weight, at every weight, as columns built from labels and the
+    spec's own f; none unless the spec is taken modulo them."""
+    n = spec.n_vars
+    if not spec.quotient_mod_A or j > n:
+        return []
+    f_k = MultiPoly(n, spec.pole_terms()) ** (piece.cutoff + j)
+    key_at = dict(zip(piece.labels(j), piece.keys[j]))
+    return [
+        {key_at[(I, tuple(x + y for x, y in zip(a, b)))]: c for b, c in f_k.terms.items()}
+        for I in combinations(range(n), j)
+        for a in graded_piece_basis(piece.tau - j, n)
+    ]
+
+
 def plain_persistent_dims(spec, lo, hi, tau):
     """The persistence formula as plain ranks of the pieces' columns.
 
     rank H^j = rank M - rank[i(d C_lo,j) | A_hi,j+1] - rank[d C_hi,j-1 | A_hi,j],
     where M sends (u, w, a, b) to (i u + d w + a, i(d u) + b) and i is the
     chain map F_lo -> F_hi that multiplies numerators by the spec's own f,
-    built from labels.  Rows are the packed keys, tagged 0 in the first
-    block and 1 in the second.  Every rank is a fresh ``rank_of_columns``
-    call over whole bases: no clearing and no shared pivot state.
+    built from labels.  A is every polynomial form of the weight in quotient
+    mode (``polynomial_forms``), so this ranks the honest quotient, and its
+    agreement with the engine, which takes out only 1 at weight 0, checks
+    that A is acyclic at every nonzero weight.  Rows are the packed keys,
+    tagged 0 in the first block and 1 in the second.  Every rank is a fresh
+    ``rank_of_columns`` call over whole bases: no clearing and no shared
+    pivot state.
     """
     f = spec.pole_terms()
     n = spec.n_vars
@@ -588,8 +605,8 @@ def plain_persistent_dims(spec, lo, hi, tau):
     for j in range(n + 1):
         pushed = [apply(iotas[j + 1], col) for col in d_map(p_lo, j).values()]
         bottom = list(d_map(p_hi, j - 1).values()) if j else []
-        bottom += p_hi.a_columns(j)
-        a_next = p_hi.a_columns(j + 1)
+        bottom += polynomial_forms(spec, p_hi, j)
+        a_next = polynomial_forms(spec, p_hi, j + 1)
         m = [
             {**tagged(0, iotas[j][key]), **tagged(1, d_u)}
             for key, d_u in zip(p_lo.keys[j], pushed)
@@ -671,6 +688,34 @@ def test_cycle_images_count_the_low_cohomology(case):
         assert count == own[(lo, tau)][j], (lo, tau, j)
     for (lo, hi, tau), dims in tables.items():
         assert dims == plain_persistent_dims(spec, lo, hi, tau), (lo, hi, tau)
+
+
+@st.composite
+def quotient_inputs(draw):
+    """A random f, a cutoff of at most 4 and a weight window near 0 that
+    sometimes leaves 0 out; every window holds a weight >= -1, so the
+    complex is never empty."""
+    low = draw(st.integers(-2, 1))
+    window = (low, draw(st.integers(max(low, -1), 2)))
+    return draw(hypersurfaces()).f, draw(st.integers(1, 4)), window
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(quotient_inputs())
+def test_quotient_table_is_the_localization_table_less_the_class_of_one(case):
+    # 0 -> A -> A_f -> A_f/A -> 0 with H(A) = k in degree 0, at every cutoff
+    f, cutoff, window = case
+    dims, report = derham_truncated(HypersurfaceLocalization(f), cutoff, degree_window=window)
+    quotient = HypersurfaceLocalization(f, quotient_mod_A=True)
+    q_dims, q_report = derham_truncated(quotient, cutoff, degree_window=window)
+    one = int(window[0] <= 0 <= window[1])
+
+    def less_one(table):
+        return (table[0] - one, *table[1:])
+
+    assert q_dims == less_one(dims)
+    # the JSON record: cutoffs, window, low table, certificate and gate
+    assert q_report.to_json() == {**report.to_json(), "dims_at_low_cutoff": list(less_one(report.dims_low))}
 
 
 def test_a_lost_tail_is_an_internal_error(monkeypatch):

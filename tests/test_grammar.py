@@ -149,6 +149,9 @@ def test_whitespace_is_insignificant():
         ("(x0*d0)^1000", 9),
         ("((x+y)^30)^30", 12),
         ("2*(x+y+z)^100 + 1", 11),
+        # as many term products as (x+y)^805, but of far larger coefficients
+        ("(123456789*x+y)^805", 17),
+        ("(3^20*x+y)^805", 12),
     ],
 )
 def test_oversized_powers_are_refused_before_expansion(text, offset):
