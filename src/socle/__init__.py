@@ -67,7 +67,6 @@ from .structure import (
     cone_homology,
     ogus_criterion,
     predict,
-    singular_curve_cohomology,
     singular_curve_h1,
 )
 from .catalog import HYPERSURFACES, PROFILES, CatalogHypersurface, CatalogProfile
@@ -126,7 +125,6 @@ __all__ = [
     "CurveData",
     "StructureReport",
     "singular_curve_h1",
-    "singular_curve_cohomology",
     "cone_homology",
     "ogus_criterion",
     "predict",

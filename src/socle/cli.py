@@ -65,12 +65,12 @@ DERHAM_BASIS_MAX = 400_000
 #: bound, x^100+1/3 at 1825, takes 1.7 s (2-core x86-64, Python 3.11)
 RANK_ONE_WORK_MAX = 20_000_000
 
-class _InputError(Exception):
+class _InputError(ValueError):
     """User-facing input problem outside the library error types.
 
-    ``main`` reports it, and every ValueError, with exit 2: each library
-    input error is a ValueError, and so is Python's refusal to convert an
-    int past its digit limit to or from text."""
+    ``main`` reports every ValueError with exit 2: each library input error
+    is a ValueError, and so is Python's refusal to convert an int past its
+    digit limit to or from text."""
 
 
 # ----------------------------------------------------------------- plumbing
@@ -612,7 +612,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (_InputError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -513,10 +513,10 @@ def assemble_complex(spec: ModuleSpec, cutoff: int, tau: int):
     The column of x^e dx_I / f^k (k = cutoff + j) holds sign * c_a *
     (e_i - k a_i) at the row of x^(e+a-1_i) dx_(I+i) for every term c_a x^a
     of f and every i not in I, sign the wedge sign of moving dx_i into place
-    (module docstring).  These are the columns of ``_Piece``, which the rank
-    path uses.
+    (module docstring), with f scaled to its primitive integer multiple.
+    These are the int columns of ``_Piece``, which the rank path uses.
     """
-    f = spec.pole_terms()
+    f = _content_free(_scaled(spec.pole_terms())[0])
     n = spec.n_vars
     piece = _Piece(spec, f, cutoff, tau, _key_width(n, f, cutoff, (tau, tau)))
     bases = [piece.labels(j) for j in range(n + 1)]

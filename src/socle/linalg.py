@@ -9,12 +9,9 @@ computations need: kernels come from rank-nullity.
 
 Each new pivot is placed on the lowest row of the reduced column, so a
 pivot vector has entries only above its pivot row and none at an older
-pivot row.  Pivot vectors are never back-substituted: a rank, and the
-clearing argument of ``derham`` (by induction in decreasing pivot row), need
-only echelon form.  ``eliminate_columns`` fully reduces the basis with one
-back-substitution pass and normalizes it to rational vectors with 1 at each
-pivot.  The span, the rank and so every dimension do not depend on the
-pivot rule; the pivot rows that ``eliminate_columns`` keys its basis by do.
+pivot row.  A rank, and the clearing argument of ``derham`` (by induction
+in decreasing pivot row), need only this echelon form.  The span, the rank
+and so every dimension do not depend on the pivot rule; the pivot rows do.
 """
 
 from __future__ import annotations
@@ -22,65 +19,30 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
-from typing import Dict, Hashable, Iterable, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, NamedTuple, Tuple
 
-from .errors import DimensionMismatch
 from .poly import _scaled
 
 #: {row: entry}, zero entries never stored
 SparseColumn = Dict[int, Fraction]
 
 
-class GradedMatrix:
-    """A sparse rational matrix with labelled rows (target) and columns
-    (source), the record ``derham.assemble_complex`` returns.
+class GradedMatrix(NamedTuple):
+    """A sparse matrix with labelled rows (target) and columns (source), the
+    record ``derham.assemble_complex`` returns.
 
     The map sends the basis vector of column ``j`` to
-    ``sum_i entries[i, j] * row_i``.
+    ``sum_i entries[i, j] * row_i``; the entries are nonzero ints.
     """
 
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(
-        self,
-        rows: Sequence[Hashable],
-        cols: Sequence[Hashable],
-        entries: Dict[Tuple[int, int], Fraction] | None = None,
-    ):
-        self.rows = list(rows)
-        self.cols = list(cols)
-        self.entries: Dict[Tuple[int, int], Fraction] = {}
-        for (i, j), c in (entries or {}).items():
-            if not (0 <= i < len(self.rows) and 0 <= j < len(self.cols)):
-                raise DimensionMismatch(f"entry ({i},{j}) outside {len(self.rows)}x{len(self.cols)}")
-            c = Fraction(c)
-            if c:
-                self.entries[(i, j)] = c
+    rows: List[Hashable]
+    cols: List[Hashable]
+    entries: Dict[Tuple[int, int], int]
 
 
 def _content_free(v: Dict[int, int]) -> Dict[int, int]:
     g = gcd(*v.values())
     return v if g == 1 else {r: x // g for r, x in v.items()}
-
-
-def _integer_pivots(columns: Iterable[SparseColumn]) -> Dict[int, Dict[int, int]]:
-    """Fraction-free column-space elimination over the integers.
-
-    Returns {pivot_row: primitive integer vector}; each vector is nonzero at
-    its pivot row and has no entry at any other pivot row, so it is a
-    multiple of the reduced rational vector ``eliminate_columns`` returns.
-    Each column is first scaled to integers, which keeps its span.  The
-    echelon basis of ``_reduce_into`` is fully reduced by one
-    back-substitution pass in decreasing pivot row: each vector is reduced
-    by the vectors of the higher pivot rows, which are fully reduced by
-    then, so no step adds a pivot-row entry.
-    """
-    echelon: Dict[int, Dict[int, int]] = {}
-    _reduce_into(echelon, (_scaled(col)[0] for col in columns))
-    pivots: Dict[int, Dict[int, int]] = {}
-    for pr in sorted(echelon, reverse=True):
-        pivots[pr] = _content_free(_reduce_column(pivots, echelon[pr]))
-    return pivots
 
 
 def _reduce_into(pivots: Dict[int, Dict[int, int]], columns: Iterable[Dict[int, int]]) -> None:
@@ -101,9 +63,10 @@ def _reduce_into(pivots: Dict[int, Dict[int, int]], columns: Iterable[Dict[int, 
     The columns are never changed: a column is copied on its first write,
     and one that needs neither reduction nor stripping is stored as it is.
     The rank and the pivot rows do not depend on the reduction order, since
-    the reduced column is determined up to a scalar.  Back-substitution into
-    older pivots is left out, because a rank needs only echelon form, and
-    it was where fill and coefficient growth came from on dense input.
+    the reduced column is determined up to a scalar.  Older pivots are
+    never reduced by newer ones: a rank needs only echelon form, and
+    reducing them was where fill and coefficient growth came from on dense
+    input.
     """
     untouched = pivots.keys().isdisjoint
     for v in columns:
@@ -159,20 +122,25 @@ def _reduce_column(pivots: Dict[int, Dict[int, int]], v: Dict[int, int]) -> Dict
     return v
 
 
+def _echelon(columns: Iterable[SparseColumn]) -> Dict[int, Dict[int, int]]:
+    """The echelon pivot state of ``_reduce_into`` on rational columns."""
+    pivots: Dict[int, Dict[int, int]] = {}
+    _reduce_into(pivots, (_scaled(col)[0] for col in columns))
+    return pivots
+
+
 def eliminate_columns(columns: Iterable[SparseColumn]) -> Dict[int, SparseColumn]:
     """Column-space elimination.
 
-    Returns {pivot_row: vector} where each vector is normalized to 1 at its
-    pivot row and carries no entry at any other pivot row, so the vectors
-    form a reduced basis of the column space.
+    Returns {pivot_row: vector}, the echelon basis of ``_reduce_into`` with
+    each vector scaled to 1 at its pivot row: the pivot row is the vector's
+    lowest row, and the vector has no entry at an older pivot row.
     """
     return {
         pr: {r: Fraction(x, v[pr]) for r, x in v.items()}
-        for pr, v in _integer_pivots(columns).items()
+        for pr, v in _echelon(columns).items()
     }
 
 
 def rank_of_columns(columns: Iterable[SparseColumn]) -> int:
-    pivots: Dict[int, Dict[int, int]] = {}
-    _reduce_into(pivots, (_scaled(col)[0] for col in columns))
-    return len(pivots)
+    return len(_echelon(columns))

@@ -33,11 +33,21 @@ class BettiProfile:
     n: int
     d: int
     betti: Tuple[int, ...]
-    smooth_proper: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "betti", tuple(int(b) for b in self.betti))
-        validate_profile(self)
+        if self.d < 1:
+            raise DomainError("the variety must have dimension at least 1")
+        if self.n <= self.d:
+            raise DomainError("the ambient projective space must be strictly larger")
+        if len(self.betti) != 2 * self.d + 1:
+            raise DomainError(f"need exactly {2 * self.d + 1} Betti numbers for dimension {self.d}")
+        if any(b < 0 for b in self.betti):
+            raise DomainError("Betti numbers are nonnegative")
+        if self.betti[0] < 1:
+            raise DomainError("b_0 counts connected components and must be positive")
+        if self.betti != self.betti[::-1]:
+            raise DomainError("a smooth proper profile must satisfy Poincare symmetry")
 
     @property
     def r(self) -> int:
@@ -49,23 +59,6 @@ class BettiProfile:
         if 0 <= i <= 2 * self.d:
             return self.betti[i]
         return 0
-
-
-def validate_profile(profile: BettiProfile) -> None:
-    if profile.d < 1:
-        raise DomainError("the variety must have dimension at least 1")
-    if profile.n <= profile.d:
-        raise DomainError("the ambient projective space must be strictly larger")
-    if len(profile.betti) != 2 * profile.d + 1:
-        raise DomainError(
-            f"need exactly {2 * profile.d + 1} Betti numbers for dimension {profile.d}"
-        )
-    if any(b < 0 for b in profile.betti):
-        raise DomainError("Betti numbers are nonnegative")
-    if profile.betti[0] < 1:
-        raise DomainError("b_0 counts connected components and must be positive")
-    if profile.smooth_proper and profile.betti != profile.betti[::-1]:
-        raise DomainError("a smooth proper profile must satisfy Poincare symmetry")
 
 
 @dataclass(frozen=True)
@@ -135,11 +128,6 @@ def singular_curve_h1(curve, branch_counts: Optional[Sequence[int]] = None) -> i
     elif branch_counts is not None:
         raise DomainError("branch counts were given twice")
     return 2 * curve.genus + sum(b - 1 for b in curve.branch_counts)
-
-
-def singular_curve_cohomology(curve, branch_counts: Optional[Sequence[int]] = None) -> List[int]:
-    """Full table [1, h1, 1]; the outer entries do not feel the singularities."""
-    return [1, singular_curve_h1(curve, branch_counts), 1]
 
 
 # ------------------------------------------------------------ cone homology

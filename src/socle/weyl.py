@@ -292,17 +292,19 @@ def formal_adjoint(q: WeylOp) -> WeylOp:
     """The anti-automorphism x^a d^b -> (-1)^b d^b x^a, d the first partial.
 
     Applying it twice gives the operator back; on q = sum (-1)^i d^i a_i it
-    returns sum a_i d^i.
+    returns sum a_i d^i.  Each term goes to (-1)^b c times the
+    ``_normal_order`` terms of d^b x^a, summed in one dict.
     """
     if any(i != 0 for i in q.d_vars_used()):
         raise DomainError("operator involves partials other than the distinguished one")
-    n = q.n_vars
-    out = WeylOp.zero(n)
-    for (xe, de), coef in q.terms.items():
-        b = de[0]
-        term = (WeylOp.d_gen(n, 0) ** b) * WeylOp.from_poly(MultiPoly.monomial(n, xe, coef))
-        out = out - term if b % 2 else out + term
-    return out
+    z = (0,) * q.n_vars
+    out: Dict[TermKey, Fraction] = {}
+    for (xe, de), c in q.terms.items():
+        if de[0] % 2:
+            c = -c
+        for key, w in _normal_order((z, de), (xe, z)):
+            out[key] = out.get(key, 0) + c * w
+    return WeylOp._trusted(q.n_vars, {k: c for k, c in out.items() if c})
 
 
 def check_euler_identity(q: WeylOp, b: MultiPoly):

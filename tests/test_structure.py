@@ -10,9 +10,7 @@ from socle.structure import (
     cone_homology,
     ogus_criterion,
     predict,
-    singular_curve_cohomology,
     singular_curve_h1,
-    validate_profile,
 )
 
 
@@ -28,22 +26,18 @@ def test_singular_curve_h1():
     assert singular_curve_h1(CurveData(2, (2, 2))) == 6
 
 
-def test_singular_curve_full_table():
-    assert singular_curve_cohomology(0, [2]) == [1, 1, 1]
-    assert singular_curve_cohomology(2, []) == [1, 4, 1]
-
-
 def test_profile_validation():
-    with pytest.raises(DomainError):
-        validate_profile(BettiProfile(2, 1, (1, 2)))  # wrong length
-    with pytest.raises(DomainError):
-        validate_profile(BettiProfile(1, 1, (1, 0, 1)))  # n must exceed d
-    with pytest.raises(DomainError):
-        validate_profile(BettiProfile(2, 1, (1, 2, 2)))  # breaks symmetry
-    with pytest.raises(DomainError):
-        validate_profile(BettiProfile(2, 1, (1, -1, 1)))  # negative
-    # the same table is fine when not marked smooth and proper
-    validate_profile(BettiProfile(2, 1, (1, 2, 2), smooth_proper=False))
+    # every check runs in the constructor
+    for args in (
+        (2, 1, (1, 2)),  # wrong length
+        (1, 1, (1, 0, 1)),  # n must exceed d
+        (2, 0, (1,)),  # d must be at least 1
+        (2, 1, (1, 2, 2)),  # breaks symmetry
+        (2, 1, (1, -1, 1)),  # negative
+        (2, 1, (0, 2, 0)),  # b_0 must be positive
+    ):
+        with pytest.raises(DomainError):
+            BettiProfile(*args)
 
 
 def test_cone_homology_frozen_tables():
@@ -56,13 +50,13 @@ def test_cone_homology_frozen_tables():
 
 def test_cone_homology_needs_connected():
     with pytest.raises(DomainError):
-        cone_homology(BettiProfile(2, 1, (2, 0, 2), smooth_proper=False))
+        cone_homology(BettiProfile(2, 1, (2, 0, 2)))
 
 
 def test_cone_homology_rejects_non_lefschetz():
-    # b = [1, 0, 0, 0, 2]: h_4 = b_2 - b_4 < 0 is impossible for a cone
+    # b = [1, 0, 0, 0, 1]: h_3 = b_2 - b_0 < 0 is impossible for a cone
     with pytest.raises(NotLefschetzError):
-        cone_homology(BettiProfile(3, 2, (1, 0, 0, 0, 2), smooth_proper=False))
+        cone_homology(BettiProfile(3, 2, (1, 0, 0, 0, 1)))
 
 
 def test_ogus_criterion():

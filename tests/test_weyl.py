@@ -362,6 +362,37 @@ def test_power_is_the_repeated_product():
             assert op ** k == acc
 
 
+# ----------------------------------------- adjoint against the product route
+
+
+def oracle_adjoint(q):
+    """The adjoint as a sum of products: (-1)^b d0^b * c x^a per term."""
+    n = q.n_vars
+    out = WeylOp.zero(n)
+    for (xe, de), c in q.terms.items():
+        term = (WeylOp.d_gen(n, 0) ** de[0]) * WeylOp.from_poly(MultiPoly.monomial(n, xe, c))
+        out = out - term if de[0] % 2 else out + term
+    return out
+
+
+@st.composite
+def d0_operators(draw):
+    """Operators in 1-3 variables with d0 the only partial, of d0-order <= 4."""
+    n = draw(st.integers(1, 3))
+    xe = st.tuples(*[st.integers(0, 3)] * n)
+    de = st.integers(0, 4).map(lambda k: (k,) + (0,) * (n - 1))
+    return WeylOp(n, draw(st.dictionaries(st.tuples(xe, de), big_rationals(), max_size=5)))
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(d0_operators())
+def test_adjoint_matches_the_product_route(q):
+    p = formal_adjoint(q)
+    assert p == oracle_adjoint(q)
+    assert_clean(p)
+    assert formal_adjoint(p) == q
+
+
 # ----------------------------------------- Euler identity against the oracle
 
 
