@@ -62,6 +62,22 @@ def test_rank_matches_dense_oracle():
         assert rank_of_columns(to_columns(dense)) == dense_rank(dense)
 
 
+def test_eliminate_columns_invariants():
+    rng = random.Random(55)
+    for _ in range(50):
+        dense = random_dense(rng, rng.randint(1, 7), rng.randint(1, 7))
+        pivots = eliminate_columns(to_columns(dense))
+        # pivot rows are distinct; each is its vector's lowest row, and no
+        # pivot vector touches an older pivot row
+        older = []
+        for row, col in pivots.items():  # in insertion order
+            assert col.get(row) == 1
+            assert min(col) == row
+            assert not any(r in col for r in older)
+            older.append(row)
+        assert len(pivots) == dense_rank(dense)
+
+
 def columns_of(m):
     """The sparse columns of a GradedMatrix, read from its entries."""
     cols = [{} for _ in m.cols]
@@ -149,7 +165,9 @@ def test_rank_and_cokernel_agree_with_dense_oracle(case):
 
 @settings(deadline=None, derandomize=True, max_examples=150)
 @given(sparse_rational_columns())
-def test_eliminate_columns_is_an_echelon_basis_of_the_span(case):
+def test_eliminate_columns_is_a_reduced_basis_of_the_span(case):
+    """Each basis vector is reduced: 1 at its pivot, which is its lowest row,
+    and free of every older pivot row (echelon, not fully reduced, form)."""
     n_rows, columns = case
     pivots = eliminate_columns(columns)
     older = []
