@@ -4,10 +4,8 @@
 Run with:  python3 demos/operator_algebra.py
 """
 
-from fractions import Fraction
-
 from socle.grammar import parse_operator, parse_poly
-from socle.weyl import WeylOp, check_euler_identity, formal_adjoint, normal_order
+from socle.weyl import WeylOp, check_euler_identity, formal_adjoint
 
 
 def show(title):
@@ -18,8 +16,7 @@ def show(title):
 
 def main():
     show("normal ordering")
-    raw = [(Fraction(1), [("d", 0), ("x", 0)])]
-    print("d*x rewrites to:", normal_order(raw, 1).render())
+    print("d*x rewrites to:", (WeylOp.d_gen(1, 0) * WeylOp.x_gen(1, 0)).render())
 
     op = parse_operator("d0^2 * x0^2", 1)
     print("d^2 * x^2 rewrites to:", op.render())

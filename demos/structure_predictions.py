@@ -5,7 +5,7 @@ Run with:  python3 demos/structure_predictions.py
 """
 
 from socle.catalog import PROFILES
-from socle.structure import cone_homology, predict, singular_curve_h1
+from socle.structure import CurveData, cone_homology, predict, singular_curve_h1
 
 
 def main():
@@ -37,8 +37,8 @@ def main():
 
     print()
     print("curve singularities feeding the genus-zero row")
-    print("  one node on a rational curve:   h^1 =", singular_curve_h1(0, [2]))
-    print("  genus two with two planar pairs: h^1 =", singular_curve_h1(2, [2, 2]))
+    print("  one node on a rational curve:   h^1 =", singular_curve_h1(CurveData(0, (2,))))
+    print("  genus two with two planar pairs: h^1 =", singular_curve_h1(CurveData(2, (2, 2))))
 
 
 if __name__ == "__main__":

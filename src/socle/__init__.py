@@ -42,7 +42,6 @@ from .weyl import (
     WeylOp,
     check_euler_identity,
     formal_adjoint,
-    normal_order,
     right_coefficients,
 )
 from .derham import (
@@ -103,7 +102,6 @@ __all__ = [
     "parse_poly",
     "parse_operator",
     "WeylOp",
-    "normal_order",
     "right_coefficients",
     "formal_adjoint",
     "check_euler_identity",

@@ -8,7 +8,7 @@ is what the cross-verification suites run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .structure import BettiProfile
 

@@ -91,24 +91,18 @@ def _emit(args, lines: List[str], payload: dict) -> None:
         _write_text("\n".join(lines) + "\n", args.out)
 
 
-def _env_max_cutoff() -> Optional[int]:
+def _capped_cutoff(requested: int) -> tuple:
+    """The cutoff to run, at most DERHAM_MAX_CUTOFF, and whether it was capped."""
     raw = os.environ.get("DERHAM_MAX_CUTOFF")
     if raw is None:
-        return None
+        return requested, False
     try:
-        value = int(raw)
+        cap = int(raw)
     except ValueError:
         raise _InputError(f"DERHAM_MAX_CUTOFF must be an integer, got {raw!r}")
-    if value < 2:
+    if cap < 2:
         raise _InputError("DERHAM_MAX_CUTOFF must be at least 2")
-    return value
-
-
-def _capped_cutoff(requested: int) -> tuple:
-    cap = _env_max_cutoff()
-    if cap is not None and requested > cap:
-        return cap, True
-    return requested, False
+    return min(requested, cap), requested > cap
 
 
 # ------------------------------------------------------------------ catalog
@@ -513,10 +507,7 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
-    if args.suite == "all":
-        names = ["monomial", "hypersurface", "rank-one", "decomposition"]
-    else:
-        names = [args.suite]
+    names = list(_SUITES) if args.suite == "all" else [args.suite]
     lines = []
     all_checks = []
     for name in names:
@@ -599,7 +590,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_ver.add_argument(
         "suite",
-        choices=("monomial", "hypersurface", "rank-one", "decomposition", "all"),
+        choices=(*_SUITES, "all"),
         help="which suite to run",
     )
     p_ver.set_defaults(func=cmd_verify)

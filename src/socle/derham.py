@@ -292,11 +292,18 @@ def _squarefree_variable_set(f: MultiPoly) -> Optional[frozenset]:
     return frozenset(i for i, e in enumerate(exp) if e == 1)
 
 
+#: largest variable count of a spec, the x0..x9 the grammar can name.  R, E
+#: and R[1/1] have a one-element basis, so no basis bound refuses them, but
+#: the packed keys take at least n bits per digit: E at 800 variables took
+#: 11 s and R at 1000 took 144 MB (2-core x86-64, Python 3.11)
+VARS_MAX = 10
+
+
 def spec_from_json(data: dict) -> ModuleSpec:
     """The spec of {"kind": "R" | "E", "vars": n} or {"kind": "loc" |
     "loc-quot", "f": text, "vars": n (optional)}; the one place that reads
-    the kind.  R and E refuse an "f".  A squarefree monomial under "loc" is
-    a MonomialLocalization."""
+    the kind and the variable count, at most ``VARS_MAX``.  R and E refuse
+    an "f".  A squarefree monomial under "loc" is a MonomialLocalization."""
     kind = data.get("kind")
     if kind not in ("R", "E", "loc", "loc-quot"):
         raise UnsupportedSpecError(f"unknown module kind {kind!r}")
@@ -311,12 +318,14 @@ def spec_from_json(data: dict) -> ModuleSpec:
             )
         return value
 
+    n = field("vars", int, required=kind in ("R", "E"))
+    if n is not None and n > VARS_MAX:
+        raise UnsupportedSpecError(f"at most {VARS_MAX} variables (x0..x9), got {n}")
     if kind in ("R", "E"):
-        n = field("vars", int)
         if data.get("f") is not None:
             raise UnsupportedSpecError(f"module kind {kind!r} takes no 'f'")
         return PolynomialRing(n) if kind == "R" else InjectiveHull(n)
-    f = parse_poly(field("f", str), field("vars", int, required=False))
+    f = parse_poly(field("f", str), n)
     if kind == "loc":
         s = _squarefree_variable_set(f)
         if s is not None:
@@ -678,19 +687,12 @@ def derham_rank_one(p: MultiPoly, precision: int = 12) -> DeRhamDims:
     if precision <= max(int(deg) if p else 0, 0) + 2:
         raise DomainError("precision too small; need at least deg p + 3")
     k = precision
-    rows = list(range(k + shift))
-    cols = []
-    for m in range(k):
-        col: Dict[int, Fraction] = {}
-        if m:
-            col[m - 1] = Fraction(m)
-        for (e,), c in p.terms.items():
-            s = col.get(m + e, Fraction(0)) + c
-            if s:
-                col[m + e] = s
-            else:
-                col.pop(m + e, None)
-        cols.append(col)
+    # (x^m)' lands in row m - 1 and x^m p in the distinct rows m + e >= m,
+    # so no two terms of a column meet
+    cols = [
+        ({m - 1: Fraction(m)} if m else {}) | {m + e: c for (e,), c in p.terms.items()}
+        for m in range(k)
+    ]
     r = rank_of_columns(cols)
     return DeRhamDims((k - r, (k + shift) - r))
 

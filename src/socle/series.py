@@ -115,8 +115,6 @@ class TruncatedSeries(_TermShell):
         return TruncatedSeries._trusted(self.n_vars, prec, terms)
 
     def __mul__(self, other):
-        if isinstance(other, MultiPoly):
-            other = TruncatedSeries.from_poly(other, self.precision)
         if not isinstance(other, TruncatedSeries):
             return super().__mul__(other)
         self._check(other)
@@ -209,17 +207,6 @@ class TruncatedSeries(_TermShell):
         return TruncatedSeries._trusted(self.n_vars, self.precision - 1, out)
 
     # ------------------------------------------------------------- inspection
-
-    def agrees_with(self, other: "TruncatedSeries", through_degree: int | None = None) -> bool:
-        """Equality of terms below a degree bound (default: the shared precision)."""
-        self._check(other)
-        bound = min(self.precision, other.precision)
-        if through_degree is not None:
-            bound = min(bound, through_degree + 1)
-        for exp in set(self.terms) | set(other.terms):
-            if sum(exp) < bound and self.terms.get(exp, 0) != other.terms.get(exp, 0):
-                return False
-        return True
 
     def render(self, names=None) -> str:
         body = self.poly_part().render(names or default_names(self.n_vars))

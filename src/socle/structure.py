@@ -20,7 +20,7 @@ predictions are internally cross-checked against each other on every call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .derham import DeRhamDims
 from .errors import DomainError, InternalCheckError, NotLefschetzError
@@ -117,16 +117,12 @@ class StructureReport:
 # ------------------------------------------------------------ small tables
 
 
-def singular_curve_h1(curve, branch_counts: Optional[Sequence[int]] = None) -> int:
+def singular_curve_h1(curve: CurveData) -> int:
     """Middle de Rham dimension of a (possibly singular) projective curve.
 
     Each singular point contributes one less than its number of branches on
     the normalization; the smooth part contributes twice the genus.
     """
-    if not isinstance(curve, CurveData):
-        curve = CurveData(int(curve), tuple(branch_counts or ()))
-    elif branch_counts is not None:
-        raise DomainError("branch counts were given twice")
     return 2 * curve.genus + sum(b - 1 for b in curve.branch_counts)
 
 

@@ -41,7 +41,7 @@ from functools import lru_cache
 from itertools import product
 from math import comb, lcm, perm, prod
 from operator import add, sub
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .errors import DimensionMismatch, DomainError
 from .poly import (
@@ -172,19 +172,10 @@ class WeylOp(_TermShell):
         return WeylOp.one(self.n_vars) * c
 
     def __mul__(self, other):
-        if isinstance(other, MultiPoly):
-            other = WeylOp.from_poly(other)
         if not isinstance(other, WeylOp):
             return super().__mul__(other)
         self._check(other)
         return WeylOp._trusted(self.n_vars, _product_terms(self.terms, other.terms, _normal_order))
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        if isinstance(other, MultiPoly):
-            return WeylOp.from_poly(other) * self
-        return NotImplemented
 
     def __pow__(self, k: int):
         if k < 0:
@@ -228,27 +219,6 @@ class WeylOp(_TermShell):
         return _render(
             self.terms, lambda k: _power_factors(names, k[0]) + _power_factors(partials, k[1])
         )
-
-
-def normal_order(raw: Iterable[Tuple[Fraction, Sequence[Tuple[str, int]]]], n_vars: int) -> WeylOp:
-    """Normal-order a raw word list.
-
-    ``raw`` is a list of (coefficient, word) pairs where each word is a
-    sequence of generator tokens ('x', i) or ('d', i).  The result collects
-    all words into a single normally ordered operator.
-    """
-    total = WeylOp.zero(n_vars)
-    for coeff, word in raw:
-        term = WeylOp.one(n_vars) * _coerce(coeff)
-        for kind, i in word:
-            if kind == "x":
-                term = term * WeylOp.x_gen(n_vars, i)
-            elif kind == "d":
-                term = term * WeylOp.d_gen(n_vars, i)
-            else:
-                raise DomainError(f"unknown generator kind {kind!r}")
-        total = total + term
-    return total
 
 
 # --------------------------------------------------------------------- adjoint

@@ -10,7 +10,7 @@ from socle.catalog import PROFILES
 from socle import grammar
 from socle.cli import _basis_size, main
 import socle.derham
-from socle.derham import spec_from_json
+from socle.derham import VARS_MAX, spec_from_json
 from socle.structure import predict
 
 
@@ -469,6 +469,19 @@ def test_bad_variable_counts_are_input_errors(capsys, argv):
     assert code == 2
     assert not out
     assert ("-1" if "-1" in argv else "0 variables") in err
+
+
+@pytest.mark.parametrize("argv", [("--kind", "R"), ("--kind", "E"), ("--kind", "loc", "--f", "1")])
+def test_variable_count_is_bounded(capsys, argv):
+    start = time.monotonic()
+    code, out, err = run(capsys, "derham", *argv, "--vars", str(VARS_MAX + 1))
+    assert time.monotonic() - start < 1
+    assert code == 2
+    assert not out
+    assert err.count("error:") == 1 and f"at most {VARS_MAX} variables" in err
+    code, out, _ = run(capsys, "derham", *argv, "--vars", str(VARS_MAX), "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["dims"]) == VARS_MAX + 1
 
 
 @pytest.mark.parametrize("kind", ["R", "E"])

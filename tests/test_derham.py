@@ -245,7 +245,7 @@ def test_completion_flattening_frozen():
     u10 = completion_flattening(p, 10)
     assert u10.poly_part() == parse_poly("1 - 1/3*x^3 + 1/18*x^6 - 1/162*x^9", 1)
     # defining property: u' + p u = 0 at the stated precision
-    residual = u10.differentiate(0) + u10 * p
+    residual = u10.differentiate(0) + u10 * TruncatedSeries.from_poly(p, 10)
     assert residual == TruncatedSeries.zero(1, 9)
 
 
@@ -253,8 +253,8 @@ def test_completion_flattening_against_independent_exponential():
     p = parse_poly("x^2 + x", 1)
     u = completion_flattening(p, 8)
     minus_integral = TruncatedSeries.from_poly(p, 8).integrate(0) * (-1)
-    # integration bumps the precision by one, so compare through degree 7
-    assert u.agrees_with(minus_integral.exp(), through_degree=7)
+    # integration bumps the precision by one, so compare below degree 8
+    assert u == TruncatedSeries.from_poly(minus_integral.exp().poly_part(), 8)
 
 
 def test_jacobian_gate():

@@ -105,13 +105,6 @@ def test_valuation():
     assert TruncatedSeries.one(2, 5).valuation() == 0
 
 
-def test_agrees_with():
-    a = TruncatedSeries.from_poly(parse_poly("1 + x + x^2", 1), 6)
-    b = TruncatedSeries.from_poly(parse_poly("1 + x + 2*x^2", 1), 6)
-    assert a.agrees_with(b, through_degree=1)
-    assert not a.agrees_with(b, through_degree=2)
-
-
 # ------------------------------------------- fraction-free product kernel
 
 BIG = 2**64

@@ -154,6 +154,17 @@ def test_e_has_no_scalar_sum():
         hash(v)
 
 
+def test_polynomials_enter_products_only_through_from_poly():
+    p = MultiPoly(2, POLY_TERMS["negative_lead"])
+    op = WeylOp(2, OP_TERMS["unit_factors"])
+    s = TruncatedSeries(2, 5, POLY_TERMS["fraction"])
+    for bad in (lambda: op * p, lambda: p * op, lambda: s * p, lambda: p * s):
+        with pytest.raises(TypeError):
+            bad()
+    assert op * WeylOp.from_poly(p) == op * WeylOp(2, {(e, Z): c for e, c in p.terms.items()})
+    assert s * TruncatedSeries.from_poly(p, 5) == s * TruncatedSeries(2, 5, p.terms)
+
+
 # ---------------------------------------------------- public constructors
 
 # per type: a constructor over two variables, a valid key, a key it drops

@@ -1,8 +1,11 @@
-"""The library imports nothing but itself and the standard library."""
+"""The library imports nothing but itself and the standard library, and
+exports only names it has."""
 
 import ast
 import sys
 from pathlib import Path
+
+import socle
 
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "socle").glob("*.py"))
 
@@ -25,3 +28,7 @@ def test_every_import_is_socle_or_the_standard_library():
         if name != "socle" and name not in sys.stdlib_module_names
     }
     assert not foreign
+
+
+def test_every_export_exists():
+    assert [name for name in socle.__all__ if not hasattr(socle, name)] == []

@@ -16,14 +16,11 @@ from socle.structure import (
 
 def test_singular_curve_h1():
     # a nodal rational curve: one point with two branches
-    assert singular_curve_h1(0, [2]) == 1
-    # genus two with two nodes
-    assert singular_curve_h1(2, [2, 2]) == 6
-    # no singular points: plain 2g
-    assert singular_curve_h1(3, []) == 6
-    # the CurveData route must agree
     assert singular_curve_h1(CurveData(0, (2,))) == 1
+    # genus two with two nodes
     assert singular_curve_h1(CurveData(2, (2, 2))) == 6
+    # no singular points: plain 2g
+    assert singular_curve_h1(CurveData(3)) == 6
 
 
 def test_profile_validation():
