@@ -55,9 +55,12 @@ DECOMPOSE_SIZE_MAX = 52_000
 
 #: largest weight-0 basis of the top complex of ``derham`` (see
 #: ``_basis_size``); the Fermat quartic threefold at cutoff 3 has 354690 and
-#: takes about 5 s and 230 MB.  A dense f costs more per element:
+#: takes about 4 s and 226 MB, and the dense cubic surface
 #: x0^3+x1^3+x2^3+x3^3+x0*x1*x2+2*x1*x2*x3-x0^2*x3+3*x1^2*x2 at cutoff 4 has
-#: 16080 and takes about 17 s (2-core x86-64, Python 3.11)
+#: 16080 and takes about 0.9 s.  The bound counts size, not cost: the dense
+#: quartic threefold x0^4+...+x4^4+x0*x1*x2*x3+2*x1*x2*x3*x4-x0^2*x3^2+3*x1^3*x4
+#: at cutoff 3 also has 354690 and takes about 150 s and 350 MB (2-core
+#: x86-64, Python 3.11)
 DERHAM_BASIS_MAX = 400_000
 #: largest work of ``derham_rank_one``: precision^2 * terms of p * its largest
 #: numerator plus denominator bits; x^2+x passes up to precision 2236 (0.2 s),

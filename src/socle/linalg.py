@@ -7,17 +7,20 @@ Being exact by construction, it needs no certificate.  It returns the rank
 together with the set of pivot rows, which is all the cohomology
 computations need: kernels come from rank-nullity.
 
-Each new pivot is placed on the lowest row of the reduced column, so a
-pivot vector has entries only above its pivot row and none at an older
-pivot row.  A rank, and the clearing argument of ``derham`` (by induction
-in decreasing pivot row), need only this echelon form.  The span, the rank
-and so every dimension do not depend on the pivot rule; the pivot rows do.
+A column is reduced only while its lowest row is a pivot row (the standard
+persistence reduction), and a new pivot is placed on that lowest row, so a
+pivot vector has entries only above its pivot row.  The pivot rows are then
+the lowest rows of the nonzero vectors of the span: a set of exactly rank
+elements that depends on the span alone, not on the column order or on the
+entries above each pivot.  A rank, the clearing argument of ``derham`` (by
+induction in decreasing pivot row) and its cycle split at a row bound (the
+pivot vectors at or above the bound span the part of the span there) need
+only this echelon form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Dict, Hashable, Iterable, List, NamedTuple, Tuple
 
@@ -50,76 +53,63 @@ def _reduce_into(pivots: Dict[int, Dict[int, int]], columns: Iterable[Dict[int, 
 
     ``pivots`` is {pivot_row: primitive integer vector}; it starts empty,
     and a later call resumes where an earlier one stopped.  Each pivot
-    vector is nonzero at its pivot row, has every other entry on a higher
-    row, and no entry at a pivot row older than itself; pivot vectors are
-    never changed once stored.  A column is reduced by the pivot rows it
-    meets in increasing row order (a heap): reducing by the vector of row
-    pr adds entries only above pr, so each pivot acts at most once.  A
-    reduction cross-multiplies, v <- (p/g) v - (c/g) w with c = v[pr],
-    p = w[pr] and g = gcd(p, c), and the content is stripped after every
-    step that scales v (p/g != 1) and at the end.  A column that reduces to
-    a nonzero vector becomes a pivot on its lowest row.
+    vector is nonzero at its pivot row, which is its lowest row, and has
+    every other entry on a higher row; pivot vectors are never changed once
+    stored.  A column is reduced only while its lowest row is a pivot row
+    (the standard persistence reduction): with pr that row, c = v[pr], w
+    its pivot vector, p = w[pr] and g = gcd(p, c), a step cross-multiplies
+    v <- (p/g) v - (c/g) w, which clears pr and adds entries only above it.
+    The content is stripped after every step that scales v (p/g != 1) and
+    at the end.  A column that reduces to a nonzero vector becomes a pivot
+    on its lowest row, which is no pivot row.
 
     The columns are never changed: a column is copied on its first write,
     and one that needs neither reduction nor stripping is stored as it is.
-    The rank and the pivot rows do not depend on the reduction order, since
-    the reduced column is determined up to a scalar.  Older pivots are
-    never reduced by newer ones: a rank needs only echelon form, and
-    reducing them was where fill and coefficient growth came from on dense
-    input.
+    The pivot rows are the lowest rows of the nonzero vectors of the span,
+    which depend on the span alone, so the rank and the pivot rows do not
+    depend on the column order or on how far a column is reduced.  Entries
+    above the lowest row are left as they are: a rank and the clearing of
+    ``derham`` need only this echelon form, and reducing them too was where
+    the fill and the coefficient growth came from on dense input.
     """
-    untouched = pivots.keys().isdisjoint
     for v in columns:
-        if not untouched(v):
-            v = _reduce_column(pivots, v)
+        owned = False
+        while v:
+            pr = min(v)
+            w = pivots.get(pr)
+            if w is None:
+                break
+            c, p = v[pr], w[pr]
+            g = gcd(p, c)
+            a, b = p // g, c // g
+            if a != 1:
+                v = {r: a * x for r, x in v.items() if r != pr}
+            else:
+                if not owned:
+                    v = dict(v)
+                del v[pr]
+            owned = True
+            for r, x in w.items():
+                if r == pr:
+                    continue
+                s = v.get(r)
+                if s is None:
+                    v[r] = -b * x
+                else:
+                    s -= b * x
+                    if s:
+                        v[r] = s
+                    else:
+                        del v[r]
+            if a != 1 and v:
+                g = gcd(*v.values())
+                if g != 1:
+                    v = {r: x // g for r, x in v.items()}
         if v:
             g = gcd(*v.values())
             if g != 1:
                 v = {r: x // g for r, x in v.items()}
-            pivots[min(v)] = v
-
-
-def _reduce_column(pivots: Dict[int, Dict[int, int]], v: Dict[int, int]) -> Dict[int, int]:
-    """v reduced by every pivot row it meets (see ``_reduce_into``); v itself
-    is never changed."""
-    hits = [r for r in v if r in pivots]
-    heapify(hits)
-    owned = False
-    while hits:
-        pr = heappop(hits)
-        c = v.get(pr)
-        if not c:
-            continue  # cancelled, or pushed twice
-        w = pivots[pr]
-        p = w[pr]
-        g = gcd(p, c)
-        a, b = p // g, c // g
-        if a != 1:
-            v = {r: a * x for r, x in v.items() if r != pr}
-        else:
-            if not owned:
-                v = dict(v)
-            del v[pr]
-        owned = True
-        for r, x in w.items():
-            if r == pr:
-                continue
-            s = v.get(r)
-            if s is None:
-                v[r] = -b * x
-                if r in pivots:
-                    heappush(hits, r)
-            else:
-                s -= b * x
-                if s:
-                    v[r] = s
-                else:
-                    del v[r]
-        if a != 1 and v:
-            g = gcd(*v.values())
-            if g != 1:
-                v = {r: x // g for r, x in v.items()}
-    return v
+            pivots[pr] = v
 
 
 def _echelon(columns: Iterable[SparseColumn]) -> Dict[int, Dict[int, int]]:
@@ -133,8 +123,9 @@ def eliminate_columns(columns: Iterable[SparseColumn]) -> Dict[int, SparseColumn
     """Column-space elimination.
 
     Returns {pivot_row: vector}, the echelon basis of ``_reduce_into`` with
-    each vector scaled to 1 at its pivot row: the pivot row is the vector's
-    lowest row, and the vector has no entry at an older pivot row.
+    each vector scaled to 1 at its pivot row, which is the vector's lowest
+    row.  The pivot rows are the lowest rows of the span's nonzero vectors;
+    the entries above them depend on the column order.
     """
     return {
         pr: {r: Fraction(x, v[pr]) for r, x in v.items()}

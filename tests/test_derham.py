@@ -431,12 +431,34 @@ def test_cubic_threefold_matches_prediction():
     assert report.certificate == "stabilized"
 
 
+DENSE_CUBIC_SURFACE = "x0^3+x1^3+x2^3+x3^3+x0*x1*x2+2*x1*x2*x3-x0^2*x3+3*x1^2*x2"
+DENSE_CUBIC_THREEFOLD = "x0^3+x1^3+x2^3+x3^3+x4^3+x0*x1*x2+2*x1*x2*x3-x0^2*x3+3*x1^2*x4"
+
+
+def test_dense_cubic_surface_matches_prediction():
+    # a dense f fills in far more than a Fermat sum of the same size
+    spec = spec_from_json({"kind": "loc-quot", "f": DENSE_CUBIC_SURFACE})
+    dims, report = derham_truncated(spec, 3)
+    want = predict(PROFILES["cubic-surface-p3"].profile).critical_dims
+    assert list(dims) == list(want) == [0, 1, 0, 6, 6]
+    assert report.certificate == "stabilized"
+
+
 @pytest.mark.slow
 def test_quartic_threefold_matches_prediction():
     spec = spec_from_json({"kind": "loc-quot", "f": "x0^4 + x1^4 + x2^4 + x3^4 + x4^4"})
     dims, report = derham_truncated(spec, 3)
     want = predict(BettiProfile(4, 3, (1, 0, 1, 60, 1, 0, 1))).critical_dims
     assert list(dims) == list(want) == [0, 1, 0, 0, 60, 60]
+    assert report.certificate == "stabilized"
+
+
+@pytest.mark.slow
+def test_dense_cubic_threefold_matches_prediction():
+    spec = spec_from_json({"kind": "loc-quot", "f": DENSE_CUBIC_THREEFOLD})
+    dims, report = derham_truncated(spec, 3)
+    want = predict(BettiProfile(4, 3, (1, 0, 1, 10, 1, 0, 1))).critical_dims
+    assert list(dims) == list(want) == [0, 1, 0, 0, 10, 10]
     assert report.certificate == "stabilized"
 
 

@@ -62,19 +62,46 @@ def test_rank_matches_dense_oracle():
         assert rank_of_columns(to_columns(dense)) == dense_rank(dense)
 
 
+def low_set(n_rows, columns):
+    """The lowest rows of the nonzero vectors in the span of the columns, by
+    dense elimination: r is one exactly when the rows up to r have a larger
+    rank than the rows below r, that is when row r is not a combination of
+    the rows below it.  Each kept row is 1 at its leading entry and 0 at the
+    leading entries of the rows kept before it."""
+    low, echelon = set(), []
+    for r, row in enumerate(to_dense(n_rows, columns)):
+        for lead, kept in echelon:
+            if row[lead]:
+                row = [x - row[lead] * y for x, y in zip(row, kept)]
+        lead = next((i for i, x in enumerate(row) if x), None)
+        if lead is not None:
+            echelon.append((lead, [x / row[lead] for x in row]))
+            low.add(r)
+    return low
+
+
+def assert_pivot_rows_are_the_low_set(n_rows, columns, pivot_rows, seed):
+    """The pivot rows are the span's low set, in any column order."""
+    want = low_set(n_rows, columns)
+    assert set(pivot_rows) == want
+    assert set(eliminate_columns(columns[::-1])) == want
+    shuffled = list(columns)
+    random.Random(seed).shuffle(shuffled)
+    assert set(eliminate_columns(shuffled)) == want
+
+
 def test_eliminate_columns_invariants():
     rng = random.Random(55)
     for _ in range(50):
         dense = random_dense(rng, rng.randint(1, 7), rng.randint(1, 7))
-        pivots = eliminate_columns(to_columns(dense))
-        # pivot rows are distinct; each is its vector's lowest row, and no
-        # pivot vector touches an older pivot row
-        older = []
-        for row, col in pivots.items():  # in insertion order
+        columns = to_columns(dense)
+        pivots = eliminate_columns(columns)
+        # each pivot row is its vector's lowest row, and the pivot rows are
+        # the span's low set
+        for row, col in pivots.items():
             assert col.get(row) == 1
             assert min(col) == row
-            assert not any(r in col for r in older)
-            older.append(row)
+        assert_pivot_rows_are_the_low_set(len(dense), columns, pivots, rng.random())
         assert len(pivots) == dense_rank(dense)
 
 
@@ -166,18 +193,16 @@ def test_rank_and_cokernel_agree_with_dense_oracle(case):
 @settings(deadline=None, derandomize=True, max_examples=150)
 @given(sparse_rational_columns())
 def test_eliminate_columns_is_a_reduced_basis_of_the_span(case):
-    """Each basis vector is reduced: 1 at its pivot, which is its lowest row,
-    and free of every older pivot row (echelon, not fully reduced, form)."""
+    """Each basis vector is reduced: 1 at its pivot, which is its lowest row
+    (echelon, not fully reduced, form), and the pivot rows are the span's
+    low set."""
     n_rows, columns = case
     pivots = eliminate_columns(columns)
-    older = []
-    for row, vec in pivots.items():  # in insertion order
+    for row, vec in pivots.items():
         assert vec[row] == 1
         assert all(isinstance(c, Fraction) and c for c in vec.values())
-        # the pivot is the vector's lowest row, and no older pivot row is touched
         assert min(vec) == row
-        assert not any(r in vec for r in older)
-        older.append(row)
+    assert_pivot_rows_are_the_low_set(n_rows, columns, pivots, len(columns))
     basis = list(pivots.values())
     rank_in = dense_rank(to_dense(n_rows, columns))
     assert len(basis) == rank_in
@@ -225,14 +250,12 @@ def test_reduce_into_is_echelon_resumable_and_leaves_its_input(case, split):
     want = dense_rank(to_dense(n_rows, columns))
     assert len(pivots) == want
     assert rank_of_columns(columns[::-1]) == want
-    older = []
-    for row, vec in pivots.items():  # in insertion order
+    for row, vec in pivots.items():
         assert all(type(x) is int and x for x in vec.values())
         assert gcd(*vec.values()) == 1
-        # the lowest row is the pivot, and no older pivot row is touched
+        # the lowest row is the pivot
         assert min(vec) == row
-        assert not any(r in vec for r in older)
-        older.append(row)
+    assert_pivot_rows_are_the_low_set(n_rows, columns, pivots, split)
     # the echelon vectors span the input
     basis = [{r: Fraction(x) for r, x in vec.items()} for vec in pivots.values()]
     assert dense_rank(to_dense(n_rows, columns + basis)) == want
