@@ -7,10 +7,12 @@ Four layers:
   grammar for both;
 - the operator algebra: normally ordered differential operators (`WeylOp`),
   formal adjoints, and the simple module E of inverse monomials (`EElement`);
-- de Rham engines: module specs for R, E, monomial localizations and R[1/f]
-  (optionally mod R), each a pole complex that answers every per-kind
-  question the engine asks (basis rule, the class of 1 at weight 0,
-  smoothness gate, certificate), read from JSON by `spec_from_json` alone; closed forms,
+- de Rham engines: two module specs, E and `Localization(f)` for R[1/f]
+  (optionally mod R; R itself at f = 1, a monomial localization at a
+  product of distinct variables), each a pole complex that answers every
+  per-kind question the engine asks from its f (basis rule, the class of 1
+  at weight 0, smoothness gate, certificate), read from JSON by
+  `spec_from_json` alone; closed forms,
   pole-filtration truncation with a stabilization certificate, the
   rank-one connection route
   (`derham_rank_one`), and the long-exact-sequence splicer;
@@ -46,10 +48,8 @@ from .weyl import (
 )
 from .derham import (
     DeRhamDims,
-    HypersurfaceLocalization,
     InjectiveHull,
-    MonomialLocalization,
-    PolynomialRing,
+    Localization,
     TruncationReport,
     completion_flattening,
     derham_closed_form,
@@ -108,10 +108,8 @@ __all__ = [
     "EElement",
     "DeRhamDims",
     "TruncationReport",
-    "PolynomialRing",
     "InjectiveHull",
-    "MonomialLocalization",
-    "HypersurfaceLocalization",
+    "Localization",
     "spec_from_json",
     "derham_closed_form",
     "derham_truncated",

@@ -5,9 +5,10 @@ derham (truncated/exact de Rham tables for a chosen module), decompose
 (series splitting along a regular operator), verify (cross-engine agreement
 suites), catalog (list built-in profiles and hypersurfaces).
 
-Exit codes: 0 success, 1 verification mismatch, 2 input error,
-3 result did not stabilize at the allowed cutoff.  JSON output is
-deterministic: sorted keys, two-space indent, UTF-8, LF.
+Exit codes: 0 success, 1 verification mismatch, 2 input error (a failed
+``--out`` write among them), 3 result did not stabilize at the allowed
+cutoff.  JSON output is deterministic: sorted keys, two-space indent,
+UTF-8, LF.
 """
 
 from __future__ import annotations
@@ -82,9 +83,12 @@ class _InputError(ValueError):
 def _write_text(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise _InputError(f"cannot write --out {out!r}: {exc.strerror or exc}") from None
 
 
 def _emit(args, lines: List[str], payload: dict) -> None:

@@ -2,8 +2,9 @@
 
 Two independent routes are provided and cross-checked in the test suite:
 
-* closed forms, where a formula is known (polynomial ring, injective hull of
-  the origin, localization at a squarefree monomial);
+* closed forms, where a formula is known (injective hull of the origin,
+  localization at a scalar times a product x_S of distinct variables, the
+  polynomial ring being x_S with S empty);
 * a truncated complex engine that assembles the actual graded pieces of the
   de Rham complex and computes ranks with exact fraction-free elimination
   over the integers.
@@ -30,8 +31,9 @@ in the complex at cutoff K, rank H^j(F_lo -> F_hi) = rank[P_hi(j) | Q_lo(j)]
 vectors, comes out of the low complex's own elimination of r(lo, j+1) (the
 standard persistence algorithm: Zomorodian and Carlsson, Computing
 persistent homology, 2005).  Each r(K, j) is eliminated once.  Where the
-complex ignores the cutoff (R, and E once the cutoff clears the window) the
-pair is one cutoff twice, the map is the identity and one pass is exact.
+complex ignores the cutoff (R, that is a constant f, and E once the cutoff
+clears the window) the pair is one cutoff twice, the map is the identity and
+one pass is exact.
 
 Ranks are cleared (Chen and Kerber, Persistent homology computation with a
 twist, 2011): a basis element at a pivot row of r(K, j) is dropped from d_j
@@ -46,8 +48,10 @@ rows are the packed keys of ``_Piece``.
 Pole-complex entries are written from their closed form, with no polynomial
 products: for g = x^e and f = sum_a c_a x^a the numerator of d(g/f^k) in
 direction i is f dg/dx_i - k g df/dx_i = sum_a c_a (e_i - k a_i) x^(e+a-1_i),
-and distinct terms of f land on distinct monomials.  The polynomial ring is
-the pole complex of f = 1, and E the same on negative exponents: every
+and distinct terms of f land on distinct monomials.  One spec,
+``Localization(f)``, is the pole complex of f: the polynomial ring at f = 1,
+a monomial localization at f = x_S and A_f (or A_f / A) at any other f, each
+answer read off f.  E is the pole complex of 1 on negative exponents: every
 spec gives its f (``ModuleSpec.pole_terms``).  The engine takes the spec
 itself and asks it every question that depends on the kind: f, the basis
 rule, whether the class of 1 is taken out, the smoothness gate and what
@@ -64,7 +68,6 @@ from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
-    DimensionMismatch,
     DomainError,
     EmptyComplexError,
     InconsistentSequenceError,
@@ -104,9 +107,9 @@ class TruncationReport:
     ``certificate`` is "exact" when the graded pieces do not depend on the
     cutoff at all, otherwise "stabilized" or "provisional" according to
     whether two successive cutoffs agreed.  ``smooth`` records the Jacobian
-    finiteness gate for hypersurface inputs (None when not applicable);
-    non-smooth inputs still run, and a hypersurface that fails the gate
-    reports agreement as "heuristic" instead of "stabilized".
+    finiteness gate of a nonconstant f (None when not applicable);
+    non-smooth inputs still run, and one that fails the gate and has no
+    closed form reports agreement as "heuristic" instead of "stabilized".
     """
 
     cutoffs: Tuple[int, int]
@@ -153,8 +156,9 @@ class ModuleSpec:
 
     def pole_terms(self) -> Dict[Tuple[int, ...], Fraction]:
         """The pole polynomial f as {exponent: coefficient}.  Every spec is a
-        pole complex: R that of the constant 1, and E the same on negative
-        exponents, with a basis rule of its own (``basis``)."""
+        pole complex: a localization that of its f, and E that of the
+        constant 1 on negative exponents, with a basis rule of its own
+        (``basis``)."""
         return {(0,) * self.n_vars: Fraction(1)}
 
     def basis(self, deg: int, tau: int, cutoff: int, width: int):
@@ -167,29 +171,14 @@ class ModuleSpec:
         return None
 
     def agreement(self, smooth: Optional[bool]) -> str:
-        """The certificate of two agreeing cutoffs.  Here it is "stabilized"
-        whatever the gate says: a monomial localization, which often fails
-        the gate, is checked by its closed form."""
+        """The certificate of two agreeing cutoffs: "stabilized" where no
+        gate applies."""
         return "stabilized"
 
 
 def _check_vars(n_vars: int) -> None:
     if n_vars < 0:
         raise DomainError(f"the variable count must be nonnegative, got {n_vars}")
-
-
-@dataclass(frozen=True)
-class PolynomialRing(ModuleSpec):
-    n_vars: int
-
-    def __post_init__(self):
-        _check_vars(self.n_vars)
-
-    def closed_form(self) -> DeRhamDims:
-        return DeRhamDims((1,) + (0,) * self.n_vars)
-
-    def cutoff_free(self, pole_cutoff: int, window: Tuple[int, int]) -> bool:
-        return True  # no poles: the complex never sees the cutoff
 
 
 @dataclass(frozen=True)
@@ -221,58 +210,55 @@ class InjectiveHull(ModuleSpec):
 
 
 @dataclass(frozen=True)
-class MonomialLocalization(ModuleSpec):
-    """Localization of the polynomial ring at a product of distinct variables,
-    the pole complex of x_S (of 1, the ring itself, when nothing is inverted)."""
-
-    n_vars: int
-    inverted: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "inverted", frozenset(self.inverted))
-        if any(not 0 <= i < self.n_vars for i in self.inverted):
-            raise DimensionMismatch("inverted variable index out of range")
-
-    def product(self) -> MultiPoly:
-        """The monomial x_S of the inverted variables (1 when none is inverted)."""
-        exp = [int(i in self.inverted) for i in range(self.n_vars)]
-        return MultiPoly.monomial(self.n_vars, exp)
-
-    def closed_form(self) -> DeRhamDims:
-        m = len(self.inverted)
-        return DeRhamDims(tuple(comb(m, j) for j in range(self.n_vars + 1)))
-
-    def pole_terms(self) -> Dict[Tuple[int, ...], Fraction]:
-        return self.product().terms
-
-    def smoothness_gate(self) -> Optional[bool]:
-        return jacobian_ring_is_finite(self.product()) if self.inverted else None
-
-
-@dataclass(eq=False, frozen=True)
-class HypersurfaceLocalization(ModuleSpec):
-    """Localization at a homogeneous f, optionally modulo the ring itself."""
+class Localization(ModuleSpec):
+    """The localization A_f of the polynomial ring A at a nonzero homogeneous
+    f, the pole complex of f, optionally modulo A (then deg f >= 1).  R is
+    A_1 and the monomial localization is A_f at f = x_S, a product of
+    distinct variables.  Every answer is read off f up to a unit, since c f
+    gives the same module for every nonzero scalar c."""
 
     f: MultiPoly
     quotient_mod_A: bool = False
 
     def __post_init__(self):
-        if not self.f or not self.f.is_homogeneous() or self.f.homogeneous_degree() < 1:
-            raise DomainError("localization needs a nonzero homogeneous f of degree >= 1")
+        f = self.f
+        if not f or not f.is_homogeneous() or self.quotient_mod_A and f.homogeneous_degree() < 1:
+            raise DomainError(
+                "localization needs a nonzero homogeneous f"
+                + (" of degree >= 1" if self.quotient_mod_A else "")
+            )
 
     @property
     def n_vars(self) -> int:
         return self.f.n_vars
 
+    def _inverted(self) -> Optional[int]:
+        """|S| when the closed form applies: outside quotient mode, f a
+        nonzero scalar times x_S (S empty for a constant f); else None."""
+        (exp, _), *rest = self.f.terms.items()
+        if rest or self.quotient_mod_A or max(exp, default=0) > 1:
+            return None
+        return sum(exp)
+
+    def closed_form(self) -> DeRhamDims:
+        m = self._inverted()
+        if m is None:
+            return super().closed_form()
+        return DeRhamDims(comb(m, j) for j in range(self.n_vars + 1))
+
+    def cutoff_free(self, pole_cutoff: int, window: Tuple[int, int]) -> bool:
+        return self.f.homogeneous_degree() == 0  # no poles: R = A_1
+
     def pole_terms(self) -> Dict[Tuple[int, ...], Fraction]:
         return self.f.terms
 
     def smoothness_gate(self) -> Optional[bool]:
-        return jacobian_ring_is_finite(self.f)
+        return None if self.f.homogeneous_degree() == 0 else jacobian_ring_is_finite(self.f)
 
     def agreement(self, smooth: Optional[bool]) -> str:
-        # past a failed smoothness gate agreement certifies nothing
-        return "heuristic" if smooth is False else "stabilized"
+        # past a failed smoothness gate agreement certifies nothing, unless
+        # the closed form checks the table
+        return "heuristic" if smooth is False and self._inverted() is None else "stabilized"
 
 
 def _known(spec) -> ModuleSpec:
@@ -282,18 +268,8 @@ def _known(spec) -> ModuleSpec:
     return spec
 
 
-def _squarefree_variable_set(f: MultiPoly) -> Optional[frozenset]:
-    """The variable set when f is a coefficient-1 product of distinct variables."""
-    if len(f.terms) != 1:
-        return None
-    (exp, c), = f.terms.items()
-    if c != 1 or any(e > 1 for e in exp):
-        return None
-    return frozenset(i for i, e in enumerate(exp) if e == 1)
-
-
-#: largest variable count of a spec, the x0..x9 the grammar can name.  R, E
-#: and R[1/1] have a one-element basis, so no basis bound refuses them, but
+#: largest variable count of a spec, the x0..x9 the grammar can name.  R and
+#: E have a one-element basis, so no basis bound refuses them, but
 #: the packed keys take at least n bits per digit: E at 800 variables took
 #: 11 s and R at 1000 took 144 MB (2-core x86-64, Python 3.11)
 VARS_MAX = 10
@@ -303,7 +279,7 @@ def spec_from_json(data: dict) -> ModuleSpec:
     """The spec of {"kind": "R" | "E", "vars": n} or {"kind": "loc" |
     "loc-quot", "f": text, "vars": n (optional)}; the one place that reads
     the kind and the variable count, at most ``VARS_MAX``.  R and E refuse
-    an "f".  A squarefree monomial under "loc" is a MonomialLocalization."""
+    an "f"; R is the localization at 1."""
     kind = data.get("kind")
     if kind not in ("R", "E", "loc", "loc-quot"):
         raise UnsupportedSpecError(f"unknown module kind {kind!r}")
@@ -324,20 +300,19 @@ def spec_from_json(data: dict) -> ModuleSpec:
     if kind in ("R", "E"):
         if data.get("f") is not None:
             raise UnsupportedSpecError(f"module kind {kind!r} takes no 'f'")
-        return PolynomialRing(n) if kind == "R" else InjectiveHull(n)
-    f = parse_poly(field("f", str), n)
-    if kind == "loc":
-        s = _squarefree_variable_set(f)
-        if s is not None:
-            return MonomialLocalization(f.n_vars, s)
-    return HypersurfaceLocalization(f, quotient_mod_A=(kind == "loc-quot"))
+        if kind == "E":
+            return InjectiveHull(n)
+        _check_vars(n)
+        return Localization(MultiPoly.one(n))
+    return Localization(parse_poly(field("f", str), n), quotient_mod_A=(kind == "loc-quot"))
 
 
 # -------------------------------------------------------------- closed forms
 
 
 def derham_closed_form(spec: ModuleSpec) -> DeRhamDims:
-    """Known-answer route: R, E and monomial localizations."""
+    """Known-answer route: E, and the localizations at a nonzero scalar
+    times x_S, R among them."""
     return _known(spec).closed_form()
 
 

@@ -13,7 +13,8 @@ offset.  A power or a product whose expansion would take more than about a
 second (``POWER_WORK_MAX``), or whose coefficients would pass
 ``COEFFICIENT_BITS_MAX`` bits, is a parse error before it is expanded: a
 power at its exponent, a product at its ``*`` or, for juxtaposed factors, at
-the right factor.
+the right factor.  A right factor that is a power of a base with a known
+term count is checked against the left factor before it is expanded.
 """
 
 from __future__ import annotations
@@ -24,13 +25,14 @@ from math import comb, prod
 from typing import List, NamedTuple, Optional, Tuple
 
 from .errors import ParseError
+from .linalg import rank_of_columns
 from .poly import MultiPoly
 from .weyl import WeylOp
 
 _ALIASES = {"x": 0, "y": 1, "z": 2, "w": 3}
 
 #: largest estimated work of one power (``_power_work``) or product
-#: (``_product_work``), in term products weighted by coefficient size
+#: (``_refuse_product``), in term products weighted by coefficient size
 #: (``_refuse_costly``); the inputs at the bound parse in 0.6-1.2 s:
 #: (x+y)^805, (3*x+y)^805, (x+y+z)^58, (x+y+z+w)^25, (x0+...+x9)^7,
 #: (x0*d0)^117, (5/7*x+11/3*y)^581, (65535*x+y)^401 and
@@ -56,12 +58,28 @@ def _degrees(op: WeylOp) -> List[Tuple[int, int]]:
     ]
 
 
-def _product_work(a: WeylOp, b: WeylOp) -> int:
-    """An estimate of the term products that ``a * b`` forms: each pair of
-    terms expands to at most min(D_i(a), X_i(b)) + 1 terms per variable i
-    under normal ordering."""
-    pairs = prod(min(d, x) + 1 for (_, d), (x, _) in zip(_degrees(a), _degrees(b)))
-    return len(a.terms) * len(b.terms) * pairs
+def _refuse_product(offset: int, a: WeylOp, terms: int, degrees: List[Tuple[int, int]], bits: int) -> None:
+    """A ParseError at ``offset`` when ``a * b`` costs too much, for a right
+    factor b with ``terms`` terms, (X_i, D_i) = ``degrees`` and coefficients
+    of ``bits`` bits (``_bits``): the work is an estimate of the term
+    products, each pair of terms expanding to at most min(D_i(a), X_i(b)) + 1
+    terms per variable i under normal ordering."""
+    pairs = prod(min(d, x) + 1 for (_, d), (x, _) in zip(_degrees(a), degrees))
+    what = f"product of a {len(a.terms)}-term and a {terms}-term factor"
+    bits += _bits(a) + max(min(len(a.terms), terms) - 1, 0).bit_length()
+    _refuse_costly(offset, what, len(a.terms) * terms * pairs, bits)
+
+
+def _exact_power_terms(base: WeylOp) -> bool:
+    """Whether every power base^e has exactly C(e+k-1, k-1) terms, k >= 2
+    the terms of base: they commute (no variable has both x_i and d_i) and
+    their exponent vectors are affinely independent, so distinct multisets
+    of e terms give distinct monomials, each with a nonzero coefficient."""
+    keys = [x + d for x, d in base.terms]
+    if not 2 <= len(keys) <= 2 * base.n_vars + 1 or any(x and d for x, d in _degrees(base)):
+        return False
+    steps = [{i: v - o for i, (v, o) in enumerate(zip(key, keys[0])) if v != o} for key in keys[1:]]
+    return rank_of_columns(steps) == len(steps)
 
 
 def _bits(op: WeylOp) -> int:
@@ -217,13 +235,16 @@ class _Parser:
                 self.advance()
             elif not self._starts_factor(tok):
                 return value
-            rhs = self.factor()
-            what = f"product of a {len(value.terms)}-term and a {len(rhs.terms)}-term factor"
-            bits = _bits(value) + _bits(rhs) + max(min(len(value.terms), len(rhs.terms)) - 1, 0).bit_length()
-            _refuse_costly(tok.offset, what, _product_work(value, rhs), bits)
+            rhs = self.factor((value, tok.offset))
+            _refuse_product(tok.offset, value, len(rhs.terms), _degrees(rhs), _bits(rhs))
             value = value * rhs
 
-    def factor(self) -> WeylOp:
+    def factor(self, product: Optional[Tuple[WeylOp, int]] = None) -> WeylOp:
+        """A signed atom with its powers.  As the right factor of a product,
+        given as (left factor, offset), a power with a term count known
+        before expansion (``_exact_power_terms``) is checked as that
+        product's right factor first, its coefficient bits counted as e
+        times the base's, a lower bound (the term c x^a gives c^e)."""
         sign = 1
         tok = self.peek()
         while tok.kind == "OP" and tok.value == "-":
@@ -242,6 +263,10 @@ class _Parser:
                 what = f"power {e} of a {len(value.terms)}-term base"
                 bits = e * (_bits(value) + max(len(value.terms) - 1, 0).bit_length())
                 _refuse_costly(etok.offset, what, _power_work(value, e), bits)
+                if product is not None and _exact_power_terms(value):
+                    k = len(value.terms)
+                    degrees = [(e * x, e * d) for x, d in _degrees(value)]
+                    _refuse_product(product[1], product[0], comb(e + k - 1, k - 1), degrees, e * _bits(value))
                 value = value**e
             else:
                 break

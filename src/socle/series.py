@@ -194,17 +194,11 @@ class TruncatedSeries(_TermShell):
 
     def differentiate(self, i: int) -> "TruncatedSeries":
         """Partial derivative in variable i; precision drops to K-1."""
-        if not 0 <= i < self.n_vars:
-            raise DimensionMismatch(f"variable index {i} out of range")
+        # the polynomial derivative checks the index first
+        terms = self.poly_part().partial_derivative(i).terms
         if self.precision < 2:
             raise DomainError("cannot differentiate below precision 1")
-        out: Dict[Exponent, Fraction] = {}
-        for exp, c in self.terms.items():
-            if exp[i]:
-                e = list(exp)
-                e[i] -= 1
-                out[tuple(e)] = c * exp[i]
-        return TruncatedSeries._trusted(self.n_vars, self.precision - 1, out)
+        return TruncatedSeries._trusted(self.n_vars, self.precision - 1, terms)
 
     # ------------------------------------------------------------- inspection
 

@@ -179,6 +179,39 @@ def test_derham_non_smooth_hypersurface_is_heuristic(capsys):
     assert "smooth complement gate: NOT smooth" in out
 
 
+@pytest.mark.parametrize("f, monomial", [("2*x*y*z", "x*y*z"), ("-x*y*z", "x*y*z"), ("1/2*x*y", "x*y")])
+def test_derham_scaled_monomial_reports_as_the_monomial(capsys, f, monomial):
+    # c x_S localizes like x_S, so its closed form checks the table and a
+    # failed gate leaves the certificate stabilized
+    code, out, _ = run(capsys, "derham", "--kind", "loc", f"--f={f}", "--vars", "3")
+    _, want, _ = run(capsys, "derham", "--kind", "loc", "--f", monomial, "--vars", "3")
+    assert code == 0
+    assert out.splitlines()[1:] == want.splitlines()[1:]
+    assert "certificate: stabilized" in out
+    assert "smooth complement gate: NOT smooth" in out
+
+
+@pytest.mark.parametrize("f", ["1", "3", "-2/5"])
+def test_derham_loc_at_a_constant_is_the_ring(capsys, f):
+    # R[1/c] = R: the same dims, certificate and cutoffs as --kind R
+    _, ring, _ = run(capsys, "derham", "--kind", "R", "--vars", "2")
+    code, out, _ = run(capsys, "derham", "--kind", "loc", f"--f={f}", "--vars", "2")
+    assert code == 0
+    assert out.splitlines()[1:] == ring.splitlines()[1:]
+    assert "certificate: exact" in out
+
+
+def test_a_failed_out_write_is_an_input_error(capsys, tmp_path):
+    # a directory, and a file inside a missing directory: one error line
+    # naming the path, exit 2, nothing on stdout
+    for target in (tmp_path, tmp_path / "missing" / "catalog.txt"):
+        code, out, err = run(capsys, "catalog", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(target) in err
+        assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "spec, cutoff",
     [
@@ -254,10 +287,10 @@ def test_decompose_json_is_pinned(capsys, name, p, f, prec):
 
 
 # one input per spec route: the two cutoff-free complexes, a localization at
-# no variable (persistent route over R, no smoothness key), a monomial that
-# passes the gate and one that fails it (still "stabilized"), a hypersurface
-# in both modes, a non-smooth one whose agreement is "heuristic", and rank
-# one; and every catalog entry
+# no variable (R itself: exact, no smoothness key), a monomial that passes
+# the gate and one that fails it (still "stabilized"), a hypersurface in
+# both modes, a non-smooth one whose agreement is "heuristic", and rank one;
+# and every catalog entry
 DERHAM_PINS = {
     "derham_ring_two_vars": ("--kind", "R", "--vars", "2"),
     "derham_hull_three_vars": ("--kind", "E", "--vars", "3"),

@@ -6,7 +6,7 @@ from itertools import combinations
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import socle.derham
 from socle.catalog import PROFILES
@@ -19,10 +19,8 @@ from socle.errors import (
 )
 from socle.derham import (
     DeRhamDims,
-    HypersurfaceLocalization,
     InjectiveHull,
-    MonomialLocalization,
-    PolynomialRing,
+    Localization,
     assemble_complex,
     completion_flattening,
     derham_closed_form,
@@ -39,9 +37,19 @@ from socle.series import TruncatedSeries
 from socle.structure import BettiProfile, predict
 
 
+def ring(n):
+    """R in n variables, the localization at 1."""
+    return Localization(MultiPoly.one(n))
+
+
+def monomial_localization(n, inverted):
+    """The localization at the product x_S of the variables in ``inverted``."""
+    return Localization(MultiPoly.monomial(n, [int(i in inverted) for i in range(n)]))
+
+
 def test_closed_form_polynomial_ring():
     for n in range(1, 4):
-        dims = list(derham_closed_form(PolynomialRing(n)))
+        dims = list(derham_closed_form(ring(n)))
         assert dims == [1] + [0] * n
 
 
@@ -55,17 +63,17 @@ def test_closed_form_monomial_binomials():
     for n in range(1, 4):
         for size in range(0, n + 1):
             for subset in combinations(range(n), size):
-                spec = MonomialLocalization(n, frozenset(subset))
+                spec = monomial_localization(n, subset)
                 dims = list(derham_closed_form(spec))
                 assert dims == [math.comb(size, j) for j in range(n + 1)]
 
 
 def test_truncated_engine_matches_closed_forms():
     for n in range(1, 4):
-        specs = [PolynomialRing(n)]
+        specs = [ring(n)]
         for size in range(1, n + 1):
             for subset in combinations(range(n), size):
-                specs.append(MonomialLocalization(n, frozenset(subset)))
+                specs.append(monomial_localization(n, subset))
         for spec in specs:
             want = list(derham_closed_form(spec))
             dims, report = derham_truncated(spec, pole_cutoff=4)
@@ -78,7 +86,7 @@ def test_truncated_engine_matches_closed_forms():
 def test_cutoff_free_specs_over_a_weight_window(n, cutoff):
     # R and E ignore the cutoff: one pass over weights -2..2 is exact, and
     # every nonzero weight (R has them at tau = 1, 2) adds nothing
-    for spec in (PolynomialRing(n), InjectiveHull(n)):
+    for spec in (ring(n), InjectiveHull(n)):
         dims, report = derham_truncated(spec, cutoff, degree_window=(-2, 2))
         assert dims == derham_closed_form(spec), spec
         assert report.certificate == "exact"
@@ -89,7 +97,7 @@ def test_cutoff_free_specs_over_a_weight_window(n, cutoff):
 def test_ring_differential_is_the_exterior_derivative(n, tau):
     # d(x^e dx_I) = sum_i e_i x^(e - 1_i) dx_i ^ dx_I, written into the
     # sorted index set with the sign of moving dx_i past the smaller indices
-    bases, diffs, incls = assemble_complex(PolynomialRing(n), 4, tau)
+    bases, diffs, incls = assemble_complex(ring(n), 4, tau)
     assert incls is None
     for j in range(n + 1):
         assert bases[j] == [
@@ -111,9 +119,11 @@ def test_ring_differential_is_the_exterior_derivative(n, tau):
 
 
 def test_ring_and_hull_reject_negative_variable_counts():
-    for kind in (PolynomialRing, InjectiveHull):
+    for kind in ("R", "E"):
         with pytest.raises(DomainError, match="-1"):
-            kind(-1)
+            spec_from_json({"kind": kind, "vars": -1})
+    with pytest.raises(DomainError, match="-1"):
+        InjectiveHull(-1)
 
 
 def test_truncated_injective_hull_small():
@@ -125,8 +135,8 @@ def test_truncated_injective_hull_small():
 
 def test_injective_hull_via_splice():
     # 0 -> A -> A_x -> E -> 0 over one variable: splice the quotient dims
-    sub = list(derham_closed_form(PolynomialRing(1)))
-    total, _ = derham_truncated(MonomialLocalization(1, frozenset({0})), 4)
+    sub = list(derham_closed_form(ring(1)))
+    total, _ = derham_truncated(monomial_localization(1, {0}), 4)
     quotient = les_splice(sub, list(total), [0, 0])
     assert list(quotient) == list(derham_closed_form(InjectiveHull(1)))
 
@@ -169,9 +179,9 @@ def test_differential_squares_to_zero():
     cases = [
         (spec_from_json({"kind": "loc-quot", "f": "x^2 + y^2"}), 3, 0),
         (spec_from_json({"kind": "loc", "f": "x^3 + y^3 + z^3"}), 2, 0),
-        (MonomialLocalization(2, frozenset({0, 1})), 3, 0),
+        (monomial_localization(2, {0, 1}), 3, 0),
         (InjectiveHull(2), 3, 0),
-        (PolynomialRing(2), 3, 1),
+        (ring(2), 3, 1),
     ]
     for spec, cutoff, tau in cases:
         piece = engine_piece(spec, cutoff, tau)
@@ -186,9 +196,9 @@ def test_filtration_inclusion_is_a_chain_map():
     """Multiplying numerators by f commutes with the pole differential."""
     lo_cut, hi_cut = 3, 4
     for spec in (
-        HypersurfaceLocalization(parse_poly("x^2 + y^2", 2)),
-        HypersurfaceLocalization(parse_poly("x^2 + 2*y^2 - x*y", 2)),
-        MonomialLocalization(3, frozenset({0, 2})),
+        Localization(parse_poly("x^2 + y^2", 2)),
+        Localization(parse_poly("x^2 + 2*y^2 - x*y", 2)),
+        monomial_localization(3, {0, 2}),
     ):
         lo, hi = (engine_piece(spec, cut, 0, hi_cut) for cut in (lo_cut, hi_cut))
         n = spec.n_vars
@@ -204,7 +214,7 @@ def test_filtration_inclusion_is_a_chain_map():
 
 def test_nonzero_weights_contribute_nothing():
     # widening the weight window around the limit classes adds no dimensions
-    spec = MonomialLocalization(1, frozenset({0}))
+    spec = monomial_localization(1, {0})
     narrow, _ = derham_truncated(spec, 5)
     wide, report = derham_truncated(spec, 5, degree_window=(-2, 2))
     assert list(narrow) == list(wide) == [1, 1]
@@ -270,26 +280,24 @@ def test_jacobian_gate():
 
 
 def test_spec_from_json_builds_each_kind():
-    assert spec_from_json({"kind": "R", "vars": 2}) == PolynomialRing(2)
+    # R is the localization at 1, and every f under loc or loc-quot is the
+    # localization at f, in the declared variables when given
+    assert spec_from_json({"kind": "R", "vars": 2}) == ring(2)
     assert spec_from_json({"kind": "E", "vars": 3}) == InjectiveHull(3)
-    # a squarefree monomial under loc is a monomial localization, in the
-    # declared variables when given
     spec = spec_from_json({"kind": "loc", "f": "x0*x2", "vars": 4})
-    assert spec == MonomialLocalization(4, frozenset({0, 2}))
+    assert spec == monomial_localization(4, {0, 2})
     assert spec.n_vars == 4
-    assert spec_from_json({"kind": "loc", "f": "x*z"}) == MonomialLocalization(3, frozenset({0, 2}))
-    # any other f, and any f under loc-quot, is a hypersurface; specs with
-    # polynomial fields skip __eq__, so compare their fields
+    assert spec_from_json({"kind": "loc", "f": "x*z"}) == monomial_localization(3, {0, 2})
     for data, f_text, n, quotient in [
         ({"kind": "loc", "f": "x^2 + y^2 + z^2"}, "x^2 + y^2 + z^2", 3, False),
         ({"kind": "loc", "f": "2*x*y", "vars": 2}, "2*x*y", 2, False),
         ({"kind": "loc", "f": "x^2*y"}, "x^2*y", 2, False),
+        ({"kind": "loc", "f": "3", "vars": 2}, "3", 2, False),
         ({"kind": "loc-quot", "f": "x^3 + y^3 + z^3"}, "x^3 + y^3 + z^3", 3, True),
         ({"kind": "loc-quot", "f": "x*y*z"}, "x*y*z", 3, True),
     ]:
         spec = spec_from_json(data)
-        assert type(spec) is HypersurfaceLocalization
-        assert spec.f == parse_poly(f_text, n)
+        assert spec == Localization(parse_poly(f_text, n), quotient_mod_A=quotient)
         assert spec.n_vars == n
         assert spec.quotient_mod_A is quotient
 
@@ -317,26 +325,48 @@ def test_spec_from_json_names_a_missing_or_ill_typed_field(data, field):
 
 
 @st.composite
-def monomial_localizations(draw):
-    """A localization at a nonempty set of at most three variables."""
+def scaled_monomials(draw):
+    """At most three variables, a set S of them, maybe empty, and a nonzero
+    rational c."""
     n = draw(st.integers(1, 3))
-    return MonomialLocalization(n, frozenset(draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    inverted = frozenset(draw(st.sets(st.integers(0, n - 1))))
+    c = draw(st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9)))
+    return n, inverted, c
 
 
 @settings(deadline=None, derandomize=True, max_examples=40)
-@given(monomial_localizations())
-def test_monomial_localization_runs_as_the_hypersurface_of_its_product(spec):
-    # the engine builds a monomial localization as the pole complex of x_S;
-    # only the certificate rule differs, so compare everything else
-    twin = HypersurfaceLocalization(spec.product())
-    assert twin.n_vars == spec.n_vars
-    for cutoff in (2, 3):
-        dims, report = derham_truncated(spec, cutoff, degree_window=(-1, 1))
-        twin_dims, twin_report = derham_truncated(twin, cutoff, degree_window=(-1, 1))
-        assert dims == twin_dims
-        assert report.dims_low == twin_report.dims_low
-        assert report.cutoffs == twin_report.cutoffs
-        assert report.smooth == twin_report.smooth
+@given(scaled_monomials())
+@example((3, frozenset({0, 1, 2}), Fraction(1)))
+@example((3, frozenset({0, 1, 2}), Fraction(2)))
+def test_localization_at_a_scaled_monomial_reads_as_the_monomial(case):
+    # c x_S and x_S give one module, so one closed form C(|S|, j) and one
+    # report: exact for S empty (R itself), stabilized otherwise, whatever
+    # the smoothness gate says
+    n, inverted, c = case
+    monomial = monomial_localization(n, inverted)
+    text = (monomial.f * c).render()
+    spec = spec_from_json({"kind": "loc", "f": text, "vars": n})
+    assert spec == Localization(monomial.f * c)
+    want = DeRhamDims(math.comb(len(inverted), j) for j in range(n + 1))
+    assert derham_closed_form(spec) == derham_closed_form(monomial) == want
+    for cutoff in (3, 4):
+        dims, report = derham_truncated(spec, cutoff)
+        assert (dims, report) == derham_truncated(monomial, cutoff)
+        assert dims == want
+        assert report.certificate == ("stabilized" if inverted else "exact")
+    # loc-quot has no closed form: it refuses a constant, and agreement past
+    # a failed gate, as on x*y*z, stays heuristic
+    quotient = {"kind": "loc-quot", "f": text, "vars": n}
+    if not inverted:
+        with pytest.raises(DomainError, match="degree >= 1"):
+            spec_from_json(quotient)
+        return
+    with pytest.raises(UnsupportedSpecError, match="no closed form"):
+        derham_closed_form(spec_from_json(quotient))
+    _, report = derham_truncated(spec_from_json(quotient), 3)
+    assert report.certificate == ("stabilized" if report.smooth else "heuristic")
+    if len(inverted) == 3:
+        assert report.certificate == "heuristic"
 
 
 @pytest.mark.parametrize("kind", ["mystery", "rank-one", "sum"])
@@ -368,7 +398,7 @@ def test_each_cutoff_complex_is_assembled_once(monkeypatch):
     # images from those eliminations, so no piece builds d_n
     cases = [
         (spec_from_json({"kind": "loc-quot", "f": "x^2 + y^2 + z^2"}), 6, [0, 1, 0, 0]),
-        (MonomialLocalization(2, frozenset({0, 1})), 4, [1, 2, 1]),
+        (monomial_localization(2, {0, 1}), 4, [1, 2, 1]),
     ]
     piece = socle.derham._Piece
     d_columns, eliminate = piece.d_columns, piece._eliminate
@@ -400,10 +430,8 @@ def test_scaling_f_changes_no_table():
     # rational coefficients run through assembly end to end
     for text in ("x^2 + y^2 + z^2", "x^3 + y^3 + z^3"):
         f = parse_poly(text, 3)
-        plain = derham_truncated(HypersurfaceLocalization(f, quotient_mod_A=True), 5)
-        scaled = derham_truncated(
-            HypersurfaceLocalization(f * Fraction(3, 7), quotient_mod_A=True), 5
-        )
+        plain = derham_truncated(Localization(f, quotient_mod_A=True), 5)
+        scaled = derham_truncated(Localization(f * Fraction(3, 7), quotient_mod_A=True), 5)
         assert scaled == plain, text
 
 
@@ -483,7 +511,7 @@ def hypersurfaces(draw):
     support = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=4, unique=True))
     coefficient = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9))
     f = MultiPoly(n, {e: draw(coefficient) for e in support})
-    return HypersurfaceLocalization(f, quotient_mod_A=draw(st.booleans()))
+    return Localization(f, quotient_mod_A=draw(st.booleans()))
 
 
 @st.composite
@@ -544,7 +572,7 @@ def engine_pieces(draw):
         spec, tau = draw(hypersurfaces()), draw(st.integers(-1, 1))
     else:
         n = draw(st.integers(1, 3))
-        spec = PolynomialRing(n) if kind == "R" else InjectiveHull(n)
+        spec = ring(n) if kind == "R" else InjectiveHull(n)
         tau = draw(st.integers(-cutoff, 0))
     return spec, cutoff, tau
 
@@ -655,11 +683,11 @@ def truncation_inputs(draw):
     if kind == "hypersurface":
         spec = draw(hypersurfaces())
     elif kind == "R":
-        spec = PolynomialRing(n)
+        spec = ring(n)
     elif kind == "E":
         spec = InjectiveHull(n)
     else:
-        spec = MonomialLocalization(n, frozenset(i for i in range(n) if draw(st.booleans())))
+        spec = monomial_localization(n, {i for i in range(n) if draw(st.booleans())})
     window = (draw(st.integers(-2, 0)), draw(st.integers(0, 2)))
     return spec, draw(st.integers(1, 5)), window
 
@@ -727,8 +755,8 @@ def quotient_inputs(draw):
 def test_quotient_table_is_the_localization_table_less_the_class_of_one(case):
     # 0 -> A -> A_f -> A_f/A -> 0 with H(A) = k in degree 0, at every cutoff
     f, cutoff, window = case
-    dims, report = derham_truncated(HypersurfaceLocalization(f), cutoff, degree_window=window)
-    quotient = HypersurfaceLocalization(f, quotient_mod_A=True)
+    dims, report = derham_truncated(Localization(f), cutoff, degree_window=window)
+    quotient = Localization(f, quotient_mod_A=True)
     q_dims, q_report = derham_truncated(quotient, cutoff, degree_window=window)
     one = int(window[0] <= 0 <= window[1])
 
@@ -748,4 +776,4 @@ def test_a_lost_tail_is_an_internal_error(monkeypatch):
         socle.derham._Piece, "d_columns", lambda self, j, kept, tails=False: d_columns(self, j, kept)
     )
     with pytest.raises(InternalCheckError, match="lost its tail"):
-        derham_truncated(MonomialLocalization(2, frozenset({0, 1})), 4)
+        derham_truncated(monomial_localization(2, {0, 1}), 4)

@@ -193,15 +193,27 @@ def test_oversized_products_are_refused_before_expansion(text, offset):
     assert "exceeds 250000" in str(exc.value)
 
 
-def test_a_product_of_two_large_powers_is_refused():
-    # unbounded, this product of two 1326-term factors took 8.6 s; the
-    # factors themselves take about 0.8 s (2-core x86-64, Python 3.11)
+def test_a_product_of_two_large_powers_is_refused(monkeypatch):
+    # unbounded, this product of two 1326-term factors took 8.6 s; the right
+    # factor's term count, C(52, 2) = 1326, is known before its power is
+    # expanded, so the refusal costs about what the left factor alone does
+    start = time.perf_counter()
+    parse_poly("(x+y+z)^50")
+    left = time.perf_counter() - start
+    powers = []
+    power = WeylOp.__pow__
+    monkeypatch.setattr(WeylOp, "__pow__", lambda self, e: powers.append(e) or power(self, e))
     start = time.perf_counter()
     with pytest.raises(ParseError) as exc:
         parse_poly("(x+y+z)^50*(x+y+z)^50")
-    assert time.perf_counter() - start < 4
+    both = time.perf_counter() - start
+    assert powers == [50]
     assert exc.value.offset == 11
-    assert "1326-term" in str(exc.value)
+    assert str(exc.value) == (
+        "parse error at byte 11: product of a 1326-term and a 1326-term factor needs about "
+        "1758276 term products, weighted by coefficient size, which exceeds 250000"
+    )
+    assert both < 1.5 * left + 0.2
 
 
 @pytest.mark.parametrize(

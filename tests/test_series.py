@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from socle.errors import DomainError, NonUnitError
+from socle.errors import DimensionMismatch, DomainError, NonUnitError
 from socle.poly import MultiPoly
 from socle.series import TruncatedSeries
 from socle.grammar import parse_poly
@@ -96,6 +96,14 @@ def test_differentiate_tracks_precision():
     low = TruncatedSeries.one(1, 1)
     with pytest.raises(DomainError):
         low.differentiate(0)
+
+
+def test_differentiate_checks_the_index_before_the_precision():
+    low = TruncatedSeries.one(2, 1)
+    with pytest.raises(DimensionMismatch, match="variable index 2 out of range"):
+        low.differentiate(2)
+    with pytest.raises(DomainError, match="cannot differentiate below precision 1"):
+        low.differentiate(1)
 
 
 def test_valuation():
