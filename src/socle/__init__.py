@@ -26,7 +26,6 @@ The `socle` console script exposes predict/derham/decompose/verify/catalog.
 from .errors import (
     DimensionMismatch,
     DomainError,
-    EmptyComplexError,
     InconsistentSequenceError,
     InternalCheckError,
     NonUnitError,
@@ -35,7 +34,7 @@ from .errors import (
     SocleError,
     UnsupportedSpecError,
 )
-from .poly import MultiPoly, default_names, graded_piece_basis
+from .poly import MultiPoly, graded_piece_basis
 from .series import TruncatedSeries
 from .linalg import eliminate_columns, rank_of_columns
 from .grammar import parse_operator, parse_poly
@@ -89,12 +88,10 @@ __all__ = [
     "DomainError",
     "ParseError",
     "UnsupportedSpecError",
-    "EmptyComplexError",
     "InconsistentSequenceError",
     "NotLefschetzError",
     "InternalCheckError",
     "MultiPoly",
-    "default_names",
     "graded_piece_basis",
     "TruncatedSeries",
     "eliminate_columns",

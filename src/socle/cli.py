@@ -63,11 +63,7 @@ DECOMPOSE_SIZE_MAX = 52_000
 #: at cutoff 3 also has 354690 and takes about 150 s and 350 MB (2-core
 #: x86-64, Python 3.11)
 DERHAM_BASIS_MAX = 400_000
-#: largest work of ``derham_rank_one``: precision^2 * terms of p * its largest
-#: numerator plus denominator bits; x^2+x passes up to precision 2236 (0.2 s),
-#: (x+1/3)^12 (9 s at 2000) up to 264, and the costliest p measured at the
-#: bound, x^100+1/3 at 1825, takes 1.7 s (2-core x86-64, Python 3.11)
-RANK_ONE_WORK_MAX = 20_000_000
+
 
 class _InputError(ValueError):
     """User-facing input problem outside the library error types.
@@ -240,22 +236,16 @@ def cmd_derham(args) -> int:
 
     if kind is None:
         raise _InputError("derham needs --kind (R, E, loc, loc-quot, rank-one) or --catalog")
+    if args.prec is not None and kind != "rank-one":
+        raise _InputError(f"--prec applies only to --kind rank-one, not {kind!r}")
+    for flag, value in (("--pole-cutoff", args.pole_cutoff), ("--vars", args.vars)):
+        if value is not None and kind == "rank-one":
+            raise _InputError(f"{flag} does not apply to --kind rank-one")
 
     if kind == "rank-one":
         if f_text is None:
             raise _InputError("rank-one connections need --f with the connection polynomial")
-        p = parse_poly(f_text, 1)
-        # the default adapts to deg p: derham_rank_one needs at least deg p + 3
-        default = max(12, int(max(p.degree(), 0)) + 3)
-        precision = args.prec if args.prec is not None else default
-        bits = max((abs(c.numerator).bit_length() + c.denominator.bit_length() for c in p.terms.values()), default=1)
-        work = precision**2 * max(len(p.terms), 1) * bits
-        if work > RANK_ONE_WORK_MAX:
-            raise _InputError(
-                f"rank-one precision {precision} with {len(p.terms)} terms of up to {bits} bits "
-                f"needs work {work}, which exceeds {RANK_ONE_WORK_MAX}"
-            )
-        dims = derham_rank_one(p, precision=precision)
+        dims = derham_rank_one(parse_poly(f_text, 1), precision=args.prec)
         lines = [
             "module: rank-one connection (d/dx + p) on one variable",
             f"p = {f_text}",

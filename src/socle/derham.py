@@ -15,14 +15,14 @@ gives forward maps whose stabilization is the certification signal.  For a
 homogeneous input everything splits by internal weight (degree of the
 coefficient minus pole-order times degree of f, plus form degree); the
 contraction against the Euler vector field gives d(i_E w) + i_E(d w) = tau*w
-on the weight-tau piece, so every class of nonzero weight dies in the limit
-and the default window computes only weight 0.  An explicit window sums the
-tables of several weights, which the tests use to see the nonzero weights
-vanish.  In quotient mode the complex is taken modulo the polynomial
-subcomplex, which i_E preserves: its weight-tau piece lies in every F_K and
-is acyclic for tau != 0, and at weight 0 it is k*1 in degree 0.  So the
-engine takes out A = k * (f^K / f^K) at weight 0 and A = 0 elsewhere, and a
-loc-quot table is the loc table minus 1 in degree 0 when the window holds 0.
+on the weight-tau piece, so every class of nonzero weight dies in the limit,
+and the engine computes weight 0 only (the tests rank nonzero weights on
+``_Piece``s directly to see them vanish).  In quotient mode the complex is
+taken modulo the polynomial subcomplex, which i_E preserves: its weight-tau
+piece lies in every F_K and is acyclic for tau != 0, and at weight 0 it is
+k*1 in degree 0.  So the engine takes out A = k * (f^K / f^K) at weight 0
+and A = 0 elsewhere, and a loc-quot table is the loc table minus 1 in
+degree 0.
 
 Every table comes from one rank formula for the persistent cohomology of a
 pair of cutoffs (``_persistent_dims``): with r(K, j) = rank[d C_(j-1) | A_j]
@@ -31,9 +31,9 @@ in the complex at cutoff K, rank H^j(F_lo -> F_hi) = rank[P_hi(j) | Q_lo(j)]
 vectors, comes out of the low complex's own elimination of r(lo, j+1) (the
 standard persistence algorithm: Zomorodian and Carlsson, Computing
 persistent homology, 2005).  Each r(K, j) is eliminated once.  Where the
-complex ignores the cutoff (R, that is a constant f, and E once the cutoff
-clears the window) the pair is one cutoff twice, the map is the identity and
-one pass is exact.
+complex ignores the cutoff (R, that is a constant f, and E, whose weight-0
+piece is present at every cutoff) the pair is one cutoff twice, the map is
+the identity and one pass is exact.
 
 Ranks are cleared (Chen and Kerber, Persistent homology computation with a
 twist, 2011): a basis element at a pivot row of r(K, j) is dropped from d_j
@@ -69,7 +69,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     DomainError,
-    EmptyComplexError,
     InconsistentSequenceError,
     InternalCheckError,
     UnsupportedSpecError,
@@ -95,34 +94,34 @@ class DeRhamDims(tuple):
             raise DomainError("cohomology dimensions cannot be negative")
         return super().__new__(cls, dims)
 
-    @property
-    def euler(self) -> int:
-        return sum((-1) ** j * d for j, d in enumerate(self))
-
 
 @dataclass(frozen=True)
 class TruncationReport:
-    """Provenance of a truncated computation.
+    """Provenance of a truncated computation at weight 0.
 
     ``certificate`` is "exact" when the graded pieces do not depend on the
     cutoff at all, otherwise "stabilized" or "provisional" according to
-    whether two successive cutoffs agreed.  ``smooth`` records the Jacobian
+    whether two successive cutoffs agreed; ``stabilized`` is every
+    certificate but "provisional".  ``smooth`` records the Jacobian
     finiteness gate of a nonconstant f (None when not applicable);
     non-smooth inputs still run, and one that fails the gate and has no
     closed form reports agreement as "heuristic" instead of "stabilized".
+    The JSON record keeps the weight window, always [0, 0].
     """
 
     cutoffs: Tuple[int, int]
-    window: Tuple[int, int]
     dims_low: Tuple[int, ...]
-    stabilized: bool
     certificate: str
     smooth: Optional[bool] = None
+
+    @property
+    def stabilized(self) -> bool:
+        return self.certificate != "provisional"
 
     def to_json(self) -> dict:
         out = {
             "cutoffs": list(self.cutoffs),
-            "window": list(self.window),
+            "window": [0, 0],
             "dims_at_low_cutoff": list(self.dims_low),
             "stabilized": self.stabilized,
             "certificate": self.certificate,
@@ -149,10 +148,9 @@ class ModuleSpec:
             f"no closed form for {type(self).__name__}; use the truncation engine"
         )
 
-    def cutoff_free(self, pole_cutoff: int, window: Tuple[int, int]) -> bool:
-        """Whether the complex at this cutoff and window ignores the cutoff,
-        so one pass is exact and no second cutoff is compared."""
-        return False
+    #: whether the weight-0 complex ignores the cutoff, so one pass is exact
+    #: and no second cutoff is compared
+    cutoff_free = False
 
     def pole_terms(self) -> Dict[Tuple[int, ...], Fraction]:
         """The pole polynomial f as {exponent: coefficient}.  Every spec is a
@@ -193,10 +191,8 @@ class InjectiveHull(ModuleSpec):
     def closed_form(self) -> DeRhamDims:
         return DeRhamDims((0,) * self.n_vars + (1,))
 
-    def cutoff_free(self, pole_cutoff: int, window: Tuple[int, int]) -> bool:
-        # the basis constraint is a condition on the weight alone once the
-        # cutoff clears the window
-        return window == (0, 0) or -window[0] <= pole_cutoff - 1
+    # the basis constraint -tau <= cutoff holds at weight 0 for every cutoff
+    cutoff_free = True
 
     def basis(self, deg: int, tau: int, cutoff: int, width: int):
         """x^e with every e_i <= -1, present only while -tau <= cutoff: e = -1 - a
@@ -246,7 +242,8 @@ class Localization(ModuleSpec):
             return super().closed_form()
         return DeRhamDims(comb(m, j) for j in range(self.n_vars + 1))
 
-    def cutoff_free(self, pole_cutoff: int, window: Tuple[int, int]) -> bool:
+    @property
+    def cutoff_free(self) -> bool:
         return self.f.homogeneous_degree() == 0  # no poles: R = A_1
 
     def pole_terms(self) -> Dict[Tuple[int, ...], Fraction]:
@@ -323,9 +320,9 @@ def _wedge_sign(i: int, index_set: Tuple[int, ...]) -> int:
     return -1 if sum(1 for k in index_set if k < i) % 2 else 1
 
 
-def _key_width(n: int, f, cutoff: int, window: Tuple[int, int]) -> int:
-    """Bits per digit of the packed basis keys of every piece of the pole
-    complex of f at cutoffs up to ``cutoff`` over ``window``: room for the
+def _key_width(n: int, f, cutoff: int, tau: int) -> int:
+    """Bits per digit of the packed basis keys of every weight-tau piece of
+    the pole complex of f at cutoffs up to ``cutoff``: room for the
     index-set mask and for all exponents, E's negative ones included (each
     |e_i| <= |deg e| + n + 1).  The top cutoff bounds the lower ones: a
     nonnegative degree only grows with the cutoff, and a negative one has no
@@ -334,7 +331,7 @@ def _key_width(n: int, f, cutoff: int, window: Tuple[int, int]) -> int:
     piece's tails, at rows key + 2^(width (n+1) + 1), lie at or above that
     bound, which no key reaches."""
     degree = sum(next(iter(f)))
-    top = max(abs(tau - j + (cutoff + j) * degree) for tau in window for j in range(n + 1))
+    top = max(abs(tau - j + (cutoff + j) * degree) for j in range(n + 1))
     return max(n, (top + n + 1).bit_length())
 
 
@@ -502,7 +499,7 @@ def assemble_complex(spec: ModuleSpec, cutoff: int, tau: int):
     """
     f = _content_free(_scaled(spec.pole_terms())[0])
     n = spec.n_vars
-    piece = _Piece(spec, f, cutoff, tau, _key_width(n, f, cutoff, (tau, tau)))
+    piece = _Piece(spec, f, cutoff, tau, _key_width(n, f, cutoff, tau))
     bases = [piece.labels(j) for j in range(n + 1)]
     diffs = []
     for j, base in enumerate(bases[:-1]):
@@ -573,25 +570,21 @@ def jacobian_ring_is_finite(f: MultiPoly) -> bool:
     return rank_of_columns(cols) == len(target)
 
 
-def derham_truncated(
-    spec: ModuleSpec,
-    pole_cutoff: int,
-    degree_window: Optional[Tuple[int, int]] = None,
-) -> Tuple[DeRhamDims, TruncationReport]:
+def derham_truncated(spec: ModuleSpec, pole_cutoff: int) -> Tuple[DeRhamDims, TruncationReport]:
     """Dimensions of each de Rham cohomology group from truncated complexes.
 
-    Computes the graded complex at two successive pole cutoffs and reports
-    dims at the higher one; ``stabilized`` means the two agreed.  A complex
-    that ignores the cutoff (R, E) takes one exact pass at the cutoff.  The default
-    window is the zero-weight piece, which carries every stable class (see
-    the module docstring); pass an explicit ``degree_window`` to inspect
-    transient weights.
+    Computes the weight-0 piece, which carries every stable class (module
+    docstring), at two successive pole cutoffs and reports dims at the
+    higher one; ``stabilized`` means the two agreed.  A complex that ignores
+    the cutoff (R, E) takes one exact pass at the cutoff.
+
+    The weight-0 piece is never empty, so every table counts a complex that
+    exists: for a localization at f of degree D, form degree 0 holds the
+    numerators of degree K*D >= 0 at cutoff K, and for E form degree n
+    holds x^(-1,...,-1).
     """
     if pole_cutoff < 1:
         raise DomainError("pole cutoff must be at least 1")
-    window = tuple(degree_window) if degree_window is not None else (0, 0)
-    if window[0] > window[1]:
-        raise DomainError("degree window must be nondecreasing")
 
     n = _known(spec).n_vars
     # every column scales by a unit under f -> c f, so f's primitive integer
@@ -602,42 +595,31 @@ def derham_truncated(
     # pair, lo = hi = K, whose map is the identity: the table is dim H^j, exact.
     # A low end is built with its high cutoff, so that its eliminations yield
     # its cycle images; the low pair's continue the live pivot states of F_{K-1}
-    exact = spec.cutoff_free(pole_cutoff, window)
+    exact = spec.cutoff_free
     K = pole_cutoff
-    width = _key_width(n, f, K, window)
+    width = _key_width(n, f, K, 0)
     if exact:
         pairs = [(K, K)]
     elif K >= 3:
         pairs = [(K - 2, K - 1), (K - 1, K)]
     else:
         pairs = [(max(1, K - 1), K)]
-    tables = [[0] * (n + 1) for _ in pairs]
-    basis_count = 0
     highs = dict(pairs)
-    for tau in range(window[0], window[1] + 1):
-        pieces: Dict[int, _Piece] = {}
-        for table, (lo, hi) in zip(tables, pairs):
-            for cut in (lo, hi):
-                if cut not in pieces:
-                    pieces[cut] = _Piece(spec, f, cut, tau, width, highs.get(cut))
-            for j, h in enumerate(_persistent_dims(pieces[lo], pieces[hi])):
-                table[j] += h
-        basis_count += sum(len(keys) for piece in pieces.values() for keys in piece.keys)
-    if basis_count == 0:
-        raise EmptyComplexError(
-            f"no basis elements in window {window} at cutoffs {(pairs[0][0], K)}"
-        )
+    pieces: Dict[int, _Piece] = {}
+    tables = []
+    for lo, hi in pairs:
+        for cut in (lo, hi):
+            if cut not in pieces:
+                pieces[cut] = _Piece(spec, f, cut, 0, width, highs.get(cut))
+        tables.append(_persistent_dims(pieces[lo], pieces[hi]))
     dims_low, dims = tuple(tables[0]), DeRhamDims(tables[-1])
     stabilized = dims_low == dims if len(pairs) == 2 else exact
 
     smooth = spec.smoothness_gate()
     certificate = "exact" if exact else spec.agreement(smooth) if stabilized else "provisional"
-
     report = TruncationReport(
         cutoffs=(pairs[-1][0], pole_cutoff),
-        window=window,
         dims_low=dims_low,
-        stabilized=stabilized,
         certificate=certificate,
         smooth=smooth,
     )
@@ -647,21 +629,37 @@ def derham_truncated(
 # ---------------------------------------------------------------- rank one
 
 
-def derham_rank_one(p: MultiPoly, precision: int = 12) -> DeRhamDims:
+#: largest work of ``derham_rank_one``: precision^2 * terms of p * its largest
+#: numerator plus denominator bits; x^2+x passes up to precision 2236 (0.2 s),
+#: (x+1/3)^12 (9 s at 2000) up to 264, and the costliest p measured at the
+#: bound, x^100+1/3 at 1825, takes 1.7 s (2-core x86-64, Python 3.11)
+RANK_ONE_WORK_MAX = 20_000_000
+
+
+def derham_rank_one(p: MultiPoly, precision: Optional[int] = None) -> DeRhamDims:
     """Kernel and cokernel dimensions of a -> a' + a*p on one-variable polynomials.
 
     The matrix route: domain polynomials of degree < K, codomain degree
     < K + deg p (K - 1 for p = 0, K for constant p, so that the map is exact
     on the top slice).  For K > deg p + 2 the answer is independent of K:
     [1, 0] for p = 0, [0, 0] for nonzero constants, [0, deg p] otherwise.
+    K is ``precision``, by default max(12, deg p + 3); one whose work
+    exceeds ``RANK_ONE_WORK_MAX`` is refused before the matrix is built.
     """
     if p.n_vars != 1:
         raise DomainError("rank-one connections are one-variable objects")
-    deg = p.degree()
-    shift = -1 if not p else (0 if deg == 0 else int(deg))
-    if precision <= max(int(deg) if p else 0, 0) + 2:
+    deg = int(max(p.degree(), 0))
+    k = max(12, deg + 3) if precision is None else precision
+    bits = max((abs(c.numerator).bit_length() + c.denominator.bit_length() for c in p.terms.values()), default=1)
+    work = k**2 * max(len(p.terms), 1) * bits
+    if work > RANK_ONE_WORK_MAX:
+        raise DomainError(
+            f"rank-one precision {k} with {len(p.terms)} terms of up to {bits} bits "
+            f"needs work {work}, which exceeds {RANK_ONE_WORK_MAX}"
+        )
+    if k <= deg + 2:
         raise DomainError("precision too small; need at least deg p + 3")
-    k = precision
+    shift = -1 if not p else deg
     # (x^m)' lands in row m - 1 and x^m p in the distinct rows m + e >= m,
     # so no two terms of a column meet
     cols = [

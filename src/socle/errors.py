@@ -36,10 +36,6 @@ class UnsupportedSpecError(SocleError, ValueError):
     """A module description the requested engine does not handle."""
 
 
-class EmptyComplexError(SocleError, ValueError):
-    """Window/cutoff too small to contain a single basis element."""
-
-
 class InconsistentSequenceError(SocleError, ValueError):
     """Dimension data admits no exact sequence."""
 

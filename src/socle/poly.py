@@ -68,27 +68,26 @@ def _accumulate(
     rhs: Mapping[Hashable, int],
     expand: Callable[[Hashable, Hashable], Iterable[Tuple[Hashable, int]]] | None = None,
     acc: Dict[Hashable, int] | None = None,
-    below: int | None = None,
-    shift: int | None = None,
+    cap: int | None = None,
 ) -> Dict[Hashable, int]:
     """The int terms of the product ``lhs * rhs`` of two int term dicts; a
     term may cancel to 0 and is then still listed.
 
     With ``expand`` None the keys are exponent tuples that add, and every
-    pair of terms is formed.  With ``shift`` and ``below`` the keys are
-    instead packed ints that add, with the total degree in the digit from bit
-    ``shift`` up and digits below it that never carry; such keys order by
-    degree first, so the right factor is sorted once and each row stops at
-    the first key whose product reaches total degree ``below``.
+    pair of terms is formed.  With ``cap`` the keys are instead packed ints
+    that add, with the total degree in the top digit and digits below it that
+    never carry, and ``cap`` is the smallest key of the degree at which the
+    product is truncated; such keys order by degree first, so the right
+    factor is sorted once and each row stops at the first key whose product
+    reaches ``cap``.
     Otherwise ``expand(k1, k2)`` lists the (key, int weight) terms a pair of
     keys combines to, such as a normal-ordered operator product.  With
     ``acc`` the terms are added into that dict, which is returned.
     """
     acc = {} if acc is None else acc
     get = acc.get
-    if shift is not None:
+    if cap is not None:
         ordered = sorted(rhs.items())
-        cap = below << shift
         for k1, v1 in lhs.items():
             room = cap - k1
             for k2, v2 in ordered:
@@ -403,9 +402,9 @@ class MultiPoly(_TermShell):
 
     # -------------------------------------------------------------- rendering
 
-    def render(self, names: Sequence[str] | None = None) -> str:
+    def render(self) -> str:
         """Deterministic text form, parseable by :mod:`socle.grammar`."""
-        names = names or default_names(self.n_vars)
+        names = default_names(self.n_vars)
         return _render(self.terms, lambda exp: _power_factors(names, exp))
 
 

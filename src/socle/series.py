@@ -34,7 +34,6 @@ from .poly import (
     _scaled,
     _sum_terms,
     _TermShell,
-    default_names,
 )
 
 #: valuation reported for the (truncation-)zero series
@@ -202,9 +201,8 @@ class TruncatedSeries(_TermShell):
 
     # ------------------------------------------------------------- inspection
 
-    def render(self, names=None) -> str:
-        body = self.poly_part().render(names or default_names(self.n_vars))
-        return f"{body} + O(deg {self.precision})"
+    def render(self) -> str:
+        return f"{self.poly_part().render()} + O(deg {self.precision})"
 
     def __repr__(self):
         return f"TruncatedSeries({self.n_vars}, K={self.precision}, {self.poly_part().render()!r})"

@@ -379,6 +379,7 @@ def decompose(f: MultiPoly, p: RegularOperator, precision: int) -> Decomposition
     window = x_window(p, t, f, K)
     width = (2 * K).bit_length()
     shift = width * (n - 1)
+    cap = K << shift  # the smallest key of degree K
 
     def scaled(terms: Dict[Tuple[int, ...], Fraction], sign: int = 1) -> _Scaled:
         nums, den = _scaled(terms)
@@ -388,7 +389,7 @@ def decompose(f: MultiPoly, p: RegularOperator, precision: int) -> Decomposition
         return scaled(TruncatedSeries.from_poly(c, K).terms, sign)
 
     def product(a: _Scaled, b: _Scaled) -> _Scaled:
-        return _accumulate(a[0], b[0], below=K, shift=shift), a[1] * b[1]
+        return _accumulate(a[0], b[0], cap=cap), a[1] * b[1]
 
     # the pieces still to be summed at each tracked x-power; the sweep sums
     # a position's pieces when it visits it

@@ -213,8 +213,8 @@ class WeylOp(_TermShell):
                     used.add(i)
         return used
 
-    def render(self, names: Sequence[str] | None = None) -> str:
-        names = names or default_names(self.n_vars)
+    def render(self) -> str:
+        names = default_names(self.n_vars)
         partials = [f"d{i}" for i in range(self.n_vars)]
         return _render(
             self.terms, lambda k: _power_factors(names, k[0]) + _power_factors(partials, k[1])
@@ -351,6 +351,6 @@ class EElement(_TermShell):
     def inverse_monomial(cls, n_vars: int, a: Sequence[int], c=1) -> "EElement":
         return cls(n_vars, {tuple(a): _coerce(c)})
 
-    def render(self, names: Sequence[str] | None = None) -> str:
-        names = names or default_names(self.n_vars)
+    def render(self) -> str:
+        names = default_names(self.n_vars)
         return _render(self.terms, lambda a: [f"{v}^-{ai}" for v, ai in zip(names, a)])

@@ -88,6 +88,24 @@ def test_derham_rank_one_default_precision_adapts_to_degree(capsys):
     assert "dims (j = 0..1): [0, 10]" in out
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--kind", "loc", "--f", "x*y", "--prec", "99"), "--prec applies only to --kind rank-one, not 'loc'"),
+        (("--kind", "R", "--vars", "2", "--prec", "12"), "--prec applies only to --kind rank-one, not 'R'"),
+        (("--catalog", "conic-p2", "--prec", "12"), "--prec applies only to --kind rank-one, not 'loc-quot'"),
+        (("--kind", "rank-one", "--f", "x", "--pole-cutoff", "1"), "--pole-cutoff does not apply to --kind rank-one"),
+        (("--kind", "rank-one", "--f", "x", "--vars", "7"), "--vars does not apply to --kind rank-one"),
+        (("--kind", "rank-one", "--f", "x", "--vars", "1"), "--vars does not apply to --kind rank-one"),
+    ],
+)
+def test_derham_refuses_a_flag_its_kind_does_not_read(capsys, argv, message):
+    code, out, err = run(capsys, "derham", *argv)
+    assert code == 2
+    assert not out
+    assert err == f"error: {message}\n"
+
+
 def test_derham_needs_kind_or_catalog(capsys):
     code, _, err = run(capsys, "derham")
     assert code == 2
@@ -226,7 +244,7 @@ def test_derham_bound_counts_the_assembled_basis(spec, cutoff):
     # the weight-0 piece the engine ranks at the top cutoff
     spec = spec_from_json(spec)
     f = spec.pole_terms()
-    width = socle.derham._key_width(spec.n_vars, f, cutoff, (0, 0))
+    width = socle.derham._key_width(spec.n_vars, f, cutoff, 0)
     piece = socle.derham._Piece(spec, f, cutoff, 0, width)
     assert _basis_size(spec, cutoff) == sum(map(len, piece.keys))
 

@@ -9,10 +9,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import socle.derham
-from socle.catalog import PROFILES
+from socle.catalog import HYPERSURFACES, PROFILES
 from socle.errors import (
     DomainError,
-    EmptyComplexError,
     InconsistentSequenceError,
     InternalCheckError,
     UnsupportedSpecError,
@@ -84,13 +83,16 @@ def test_truncated_engine_matches_closed_forms():
 @pytest.mark.parametrize("cutoff", [3, 4, 5])
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_cutoff_free_specs_over_a_weight_window(n, cutoff):
-    # R and E ignore the cutoff: one pass over weights -2..2 is exact, and
-    # every nonzero weight (R has them at tau = 1, 2) adds nothing
+    # R and E ignore the cutoff: one pass at weight 0 is exact, and every
+    # nonzero weight -2..2 (R has them at tau = 1, 2), ranked on the engine's
+    # pieces, adds nothing
     for spec in (ring(n), InjectiveHull(n)):
-        dims, report = derham_truncated(spec, cutoff, degree_window=(-2, 2))
+        dims, report = derham_truncated(spec, cutoff)
         assert dims == derham_closed_form(spec), spec
         assert report.certificate == "exact"
         assert report.cutoffs == (cutoff, cutoff)
+        for tau in (-2, -1, 1, 2):
+            assert engine_tables(spec, [(cutoff, cutoff)], tau) == [[0] * (n + 1)], (spec, tau)
 
 
 @pytest.mark.parametrize("n, tau", [(1, 2), (2, 1), (2, 3), (3, 2), (3, 4)])
@@ -141,12 +143,28 @@ def test_injective_hull_via_splice():
     assert list(quotient) == list(derham_closed_form(InjectiveHull(1)))
 
 
-def engine_piece(spec, cutoff, tau, width_cutoff=None):
+def engine_piece(spec, cutoff, tau, width_cutoff=None, high=None):
     """The piece ``derham_truncated`` ranks: the primitive integer multiple of
-    f, keys wide enough for cutoffs up to ``width_cutoff`` (default: this one)."""
+    f, keys wide enough for cutoffs up to ``width_cutoff`` (default: this one),
+    and the low end of a pair with ``high``."""
     f = _content_free(_scaled(spec.pole_terms())[0])
-    width = socle.derham._key_width(spec.n_vars, f, width_cutoff or cutoff, (tau, tau))
-    return socle.derham._Piece(spec, f, cutoff, tau, width)
+    width = socle.derham._key_width(spec.n_vars, f, width_cutoff or cutoff, tau)
+    return socle.derham._Piece(spec, f, cutoff, tau, width, high)
+
+
+def engine_pairs(report):
+    """The pairs of cutoffs ``derham_truncated`` ranked for a report: the
+    low table's pair and the top one, one pair when they coincide."""
+    lo, hi = report.cutoffs
+    return [(lo - 1, lo), (lo, hi)] if 1 < lo < hi else [(lo, hi)]
+
+
+def engine_tables(spec, pairs, tau):
+    """``_persistent_dims`` of each pair of cutoffs at weight tau, on pieces
+    built and shared as ``derham_truncated`` builds them at weight 0."""
+    highs, cuts = dict(pairs), {cut for pair in pairs for cut in pair}
+    pieces = {cut: engine_piece(spec, cut, tau, pairs[-1][1], highs.get(cut)) for cut in cuts}
+    return [socle.derham._persistent_dims(pieces[lo], pieces[hi]) for lo, hi in pairs]
 
 
 def d_map(piece, j):
@@ -213,17 +231,37 @@ def test_filtration_inclusion_is_a_chain_map():
 
 
 def test_nonzero_weights_contribute_nothing():
-    # widening the weight window around the limit classes adds no dimensions
+    # the weights around the limit classes add no dimensions to either table
     spec = monomial_localization(1, {0})
-    narrow, _ = derham_truncated(spec, 5)
-    wide, report = derham_truncated(spec, 5, degree_window=(-2, 2))
-    assert list(narrow) == list(wide) == [1, 1]
+    dims, report = derham_truncated(spec, 5)
+    assert list(dims) == [1, 1]
     assert report.stabilized
+    pairs = engine_pairs(report)
+    assert pairs == [(3, 4), (4, 5)]
+    for tau in (-2, -1, 1, 2):
+        assert engine_tables(spec, pairs, tau) == [[0, 0], [0, 0]], tau
 
 
-def test_empty_window_raises():
-    with pytest.raises(EmptyComplexError):
-        derham_truncated(InjectiveHull(1), 3, degree_window=(4, 4))
+@pytest.mark.parametrize("cutoff", range(1, 6))
+def test_the_weight_zero_piece_is_never_empty(cutoff):
+    # the invariant ``derham_truncated`` states: a localization at f of
+    # degree D holds the numerators of degree K*D >= 0 in form degree 0, and
+    # E holds x^(-1,...,-1) in form degree n
+    specs = [spec for n in range(5) for spec in (ring(n), InjectiveHull(n))]
+    specs += [
+        monomial_localization(n, inverted)
+        for n in range(4)
+        for size in range(n + 1)
+        for inverted in combinations(range(n), size)
+    ]
+    specs += [
+        spec_from_json({"kind": kind, "f": entry.f_text, "vars": entry.n_vars})
+        for entry in HYPERSURFACES.values()
+        for kind in ("loc", "loc-quot")
+    ]
+    for spec in specs:
+        degree = spec.n_vars if isinstance(spec, InjectiveHull) else 0
+        assert engine_piece(spec, cutoff, 0).keys[degree], spec
 
 
 def test_les_splice_frozen():
@@ -246,6 +284,11 @@ def test_rank_one_dims():
     assert list(derham_rank_one(parse_poly("x", 1))) == [0, 1]
     assert list(derham_rank_one(parse_poly("x^2", 1))) == [0, 2]
     assert list(derham_rank_one(parse_poly("x^2 - 3*x + 1", 1))) == [0, 2]
+    # the default precision max(12, deg p + 3) adapts to the degree
+    assert list(derham_rank_one(parse_poly("x^10", 1))) == [0, 10]
+    assert list(derham_rank_one(parse_poly("x^10", 1), 13)) == [0, 10]
+    with pytest.raises(DomainError, match="precision too small"):
+        derham_rank_one(parse_poly("x^10", 1), 12)
 
 
 def test_completion_flattening_frozen():
@@ -384,7 +427,7 @@ def test_derham_dims_hash_agrees_with_tuple_equality():
     assert len({dims, DeRhamDims((0, 1)), (0, 1)}) == 1
     # a tuple, so a list never compares equal
     assert dims != [0, 1]
-    assert (len(dims), dims[1], list(dims), dims.euler) == (2, 1, [0, 1], -1)
+    assert (len(dims), dims[1], list(dims)) == (2, 1, [0, 1])
     # entries are coerced to int, and a negative one is refused
     assert all(type(d) is int for d in DeRhamDims([Fraction(2), True]))
     with pytest.raises(DomainError):
@@ -583,7 +626,7 @@ def test_piece_columns_follow_the_closed_form_at_their_keys(case):
     spec, cutoff, tau = case
     f = spec.pole_terms()
     n = spec.n_vars
-    width = socle.derham._key_width(n, f, cutoff + 1, (tau, tau))
+    width = socle.derham._key_width(n, f, cutoff + 1, tau)
     piece = socle.derham._Piece(spec, f, cutoff, tau, width)
     for j in range(n + 1):
         labels = piece.labels(j)
@@ -642,7 +685,7 @@ def plain_persistent_dims(spec, lo, hi, tau):
     """
     f = spec.pole_terms()
     n = spec.n_vars
-    width = socle.derham._key_width(n, f, hi, (tau, tau))
+    width = socle.derham._key_width(n, f, hi, tau)
     p_lo, p_hi = (socle.derham._Piece(spec, f, cut, tau, width) for cut in (lo, hi))
     # i multiplies numerators by f (1 for R and E), the identity at lo = hi
     iotas = [inclusion(p_lo, p_hi, j, f if lo < hi else {(0,) * n: 1}) for j in range(n + 1)]
@@ -666,18 +709,11 @@ def plain_persistent_dims(spec, lo, hi, tau):
     return dims
 
 
-def plain_window_dims(spec, lo, hi, window):
-    total = [0] * (spec.n_vars + 1)
-    for tau in range(window[0], window[1] + 1):
-        for j, h in enumerate(plain_persistent_dims(spec, lo, hi, tau)):
-            total[j] += h
-    return tuple(total)
-
-
 @st.composite
 def truncation_inputs(draw):
     """A spec of any kind the engine assembles, a cutoff of at most 5 and a
-    weight window around 0 that often holds nonzero weights."""
+    weight window around 0 that often holds nonzero weights, which the tests
+    rank on the engine's pieces."""
     n = draw(st.integers(0, 3))
     kind = draw(st.sampled_from(("hypersurface", "R", "E", "monomial")))
     if kind == "hypersurface":
@@ -696,12 +732,20 @@ def truncation_inputs(draw):
 @given(truncation_inputs())
 def test_truncated_tables_match_the_plain_rank_formula(case):
     # cleared integer ranks, shared per complex, against plain ranks of
-    # the pieces' columns with the pushed block i(d u)
+    # the pieces' columns with the pushed block i(d u): at weight 0 through
+    # the engine, at the window's other weights on its pieces, where every
+    # table vanishes once i_E w lies in the high end
     spec, cutoff, window = case
-    dims, report = derham_truncated(spec, cutoff, degree_window=window)
-    assert list(dims) == list(plain_window_dims(spec, *report.cutoffs, window))
-    low = report.cutoffs if cutoff < 3 or report.certificate == "exact" else (cutoff - 2, cutoff - 1)
-    assert report.dims_low == plain_window_dims(spec, *low, window)
+    dims, report = derham_truncated(spec, cutoff)
+    pairs = engine_pairs(report)
+    assert list(dims) == plain_persistent_dims(spec, *pairs[-1], 0)
+    assert list(report.dims_low) == plain_persistent_dims(spec, *pairs[0], 0)
+    for tau in set(range(window[0], window[1] + 1)) - {0}:
+        tables = engine_tables(spec, pairs, tau)
+        for (lo, hi), table in zip(pairs, tables):
+            assert table == plain_persistent_dims(spec, lo, hi, tau), (lo, hi, tau)
+            if lo < hi or spec.cutoff_free:
+                assert not any(table), (lo, hi, tau)
 
 
 @settings(deadline=None, derandomize=True, max_examples=60)
@@ -724,11 +768,13 @@ def test_cycle_images_count_the_low_cohomology(case):
         tables[(lo.cutoff, hi.cutoff, lo.tau)] = dims
         return dims
 
+    taus = range(window[0], window[1] + 1)
     with mock.patch.object(piece, "cycle_images", counting_images), mock.patch.object(
         socle.derham, "_persistent_dims", recording_dims
     ):
-        derham_truncated(spec, cutoff, degree_window=window)
-    taus = range(window[0], window[1] + 1)
+        _, report = derham_truncated(spec, cutoff)
+        for tau in set(taus) - {0}:
+            engine_tables(spec, engine_pairs(report), tau)
     lows = {lo for lo, _, _ in tables}
     assert sorted(counts) == sorted(
         (lo, tau, j) for lo in lows for tau in taus for j in range(spec.n_vars + 1)
@@ -742,30 +788,31 @@ def test_cycle_images_count_the_low_cohomology(case):
 
 @st.composite
 def quotient_inputs(draw):
-    """A random f, a cutoff of at most 4 and a weight window near 0 that
-    sometimes leaves 0 out; every window holds a weight >= -1, so the
-    complex is never empty."""
-    low = draw(st.integers(-2, 1))
-    window = (low, draw(st.integers(max(low, -1), 2)))
-    return draw(hypersurfaces()).f, draw(st.integers(1, 4)), window
+    """A random f, a cutoff of at most 4 and a nonzero weight near 0."""
+    tau = draw(st.integers(-2, 2).filter(bool))
+    return draw(hypersurfaces()).f, draw(st.integers(1, 4)), tau
 
 
 @settings(deadline=None, derandomize=True, max_examples=60)
 @given(quotient_inputs())
 def test_quotient_table_is_the_localization_table_less_the_class_of_one(case):
-    # 0 -> A -> A_f -> A_f/A -> 0 with H(A) = k in degree 0, at every cutoff
-    f, cutoff, window = case
-    dims, report = derham_truncated(Localization(f), cutoff, degree_window=window)
+    # 0 -> A -> A_f -> A_f/A -> 0 with H(A) = k in degree 0 at weight 0 and
+    # A acyclic at every other weight, at every cutoff
+    f, cutoff, tau = case
+    dims, report = derham_truncated(Localization(f), cutoff)
     quotient = Localization(f, quotient_mod_A=True)
-    q_dims, q_report = derham_truncated(quotient, cutoff, degree_window=window)
-    one = int(window[0] <= 0 <= window[1])
+    q_dims, q_report = derham_truncated(quotient, cutoff)
 
     def less_one(table):
-        return (table[0] - one, *table[1:])
+        return (table[0] - 1, *table[1:])
 
     assert q_dims == less_one(dims)
     # the JSON record: cutoffs, window, low table, certificate and gate
     assert q_report.to_json() == {**report.to_json(), "dims_at_low_cutoff": list(less_one(report.dims_low))}
+    # at a nonzero weight the engine takes out nothing, as A is acyclic
+    # there (the plain rank formula ranks the honest quotient to check it)
+    pairs = engine_pairs(report)
+    assert engine_tables(quotient, pairs, tau) == engine_tables(Localization(f), pairs, tau)
 
 
 def test_a_lost_tail_is_an_internal_error(monkeypatch):

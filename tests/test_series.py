@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from socle.errors import DimensionMismatch, DomainError, NonUnitError
-from socle.poly import MultiPoly
 from socle.series import TruncatedSeries
 from socle.grammar import parse_poly
 

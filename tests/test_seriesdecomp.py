@@ -12,8 +12,6 @@ from socle.grammar import parse_operator
 from socle.poly import MultiPoly
 from socle.series import TruncatedSeries
 from socle.seriesdecomp import (
-    Decomposition,
-    OperatorAnalysis,
     RegularOperator,
     _merge,
     _pack,
