@@ -43,7 +43,12 @@ keeps only column-echelon form, whose pivot vector at row p lies in B + A
 pivot rows; by induction in decreasing pivot row, C_j = span kept + B + A.
 Columns are primitive integer dicts from the start: f is scaled to its
 primitive integer multiple, which scales every column by a unit.  Their
-rows are the packed keys of ``_Piece``.
+rows are the packed keys of ``_Piece``.  Most columns need no reduction
+step and most pivots are never read, so a column is built only when a step
+reads it (an implicit matrix, as in Bauer, Ripser, 2021): a column whose
+lowest row, read off a step table, is no pivot row yet is stored unbuilt as
+its basis index.  Built, it is the vector that would have been stored, so
+every rank, pivot row and kept list is unchanged.
 
 Pole-complex entries are written from their closed form, with no polynomial
 products: for g = x^e and f = sum_a c_a x^a the numerator of d(g/f^k) in
@@ -65,7 +70,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     DomainError,
@@ -352,15 +357,19 @@ class _Piece:
     span of 1 = f^cutoff / f^cutoff at weight 0 in quotient mode, else 0.  Each
     is eliminated once, from the d columns off the pivot rows of r(j-1)
     (clearing); its pivot state stays live for ``_persistent_dims`` to
-    continue.  The low end of a pair, with its high end at cutoff ``high``,
-    carries the chain map i into it, multiplication of numerators by
-    f^(high - cutoff) (``image``), and gives each d column d u the tail u
-    at the row key(u) + 2 bound, where every |key| < ``bound``.  A pivot
-    row then stays below ``bound`` unless the d-part reduces to 0, so those
-    pivots are the ones of r(j).  The pivots at or above ``bound``, popped,
-    shifted back and pushed through i, are ``cycles[j-1]``, a basis of
-    i(Z ∩ span kept); a tail u instead of i u holds one entry, not the
-    terms of f.
+    continue.  A column whose lowest row (``steps``) is no pivot row yet is
+    not built but stored as an unbuilt pivot, its basis index, and
+    ``builder(j)`` builds it when a reduction or the cycle split reads it,
+    so each d column is built at most once per piece and degree.
+
+    The low end of a pair, with its high end at cutoff ``high``, carries
+    the chain map i into it, multiplication of numerators by f^(high -
+    cutoff) (``image``), and gives each d column d u the tail u at the row
+    key(u) + 2 bound, where every |key| < ``bound``.  A pivot row then stays
+    below ``bound`` unless the d-part reduces to 0, so those pivots are the
+    ones of r(j).  The pivots at or above ``bound``, popped, built, shifted
+    back and pushed through i, are ``cycles[j-1]``, a basis of i(Z ∩ span
+    kept); a tail u instead of i u holds one entry, not the terms of f.
     """
 
     def __init__(self, spec: ModuleSpec, f, cutoff: int, tau: int, width: int, high: Optional[int] = None):
@@ -385,6 +394,24 @@ class _Piece:
         # i as {key shift: coefficient}, None off the low end of a pair
         self.image = None if high is None else self.f_power(high - cutoff)
         self.cycles: Dict[int, List[dict]] = {}
+        # the step table of d_j: per index set I, (key step, i, k a_i,
+        # sign * c_a) for every term c_a x^a of f and every i not in I, sorted
+        # by key step.  The column of x^e dx_I holds sign * c_a * (e_i - k a_i)
+        # at the row key + step, and distinct terms land on distinct rows, so
+        # its lowest row is key plus the first step with a nonzero factor
+        terms = [(fe, c, self.code(fe)) for fe, c in f.items()]
+        self.steps = [
+            [
+                sorted(
+                    (code + (1 << i) - self.units[i], i, (cutoff + j) * fe[i], _wedge_sign(i, I) * c)
+                    for fe, c, code in terms
+                    for i in range(n)
+                    if i not in I
+                )
+                for I in sets
+            ]
+            for j, sets in enumerate(self.sets)
+        ]
 
     def code(self, e: Sequence[int]) -> int:
         """The packed code of an exponent, the key of x^e with I empty."""
@@ -404,31 +431,25 @@ class _Piece:
     def d_columns(self, j: int, kept: Sequence[int], tails: bool = False) -> List[dict]:
         """Columns of d_j at the basis indices ``kept`` (empty at j = n); with
         ``tails``, the column of u also holds 1 at the row key(u) + 2 bound."""
-        n, k = self.n, self.cutoff + j
-        keys, exps = self.keys[j], self.exps[j]
-        f = [(fe, c, self.code(fe)) for fe, c in self.f.items()]
-        # per index set I: (i, k a_i, sign * c_a, key step) for every term
-        # c_a x^a of f and every i not in I
-        steps = [
-            [
-                (i, k * fe[i], _wedge_sign(i, I) * c, code + (1 << i) - self.units[i])
-                for fe, c, code in f
-                for i in range(n)
-                if i not in I
-            ]
-            for I in self.sets[j]
-        ]
+        keys, exps, steps = self.keys[j], self.exps[j], self.steps[j]
         m, tail = len(exps), 2 * self.bound
         cols = []
         for idx in kept:
             e, key = exps[idx % m], keys[idx]
             col = {key + tail: 1} if tails else {}
-            for i, ka, sc, step in steps[idx // m]:
+            for step, i, ka, sc in steps[idx // m]:
                 factor = e[i] - ka
                 if factor:
                     col[key + step] = sc * factor
             cols.append(col)
         return cols
+
+    def builder(self, j: int):
+        """The builder of the unbuilt pivots of r(j), j >= 1: a basis index of
+        degree j-1 goes to its primitive d column, with its tail on a low end
+        (``_reduce_into``)."""
+        tails = self.image is not None
+        return lambda idx: _content_free(self.d_columns(j - 1, (idx,), tails)[0])
 
     def rank(self, j: int) -> int:
         """r(j), 0 past the top degree; every r(i) with i <= j is then known."""
@@ -437,21 +458,38 @@ class _Piece:
         return self.ranks[j] if j <= self.n else 0
 
     def _eliminate(self, j: int) -> None:
+        pivots: Dict[int, Union[int, Dict[int, int]]] = {}
         tails = j > 0 and self.image is not None
         if j:
-            cols = self.d_columns(j - 1, self.kept[j - 1], tails)
-        else:
-            cols = [self.f_power(self.cutoff)] if self.one else []
-        pivots: Dict[int, Dict[int, int]] = {}
-        _reduce_into(pivots, cols)
+            kept, build = self.kept[j - 1], self.builder(j)
+            keys, exps, steps = self.keys[j - 1], self.exps[j - 1], self.steps[j - 1]
+            m, tail = len(exps), 2 * self.bound
+            for idx in kept:
+                # the column's lowest row, read off the step table unbuilt
+                e, key = exps[idx % m], keys[idx]
+                for step, i, ka, _ in steps[idx // m]:
+                    if e[i] != ka:
+                        row = key + step
+                        break
+                else:
+                    if not tails:
+                        continue  # the column is 0
+                    row = key + tail
+                if row in pivots:
+                    _reduce_into(pivots, (build(idx),), build)
+                else:
+                    pivots[row] = idx
+        elif self.one:
+            _reduce_into(pivots, [self.f_power(self.cutoff)])
         if tails:
             # the tails are distinct unit vectors, so no column reduces to 0;
             # one that does lost its tail, say to a collision of a key with a
             # tail row
-            if len(pivots) != len(cols):
+            if len(pivots) != len(kept):
                 raise InternalCheckError(f"a column of r({j}) lost its tail")
             bound = self.bound
             cycles = [pivots.pop(p) for p in [p for p in pivots if p >= bound]]
+            cycles = [build(v) if type(v) is int else v for v in cycles]
             self.cycles[j - 1] = [self.push({r - 2 * bound: c for r, c in v.items()}) for v in cycles]
         self.ranks.append(len(pivots))
         self.kept.append([i for i, key in enumerate(self.keys[j]) if key not in pivots])
@@ -471,8 +509,9 @@ class _Piece:
         """i v, zeros dropped."""
         return {r: x for r, x in _accumulate(v, self.image, lambda a, b: ((a + b, 1),)).items() if x}
 
-    def take(self, j: int) -> Dict[int, Dict[int, int]]:
-        """The live pivot state of r(j), handed over once."""
+    def take(self, j: int) -> Dict[int, Union[int, Dict[int, int]]]:
+        """The live pivot state of r(j), handed over once; ``builder(j)``
+        builds its unbuilt pivots."""
         self.rank(j)
         live, self.live = self.live, None
         if live is None or live[0] != j:
@@ -538,7 +577,7 @@ def _persistent_dims(lo: _Piece, hi: _Piece) -> List[int]:
     for j in range(lo.n + 1):
         pivots = hi.take(j)
         bottom = len(pivots)
-        _reduce_into(pivots, lo.cycle_images(j))
+        _reduce_into(pivots, lo.cycle_images(j), hi.builder(j))
         dims.append(sum(1 for p in pivots if p < lo.bound) - bottom)
     return dims
 

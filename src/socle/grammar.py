@@ -14,7 +14,8 @@ second (``POWER_WORK_MAX``), or whose coefficients would pass
 ``COEFFICIENT_BITS_MAX`` bits, is a parse error before it is expanded: a
 power at its exponent, a product at its ``*`` or, for juxtaposed factors, at
 the right factor.  A right factor that is a power of a base with a known
-term count is checked against the left factor before it is expanded.
+term count is checked against the left factor before it is expanded, also
+as the first factor of a parenthesized right factor.
 """
 
 from __future__ import annotations
@@ -211,8 +212,8 @@ class _Parser:
             raise ParseError("unexpected trailing input", tok.offset)
         return value
 
-    def expr(self) -> WeylOp:
-        value = self.term()
+    def expr(self, product: Optional[Tuple[WeylOp, int]] = None) -> WeylOp:
+        value = self.term(product)
         while True:
             tok = self.peek()
             if tok.kind == "OP" and tok.value in "+-":
@@ -225,8 +226,8 @@ class _Parser:
     def _starts_factor(self, tok: _Token) -> bool:
         return tok.kind in ("NUM", "XVAR", "DVAR") or (tok.kind == "OP" and tok.value == "(")
 
-    def term(self) -> WeylOp:
-        value = self.factor()
+    def term(self, product: Optional[Tuple[WeylOp, int]] = None) -> WeylOp:
+        value = self.factor(product)
         while True:
             # an oversized product is refused at its '*', or at the first
             # token of the right factor when the factors are juxtaposed
@@ -244,14 +245,15 @@ class _Parser:
         given as (left factor, offset), a power with a term count known
         before expansion (``_exact_power_terms``) is checked as that
         product's right factor first, its coefficient bits counted as e
-        times the base's, a lower bound (the term c x^a gives c^e)."""
+        times the base's, a lower bound (the term c x^a gives c^e).  So is
+        the first factor of a parenthesized right factor's first term."""
         sign = 1
         tok = self.peek()
         while tok.kind == "OP" and tok.value == "-":
             self.advance()
             sign = -sign
             tok = self.peek()
-        value = self.atom()
+        value = self.atom(product)
         while True:
             tok = self.peek()
             if tok.kind == "OP" and tok.value == "^":
@@ -272,7 +274,7 @@ class _Parser:
                 break
         return value * sign if sign < 0 else value
 
-    def atom(self) -> WeylOp:
+    def atom(self, product: Optional[Tuple[WeylOp, int]] = None) -> WeylOp:
         tok = self.advance()
         if tok.kind == "NUM":
             return WeylOp.one(self.n_vars) * tok.value
@@ -291,7 +293,7 @@ class _Parser:
                 )
             return WeylOp.d_gen(self.n_vars, tok.value)
         if tok.kind == "OP" and tok.value == "(":
-            value = self.expr()
+            value = self.expr(product)
             closing = self.advance()
             if not (closing.kind == "OP" and closing.value == ")"):
                 raise ParseError("expected ')'", closing.offset)
