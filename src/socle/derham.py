@@ -35,6 +35,21 @@ complex ignores the cutoff (R, that is a constant f, and E, whose weight-0
 piece is present at every cutoff) the pair is one cutoff twice, the map is
 the identity and one pass is exact.
 
+A smooth f needs one pair, (0, 0).  At K = 0 form degree j allows pole
+order j, Griffiths' bound in the top degree.  When f passes the smoothness
+gate, so that V = {f = 0} is smooth in projective space, the weight-0 map
+F_0 -> F_K is a quasi-isomorphism for every K >= 0: pole-order reduction
+brings every class down to F_0 and kills no class of F_0 (Griffiths, On the
+periods of certain rational integrals, Ann. Math. 1969; Dimca, On the de
+Rham cohomology of a hypersurface complement, Amer. J. Math. 1991).  For
+every f, H(F_0) maps onto the limit, the case s = 0 of the Hodge filtration
+lying inside the pole-order filtration (Deligne and Dimca, Filtrations de
+Hodge et par l'ordre du pôle pour les hypersurfaces singulières, Ann. Sci.
+ÉNS 1990); the injective half fails on singular f, where dim H(F_0) is too
+large.  So past the gate dim H(F_0), ranked on the one piece at cutoff 0, is
+the table of every pair, and their agreement is proved, not observed; a
+spec that fails the gate, or has none, keeps the two-pair route.
+
 Ranks are cleared (Chen and Kerber, Persistent homology computation with a
 twist, 2011): a basis element at a pivot row of r(K, j) is dropped from d_j
 without changing d C_j, and its column is never built.  The elimination
@@ -80,7 +95,7 @@ from .errors import (
 )
 from .grammar import parse_poly
 from .linalg import GradedMatrix, _content_free, _reduce_into, rank_of_columns
-from .poly import MultiPoly, _accumulate, _scaled, graded_piece_basis, graded_piece_codes
+from .poly import MultiPoly, _accumulate, _scaled, graded_piece_codes
 from .series import TruncatedSeries
 
 
@@ -111,7 +126,11 @@ class TruncationReport:
     finiteness gate of a nonconstant f (None when not applicable);
     non-smooth inputs still run, and one that fails the gate and has no
     closed form reports agreement as "heuristic" instead of "stabilized".
-    The JSON record keeps the weight window, always [0, 0].
+    Past the gate both tables are dim H(F_0), proved equal at every cutoff
+    (module docstring), and the report keeps the cutoffs and certificate of
+    the two-pair route: "stabilized" from cutoff 3 on, where that route
+    compares two pairs, and "provisional" below.  The JSON record keeps the
+    weight window, always [0, 0].
     """
 
     cutoffs: Tuple[int, int]
@@ -418,7 +437,11 @@ class _Piece:
         return sum(x * u for x, u in zip(e, self.units))
 
     def f_power(self, m: int) -> Dict[int, int]:
-        """f^m as {packed code of the exponent: coefficient}."""
+        """f^m as {packed code of the exponent: coefficient}.  A negative m is
+        refused: the seeded 1 = f^K / f^K of a quotient-mode piece at a cutoff
+        K < 0, or the map i into a lower cutoff, is no element of its F."""
+        if m < 0:
+            raise InternalCheckError(f"negative power f^{m}: no 1 below cutoff 0, no map into a lower cutoff")
         f_m = {(0,) * self.n: 1}
         for _ in range(m):
             f_m = _accumulate(f_m, self.f)
@@ -587,7 +610,10 @@ def jacobian_ring_is_finite(f: MultiPoly) -> bool:
 
     Checked at the single degree N*(D-2)+1, one past the top socle degree a
     regular sequence of N forms of degree D-1 can have; linear forms are
-    trivially smooth.
+    trivially smooth.  The columns x^m * df/dx_i are int dicts on packed
+    exponent codes, taken from the partials of f's primitive integer
+    multiple: a unit scale changes no rank, and distinct terms of a partial
+    land on distinct codes.
     """
     if not f or not f.is_homogeneous():
         raise DomainError("the gate applies to nonzero homogeneous polynomials")
@@ -596,53 +622,26 @@ def jacobian_ring_is_finite(f: MultiPoly) -> bool:
     if D == 1:
         return True
     e = n * (D - 2) + 1
-    target = graded_piece_basis(e, n)
-    index = {exp: i for i, exp in enumerate(target)}
+    width = e.bit_length()  # every exponent of degree e lies in 0..e
+    units = [1 << (width * (i + 1)) for i in range(n)]
+    shifts = graded_piece_codes(e - (D - 1), n, width)[1]
+    g = _content_free(_scaled(f.terms)[0])
     cols = []
-    for i in range(n):
-        dfi = f.partial_derivative(i)
-        if not dfi:
-            continue
-        for m in graded_piece_basis(e - (D - 1), n):
-            prod = MultiPoly.monomial(n, m) * dfi
-            cols.append({index[exp]: c for exp, c in prod.terms.items()})
-    return rank_of_columns(cols) == len(target)
+    for i, unit in enumerate(units):
+        dfi = {sum(x * u for x, u in zip(a, units)) - unit: c * a[i] for a, c in g.items() if a[i]}
+        if dfi:
+            cols.extend({s + code: c for code, c in dfi.items()} for s in shifts)
+    return rank_of_columns(cols) == comb(e + n - 1, n - 1)
 
 
-def derham_truncated(spec: ModuleSpec, pole_cutoff: int) -> Tuple[DeRhamDims, TruncationReport]:
-    """Dimensions of each de Rham cohomology group from truncated complexes.
-
-    Computes the weight-0 piece, which carries every stable class (module
-    docstring), at two successive pole cutoffs and reports dims at the
-    higher one; ``stabilized`` means the two agreed.  A complex that ignores
-    the cutoff (R, E) takes one exact pass at the cutoff.
-
-    The weight-0 piece is never empty, so every table counts a complex that
-    exists: for a localization at f of degree D, form degree 0 holds the
-    numerators of degree K*D >= 0 at cutoff K, and for E form degree n
-    holds x^(-1,...,-1).
-    """
-    if pole_cutoff < 1:
-        raise DomainError("pole cutoff must be at least 1")
-
-    n = _known(spec).n_vars
-    # every column scales by a unit under f -> c f, so f's primitive integer
-    # multiple gives the same ranks with int columns throughout
-    f = _content_free(_scaled(spec.pole_terms())[0])
-    # ranks of the maps H(F_{K-2}) -> H(F_{K-1}) -> H(F_K); agreement of the
-    # two tables is the stabilization signal.  A cutoff-free complex needs one
-    # pair, lo = hi = K, whose map is the identity: the table is dim H^j, exact.
-    # A low end is built with its high cutoff, so that its eliminations yield
-    # its cycle images; the low pair's continue the live pivot states of F_{K-1}
-    exact = spec.cutoff_free
-    K = pole_cutoff
-    width = _key_width(n, f, K, 0)
-    if exact:
-        pairs = [(K, K)]
-    elif K >= 3:
-        pairs = [(K - 2, K - 1), (K - 1, K)]
-    else:
-        pairs = [(max(1, K - 1), K)]
+def _pair_tables(spec: ModuleSpec, f, pairs: Sequence[Tuple[int, int]]) -> List[List[int]]:
+    """The table of each pair (lo, hi) of cutoffs, rank H(F_lo -> F_hi) at
+    weight 0 with f the primitive integer multiple.  Pieces are shared: a
+    low end is built with its high cutoff, so that its eliminations yield
+    its cycle images, and a pair (K-1, K) continues the live pivot states
+    of F_(K-1) that the pair (K-2, K-1) left.  The route of every spec off
+    the smooth route of ``derham_truncated``, and its oracle in the tests."""
+    width = _key_width(spec.n_vars, f, pairs[-1][1], 0)
     highs = dict(pairs)
     pieces: Dict[int, _Piece] = {}
     tables = []
@@ -651,10 +650,59 @@ def derham_truncated(spec: ModuleSpec, pole_cutoff: int) -> Tuple[DeRhamDims, Tr
             if cut not in pieces:
                 pieces[cut] = _Piece(spec, f, cut, 0, width, highs.get(cut))
         tables.append(_persistent_dims(pieces[lo], pieces[hi]))
+    return tables
+
+
+def _cutoff_zero_tables(spec: ModuleSpec, f, pairs: Sequence[Tuple[int, int]]) -> List[List[int]]:
+    """dim H(F_0) as the table of every pair, ranked on the one piece at
+    cutoff 0 (lo = hi); the route of a spec that passes the smoothness gate
+    and depends on the cutoff.  The seeded class of quotient mode is
+    1 = f^0, which lies in F_0."""
+    piece = _Piece(spec, f, 0, 0, _key_width(spec.n_vars, f, 0, 0), 0)
+    return [_persistent_dims(piece, piece)] * len(pairs)
+
+
+def derham_truncated(spec: ModuleSpec, pole_cutoff: int) -> Tuple[DeRhamDims, TruncationReport]:
+    """Dimensions of each de Rham cohomology group from truncated complexes.
+
+    Reports rank H(F_(K-1) -> F_K) of the weight-0 piece, which carries every
+    stable class (module docstring), and that of the pair (K-2, K-1) as the
+    low table, one pair (max(1, K-1), K) below K = 3; ``stabilized`` means
+    the two agreed.  A complex that ignores the cutoff (R, E) takes one exact
+    pass at the cutoff, the pair (K, K).
+
+    The smoothness gate runs first.  Where it passes and the complex depends
+    on the cutoff, every pair's table is dim H(F_0), ranked on the one piece
+    at cutoff 0 (``_persistent_dims`` at lo = hi): F_0 -> F_K is then a
+    quasi-isomorphism for every K >= 0 (module docstring), so the table of
+    every pair is proved, not observed.  Cutoffs, low table and certificate
+    are reported as on the two-pair route (``_pair_tables``), which every
+    other spec takes.
+
+    The weight-0 piece is never empty, so every table counts a complex that
+    exists: for a localization at f of degree D, form degree 0 holds the
+    numerators of degree K*D >= 0 at cutoff K >= 0, and for E form degree n
+    holds x^(-1,...,-1).
+    """
+    if pole_cutoff < 1:
+        raise DomainError("pole cutoff must be at least 1")
+    smooth = _known(spec).smoothness_gate()
+    # every column scales by a unit under f -> c f, so f's primitive integer
+    # multiple gives the same ranks with int columns throughout
+    f = _content_free(_scaled(spec.pole_terms())[0])
+    exact = spec.cutoff_free
+    K = pole_cutoff
+    if exact:
+        pairs = [(K, K)]
+    elif K >= 3:
+        pairs = [(K - 2, K - 1), (K - 1, K)]
+    else:
+        pairs = [(max(1, K - 1), K)]
+    ranks = _cutoff_zero_tables if smooth and not exact else _pair_tables
+    tables = ranks(spec, f, pairs)
     dims_low, dims = tuple(tables[0]), DeRhamDims(tables[-1])
     stabilized = dims_low == dims if len(pairs) == 2 else exact
 
-    smooth = spec.smoothness_gate()
     certificate = "exact" if exact else spec.agreement(smooth) if stabilized else "provisional"
     report = TruncationReport(
         cutoffs=(pairs[-1][0], pole_cutoff),

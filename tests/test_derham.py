@@ -6,7 +6,7 @@ from itertools import combinations
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import socle.derham
 from socle.catalog import HYPERSURFACES, PROFILES
@@ -167,6 +167,14 @@ def engine_tables(spec, pairs, tau):
     return [socle.derham._persistent_dims(pieces[lo], pieces[hi]) for lo, hi in pairs]
 
 
+def two_pair_truncated(spec, cutoff):
+    """``derham_truncated`` on the two-pair route whatever the gate says: the
+    cutoff-0 route swapped for ``_pair_tables``, which ranks every pair on
+    its own pieces.  The oracle of the cutoff-0 route."""
+    with mock.patch.object(socle.derham, "_cutoff_zero_tables", socle.derham._pair_tables):
+        return derham_truncated(spec, cutoff)
+
+
 def d_map(piece, j):
     """d_j of a piece as {key: column} over its whole basis."""
     keys = piece.keys[j]
@@ -322,6 +330,22 @@ def test_jacobian_gate():
     assert not jacobian_ring_is_finite(parse_poly("x^3 - y^2*z", 3))
 
 
+def fraction_gate(f):
+    """The Jacobian gate over ``Fraction`` polynomial products: every x^m *
+    df/dx_i in degree N*(D-2)+1 as a column on the index of its monomials."""
+    n, D = f.n_vars, f.homogeneous_degree()
+    if D == 1:
+        return True
+    e = n * (D - 2) + 1
+    index = {exp: i for i, exp in enumerate(graded_piece_basis(e, n))}
+    cols = [
+        {index[exp]: c for exp, c in (MultiPoly.monomial(n, m) * f.partial_derivative(i)).terms.items()}
+        for i in range(n)
+        for m in graded_piece_basis(e - (D - 1), n)
+    ]
+    return rank_of_columns(cols) == len(index)
+
+
 def test_spec_from_json_builds_each_kind():
     # R is the localization at 1, and every f under loc or loc-quot is the
     # localization at f, in the declared variables when given
@@ -435,11 +459,12 @@ def test_derham_dims_hash_agrees_with_tuple_equality():
 
 
 def test_each_cutoff_complex_is_assembled_once(monkeypatch):
-    # the pairs (K-2, K-1) and (K-1, K) share the cutoff K-1 complex: each
-    # per-complex rank r(K, j) is eliminated once, and each d column is built
-    # at most once per piece and degree, only when a reduction reads it; a
-    # low end gets its cycle images from those eliminations, so no piece
-    # builds d_n
+    # on the two-pair route the pairs (K-2, K-1) and (K-1, K) share the
+    # cutoff K-1 complex: each per-complex rank r(K, j) is eliminated once,
+    # and each d column is built at most once per piece and degree, only when
+    # a reduction reads it; a low end gets its cycle images from those
+    # eliminations, so no piece builds d_n.  The conic passes the gate, so
+    # ``derham_truncated`` ranks it on F_0 alone, to the same report
     cases = [
         (spec_from_json({"kind": "loc-quot", "f": "x^2 + y^2 + z^2"}), 6, [0, 1, 0, 0]),
         (monomial_localization(2, {0, 1}), 4, [1, 2, 1]),
@@ -461,7 +486,7 @@ def test_each_cutoff_complex_is_assembled_once(monkeypatch):
 
         monkeypatch.setattr(piece, "d_columns", counting_columns)
         monkeypatch.setattr(piece, "_eliminate", counting_eliminate)
-        dims, report = derham_truncated(spec, cutoff)
+        dims, report = two_pair_truncated(spec, cutoff)
         monkeypatch.undo()
         n = len(want_dims) - 1
         cutoffs = range(cutoff - 2, cutoff + 1)
@@ -523,11 +548,13 @@ def test_dense_cubic_surface_matches_prediction():
 
 @pytest.mark.slow
 def test_quartic_threefold_matches_prediction():
+    # ranked on F_0 alone, and checked against the two-pair route at scale
     spec = spec_from_json({"kind": "loc-quot", "f": "x0^4 + x1^4 + x2^4 + x3^4 + x4^4"})
     dims, report = derham_truncated(spec, 3)
     want = predict(BettiProfile(4, 3, (1, 0, 1, 60, 1, 0, 1))).critical_dims
     assert list(dims) == list(want) == [0, 1, 0, 0, 60, 60]
     assert report.certificate == "stabilized"
+    assert (dims, report) == two_pair_truncated(spec, 3)
 
 
 @pytest.mark.slow
@@ -537,6 +564,7 @@ def test_dense_cubic_threefold_matches_prediction():
     want = predict(BettiProfile(4, 3, (1, 0, 1, 10, 1, 0, 1))).critical_dims
     assert list(dims) == list(want) == [0, 1, 0, 0, 10, 10]
     assert report.certificate == "stabilized"
+    assert (dims, report) == two_pair_truncated(spec, 3)
 
 
 @pytest.mark.slow
@@ -572,6 +600,86 @@ def hypersurfaces(draw):
     coefficient = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9))
     f = MultiPoly(n, {e: draw(coefficient) for e in support})
     return Localization(f, quotient_mod_A=draw(st.booleans()))
+
+
+@st.composite
+def fermat_plus_terms(draw, max_vars=3, max_degree=3):
+    """x_0^D + ... + x_(n-1)^D plus up to three terms of degree D with
+    rational coefficients, in loc or loc-quot mode: the gate passes on most
+    of them, and fails where the terms make f singular."""
+    n, D = draw(st.integers(1, max_vars)), draw(st.integers(1, max_degree))
+    terms = {tuple(D * (i == k) for i in range(n)): Fraction(1) for k in range(n)}
+    coefficient = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9))
+    for e in draw(st.lists(st.sampled_from(graded_piece_basis(D, n)), max_size=3, unique=True)):
+        terms[e] = terms.get(e, 0) + draw(coefficient)
+    f = MultiPoly(n, {e: c for e, c in terms.items() if c})
+    assume(f)
+    return Localization(f, quotient_mod_A=draw(st.booleans()))
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(st.one_of(hypersurfaces(), fermat_plus_terms(4, 4)))
+@example(Localization(parse_poly("x0*x1*x2*x3", 4)))
+# a double line: its partials are dependent only with the exponent factors
+@example(Localization(parse_poly("x^2 - 2*x*y + y^2", 2)))
+def test_jacobian_gate_matches_the_fraction_oracle(spec):
+    # int columns on packed codes from f's primitive integer multiple rank
+    # as the Fraction products on monomial indices, smooth f or not
+    assert jacobian_ring_is_finite(spec.f) is fraction_gate(spec.f)
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(fermat_plus_terms(), st.integers(1, 4))
+def test_smooth_f_reports_as_the_two_pair_route(spec, cutoff):
+    # past the gate F_0 -> F_K is a quasi-isomorphism, so dim H(F_0) is the
+    # table of every pair: dims, low table, certificate, cutoffs and gate
+    # are the two-pair route's
+    assume(spec.smoothness_gate())
+    assert derham_truncated(spec, cutoff) == two_pair_truncated(spec, cutoff)
+
+
+@pytest.mark.parametrize("name", HYPERSURFACES)
+def test_catalog_hypersurfaces_report_as_the_two_pair_route(name):
+    # every catalog entry is smooth; cutoffs 1 and 2 report one pair and
+    # "provisional", 3 to 6 two pairs and "stabilized"
+    entry = HYPERSURFACES[name]
+    for kind in ("loc", "loc-quot"):
+        spec = spec_from_json({"kind": kind, "f": entry.f_text, "vars": entry.n_vars})
+        for cutoff in range(1, 7):
+            dims, report = derham_truncated(spec, cutoff)
+            assert (dims, report) == two_pair_truncated(spec, cutoff), (kind, cutoff)
+            assert report.smooth is True
+            assert report.certificate == ("stabilized" if cutoff >= 3 else "provisional")
+
+
+def test_the_cutoff_zero_route_is_taken_exactly_past_the_gate():
+    # a spec that passes the gate and depends on the cutoff is ranked on
+    # F_0; R, E, a failed gate and every other spec take the two-pair route
+    routes = []
+
+    def spy(name):
+        ranks = getattr(socle.derham, name)
+
+        def recording(*args):
+            routes.append(name)
+            return ranks(*args)
+
+        return recording
+
+    specs = [ring(2), InjectiveHull(2), Localization(parse_poly("3", 2))]
+    specs += [
+        spec_from_json({"kind": kind, "f": text, "vars": 3})
+        for kind in ("loc", "loc-quot")
+        for text in ("x", "x^2 + y^2 + z^2", "x*y", "x*y*z", "x^3 - y^2*z")
+    ]
+    for spec in specs:
+        routes.clear()
+        with mock.patch.object(socle.derham, "_pair_tables", spy("_pair_tables")), mock.patch.object(
+            socle.derham, "_cutoff_zero_tables", spy("_cutoff_zero_tables")
+        ):
+            derham_truncated(spec, 3)
+        past = spec.smoothness_gate() is True and not spec.cutoff_free
+        assert routes == ["_cutoff_zero_tables" if past else "_pair_tables"], spec
 
 
 @st.composite
@@ -623,11 +731,11 @@ def test_assembled_columns_match_polynomial_products(case):
 
 @st.composite
 def engine_pieces(draw):
-    """A piece of any engine's complex: a random hypersurface (loc or
-    loc-quot), R, or E at a weight that gives it negative exponents in
-    several degrees, with keys as wide as a pair with the next cutoff uses."""
+    """A piece of any engine's complex at a cutoff of at most 3, cutoff 0
+    included: a random hypersurface (loc or loc-quot), R, or E at a weight
+    that gives it negative exponents in several degrees."""
     kind = draw(st.sampled_from(("hypersurface", "R", "E")))
-    cutoff = draw(st.integers(1, 3))
+    cutoff = draw(st.integers(0, 3))
     if kind == "hypersurface":
         spec, tau = draw(hypersurfaces()), draw(st.integers(-1, 1))
     else:
@@ -638,26 +746,37 @@ def engine_pieces(draw):
 
 
 @settings(deadline=None, derandomize=True, max_examples=60)
-@given(engine_pieces())
-def test_piece_columns_follow_the_closed_form_at_their_keys(case):
+@given(engine_pieces(), st.integers(0, 1))
+# the pieces the cutoff-0 route ranks, in both modes, at their own width
+@example((Localization(parse_poly("x^3 + y^3 + z^3 - x*y*z", 3)), 0, 0), 0)
+@example((Localization(parse_poly("x^3 + y^3 + z^3 - x*y*z", 3), quotient_mod_A=True), 0, 0), 0)
+def test_piece_columns_follow_the_closed_form_at_their_keys(case, wider):
+    # with keys as wide as the piece's own cutoff or the next one needs
     spec, cutoff, tau = case
     f = spec.pole_terms()
     n = spec.n_vars
-    width = socle.derham._key_width(n, f, cutoff + 1, tau)
+    width = socle.derham._key_width(n, f, cutoff + wider, tau)
     piece = socle.derham._Piece(spec, f, cutoff, tau, width)
     for j in range(n + 1):
         labels = piece.labels(j)
-        # keys are one-to-one, and each is mask(I) + code(e)
+        # keys are one-to-one, each is mask(I) + code(e), and each lies
+        # below ``bound``, so no key reaches a tail row
         assert len(set(piece.keys[j])) == len(labels)
         for (I, e), key in zip(labels, piece.keys[j]):
             assert key == sum(1 << i for i in I) + piece.code(e)
+            assert abs(key) < piece.bound
             if isinstance(spec, InjectiveHull):
                 assert all(x <= -1 for x in e)
     for j in range(n):
         k = cutoff + j
         label_at = dict(zip(piece.keys[j + 1], piece.labels(j + 1)))
         labels = piece.labels(j)
-        for (I, e), col in zip(labels, piece.d_columns(j, range(len(labels)))):
+        cols = piece.d_columns(j, range(len(labels)))
+        tailed = piece.d_columns(j, range(len(labels)), True)
+        for key, col, tail in zip(piece.keys[j], cols, tailed):
+            # the tail of u is 1 at key(u) + 2 bound, at or above ``bound``
+            assert tail == {**col, key + 2 * piece.bound: 1}
+        for (I, e), col in zip(labels, cols):
             want = {}
             for a, c in f.items():
                 for i in range(n):
@@ -702,15 +821,15 @@ def test_unbuilt_pivots_give_the_eager_elimination(case, low_end):
 
 def polynomial_forms(spec, piece, j):
     """The polynomial j-forms x^a dx_I = x^a f^k dx_I / f^k (k = cutoff + j) of
-    the piece's weight, at every weight, as columns built from labels and the
-    spec's own f; none unless the spec is taken modulo them."""
+    the piece's weight, at every weight, as int columns built from labels and
+    the piece's f; none unless the spec is taken modulo them."""
     n = spec.n_vars
     if not spec.quotient_mod_A or j > n:
         return []
-    f_k = MultiPoly(n, spec.pole_terms()) ** (piece.cutoff + j)
+    f_k = MultiPoly(n, piece.f) ** (piece.cutoff + j)
     key_at = dict(zip(piece.labels(j), piece.keys[j]))
     return [
-        {key_at[(I, tuple(x + y for x, y in zip(a, b)))]: c for b, c in f_k.terms.items()}
+        {key_at[(I, tuple(x + y for x, y in zip(a, b)))]: int(c) for b, c in f_k.terms.items()}
         for I in combinations(range(n), j)
         for a in graded_piece_basis(piece.tau - j, n)
     ]
@@ -721,18 +840,20 @@ def plain_persistent_dims(spec, lo, hi, tau):
 
     rank H^j = rank M - rank[i(d C_lo,j) | A_hi,j+1] - rank[d C_hi,j-1 | A_hi,j],
     where M sends (u, w, a, b) to (i u + d w + a, i(d u) + b) and i is the
-    chain map F_lo -> F_hi that multiplies numerators by the spec's own f,
-    built from labels.  A is every polynomial form of the weight in quotient
-    mode (``polynomial_forms``), so this ranks the honest quotient, and its
-    agreement with the engine, which takes out only 1 at weight 0, checks
-    that A is acyclic at every nonzero weight.  Rows are the packed keys,
-    tagged 0 in the first block and 1 in the second.  At lo = hi, where i is
+    chain map F_lo -> F_hi that multiplies numerators by f, built from
+    labels.  f is the primitive integer multiple of the spec's f, so every
+    column is an int dict; a unit scale changes no rank.  A is every
+    polynomial form of the weight in quotient mode (``polynomial_forms``), so
+    this ranks the honest quotient, and its agreement with the engine, which
+    takes out only 1 at weight 0, checks that A is acyclic at every nonzero
+    weight.  Rows are the packed keys, shifted by 2 bound in the second block
+    (every |key| < bound), so the blocks never meet.  At lo = hi, where i is
     the identity, rank M is dim C_j + rank A_(j+1): the columns (u, d u)
     hold every (d w, 0), as d d = 0, and every (a, d a), as d A lies in A.
     Every rank is a fresh ``rank_of_columns`` call over whole bases: no
     clearing and no shared pivot state.
     """
-    f = spec.pole_terms()
+    f = _content_free(_scaled(spec.pole_terms())[0])
     n = spec.n_vars
     width = socle.derham._key_width(n, f, hi, tau)
     p_lo = socle.derham._Piece(spec, f, lo, tau, width)
@@ -744,7 +865,7 @@ def plain_persistent_dims(spec, lo, hi, tau):
     iotas = [inclusion(p_lo, p_hi, j, f) for j in range(n + 1)] + [{}] if lo < hi else None
 
     def tagged(block, col):
-        return {(block, r): c for r, c in col.items()}
+        return {r + 2 * block * p_hi.bound: c for r, c in col.items()}
 
     dims = []
     for j in range(n + 1):
@@ -805,7 +926,8 @@ def test_truncated_tables_match_the_plain_rank_formula(case):
 @given(truncation_inputs())
 def test_cycle_images_count_the_low_cohomology(case):
     # Z_A ∩ span kept meets B + A only in 0, so a low end hands over exactly
-    # dim H^j(F_lo) cycle images; and each pair's table is the oracle's
+    # dim H^j(F_lo) cycle images; and each pair's table is the oracle's.  On
+    # the two-pair route, whose pairs the report names at every weight
     spec, cutoff, window = case
     piece = socle.derham._Piece
     cycle_images, persistent_dims = piece.cycle_images, socle.derham._persistent_dims
@@ -825,7 +947,7 @@ def test_cycle_images_count_the_low_cohomology(case):
     with mock.patch.object(piece, "cycle_images", counting_images), mock.patch.object(
         socle.derham, "_persistent_dims", recording_dims
     ):
-        _, report = derham_truncated(spec, cutoff)
+        _, report = two_pair_truncated(spec, cutoff)
         for tau in set(taus) - {0}:
             engine_tables(spec, engine_pairs(report), tau)
     lows = {lo for lo, _, _ in tables}
@@ -879,3 +1001,22 @@ def test_a_lost_tail_is_an_internal_error(monkeypatch):
     )
     with pytest.raises(InternalCheckError, match="lost its tail"):
         derham_truncated(spec_from_json({"kind": "loc-quot", "f": "x^2 + y^2 + z^2"}), 4)
+
+
+def test_a_piece_below_cutoff_zero_seeds_no_one():
+    # 1 = f^K / f^K is in F_K only for K >= 0: a quotient-mode weight-0 piece
+    # at a negative cutoff refuses to seed it, and a low end refuses a map
+    # into a lower cutoff; at cutoff 0 the seed is 1 = f^0
+    text = "x^2 + y^2 + z^2"
+    quotient = spec_from_json({"kind": "loc-quot", "f": text})
+    with pytest.raises(InternalCheckError, match="negative power"):
+        engine_piece(quotient, -1, 0).rank(0)
+    with pytest.raises(InternalCheckError, match="negative power"):
+        engine_piece(quotient, 1, 0, high=0)
+    assert engine_piece(quotient, 0, 0).take(0) == {0: {0: 1}}
+    # outside quotient mode nothing is seeded, and the piece at cutoff -1
+    # ranks: form degree 0 is empty there, as K*D < 0, and d(dx_I / f) =
+    # -df ^ dx_I / f^2 is +-2 x_i dx_0 dx_1 dx_2 / f^2, i the index off I
+    loc = engine_piece(spec_from_json({"kind": "loc", "f": text}), -1, 0)
+    assert loc.take(0) == {} and not loc.keys[0]
+    assert loc.rank(3) == 3
