@@ -54,14 +54,15 @@ DECOMPOSE_MAX = 10_000
 #: B-variable, 0.25 s with two and 0.07 s with three; 2-core x86-64, Python 3.11)
 DECOMPOSE_SIZE_MAX = 52_000
 
-#: largest weight-0 basis of the top complex of ``derham`` (see
-#: ``_basis_size``); the Fermat quartic threefold at cutoff 3 has 354690 and
-#: takes about 4 s and 226 MB, and the dense cubic surface
-#: x0^3+x1^3+x2^3+x3^3+x0*x1*x2+2*x1*x2*x3-x0^2*x3+3*x1^2*x2 at cutoff 4 has
-#: 16080 and takes about 0.9 s.  The bound counts size, not cost: the dense
+#: largest weight-0 basis of the top complex of ``derham``, as ``_basis_size``
+#: counts it.  It counts size, not cost, and the cutoff-K basis even where the
+#: smooth route ranks F_0 alone.  Fresh processes at cutoff 3: the Fermat
+#: quartic threefold has 354690 and takes about 0.3 s and 24 MB, the dense
 #: quartic threefold x0^4+...+x4^4+x0*x1*x2*x3+2*x1*x2*x3*x4-x0^2*x3^2+3*x1^3*x4
-#: at cutoff 3 also has 354690 and takes about 150 s and 350 MB (2-core
-#: x86-64, Python 3.11)
+#: also 354690 and about 5-6.5 s and 40 MB, both past the smoothness gate; the
+#: three-quadric product (x1^2-x0*x2)*(x1*x2-x0*x3)*(x2^2-x1*x3) has 77920, of
+#: which its torus block ranks 1848, in about 0.3-0.4 s; x0*...*x9 at cutoff 6
+#: has 1024 and takes about 0.3 s (2-core x86-64, Python 3.11)
 DERHAM_BASIS_MAX = 400_000
 
 
@@ -203,13 +204,22 @@ def cmd_predict(args) -> int:
 
 
 def _basis_size(spec, cutoff: int) -> int:
-    """Size of the weight-0 basis at the cutoff, in closed form: the sum over
-    j of C(n, j) * C(kD - j + n - 1, n - 1) with k = cutoff + j, D = deg of the
-    pole polynomial (D = 0 counts the one element of R and of E)."""
-    D = sum(next(iter(spec.pole_terms())))
-    n = spec.n_vars
+    """Size of the weight-0 basis at the cutoff, in closed form.
+
+    A single-term pole polynomial c x^a has, in the block of its torus
+    (``derham._torus_block``), one element x^(ka - 1_I) dx_I / f^k per index
+    set I inside the support of a, so 2^|supp a| in all; R and E, at a = 0,
+    have their one element.  Any other f
+    counts the sum over j of C(n, j) * C(kD - j + n - 1, n - 1) with k =
+    cutoff + j and D = deg f: exact when f's torus is the Euler line, and
+    an upper bound of the block the engine ranks when the torus is larger.
+    """
+    a, *rest = spec.pole_terms()
+    if not rest:
+        return 2 ** sum(map(bool, a))
+    D, n = sum(a), spec.n_vars
     degrees = [(j, (cutoff + j) * D - j) for j in range(n + 1)]
-    return sum(comb(n, j) * comb(deg + n - 1, n - 1) for j, deg in degrees if n and deg >= 0)
+    return sum(comb(n, j) * comb(deg + n - 1, n - 1) for j, deg in degrees if deg >= 0)
 
 
 def cmd_derham(args) -> int:

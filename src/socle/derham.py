@@ -24,6 +24,25 @@ k*1 in degree 0.  So the engine takes out A = k * (f^K / f^K) at weight 0
 and A = 0 elsewhere, and a loc-quot table is the loc table minus 1 in
 degree 0.
 
+The weight-0 piece splits further by the torus of f.  Let L be the lattice
+of w in Z^n for which f is w-homogeneous, <w, a - a'> = 0 for all terms a,
+a' of f; it holds (1, ..., 1).  For xi = sum w_i x_i d_i, Cartan's formula
+L_xi = d i_xi + i_xi d acts on x^e dx_I / f^k by the scalar <w, e + 1_I> -
+k deg_w f, and i_xi maps F_K into F_(K+1) and A into A.  So every class of
+nonzero L-weight dies in rank H(F_lo -> F_hi) for lo < hi, and the engine
+ranks only the block of L-weight 0, the x^e dx_I / f^k with e + 1_I - k a_0
+in the span of the differences a - a_0 (``_torus_block``; Dimca,
+Singularities and Topology of Hypersurfaces, 1992, ch. 6).  At lo = hi the
+argument is another: on the smooth route below, F_0 -> F_K is a
+quasi-isomorphism that commutes with the torus, so H(F_0) has no class of
+nonzero L-weight either.  The other pairs lo = hi, R and E (whose weight-0
+piece is one element) and the cutoff 1 of a singular f, rank the whole
+piece: there H(F_K) itself is the table, and its classes of nonzero
+L-weight need not vanish.  L is the Euler line for most f, and then the
+block is the whole piece; x_S and c x^a have L = Z^n and at most one
+element per index set, x*y - z*w has rank 3, and the products of the
+quadrics and the cubic through the twisted cubic have rank 2.
+
 Every table comes from one rank formula for the persistent cohomology of a
 pair of cutoffs (``_persistent_dims``): with r(K, j) = rank[d C_(j-1) | A_j]
 in the complex at cutoff K, rank H^j(F_lo -> F_hi) = rank[P_hi(j) | Q_lo(j)]
@@ -83,9 +102,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from functools import cache
+from itertools import chain, combinations, repeat
+from math import comb, lcm
+from operator import itemgetter, mul, sub
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     DomainError,
@@ -95,7 +116,7 @@ from .errors import (
 )
 from .grammar import parse_poly
 from .linalg import GradedMatrix, _content_free, _reduce_into, rank_of_columns
-from .poly import MultiPoly, _accumulate, _scaled, graded_piece_codes
+from .poly import MultiPoly, _accumulate, _scaled, graded_piece_basis, graded_piece_codes
 from .series import TruncatedSeries
 
 
@@ -274,7 +295,16 @@ class Localization(ModuleSpec):
         return self.f.terms
 
     def smoothness_gate(self) -> Optional[bool]:
-        return None if self.f.homogeneous_degree() == 0 else jacobian_ring_is_finite(self.f)
+        D = self.f.homogeneous_degree()
+        if D == 0:
+            return None
+        if len(self.f.terms) > 1:
+            return jacobian_ring_is_finite(self.f)
+        (a,) = self.f.terms
+        # the partials of c x^a are the monomials a_i x^(a - 1_i), and k[x]
+        # modulo them is finite exactly when each variable has a pure power
+        # among them: D = 1, one variable, or x*y
+        return D == 1 or len(a) == 1 or a == (1, 1)
 
     def agreement(self, smooth: Optional[bool]) -> str:
         # past a failed smoothness gate agreement certifies nothing, unless
@@ -340,10 +370,6 @@ def derham_closed_form(spec: ModuleSpec) -> DeRhamDims:
 # ------------------------------------------------- graded complex assembly
 
 
-def _wedge_sign(i: int, index_set: Tuple[int, ...]) -> int:
-    return -1 if sum(1 for k in index_set if k < i) % 2 else 1
-
-
 def _key_width(n: int, f, cutoff: int, tau: int) -> int:
     """Bits per digit of the packed basis keys of every weight-tau piece of
     the pole complex of f at cutoffs up to ``cutoff``: room for the
@@ -365,12 +391,17 @@ class _Piece:
     The basis of form degree j is x^e dx_I / f^k with k = cutoff + j and
     deg e = tau - j + kD; for E it is x^e dx_I with every e_i <= -1,
     deg e = tau - j, present only while -tau <= cutoff (the spec's
-    ``basis``).  Element s * len(exps[j]) + t is (sets[j][s], exps[j][t]),
-    with the packed key mask(I) + sum_i e_i << (width * (i + 1))
-    (``keys[j]``).  Keys are the row numbers of every column: one-to-one on
-    (I, e) and linear, so the row of x^(e+a-1_i) dx_(I+i) is the key of
-    x^e dx_I plus one precomputed int.  Pieces of a pair share one
-    ``width``.  With f given as {exponent: int} every entry is an int.
+    ``basis``).  With ``block`` (``_torus_block``) only the block of the
+    torus is built: x^e dx_I with e = g - 1_I >= 0 for the block's
+    exponents g at pole order k, so each index set I has its own exponent
+    list; without it every index set shares the spec's one list.  Index
+    sets without exponents are left out (``sets[j]``).  Element idx of form
+    degree j is (sets[j][owner[j][idx]], exps[j][idx]), with the packed key
+    mask(I) + sum_i e_i << (width * (i + 1)) (``keys[j]``).  Keys are the row
+    numbers of every column: one-to-one on (I, e) and linear, so the row of
+    x^(e+a-1_i) dx_(I+i) is the key of x^e dx_I plus one precomputed int.
+    Pieces of a pair share one ``width``.  With f given as {exponent: int}
+    every entry is an int.
 
     The rank path asks for r(j) = rank[d C_(j-1) | A_j] in order of j, A the
     span of 1 = f^cutoff / f^cutoff at weight 0 in quotient mode, else 0.  Each
@@ -391,50 +422,81 @@ class _Piece:
     kept); a tail u instead of i u holds one entry, not the terms of f.
     """
 
-    def __init__(self, spec: ModuleSpec, f, cutoff: int, tau: int, width: int, high: Optional[int] = None):
+    def __init__(
+        self, spec: ModuleSpec, f, cutoff: int, tau: int, width: int, high: Optional[int] = None, block=None
+    ):
         n = spec.n_vars
         degree = sum(next(iter(f)))
         self.n, self.f, self.cutoff, self.tau, self.width = n, f, cutoff, tau, width
         self.one = spec.quotient_mod_A and tau == 0  # whether A_0 = k * 1
         self.units = [1 << (width * (i + 1)) for i in range(n)]
         self.bound = 1 << (width * (n + 1))  # |key| < bound (``_key_width``)
-        self.sets, self.exps, self.keys = [], [], []
+        # the step table of d_j: per index set I, (key step, i, k a_i,
+        # sign * c_a) for every term c_a x^a of f and every i not in I, sorted
+        # by key step.  The column of x^e dx_I holds sign * c_a * (e_i - k a_i)
+        # at the row key + step, and distinct terms land on distinct rows, so
+        # its lowest row is key plus the first step with a nonzero factor
+        terms = [(self.code(fe), fe, c) for fe, c in f.items()]
+        self.sets, self.exps, self.owner, self.keys, self.steps = [], [], [], [], []
         for j in range(n + 1):
-            exps, codes = spec.basis(tau - j + (cutoff + j) * degree, tau, cutoff, width)
-            # no index sets without exponents: R and E have C(n, j) of them
-            sets = list(combinations(range(n), j)) if exps else []
-            keys = [mask + c for mask in map(_mask, sets) for c in codes]
+            k = cutoff + j
+            # the index sets with exponents, and per set its exponents and
+            # their codes: R and E have C(n, j) sets, all with the spec's one
+            # list, and the block of a larger torus may have few
+            if block is None:
+                exps, codes = spec.basis(tau - j + k * degree, tau, cutoff, width)
+                sets = list(combinations(range(n), j)) if exps else []
+                exps, codes = [exps] * len(sets), [codes] * len(sets)
+            else:
+                sets, exps, codes = self._block_parts(block(k), j)
             self.sets.append(sets)
-            self.exps.append(exps)
-            self.keys.append(keys)
+            self.exps.append(list(chain.from_iterable(exps)))
+            self.owner.append(list(chain.from_iterable(map(repeat, range(len(sets)), map(len, exps)))))
+            self.keys.append([mask + c for mask, cs in zip(map(_mask, sets), codes) for c in cs])
+            self.steps.append([self._step_table(I, k, terms) for I in sets])
         self.ranks: List[int] = []
         self.kept: List[List[int]] = []  # basis indices off the pivot rows of r(j)
         self.live = None  # (j, pivots) of the latest r(j)
         # i as {key shift: coefficient}, None off the low end of a pair
         self.image = None if high is None else self.f_power(high - cutoff)
         self.cycles: Dict[int, List[dict]] = {}
-        # the step table of d_j: per index set I, (key step, i, k a_i,
-        # sign * c_a) for every term c_a x^a of f and every i not in I, sorted
-        # by key step.  The column of x^e dx_I holds sign * c_a * (e_i - k a_i)
-        # at the row key + step, and distinct terms land on distinct rows, so
-        # its lowest row is key plus the first step with a nonzero factor
-        terms = [(fe, c, self.code(fe)) for fe, c in f.items()]
-        self.steps = [
-            [
-                sorted(
-                    (code + (1 << i) - self.units[i], i, (cutoff + j) * fe[i], _wedge_sign(i, I) * c)
-                    for fe, c, code in terms
-                    for i in range(n)
-                    if i not in I
-                )
-                for I in sets
-            ]
-            for j, sets in enumerate(self.sets)
-        ]
+
+    def _step_table(self, I: Tuple[int, ...], k: int, terms) -> list:
+        """The step table of index set I at pole order k; the sign flips past
+        each index of I, the wedge sign of moving dx_i into place."""
+        table, sign = [], 1
+        for i, unit in enumerate(self.units):
+            if i in I:
+                sign = -sign
+            else:
+                step = (1 << i) - unit
+                table.extend((code + step, i, k * fe[i], sign * c) for code, fe, c in terms)
+        table.sort()
+        return table
+
+    def _block_parts(self, gs: list, j: int) -> tuple:
+        """The x^e dx_I with |I| = j and e = g - 1_I >= 0, for the exponents g
+        of one pole order of ``_torus_block``: the index sets I with some, in
+        the order of ``combinations``, and per set its exponents and their
+        codes.  The I of g are the j-subsets of its support."""
+        units, parts = self.units, {}
+        for g in gs:
+            code = self.code(g)
+            for I in combinations([i for i, x in enumerate(g) if x], j):
+                part = parts.get(I)
+                if part is None:  # the codes of x^g and x^e differ by that of 1_I
+                    part = parts[I] = ([], [], sum(map(units.__getitem__, I)))
+                e = list(g)
+                for i in I:
+                    e[i] -= 1
+                part[0].append(tuple(e))
+                part[1].append(code - part[2])
+        sets = sorted(parts)
+        return sets, [parts[I][0] for I in sets], [parts[I][1] for I in sets]
 
     def code(self, e: Sequence[int]) -> int:
         """The packed code of an exponent, the key of x^e with I empty."""
-        return sum(x * u for x, u in zip(e, self.units))
+        return sum(map(mul, e, self.units))
 
     def f_power(self, m: int) -> Dict[int, int]:
         """f^m as {packed code of the exponent: coefficient}.  A negative m is
@@ -449,18 +511,19 @@ class _Piece:
 
     def labels(self, j: int) -> list:
         """The basis of form degree j as (I, e) pairs."""
-        return [(I, e) for I in self.sets[j] for e in self.exps[j]]
+        sets = self.sets[j]
+        return [(sets[s], e) for s, e in zip(self.owner[j], self.exps[j])]
 
     def d_columns(self, j: int, kept: Sequence[int], tails: bool = False) -> List[dict]:
         """Columns of d_j at the basis indices ``kept`` (empty at j = n); with
         ``tails``, the column of u also holds 1 at the row key(u) + 2 bound."""
-        keys, exps, steps = self.keys[j], self.exps[j], self.steps[j]
-        m, tail = len(exps), 2 * self.bound
+        keys, exps, owner, steps = self.keys[j], self.exps[j], self.owner[j], self.steps[j]
+        tail = 2 * self.bound
         cols = []
         for idx in kept:
-            e, key = exps[idx % m], keys[idx]
+            e, key = exps[idx], keys[idx]
             col = {key + tail: 1} if tails else {}
-            for step, i, ka, sc in steps[idx // m]:
+            for step, i, ka, sc in steps[owner[idx]]:
                 factor = e[i] - ka
                 if factor:
                     col[key + step] = sc * factor
@@ -485,12 +548,12 @@ class _Piece:
         tails = j > 0 and self.image is not None
         if j:
             kept, build = self.kept[j - 1], self.builder(j)
-            keys, exps, steps = self.keys[j - 1], self.exps[j - 1], self.steps[j - 1]
-            m, tail = len(exps), 2 * self.bound
+            keys, exps, owner, steps = self.keys[j - 1], self.exps[j - 1], self.owner[j - 1], self.steps[j - 1]
+            tail = 2 * self.bound
             for idx in kept:
                 # the column's lowest row, read off the step table unbuilt
-                e, key = exps[idx % m], keys[idx]
-                for step, i, ka, _ in steps[idx // m]:
+                e, key = exps[idx], keys[idx]
+                for step, i, ka, _ in steps[owner[idx]]:
                     if e[i] != ka:
                         row = key + step
                         break
@@ -544,6 +607,76 @@ class _Piece:
 
 def _mask(index_set: Sequence[int]) -> int:
     return sum(1 << i for i in index_set)
+
+
+def _torus_block(f) -> Optional[Callable[[int], list]]:
+    """The block of the weight-0 piece that the torus of f fixes, as a rule
+    k -> the exponents g of the x^g / f^k in it, in descending lex order; g
+    = e + 1_I for x^e dx_I / f^k (``_Piece``).  None when the torus is the
+    Euler line, whose block is the whole piece.
+
+    The block holds the g >= 0 with g - k a_0 in the span V of the
+    differences a - a_0 of f's exponents, the orthogonal of the torus
+    (module docstring); E, whose exponents are negative, is ranked whole.
+    A single term has V = 0, so g = k a_0.  Otherwise V's reduced echelon
+    form, made with ints only, has pivot columns P, and every v in V is
+    fixed by v_P and has its first nonzero entry in P, so g is in the lex
+    order of g_P.  Each other entry q is affine in g_P: den g_q = k beta_q
+    + sum_t M_qt g_(p_t).  So the first d - 1 entries of g_P run over the
+    simplex of sum at most kD in descending lex order (``graded_piece_basis``
+    with one slack entry), the last one, t, down the interval where every
+    g_q >= 0, and g is kept where every g_q is an integer.
+    """
+    a0, *rest = f
+    if not rest:
+        return lambda k: [tuple(k * x for x in a0)]
+    n, rows = len(a0), []
+    for a in rest:
+        # echelon rows (lead, row) of the differences: each is zero before
+        # its lead and at the leads of the rows before it
+        v = list(map(sub, a, a0))
+        for p, r in rows:
+            c = v[p]
+            if c:
+                v = list(map(sub, map(r[p].__mul__, v), map(c.__mul__, r)))
+        for p, x in enumerate(v):
+            if x:
+                rows.append((p, v))
+                if len(rows) == n - 1:
+                    return None
+                break
+    # reduced: in order of lead, clear each lead's column in the rows above
+    rows.sort()
+    for t, (p, r) in enumerate(rows):
+        rows[:t] = [(q, [r[p] * x - v[p] * y for x, y in zip(v, r)] if v[p] else v) for q, v in rows[:t]]
+    pivots, rows = [p for p, _ in rows], [r for _, r in rows]
+    den, d = lcm(*(r[p] for r, p in zip(rows, pivots))), len(pivots)
+    solved = [(q, [den // r[p] * r[q] for r, p in zip(rows, pivots)]) for q in range(n) if q not in pivots]
+    # g from (g_P, g_Q), Q the solved entries in increasing order
+    order = itemgetter(*sorted(range(n), key=[*pivots, *(q for q, _ in solved)].__getitem__))
+    beta = [(den * a0[q] - sum(m * a0[p] for m, p in zip(ms, pivots)), ms) for q, ms in solved]
+
+    @cache
+    def block(k):
+        out = []
+        for *head, room in graded_piece_basis(k * sum(a0), d):
+            # den g_q = c + m t >= 0 bounds t from one side
+            lines = [(k * b + sum(map(mul, ms, head)), ms[-1]) for b, ms in beta]
+            low, high = 0, room
+            for c, m in lines:
+                if m > 0:
+                    low = max(low, -(c // m))
+                elif m < 0:
+                    high = min(high, c // -m)
+                elif c < 0:
+                    high = -1
+            for t in range(high, low - 1, -1):
+                vals = [c + m * t for c, m in lines]
+                if den == 1 or not any(v % den for v in vals):
+                    out.append(order((*head, t, *[v // den for v in vals])))
+        return out
+
+    return block
 
 
 def assemble_complex(spec: ModuleSpec, cutoff: int, tau: int):
@@ -634,13 +767,18 @@ def jacobian_ring_is_finite(f: MultiPoly) -> bool:
     return rank_of_columns(cols) == comb(e + n - 1, n - 1)
 
 
-def _pair_tables(spec: ModuleSpec, f, pairs: Sequence[Tuple[int, int]]) -> List[List[int]]:
+def _pair_tables(spec: ModuleSpec, f, pairs: Sequence[Tuple[int, int]], block=None) -> List[List[int]]:
     """The table of each pair (lo, hi) of cutoffs, rank H(F_lo -> F_hi) at
     weight 0 with f the primitive integer multiple.  Pieces are shared: a
     low end is built with its high cutoff, so that its eliminations yield
     its cycle images, and a pair (K-1, K) continues the live pivot states
-    of F_(K-1) that the pair (K-2, K-1) left.  The route of every spec off
-    the smooth route of ``derham_truncated``, and its oracle in the tests."""
+    of F_(K-1) that the pair (K-2, K-1) left.  Each piece is the block of
+    ``block`` (``_torus_block``), except where a pair (K, K) reads H(F_K)
+    itself, whose classes of nonzero torus weight need not die: that piece
+    is whole.  The route of every spec off the smooth route of
+    ``derham_truncated``, and its oracle in the tests."""
+    if pairs[-1][0] == pairs[-1][1]:
+        block = None
     width = _key_width(spec.n_vars, f, pairs[-1][1], 0)
     highs = dict(pairs)
     pieces: Dict[int, _Piece] = {}
@@ -648,17 +786,17 @@ def _pair_tables(spec: ModuleSpec, f, pairs: Sequence[Tuple[int, int]]) -> List[
     for lo, hi in pairs:
         for cut in (lo, hi):
             if cut not in pieces:
-                pieces[cut] = _Piece(spec, f, cut, 0, width, highs.get(cut))
+                pieces[cut] = _Piece(spec, f, cut, 0, width, highs.get(cut), block)
         tables.append(_persistent_dims(pieces[lo], pieces[hi]))
     return tables
 
 
-def _cutoff_zero_tables(spec: ModuleSpec, f, pairs: Sequence[Tuple[int, int]]) -> List[List[int]]:
+def _cutoff_zero_tables(spec: ModuleSpec, f, pairs: Sequence[Tuple[int, int]], block=None) -> List[List[int]]:
     """dim H(F_0) as the table of every pair, ranked on the one piece at
     cutoff 0 (lo = hi); the route of a spec that passes the smoothness gate
     and depends on the cutoff.  The seeded class of quotient mode is
     1 = f^0, which lies in F_0."""
-    piece = _Piece(spec, f, 0, 0, _key_width(spec.n_vars, f, 0, 0), 0)
+    piece = _Piece(spec, f, 0, 0, _key_width(spec.n_vars, f, 0, 0), 0, block)
     return [_persistent_dims(piece, piece)] * len(pairs)
 
 
@@ -666,7 +804,8 @@ def derham_truncated(spec: ModuleSpec, pole_cutoff: int) -> Tuple[DeRhamDims, Tr
     """Dimensions of each de Rham cohomology group from truncated complexes.
 
     Reports rank H(F_(K-1) -> F_K) of the weight-0 piece, which carries every
-    stable class (module docstring), and that of the pair (K-2, K-1) as the
+    stable class, ranked on the block of f's torus, which carries them all
+    too (module docstring), and that of the pair (K-2, K-1) as the
     low table, one pair (max(1, K-1), K) below K = 3; ``stabilized`` means
     the two agreed.  A complex that ignores the cutoff (R, E) takes one exact
     pass at the cutoff, the pair (K, K).
@@ -679,10 +818,10 @@ def derham_truncated(spec: ModuleSpec, pole_cutoff: int) -> Tuple[DeRhamDims, Tr
     are reported as on the two-pair route (``_pair_tables``), which every
     other spec takes.
 
-    The weight-0 piece is never empty, so every table counts a complex that
-    exists: for a localization at f of degree D, form degree 0 holds the
-    numerators of degree K*D >= 0 at cutoff K >= 0, and for E form degree n
-    holds x^(-1,...,-1).
+    The weight-0 piece and its block are never empty, so every table counts
+    a complex that exists: for a localization at f of degree D, form degree
+    0 holds the numerators of degree K*D >= 0 at cutoff K >= 0, x^(K a_0)
+    among them in the block, and for E form degree n holds x^(-1,...,-1).
     """
     if pole_cutoff < 1:
         raise DomainError("pole cutoff must be at least 1")
@@ -699,7 +838,7 @@ def derham_truncated(spec: ModuleSpec, pole_cutoff: int) -> Tuple[DeRhamDims, Tr
     else:
         pairs = [(max(1, K - 1), K)]
     ranks = _cutoff_zero_tables if smooth and not exact else _pair_tables
-    tables = ranks(spec, f, pairs)
+    tables = ranks(spec, f, pairs, _torus_block(f))
     dims_low, dims = tuple(tables[0]), DeRhamDims(tables[-1])
     stabilized = dims_low == dims if len(pairs) == 2 else exact
 

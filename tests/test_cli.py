@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output discipline, the verify suites."""
 
 import json
+import math
 import time
 from pathlib import Path
 
@@ -241,12 +242,28 @@ def test_a_failed_out_write_is_an_input_error(capsys, tmp_path):
     ],
 )
 def test_derham_bound_counts_the_assembled_basis(spec, cutoff):
-    # the weight-0 piece the engine ranks at the top cutoff
+    # the weight-0 piece the engine ranks at the top cutoff, the block of
+    # f's torus: the whole piece for a sum of powers, for R and for E, one
+    # element per index set in the support for x*y and x*z
     spec = spec_from_json(spec)
     f = spec.pole_terms()
     width = socle.derham._key_width(spec.n_vars, f, cutoff, 0)
-    piece = socle.derham._Piece(spec, f, cutoff, 0, width)
+    block = None if spec.cutoff_free else socle.derham._torus_block(f)
+    piece = socle.derham._Piece(spec, f, cutoff, 0, width, block=block)
     assert _basis_size(spec, cutoff) == sum(map(len, piece.keys))
+
+
+def test_derham_ranks_the_ten_variable_monomial_on_its_block(capsys):
+    # x_S at |S| = 10 has 2^10 elements in its block at every cutoff, and
+    # the gate of a single term is a closed form, so the run is quick
+    f = "*".join(f"x{i}" for i in range(VARS_MAX))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "derham", "--kind", "loc", "--f", f, "--vars", str(VARS_MAX))
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    want = [math.comb(VARS_MAX, j) for j in range(VARS_MAX + 1)]
+    assert f"dims (j = 0..{VARS_MAX}): {want}" in out.splitlines()
+    assert "certificate: stabilized" in out
 
 
 def test_derham_rejects_bad_cap(monkeypatch, capsys):

@@ -143,13 +143,15 @@ def test_injective_hull_via_splice():
     assert list(quotient) == list(derham_closed_form(InjectiveHull(1)))
 
 
-def engine_piece(spec, cutoff, tau, width_cutoff=None, high=None):
+def engine_piece(spec, cutoff, tau, width_cutoff=None, high=None, torus=False):
     """The piece ``derham_truncated`` ranks: the primitive integer multiple of
     f, keys wide enough for cutoffs up to ``width_cutoff`` (default: this one),
-    and the low end of a pair with ``high``."""
+    the low end of a pair with ``high``, and with ``torus`` only the block of
+    f's torus (``_torus_block``), else the whole piece."""
     f = _content_free(_scaled(spec.pole_terms())[0])
     width = socle.derham._key_width(spec.n_vars, f, width_cutoff or cutoff, tau)
-    return socle.derham._Piece(spec, f, cutoff, tau, width, high)
+    block = socle.derham._torus_block(f) if torus else None
+    return socle.derham._Piece(spec, f, cutoff, tau, width, high, block)
 
 
 def engine_pairs(report):
@@ -173,6 +175,12 @@ def two_pair_truncated(spec, cutoff):
     its own pieces.  The oracle of the cutoff-0 route."""
     with mock.patch.object(socle.derham, "_cutoff_zero_tables", socle.derham._pair_tables):
         return derham_truncated(spec, cutoff)
+
+
+def whole_pieces():
+    """Rank every piece whole, as if f's torus were the Euler line: the
+    oracle of the torus block (``_torus_block``)."""
+    return mock.patch.object(socle.derham, "_torus_block", lambda f: None)
 
 
 def d_map(piece, j):
@@ -250,11 +258,57 @@ def test_nonzero_weights_contribute_nothing():
         assert engine_tables(spec, pairs, tau) == [[0, 0], [0, 0]], tau
 
 
+def torus_weight_blocks(f, weights, k):
+    """The exponents g of x^g / f^k at Euler weight 0, filtered out of the
+    whole piece by their torus weight (<w, g - k a_0> for each w in
+    ``weights``): {weight: [g in descending lex order]}."""
+    a0 = next(iter(f))
+    blocks = {}
+    for g in graded_piece_basis(k * sum(a0), len(a0)):
+        chi = tuple(sum(x * (y - k * z) for x, y, z in zip(w, g, a0)) for w in weights)
+        blocks.setdefault(chi, []).append(g)
+    return blocks
+
+
+@pytest.mark.parametrize(
+    "text, weights",
+    [
+        # weights of the torus besides the Euler vector (1, ..., 1)
+        ("x*y - z*w", [(1, -1, 0, 0), (0, 0, 1, -1)]),
+        ("x^2*y", [(1, 0)]),
+        ("x*y^2 - z^3", [(2, -1, 0)]),
+    ],
+)
+def test_nonzero_torus_weights_contribute_nothing(text, weights):
+    # the blocks of nonzero torus weight, cut out of the whole weight-0
+    # pieces by filtering, have zero persistent image on both pairs, as the
+    # Cartan homotopy d i_xi + i_xi d kills them one cutoff up, and past the
+    # gate zero cohomology on F_0; the block of weight 0 is the one
+    # ``_torus_block`` enumerates
+    spec = spec_from_json({"kind": "loc", "f": text})
+    f = _content_free(_scaled(spec.pole_terms())[0])
+    n, zero = spec.n_vars, (0,) * len(weights)
+    dims, report = derham_truncated(spec, 4)
+    pairs = engine_pairs(report)
+    assert pairs == [(2, 3), (3, 4)]
+    rule = socle.derham._torus_block(f)
+    blocks = {k: torus_weight_blocks(f, weights, k) for k in range(4 + n + 1)}
+    for k, by_weight in blocks.items():
+        assert by_weight[zero] == rule(k), k
+    for chi in {chi for by_weight in blocks.values() for chi in by_weight} - {zero}:
+        tables = socle.derham._pair_tables(spec, f, pairs, lambda k: blocks[k].get(chi, []))
+        if spec.smoothness_gate():
+            tables += socle.derham._cutoff_zero_tables(spec, f, [(0, 0)], lambda k: blocks[k].get(chi, []))
+        assert not any(map(any, tables)), chi
+    assert list(dims) == socle.derham._pair_tables(spec, f, pairs, rule)[-1]
+
+
 @pytest.mark.parametrize("cutoff", range(1, 6))
 def test_the_weight_zero_piece_is_never_empty(cutoff):
     # the invariant ``derham_truncated`` states: a localization at f of
-    # degree D holds the numerators of degree K*D >= 0 in form degree 0, and
-    # E holds x^(-1,...,-1) in form degree n
+    # degree D holds the numerators of degree K*D >= 0 in form degree 0,
+    # x^(K a_0) among them in the block of f's torus, and E holds
+    # x^(-1,...,-1) in form degree n
     specs = [spec for n in range(5) for spec in (ring(n), InjectiveHull(n))]
     specs += [
         monomial_localization(n, inverted)
@@ -270,6 +324,8 @@ def test_the_weight_zero_piece_is_never_empty(cutoff):
     for spec in specs:
         degree = spec.n_vars if isinstance(spec, InjectiveHull) else 0
         assert engine_piece(spec, cutoff, 0).keys[degree], spec
+        # E is ranked whole: its exponents are negative, and no block has them
+        assert isinstance(spec, InjectiveHull) or engine_piece(spec, cutoff, 0, torus=True).keys[0], spec
 
 
 def test_les_splice_frozen():
@@ -567,15 +623,34 @@ def test_dense_cubic_threefold_matches_prediction():
     assert (dims, report) == two_pair_truncated(spec, 3)
 
 
+THREE_QUADRIC_PRODUCT = "(x1^2-x0*x2)*(x1*x2-x0*x3)*(x2^2-x1*x3)"
+TWISTED_CUBIC_CECH_TERM = "(x1^2-x0*x2)*(x2^3-2*x1*x2*x3+x0*x3^2)"
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [(THREE_QUADRIC_PRODUCT, [0, 3, 4, 3, 1]), (TWISTED_CUBIC_CECH_TERM, [0, 2, 1, 0, 0])],
+)
+def test_twisted_cubic_products_keep_their_tables(text, want):
+    # products of the quadrics and the cubic through the twisted cubic are
+    # not smooth, so the tables are pinned, not predicted; their torus has
+    # rank 2, and only its block is ranked
+    spec = spec_from_json({"kind": "loc-quot", "f": text})
+    f = _content_free(_scaled(spec.pole_terms())[0])
+    assert socle.derham._torus_block(f) is not None
+    dims, report = derham_truncated(spec, 3)
+    assert list(dims) == want
+    assert (report.certificate, report.smooth) == ("heuristic", False)
+
+
 @pytest.mark.slow
 def test_three_quadric_product_keeps_its_table():
-    # the product of the three quadrics through the twisted cubic is not
-    # smooth, so the table is pinned, not predicted; nearly every pivot
-    # stored unbuilt on it is read by a reduction and built
-    spec = spec_from_json({"kind": "loc-quot", "f": "(x1^2-x0*x2)*(x1*x2-x0*x3)*(x2^2-x1*x3)"})
+    # the block of the torus against the whole pieces, at scale
+    spec = spec_from_json({"kind": "loc-quot", "f": THREE_QUADRIC_PRODUCT})
     dims, report = derham_truncated(spec, 3)
     assert list(dims) == [0, 3, 4, 3, 1]
-    assert (report.certificate, report.smooth) == ("heuristic", False)
+    with whole_pieces():
+        assert derham_truncated(spec, 3) == (dims, report)
 
 
 # ------------------------------------------------- property tests (hypothesis)
@@ -615,6 +690,61 @@ def fermat_plus_terms(draw, max_vars=3, max_degree=3):
     f = MultiPoly(n, {e: c for e, c in terms.items() if c})
     assume(f)
     return Localization(f, quotient_mod_A=draw(st.booleans()))
+
+
+def whole_piece_size(n, D, cutoff):
+    """The size of the whole weight-0 piece at the cutoff (``cli._basis_size``
+    for an f whose torus is the Euler line)."""
+    return sum(math.comb(n, j) * math.comb((cutoff + j) * D - j + n - 1, n - 1) for j in range(n + 1))
+
+
+@st.composite
+def larger_torus_inputs(draw):
+    """A monomial with exponents up to 4, a binomial or trinomial, or a
+    product of two monomials or binomials, in n <= 4 variables of degree
+    D <= 4 and in loc or loc-quot mode, most with a torus larger than the
+    Euler line; and a cutoff of 1 to 4, kept where the whole pieces, the
+    oracle, stay small."""
+    n = draw(st.integers(1, 4))
+    coefficient = st.builds(Fraction, st.integers(-3, 3).filter(bool))
+
+    def polynomial(degree, terms):
+        support = draw(st.lists(st.sampled_from(graded_piece_basis(degree, n)), min_size=1, max_size=terms, unique=True))
+        return MultiPoly(n, {e: draw(coefficient) for e in support})
+
+    if draw(st.booleans()):
+        f = polynomial(draw(st.integers(1, 4)), 3)
+    else:
+        f = polynomial(draw(st.integers(1, 2)), 2) * polynomial(draw(st.integers(1, 2)), 2)
+    D = f.homogeneous_degree()
+    cutoffs = [K for K in range(2, 5) if whole_piece_size(n, D, K) <= 2500]
+    return Localization(f, quotient_mod_A=draw(st.booleans())), draw(st.sampled_from([1] + cutoffs))
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(larger_torus_inputs())
+@example((Localization(parse_poly("x*y - z*w", 4), quotient_mod_A=True), 4))
+@example((Localization(parse_poly("x^2*y^3", 2)), 4))
+@example((Localization(parse_poly("(x^2 - y*z)*(x*y - z^2)", 3)), 3))
+def test_the_torus_block_gives_the_whole_piece_tables(case):
+    # only the block of f's torus carries classes: ranked on it, every
+    # report is the one of the whole pieces, on the two-pair route and, past
+    # the gate, on the cutoff-0 route
+    spec, cutoff = case
+    routes = [derham_truncated] + [two_pair_truncated] * bool(spec.smoothness_gate())
+    blocks = [route(spec, cutoff) for route in routes]
+    with whole_pieces():
+        assert blocks == [route(spec, cutoff) for route in routes]
+
+
+def test_a_single_term_gate_is_the_rank_gate():
+    # the closed form D = 1, n = 1 or x*y against the rank, on every c x^a
+    # with n <= 4 and D <= 4
+    for n in range(1, 5):
+        for D in range(1, 5):
+            for a in graded_piece_basis(D, n):
+                f = MultiPoly.monomial(n, a, Fraction(-2, 3))
+                assert Localization(f).smoothness_gate() is jacobian_ring_is_finite(f), a
 
 
 @settings(deadline=None, derandomize=True, max_examples=100)
@@ -927,7 +1057,8 @@ def test_truncated_tables_match_the_plain_rank_formula(case):
 def test_cycle_images_count_the_low_cohomology(case):
     # Z_A ∩ span kept meets B + A only in 0, so a low end hands over exactly
     # dim H^j(F_lo) cycle images; and each pair's table is the oracle's.  On
-    # the two-pair route, whose pairs the report names at every weight
+    # the two-pair route, whose pairs the report names at every weight, with
+    # whole pieces: a block's H(F_lo) holds only its own torus weight
     spec, cutoff, window = case
     piece = socle.derham._Piece
     cycle_images, persistent_dims = piece.cycle_images, socle.derham._persistent_dims
@@ -944,7 +1075,7 @@ def test_cycle_images_count_the_low_cohomology(case):
         return dims
 
     taus = range(window[0], window[1] + 1)
-    with mock.patch.object(piece, "cycle_images", counting_images), mock.patch.object(
+    with whole_pieces(), mock.patch.object(piece, "cycle_images", counting_images), mock.patch.object(
         socle.derham, "_persistent_dims", recording_dims
     ):
         _, report = two_pair_truncated(spec, cutoff)
