@@ -32,29 +32,28 @@ k deg_w f, and i_xi maps F_K into F_(K+1) and A into A.  So every class of
 nonzero L-weight dies in rank H(F_lo -> F_hi) for lo < hi, and the engine
 ranks only the block of L-weight 0, the x^e dx_I / f^k with e + 1_I - k a_0
 in the span of the differences a - a_0 (``_torus_block``; Dimca,
-Singularities and Topology of Hypersurfaces, 1992, ch. 6).  At lo = hi the
-argument is another: on the smooth route below, F_0 -> F_K is a
+Singularities and Topology of Hypersurfaces, 1992, ch. 6).  For one piece
+the argument is another: on the smooth route below, F_0 -> F_K is a
 quasi-isomorphism that commutes with the torus, so H(F_0) has no class of
-nonzero L-weight either.  The other pairs lo = hi, R and E (whose weight-0
-piece is one element) and the cutoff 1 of a singular f, rank the whole
-piece: there H(F_K) itself is the table, and its classes of nonzero
-L-weight need not vanish.  L is the Euler line for most f, and then the
-block is the whole piece; x_S and c x^a have L = Z^n and at most one
-element per index set, x*y - z*w has rank 3, and the products of the
-quadrics and the cubic through the twisted cubic have rank 2.
+nonzero L-weight either.  The other lone pieces, R and E (whose weight-0
+piece is one element) and the cutoff 1 of a singular f, are ranked whole:
+there H(F_K) itself is the table, and its classes of nonzero L-weight need
+not vanish.  L is the Euler line for most f, and then the block is the
+whole piece; x_S and c x^a have L = Z^n and at most one element per index
+set, x*y - z*w has rank 3, and the products of the quadrics and the cubic
+through the twisted cubic have rank 2.
 
-Every table comes from one rank formula for the persistent cohomology of a
-pair of cutoffs (``_persistent_dims``): with r(K, j) = rank[d C_(j-1) | A_j]
-in the complex at cutoff K, rank H^j(F_lo -> F_hi) = rank[P_hi(j) | Q_lo(j)]
-- r(hi, j), where P_hi(j) spans B_hi + A_hi and Q_lo(j), with dim H^j(F_lo)
-vectors, comes out of the low complex's own elimination of r(lo, j+1) (the
-standard persistence algorithm: Zomorodian and Carlsson, Computing
-persistent homology, 2005).  Each r(K, j) is eliminated once.  Where the
-complex ignores the cutoff (R, that is a constant f, and E, whose weight-0
-piece is present at every cutoff) the pair is one cutoff twice, the map is
-the identity and one pass is exact.
+With r(K, j) = rank[d C_(j-1) | A_j] at cutoff K, each eliminated once,
+the table of one piece comes from rank-nullity (``_piece_dims``): B_j + A_j
+has rank r(K, j) and Z_j rank |C_j| - r(K, j+1).  That of a consecutive
+pair comes from persistence (``_persistent_dims``): rank H^j(F_(K-1) ->
+F_K) = rank[P_K(j) | Q_(K-1)(j)] - r(K, j), where P_K(j) spans B_K + A_K
+and Q_(K-1)(j), with dim H^j(F_(K-1)) vectors, comes out of the low
+complex's own elimination of r(K-1, j+1) (Zomorodian and Carlsson,
+Computing persistent homology, 2005).  Where the complex ignores the cutoff
+(R, a constant f, and E) one piece is exact.
 
-A smooth f needs one pair, (0, 0).  At K = 0 form degree j allows pole
+A smooth f needs one piece, F_0.  At K = 0 form degree j allows pole
 order j, Griffiths' bound in the top degree.  When f passes the smoothness
 gate, so that V = {f = 0} is smooth in projective space, the weight-0 map
 F_0 -> F_K is a quasi-isomorphism for every K >= 0: pole-order reduction
@@ -329,8 +328,8 @@ VARS_MAX = 10
 def spec_from_json(data: dict) -> ModuleSpec:
     """The spec of {"kind": "R" | "E", "vars": n} or {"kind": "loc" |
     "loc-quot", "f": text, "vars": n (optional)}; the one place that reads
-    the kind and the variable count, at most ``VARS_MAX``.  R and E refuse
-    an "f"; R is the localization at 1."""
+    the kind and the variable count, nonnegative and at most ``VARS_MAX``.
+    R and E refuse an "f"; R is the localization at 1."""
     kind = data.get("kind")
     if kind not in ("R", "E", "loc", "loc-quot"):
         raise UnsupportedSpecError(f"unknown module kind {kind!r}")
@@ -346,15 +345,14 @@ def spec_from_json(data: dict) -> ModuleSpec:
         return value
 
     n = field("vars", int, required=kind in ("R", "E"))
-    if n is not None and n > VARS_MAX:
-        raise UnsupportedSpecError(f"at most {VARS_MAX} variables (x0..x9), got {n}")
+    if n is not None:
+        _check_vars(n)
+        if n > VARS_MAX:
+            raise UnsupportedSpecError(f"at most {VARS_MAX} variables (x0..x9), got {n}")
     if kind in ("R", "E"):
         if data.get("f") is not None:
             raise UnsupportedSpecError(f"module kind {kind!r} takes no 'f'")
-        if kind == "E":
-            return InjectiveHull(n)
-        _check_vars(n)
-        return Localization(MultiPoly.one(n))
+        return InjectiveHull(n) if kind == "E" else Localization(MultiPoly.one(n))
     return Localization(parse_poly(field("f", str), n), quotient_mod_A=(kind == "loc-quot"))
 
 
@@ -412,18 +410,18 @@ class _Piece:
     ``builder(j)`` builds it when a reduction or the cycle split reads it,
     so each d column is built at most once per piece and degree.
 
-    The low end of a pair, with its high end at cutoff ``high``, carries
-    the chain map i into it, multiplication of numerators by f^(high -
-    cutoff) (``image``), and gives each d column d u the tail u at the row
-    key(u) + 2 bound, where every |key| < ``bound``.  A pivot row then stays
-    below ``bound`` unless the d-part reduces to 0, so those pivots are the
-    ones of r(j).  The pivots at or above ``bound``, popped, built, shifted
-    back and pushed through i, are ``cycles[j-1]``, a basis of i(Z ∩ span
-    kept); a tail u instead of i u holds one entry, not the terms of f.
+    A ``low_end`` of a pair carries the chain map i one cutoff up,
+    multiplication of numerators by f (``image``), and gives each d column d
+    u the tail u at the row key(u) + 2 bound, where every |key| < ``bound``.
+    A pivot row then stays below ``bound`` unless the d-part reduces to 0,
+    so those pivots are the ones of r(j).  The pivots at or above ``bound``,
+    popped, built, shifted back and pushed through i, are ``cycles[j-1]``, a
+    basis of i(Z ∩ span kept); a tail u instead of i u holds one entry, not
+    the terms of f.
     """
 
     def __init__(
-        self, spec: ModuleSpec, f, cutoff: int, tau: int, width: int, high: Optional[int] = None, block=None
+        self, spec: ModuleSpec, f, cutoff: int, tau: int, width: int, low_end: bool = False, block=None
     ):
         n = spec.n_vars
         degree = sum(next(iter(f)))
@@ -458,7 +456,7 @@ class _Piece:
         self.kept: List[List[int]] = []  # basis indices off the pivot rows of r(j)
         self.live = None  # (j, pivots) of the latest r(j)
         # i as {key shift: coefficient}, None off the low end of a pair
-        self.image = None if high is None else self.f_power(high - cutoff)
+        self.image = self.f_power(1) if low_end else None
         self.cycles: Dict[int, List[dict]] = {}
 
     def _step_table(self, I: Tuple[int, ...], k: int, terms) -> list:
@@ -501,9 +499,9 @@ class _Piece:
     def f_power(self, m: int) -> Dict[int, int]:
         """f^m as {packed code of the exponent: coefficient}.  A negative m is
         refused: the seeded 1 = f^K / f^K of a quotient-mode piece at a cutoff
-        K < 0, or the map i into a lower cutoff, is no element of its F."""
+        K < 0 is no element of its F."""
         if m < 0:
-            raise InternalCheckError(f"negative power f^{m}: no 1 below cutoff 0, no map into a lower cutoff")
+            raise InternalCheckError(f"negative power f^{m}: no 1 below cutoff 0")
         f_m = {(0,) * self.n: 1}
         for _ in range(m):
             f_m = _accumulate(f_m, self.f)
@@ -705,8 +703,14 @@ def assemble_complex(spec: ModuleSpec, cutoff: int, tau: int):
     return bases, diffs, None
 
 
+def _piece_dims(piece: _Piece) -> List[int]:
+    """dim H^j(F_K) of one piece, built with no chain map, by rank-nullity:
+    |C_j| - r(j) - r(j+1) (module docstring)."""
+    return [len(keys) - piece.rank(j) - piece.rank(j + 1) for j, keys in enumerate(piece.keys)]
+
+
 def _persistent_dims(lo: _Piece, hi: _Piece) -> List[int]:
-    """Ranks of H^j(F_lo) -> H^j(F_hi) for one weight piece.
+    """Ranks of H^j(F_lo) -> H^j(F_hi) for one weight piece, hi = lo + 1.
 
     A is 0 in every degree that d reaches, so the cycles Z modulo A are
     plain cycles.  With i the injective chain map F_lo -> F_hi, which maps
@@ -724,10 +728,9 @@ def _persistent_dims(lo: _Piece, hi: _Piece) -> List[int]:
     vector of B_lo + A_lo has its lowest row at a pivot row, which no kept
     element touches, so the sum is direct and len(Q) = dim H^j(F_lo).
 
-    When the high piece is the low end of another pair, or lo = hi, its
-    pivot vectors carry tails that stand for nothing in F_hi, so a Q vector
-    counts only when its residual keeps a row below ``bound``.  At lo = hi
-    the map i is the identity and the formula gives dim H^j.
+    When the high piece is the low end of the next pair, its pivot vectors
+    carry tails that stand for nothing in F_hi, so a Q vector counts only
+    when its residual keeps a row below ``bound``.
     """
     dims = []
     for j in range(lo.n + 1):
@@ -768,36 +771,24 @@ def jacobian_ring_is_finite(f: MultiPoly) -> bool:
 
 
 def _pair_tables(spec: ModuleSpec, f, pairs: Sequence[Tuple[int, int]], block=None) -> List[List[int]]:
-    """The table of each pair (lo, hi) of cutoffs, rank H(F_lo -> F_hi) at
-    weight 0 with f the primitive integer multiple.  Pieces are shared: a
-    low end is built with its high cutoff, so that its eliminations yield
-    its cycle images, and a pair (K-1, K) continues the live pivot states
-    of F_(K-1) that the pair (K-2, K-1) left.  Each piece is the block of
-    ``block`` (``_torus_block``), except where a pair (K, K) reads H(F_K)
-    itself, whose classes of nonzero torus weight need not die: that piece
-    is whole.  The route of every spec off the smooth route of
-    ``derham_truncated``, and its oracle in the tests."""
-    if pairs[-1][0] == pairs[-1][1]:
-        block = None
-    width = _key_width(spec.n_vars, f, pairs[-1][1], 0)
-    highs = dict(pairs)
-    pieces: Dict[int, _Piece] = {}
-    tables = []
-    for lo, hi in pairs:
-        for cut in (lo, hi):
-            if cut not in pieces:
-                pieces[cut] = _Piece(spec, f, cut, 0, width, highs.get(cut), block)
-        tables.append(_persistent_dims(pieces[lo], pieces[hi]))
-    return tables
+    """The table of each consecutive pair (K-1, K) of cutoffs, rank
+    H(F_(K-1) -> F_K) at weight 0 with f the primitive integer multiple, on
+    the block of ``block`` (``_torus_block``).  Pieces are shared: each but
+    the top one is a low end, built with its chain map so that its
+    eliminations yield its cycle images, and a pair (K-1, K) continues the
+    live pivot states of F_(K-1) that the pair (K-2, K-1) left."""
+    top = pairs[-1][1]
+    width = _key_width(spec.n_vars, f, top, 0)
+    pieces = {cut: _Piece(spec, f, cut, 0, width, cut < top, block) for cut in range(pairs[0][0], top + 1)}
+    return [_persistent_dims(pieces[lo], pieces[hi]) for lo, hi in pairs]
 
 
 def _cutoff_zero_tables(spec: ModuleSpec, f, pairs: Sequence[Tuple[int, int]], block=None) -> List[List[int]]:
-    """dim H(F_0) as the table of every pair, ranked on the one piece at
-    cutoff 0 (lo = hi); the route of a spec that passes the smoothness gate
-    and depends on the cutoff.  The seeded class of quotient mode is
-    1 = f^0, which lies in F_0."""
-    piece = _Piece(spec, f, 0, 0, _key_width(spec.n_vars, f, 0, 0), 0, block)
-    return [_persistent_dims(piece, piece)] * len(pairs)
+    """dim H(F_0) of the block at cutoff 0 as the table of every pair; the
+    route of a spec that passes the smoothness gate and depends on the
+    cutoff.  The seeded class of quotient mode is 1 = f^0, which lies in
+    F_0."""
+    return [_piece_dims(_Piece(spec, f, 0, 0, _key_width(spec.n_vars, f, 0, 0), block=block))] * len(pairs)
 
 
 def derham_truncated(spec: ModuleSpec, pole_cutoff: int) -> Tuple[DeRhamDims, TruncationReport]:
@@ -812,11 +803,12 @@ def derham_truncated(spec: ModuleSpec, pole_cutoff: int) -> Tuple[DeRhamDims, Tr
 
     The smoothness gate runs first.  Where it passes and the complex depends
     on the cutoff, every pair's table is dim H(F_0), ranked on the one piece
-    at cutoff 0 (``_persistent_dims`` at lo = hi): F_0 -> F_K is then a
+    at cutoff 0 (``_cutoff_zero_tables``): F_0 -> F_K is then a
     quasi-isomorphism for every K >= 0 (module docstring), so the table of
     every pair is proved, not observed.  Cutoffs, low table and certificate
-    are reported as on the two-pair route (``_pair_tables``), which every
-    other spec takes.
+    are reported as on the two-pair route, which every other spec takes: a
+    lone pair (K, K), as for R, E and cutoff 1, by ``_piece_dims`` on the
+    whole piece, other pairs by ``_pair_tables``.
 
     The weight-0 piece and its block are never empty, so every table counts
     a complex that exists: for a localization at f of degree D, form degree
@@ -837,8 +829,12 @@ def derham_truncated(spec: ModuleSpec, pole_cutoff: int) -> Tuple[DeRhamDims, Tr
         pairs = [(K - 2, K - 1), (K - 1, K)]
     else:
         pairs = [(max(1, K - 1), K)]
-    ranks = _cutoff_zero_tables if smooth and not exact else _pair_tables
-    tables = ranks(spec, f, pairs, _torus_block(f))
+    if smooth and not exact:
+        tables = _cutoff_zero_tables(spec, f, pairs, _torus_block(f))
+    elif pairs == [(K, K)]:
+        tables = [_piece_dims(_Piece(spec, f, K, 0, _key_width(spec.n_vars, f, K, 0)))]
+    else:
+        tables = _pair_tables(spec, f, pairs, _torus_block(f))
     dims_low, dims = tuple(tables[0]), DeRhamDims(tables[-1])
     stabilized = dims_low == dims if len(pairs) == 2 else exact
 

@@ -121,9 +121,13 @@ def test_ring_differential_is_the_exterior_derivative(n, tau):
 
 
 def test_ring_and_hull_reject_negative_variable_counts():
-    for kind in ("R", "E"):
-        with pytest.raises(DomainError, match="-1"):
-            spec_from_json({"kind": kind, "vars": -1})
+    # every kind checks the count before its kind branch, so a localization
+    # never hands a negative count to the grammar
+    cases = [{"kind": kind, "vars": -1} for kind in ("R", "E")]
+    cases += [{"kind": kind, "f": text, "vars": -1} for kind in ("loc", "loc-quot") for text in ("x", "1")]
+    for data in cases:
+        with pytest.raises(DomainError, match="the variable count must be nonnegative, got -1"):
+            spec_from_json(data)
     with pytest.raises(DomainError, match="-1"):
         InjectiveHull(-1)
 
@@ -143,15 +147,15 @@ def test_injective_hull_via_splice():
     assert list(quotient) == list(derham_closed_form(InjectiveHull(1)))
 
 
-def engine_piece(spec, cutoff, tau, width_cutoff=None, high=None, torus=False):
+def engine_piece(spec, cutoff, tau, width_cutoff=None, low_end=False, torus=False):
     """The piece ``derham_truncated`` ranks: the primitive integer multiple of
     f, keys wide enough for cutoffs up to ``width_cutoff`` (default: this one),
-    the low end of a pair with ``high``, and with ``torus`` only the block of
-    f's torus (``_torus_block``), else the whole piece."""
+    the low end of a pair with ``low_end``, and with ``torus`` only the block
+    of f's torus (``_torus_block``), else the whole piece."""
     f = _content_free(_scaled(spec.pole_terms())[0])
     width = socle.derham._key_width(spec.n_vars, f, width_cutoff or cutoff, tau)
     block = socle.derham._torus_block(f) if torus else None
-    return socle.derham._Piece(spec, f, cutoff, tau, width, high, block)
+    return socle.derham._Piece(spec, f, cutoff, tau, width, low_end, block)
 
 
 def engine_pairs(report):
@@ -162,18 +166,31 @@ def engine_pairs(report):
 
 
 def engine_tables(spec, pairs, tau):
-    """``_persistent_dims`` of each pair of cutoffs at weight tau, on pieces
-    built and shared as ``derham_truncated`` builds them at weight 0."""
-    highs, cuts = dict(pairs), {cut for pair in pairs for cut in pair}
-    pieces = {cut: engine_piece(spec, cut, tau, pairs[-1][1], highs.get(cut)) for cut in cuts}
+    """The table of each pair of cutoffs at weight tau, ranked as
+    ``derham_truncated`` ranks it at weight 0 off the smooth route: a lone
+    pair (K, K) by ``_piece_dims`` on the whole piece, consecutive pairs by
+    ``_persistent_dims`` on pieces built and shared as the engine builds
+    them."""
+    if pairs[-1][0] == pairs[-1][1]:
+        return [socle.derham._piece_dims(engine_piece(spec, cut, tau)) for cut, _ in pairs]
+    lows, cuts = dict(pairs), {cut for pair in pairs for cut in pair}
+    pieces = {cut: engine_piece(spec, cut, tau, pairs[-1][1], cut in lows) for cut in cuts}
     return [socle.derham._persistent_dims(pieces[lo], pieces[hi]) for lo, hi in pairs]
+
+
+def two_pair_tables(spec, f, pairs, block):
+    """The tables of the route off the gate: the whole piece at cutoff 1 for
+    the lone pair (1, 1), else ``_pair_tables``."""
+    if pairs == [(1, 1)]:
+        return [socle.derham._piece_dims(engine_piece(spec, 1, 0))]
+    return socle.derham._pair_tables(spec, f, pairs, block)
 
 
 def two_pair_truncated(spec, cutoff):
     """``derham_truncated`` on the two-pair route whatever the gate says: the
-    cutoff-0 route swapped for ``_pair_tables``, which ranks every pair on
-    its own pieces.  The oracle of the cutoff-0 route."""
-    with mock.patch.object(socle.derham, "_cutoff_zero_tables", socle.derham._pair_tables):
+    cutoff-0 route swapped for ``two_pair_tables``, which ranks every pair
+    on its own pieces.  The oracle of the cutoff-0 route."""
+    with mock.patch.object(socle.derham, "_cutoff_zero_tables", two_pair_tables):
         return derham_truncated(spec, cutoff)
 
 
@@ -784,7 +801,9 @@ def test_catalog_hypersurfaces_report_as_the_two_pair_route(name):
 
 def test_the_cutoff_zero_route_is_taken_exactly_past_the_gate():
     # a spec that passes the gate and depends on the cutoff is ranked on
-    # F_0; R, E, a failed gate and every other spec take the two-pair route
+    # F_0 alone; R, E and cutoff 1 off the gate on one whole piece, by
+    # rank-nullity; every other spec by persistence, on consecutive pairs
+    # only
     routes = []
 
     def spy(name):
@@ -792,10 +811,14 @@ def test_the_cutoff_zero_route_is_taken_exactly_past_the_gate():
 
         def recording(*args):
             routes.append(name)
+            if name == "_persistent_dims":
+                lo, hi = args
+                assert hi.cutoff == lo.cutoff + 1
             return ranks(*args)
 
         return recording
 
+    names = ("_pair_tables", "_cutoff_zero_tables", "_piece_dims", "_persistent_dims")
     specs = [ring(2), InjectiveHull(2), Localization(parse_poly("3", 2))]
     specs += [
         spec_from_json({"kind": kind, "f": text, "vars": 3})
@@ -803,13 +826,17 @@ def test_the_cutoff_zero_route_is_taken_exactly_past_the_gate():
         for text in ("x", "x^2 + y^2 + z^2", "x*y", "x*y*z", "x^3 - y^2*z")
     ]
     for spec in specs:
-        routes.clear()
-        with mock.patch.object(socle.derham, "_pair_tables", spy("_pair_tables")), mock.patch.object(
-            socle.derham, "_cutoff_zero_tables", spy("_cutoff_zero_tables")
-        ):
-            derham_truncated(spec, 3)
-        past = spec.smoothness_gate() is True and not spec.cutoff_free
-        assert routes == ["_cutoff_zero_tables" if past else "_pair_tables"], spec
+        for cutoff in (1, 2, 3):
+            routes.clear()
+            with mock.patch.multiple(socle.derham, **{name: spy(name) for name in names}):
+                derham_truncated(spec, cutoff)
+            if spec.smoothness_gate() is True and not spec.cutoff_free:
+                want = ["_cutoff_zero_tables", "_piece_dims"]
+            elif spec.cutoff_free or cutoff == 1:
+                want = ["_piece_dims"]
+            else:
+                want = ["_pair_tables"] + ["_persistent_dims"] * (cutoff - 1)
+            assert routes == want, (spec, cutoff)
 
 
 @st.composite
@@ -876,6 +903,17 @@ def engine_pieces(draw):
 
 
 @settings(deadline=None, derandomize=True, max_examples=60)
+@given(engine_pieces())
+def test_one_piece_is_counted_by_rank_nullity(case):
+    # dim H(F_K) of a piece built with no chain map, |C_j| - r(j) - r(j+1)
+    # with cleared ranks, is the plain rank formula at lo = hi, at every
+    # weight and in both modes
+    spec, cutoff, tau = case
+    dims = socle.derham._piece_dims(engine_piece(spec, cutoff, tau))
+    assert dims == plain_persistent_dims(spec, cutoff, cutoff, tau)
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
 @given(engine_pieces(), st.integers(0, 1))
 # the pieces the cutoff-0 route ranks, in both modes, at their own width
 @example((Localization(parse_poly("x^3 + y^3 + z^3 - x*y*z", 3)), 0, 0), 0)
@@ -928,7 +966,7 @@ def test_unbuilt_pivots_give_the_eager_elimination(case, low_end):
     # built, the state is the one the eager reduction of every column gives,
     # so the rank, the pivot rows, the kept list and the cycle split agree
     spec, cutoff, tau = case
-    piece = engine_piece(spec, cutoff, tau, cutoff + 1, cutoff + 1 if low_end else None)
+    piece = engine_piece(spec, cutoff, tau, cutoff + 1, low_end)
     tails, bound = low_end, piece.bound
     for j in range(1, spec.n_vars + 1):
         pivots = piece.take(j)
@@ -1125,25 +1163,24 @@ def test_a_lost_tail_is_an_internal_error(monkeypatch):
     # with the tails dropped from every built column, a cycle of the low
     # complex reduces to 0 in r(lo, j+1), which the independence check
     # refuses; x^2 + y^2 + z^2 has such cycles among the columns a reduction
-    # reads (a column stored unbuilt at its tail row never meets another)
+    # reads (a column stored unbuilt at its tail row never meets another).
+    # It passes the gate, so the two-pair route, the one with tails, is
+    # forced
     d_columns = socle.derham._Piece.d_columns
     monkeypatch.setattr(
         socle.derham._Piece, "d_columns", lambda self, j, kept, tails=False: d_columns(self, j, kept)
     )
     with pytest.raises(InternalCheckError, match="lost its tail"):
-        derham_truncated(spec_from_json({"kind": "loc-quot", "f": "x^2 + y^2 + z^2"}), 4)
+        two_pair_truncated(spec_from_json({"kind": "loc-quot", "f": "x^2 + y^2 + z^2"}), 4)
 
 
 def test_a_piece_below_cutoff_zero_seeds_no_one():
     # 1 = f^K / f^K is in F_K only for K >= 0: a quotient-mode weight-0 piece
-    # at a negative cutoff refuses to seed it, and a low end refuses a map
-    # into a lower cutoff; at cutoff 0 the seed is 1 = f^0
+    # at a negative cutoff refuses to seed it; at cutoff 0 the seed is 1 = f^0
     text = "x^2 + y^2 + z^2"
     quotient = spec_from_json({"kind": "loc-quot", "f": text})
     with pytest.raises(InternalCheckError, match="negative power"):
         engine_piece(quotient, -1, 0).rank(0)
-    with pytest.raises(InternalCheckError, match="negative power"):
-        engine_piece(quotient, 1, 0, high=0)
     assert engine_piece(quotient, 0, 0).take(0) == {0: {0: 1}}
     # outside quotient mode nothing is seeded, and the piece at cutoff -1
     # ranks: form degree 0 is empty there, as K*D < 0, and d(dx_I / f) =
