@@ -10,35 +10,54 @@ unit.  For such operators every series f splits as
 
 and this module computes the e's and b's to a requested m_B-adic precision K.
 
-The algorithm is an ascending triangular solve repeated K times.  Expanding
-P(x^l) = sum_m c_{l,m} x^m, regularity gives three facts for l past a
-computable threshold l0: nothing appears below x^(l-r), the band of width t
-above that point has coefficients in m_B, and the pivot coefficient
+Expanding P(x^l) = sum_m c_{l,m} x^m, regularity gives three facts for l
+past a computable threshold l0: nothing appears below x^(l-r), the band of
+width t above that point has coefficients in m_B, and the pivot coefficient
 c_{l, l-r+t} is a unit whose constant term is the indicial value g(l).
-Each sweep walks the tracked x-positions upward: below position s = l0-r+t
-the residual coefficient is banked into e; at position j >= s it is
-cancelled exactly by the generator l = j+r-t using the series inverse of the
-pivot.  Cancellation throws dust t positions down, but only with one extra
-order of m_B (that is the band condition), so after K sweeps the residual
-vanishes identically at precision K.  Unit-coefficient spill upward is
-cancelled later within the same sweep.
 
-The sweep is fraction-free (Bareiss, Math. Comp. 1968).  A B-series is
-held as int numerators over one denominator, keyed by packed ints: the
+The split is unique in the tracked box.  Take the x-positions 0..window
+(``x_window``) and the M B-monomials below m_B^K.  The unknowns are the
+e-coefficients at positions j < s = l0-r+t and the b-coefficients of the
+generators l = j+r-t for j = s..window: one unknown series per position,
+(window+1)*M unknowns, as many as the equations.  Order each unknown by its
+pivot position (i for e_i, l-r+t for b_l).  The column of b_l has nothing
+below its pivot but the band, which is in m_B, and its pivot has the
+constant term g(l) != 0; the column of e_i is x^i alone.  So modulo m_B the
+system is triangular with a unit diagonal, its determinant is a unit of the
+local ring B/m_B^K, and it has exactly one solution there: any split that
+is exact mod m_B^K on the box is the split.
+
+The algorithm solves it one B-degree at a time.  Sweep k walks the tracked
+x-positions upward and clears the B-degree-(k-1) part gamma of the residual
+at each: below s it is banked into e; at a position j >= s it is divided by
+the scalar g(l), l = j+r-t, into delta, a degree-(k-1) part of b_l.  The
+rest of the column of P(x^l), times delta, is spilled where it lands: the
+band (degree >= k, so behind j only at higher degree), the pivot's terms of
+positive degree (at j, degree >= k), and the entries above the pivot (past
+j, visited later in the same sweep).  No degree-(k-1) piece lands at or
+behind j, so after sweep k the residual lies in m_B^k, and after K sweeps
+it vanishes at precision K.  No series is inverted.
+
+``sweep_valuations`` is the ledger: entry k is the least B-degree left in
+the residual when sweep k starts, and an ``inf`` entry, a zero residual,
+ends it.  That residual is f - sum e_i^{<k-1} x^i - P(sum b_l^{<k-1} x^l)
+on the box mod m_B^K, where ^{<d} keeps the terms of B-degree below d, so
+the ledger depends on f, e and b alone.  It is at least k-1.
+
+The sweep is fraction-free (Bareiss, Math. Comp. 1968).  A homogeneous part
+is held as int numerators over one denominator, keyed by packed ints: the
 total degree in the top digit, the B-exponents below it (``_pack``).  A
-product of two keys is then one int addition, the truncation below K reads
-the degree digit, and the least key carries the valuation.  Keys are packed
-once, when f's slices, the columns and the pivot inverses come in, and
-unpacked once, when the e- and b-series go out as ``Fraction`` terms.
-When the sweep first reaches a generator, it checks the generator's
-expansion conditions and scales its column, pivot and pivot inverse to
-integers, once.  Each product is accumulated by the int kernel
-of :mod:`socle.poly` and left as a pending piece at its x-position; the
-pieces of a position are summed once, over the lcm of their denominators,
-when the sweep visits it, and the e- and b-parts once at the end.  The sum
-is made primitive (zeros dropped, gcd 1, denominator positive), so every
-value the sweep reads has one canonical form.  The pivot cancellation is
-checked exactly, by cross-multiplication of gamma and delta times the pivot.
+product of two keys is then one int addition.  f's terms and the
+operator's are packed once, split by B-degree; the operator's are scaled to
+ints over one denominator.  A generator's column is built once, when the
+sweep first reaches it, from those terms with the weights perm(l, i), and
+its expansion conditions are checked there.  Each product is accumulated by
+the int kernel of :mod:`socle.poly` and left as a pending piece at its
+(x-position, B-degree); the pieces there are summed once, over the lcm of
+their denominators, when the sweep visits it.  The sum is made primitive
+(zeros dropped, gcd 1, denominator positive), so every value the sweep reads
+has one canonical form.  Each division by g(l) is checked exactly, by
+cross-multiplication of delta * g(l) against gamma.
 """
 
 from __future__ import annotations
@@ -221,14 +240,7 @@ def expansion_condition_report(p: RegularOperator, analysis: OperatorAnalysis, e
     that are in m_B; (pivot) the coefficient at x^(ell - r + t) is a unit
     with constant term g(ell).
     """
-    return _condition_report(p, analysis, ell, expansion_coeffs(p, ell))
-
-
-def _condition_report(
-    p: RegularOperator, analysis: OperatorAnalysis, ell: int, coeffs: Dict[int, MultiPoly]
-) -> dict:
-    """``expansion_condition_report`` from the expansion coefficients of
-    P(x^ell), already computed."""
+    coeffs = expansion_coeffs(p, ell)
     low = ell - p.order
     support_ok = all(m >= low for m in coeffs)
     band_ok = all(
@@ -255,9 +267,9 @@ def x_window(p: RegularOperator, t: int, f: MultiPoly, precision: int) -> int:
 
 # ------------------------------------------------------------- decomposition
 
-# The sweep holds a truncated B-series as a pair (nums, den): int numerators
-# over one positive denominator, as ``poly._scaled`` gives, keyed by packed
-# B-monomials (``_pack``).
+# The sweep holds a homogeneous B-polynomial as a pair (nums, den): int
+# numerators over one positive denominator, as ``poly._scaled`` gives, keyed
+# by packed B-monomials (``_pack``).
 _Scaled = Tuple[Dict[int, int], int]
 
 
@@ -310,7 +322,13 @@ def _merge(pieces: Sequence[_Scaled]) -> _Scaled:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Result of splitting f into plain coefficients and operator range."""
+    """Result of splitting f into plain coefficients and operator range.
+
+    e[i] and b[l] are the unique split of f on the x-powers 0..x_window
+    mod m_B^precision; sweep_valuations[k-1] is the least B-degree of the
+    residual left by the parts of e and b below B-degree k-1, ending at the
+    first ``inf`` (see the module docstring).
+    """
 
     operator: RegularOperator
     analysis: OperatorAnalysis
@@ -378,100 +396,147 @@ def decompose(f: MultiPoly, p: RegularOperator, precision: int) -> Decomposition
 
     window = x_window(p, t, f, K)
     width = (2 * K).bit_length()
-    shift = width * (n - 1)
-    cap = K << shift  # the smallest key of degree K
+    cap = K << (width * (n - 1))  # the smallest key of degree K
 
-    def scaled(terms: Dict[Tuple[int, ...], Fraction], sign: int = 1) -> _Scaled:
-        nums, den = _scaled(terms)
-        return {_pack(e, width): sign * v for e, v in nums.items()}, den
+    def graded(terms: Dict[Tuple[int, ...], Fraction]) -> Dict[Tuple[int, int], Dict[int, Fraction]]:
+        """The terms below B-degree K as {(x-power, B-degree): {key: c}}."""
+        out: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
+        for e, c in terms.items():
+            d = sum(e) - e[0]
+            if d < K:
+                out.setdefault((e[0], d), {})[_pack((0,) + e[1:], width)] = c
+        return out
 
-    def truncated(c: MultiPoly, sign: int = 1) -> _Scaled:
-        return scaled(TruncatedSeries.from_poly(c, K).terms, sign)
+    # levels[d][j]: the pieces still to be summed at x-power j and B-degree
+    # d; sweep d + 1 sums them when it visits j
+    levels: List[Dict[int, List[_Scaled]]] = [{} for _ in range(K)]
+    for (j, d), terms in graded(f.terms).items():
+        levels[d][j] = [_scaled(terms)]
 
-    def product(a: _Scaled, b: _Scaled) -> _Scaled:
-        return _accumulate(a[0], b[0], cap=cap), a[1] * b[1]
+    # the terms x^jx * c of each a_i, over one denominator op_den:
+    # {(i, jx, B-degree of c): int numerators of c}
+    op_nums, op_den = _scaled({
+        (i, jx, d, key): c
+        for i, a in enumerate(p.coeffs)
+        for (jx, d), terms in graded(a.terms).items()
+        for key, c in terms.items()
+    })
+    parts: Dict[Tuple[int, int, int], Dict[int, int]] = {}
+    for (i, jx, d, key), v in op_nums.items():
+        parts.setdefault((i, jx, d), {})[key] = v
 
-    # the pieces still to be summed at each tracked x-power; the sweep sums
-    # a position's pieces when it visits it
-    pending: List[List[_Scaled]] = [[] for _ in range(window + 1)]
-    for j, sl in f.x0_slices().items():
-        pending[j].append(truncated(sl))
+    def generator(ell: int) -> Tuple[int, int, List[Tuple[int, int, Dict[int, int], int]]]:
+        """1/g(l), for g(l) the pivot's constant term, as (numerator,
+        denominator), and every other entry of the column of P(x^l) up to the
+        window, negated, as (B-degree, x-power, numerators, den), in order."""
+        weights = [math.perm(ell, i) for i in range(r + 1)]
+        sums: Dict[Tuple[int, int], Dict[int, int]] = {}
+        for (i, jx, d), nums in parts.items():
+            m = jx + ell - i
+            if m <= window:
+                entry = sums.setdefault((m, d), {})
+                w = weights[i]
+                for key, v in nums.items():
+                    entry[key] = entry.get(key, 0) - w * v
+        column = {}
+        for md, nums in sums.items():
+            entry = _primitive(nums, op_den)
+            if entry[0]:
+                column[md] = entry
+        low, j = ell - r, ell - r + t
+        if (
+            any(m < low for m, _ in column)
+            or any((m, 0) in column for m in range(low, j))
+            or (j, 0) not in column
+        ):
+            raise DomainError(
+                f"operator fails its expansion conditions at generator index {ell}: "
+                f"{expansion_condition_report(p, analysis, ell)}"
+            )
+        pivot_nums, pivot_den = column.pop((j, 0))
+        g = analysis.g_at(ell)
+        if Fraction(-pivot_nums[0], pivot_den) != g:
+            raise InternalCheckError(f"the pivot of generator {ell} is not g({ell})")
+        inverse = 1 / g
+        return inverse.numerator, inverse.denominator, sorted((d, m, *entry) for (m, d), entry in column.items())
 
-    # a generator's expansion conditions are checked, and its scaled column
-    # (negated, pivot apart), pivot and pivot inverse built, when the sweep
-    # first reaches it
-    generators: Dict[int, Tuple[List[Tuple[int, _Scaled]], _Scaled, _Scaled]] = {}
-
+    generators: Dict[int, Tuple[int, int, List[Tuple[int, int, Dict[int, int], int]]]] = {}
     e_parts: List[List[_Scaled]] = [[] for _ in range(s)]
     b_parts: Dict[int, List[_Scaled]] = {}
     sweep_vals: List[float] = []
+    waiting = 0  # sweeps since the last one that found a nonzero part
 
     for sweep in range(1, K + 1):
-        sweep_min = math.inf
+        d = sweep - 1
+        if d:
+            for j, pieces in levels[d - 1].items():
+                if _merge(pieces)[0]:
+                    raise InternalCheckError(
+                        f"coherence failure: sweep {sweep} found valuation {d - 1} at position {j}"
+                    )
+        if not any(levels[d:]):
+            waiting += 1
+            break  # residual already empty; later sweeps are no-ops
+        level = levels[d]
+        found = False
         for j in range(window + 1):
-            pieces = pending[j]
-            if not pieces:
+            pieces = level.pop(j, None)
+            if pieces is None:
                 continue
-            pending[j] = []
-            gamma = _merge(pieces)
-            g_nums, g_den = gamma
-            if not g_nums:
+            gamma_nums, gamma_den = gamma = _merge(pieces)
+            if not gamma_nums:
                 continue
-            v = min(g_nums) >> shift
-            if v < sweep - 1:
-                raise InternalCheckError(
-                    f"coherence failure: sweep {sweep} found valuation {v} at position {j}"
-                )
-            sweep_min = min(sweep_min, v)
+            found = True
             if j < s:
                 e_parts[j].append(gamma)
                 continue
             ell = j + r - t
             if ell not in generators:
-                col = expansion_coeffs(p, ell)
-                report = _condition_report(p, analysis, ell, col)
-                if not (report["support_ok"] and report["band_ok"] and report["pivot_unit"]):
-                    raise DomainError(
-                        f"operator fails its expansion conditions at generator index {ell}: {report}"
-                    )
-                generators[ell] = (
-                    [(m, truncated(c, -1)) for m, c in col.items() if m <= window and m != j],
-                    truncated(col[j]),
-                    scaled(TruncatedSeries.from_poly(col[j], K).invert().terms),
-                )
-            column, pivot, inverse = generators[ell]
-            delta = _primitive(*product(gamma, inverse))
-            b_parts.setdefault(ell, []).append(delta)
-            for m, c in column:
-                pending[m].append(product(delta, c))
-            # gamma - delta * pivot is what the sweep leaves at j: it must be 0
-            back_nums, back_den = product(delta, pivot)
-            back_nums = {e: v for e, v in back_nums.items() if v}
-            if back_nums.keys() != g_nums.keys() or any(
-                v * g_den != g_nums[e] * back_den for e, v in back_nums.items()
+                generators[ell] = generator(ell)
+            inv_num, inv_den, column = generators[ell]
+            # delta = gamma / g(l): the pivot's unit part clears B-degree d
+            # alone, and its terms of positive degree are spilled with the rest
+            delta_nums, delta_den = delta = _primitive(
+                {e: v * inv_num for e, v in gamma_nums.items()}, gamma_den * inv_den
+            )
+            # delta * g(l) == gamma, by cross-multiplication
+            if delta_nums.keys() != gamma_nums.keys() or any(
+                v * inv_den * gamma_den != gamma_nums[e] * delta_den * inv_num for e, v in delta_nums.items()
             ):
                 raise InternalCheckError("pivot cancellation was not exact")
-        sweep_vals.append(sweep_min)
-        if sweep_min == math.inf:
-            break  # residual already empty; later sweeps are no-ops
+            b_parts.setdefault(ell, []).append(delta)
+            for dc, m, c_nums, c_den in column:
+                deg = d + dc
+                if deg >= K:
+                    break
+                if deg == d and m <= j:
+                    raise InternalCheckError(f"a degree-{d} piece landed at position {m}, not past {j}")
+                piece = (_accumulate(delta_nums, c_nums, cap=cap), delta_den * c_den)
+                levels[deg].setdefault(m, []).append(piece)
+        if found:
+            sweep_vals.extend([d] * (waiting + 1))
+            waiting = 0
+        else:
+            waiting += 1
+    if waiting:
+        sweep_vals.append(math.inf)
 
-    if any(_merge(pieces)[0] for pieces in pending if pieces):
+    if any(_merge(pieces)[0] for level in levels for pieces in level.values()):
         raise InternalCheckError("residual survived all sweeps at the stated precision")
 
-    def series(pieces: List[_Scaled]) -> TruncatedSeries:
-        nums, den = _merge(pieces)
+    def series(parts: List[_Scaled]) -> TruncatedSeries:
+        # one part per sweep, so the parts share no key
         return TruncatedSeries._trusted(
-            n, K, {_unpack(e, width, n): Fraction(v, den) for e, v in nums.items()}
+            n, K, {_unpack(e, width, n): Fraction(v, den) for nums, den in parts for e, v in nums.items()}
         )
 
-    b = {ell: series(pieces) for ell, pieces in sorted(b_parts.items())}
     return Decomposition(
         operator=p,
         analysis=analysis,
         precision=K,
         x_window=window,
-        e=tuple(series(pieces) for pieces in e_parts),
-        b={ell: v for ell, v in b.items() if v},
+        e=tuple(series(parts) for parts in e_parts),
+        b={ell: series(parts) for ell, parts in sorted(b_parts.items())},
         sweep_valuations=tuple(sweep_vals),
     )
 

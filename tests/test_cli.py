@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output discipline, the verify suites."""
 
+import hashlib
 import json
 import math
 import time
@@ -498,7 +499,7 @@ SWEEP_CASE = ("--p", "(x+y)*d0^2+y*d0+3", "--f", "x^8*y^3+x^2*y")
 
 def test_decompose_refuses_a_large_sweep(capsys):
     # window 90 times C(81, 2) pairs of B-monomials is far past the bound;
-    # unrefused, this input runs for minutes
+    # unrefused, this input takes about 2.5 s
     start = time.perf_counter()
     code, out, err = run(capsys, "decompose", *SWEEP_CASE, "--prec", "80")
     assert time.perf_counter() - start < 1
@@ -520,6 +521,33 @@ def test_decompose_accepts_a_sweep_in_two_b_variables(capsys):
     code, out, _ = run(capsys, "decompose", "--p", p, "--f", f, "--prec", "12", "--format", "json")
     assert code == 0
     assert json.loads(out)["x_window"] == 22
+
+
+@pytest.mark.parametrize(
+    "p, f, prec, digest",
+    [
+        # one B-variable: estimate 50138, the JSON is 1.6 MB
+        (
+            "(x+y)*d0^2+y*d0+3",
+            "x^8*y^3+x^2*y",
+            "43",
+            "28075d2132a44085d4a0c5b295de4e08902984fd7f3468734ff43aefe0b3ab82",
+        ),
+        # two B-variables: estimate 41860
+        (
+            "(x0+x1+x2)*d0^2 + (x1+x2)*d0 + 3",
+            "x0^8*x1^3 + x0^2*x2",
+            "13",
+            "c71ece9c1805caa55b0a476bf0b098ac19cc40d76fce31baf11bd0ae90e24976",
+        ),
+    ],
+)
+def test_decompose_pins_the_costliest_accepted_inputs(capsys, p, f, prec, digest):
+    # the costliest inputs measured per unit of the sweep estimate, pinned
+    # by the sha256 of their JSON output
+    code, out, _ = run(capsys, "decompose", "--p", p, "--f", f, "--prec", prec, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,14 @@
 """Series splitting along an operator: analysis data, sweeps, reconstruction."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from socle import seriesdecomp
 from socle.errors import DimensionMismatch, DomainError
 from socle.grammar import parse_operator
 from socle.poly import MultiPoly
@@ -346,6 +348,23 @@ def test_valuation_growth_probe_vacuous_and_rejected():
         valuation_growth_probe(op_from_text("x*d0", 1), [-1], precision=6)
 
 
+def test_decompose_refuses_a_generator_at_an_indicial_root(monkeypatch):
+    # g(l) = l(l-1) - 6 = (l-3)(l+2); an analysis that puts ell0 at the root
+    # 3 hands the sweep a generator whose pivot is no unit
+    p = op_from_text("x^2*d0^2 - 6", 1)
+    true = analyze_operator(p)
+    assert (true.largest_root, true.ell0) == (3, 4)
+    a = dataclasses.replace(true, ell0=3, s=3 - p.order + true.t)
+    monkeypatch.setattr(seriesdecomp, "analyze_operator", lambda op: a)
+    with pytest.raises(DomainError) as info:
+        decompose(xpow(1, 3), p, precision=2)
+    report = expansion_condition_report(p, a, 3)
+    assert not report["pivot_unit"]
+    assert str(info.value) == (
+        f"operator fails its expansion conditions at generator index 3: {report}"
+    )
+
+
 def test_decompose_error_paths():
     p = op_from_text("x*d0", 1)
     f = xpow(1, 3)
@@ -402,8 +421,9 @@ def truncated_product(a, b, precision):
 
 
 def plain_sweep(f, p, K):
-    """The sweep of ``decompose`` on TruncatedSeries, one generator at a time:
-    (e-parts, nonzero b-parts, sweep valuations)."""
+    """The series-inverse sweep on TruncatedSeries, one generator at a time:
+    each visit divides the whole residual coefficient by the pivot's series
+    inverse.  Returns (e-parts, nonzero b-parts)."""
     analysis = analyze_operator(p)
     r, t, s = p.order, analysis.t, analysis.s
     window = K * t + (f.degree_in(0) if f else 0) + r
@@ -411,13 +431,11 @@ def plain_sweep(f, p, K):
     residual = [zero] * (window + 1)
     for j, sl in f.x0_slices().items():
         residual[j] = TruncatedSeries.from_poly(sl, K)
-    e, b, valuations = [zero] * s, {}, []
+    e, b = [zero] * s, {}
     for _ in range(K):
-        low = math.inf
         for j, gamma in enumerate(residual):
             if not gamma:
                 continue
-            low = min(low, gamma.valuation())
             if j < s:
                 e[j], residual[j] = e[j] + gamma, zero
                 continue
@@ -431,10 +449,36 @@ def plain_sweep(f, p, K):
                     product = truncated_product(delta, TruncatedSeries.from_poly(c, K), K)
                     residual[m] = residual[m] - product
             assert not residual[j]
-        valuations.append(low)
-        if low == math.inf:
+    return tuple(e), {ell: v for ell, v in b.items() if v}
+
+
+def below_degree(series, d):
+    """The terms of a series of B-degree below d, as a polynomial."""
+    return MultiPoly(series.n_vars, {e: c for e, c in series.terms.items() if sum(e) < d})
+
+
+def residual_valuations(f, p, K, dec):
+    """The ledger from the output alone: for d = 0, 1, ..., K-1 the valuation
+    of f - sum e_i^{<d} x^i - P(sum b_l^{<d} x^l) on the x-powers up to the
+    window, mod m_B^K, where ^{<d} keeps the terms of B-degree below d;
+    it stops after the first infinite one."""
+    n, op = p.n_vars, p.to_weyl()
+    out = []
+    for d in range(K):
+        e = MultiPoly.zero(n)
+        for i, ei in enumerate(dec.e):
+            e = e + below_degree(ei, d) * xpow(n, i)
+        b = MultiPoly.zero(n)
+        for ell, bl in dec.b.items():
+            b = b + below_degree(bl, d) * xpow(n, ell)
+        residual = (f - e - op.act_on_poly(b)).x0_slices()
+        out.append(min(
+            (TruncatedSeries.from_poly(sl, K).valuation() for j, sl in residual.items() if j <= dec.x_window),
+            default=math.inf,
+        ))
+        if out[-1] == math.inf:
             break
-    return tuple(e), {ell: v for ell, v in b.items() if v}, tuple(valuations)
+    return tuple(out)
 
 
 @st.composite
@@ -455,10 +499,14 @@ def sweep_inputs(draw):
 
 @settings(deadline=None, derandomize=True, max_examples=150)
 @given(sweep_inputs())
+# y sits at x^0 in B-degree 1, so sweep 1, which clears B-degree 0, leaves it
+# and the ledger reads (1, 1); the series-inverse sweep clears it at once
+@example((op_from_text("(x0 + x1)*d0^2 + x1*d0 + 3", 2), MultiPoly.variable(2, 1), 2))
 def test_fraction_free_sweep_matches_the_plain_series_sweep(inputs):
     p, f, K = inputs
     dec = decompose(f, p, K)
-    assert (dec.e, dec.b, dec.sweep_valuations) == plain_sweep(f, p, K)
+    assert (dec.e, dec.b) == plain_sweep(f, p, K)
+    assert dec.sweep_valuations == residual_valuations(f, p, K, dec)
     for part in (*dec.e, *dec.b.values()):
         assert part.precision == K
         assert all(type(c) is Fraction and c for c in part.terms.values())
