@@ -14,9 +14,9 @@ their denominators (``_scaled``), multiplied and accumulated as plain ints
 :mod:`socle.seriesdecomp` and the operator action of :mod:`socle.weyl` call
 directly), and each surviving term is divided once by the denominator.
 Exponent-tuple products form every pair of terms; a truncated series drops
-the terms past its precision afterwards.  The sweep's keys are packed ints,
-whose products ``_accumulate`` forms by one int addition each, truncated by
-their degree digit.
+the terms past its precision afterwards.  The operator action and the
+sweep share one packed-int key layout (``_pack``), whose products
+``_accumulate`` forms by one int addition each.
 Results of this internal arithmetic are built by ``_trusted`` constructors
 that skip re-validation, since their terms are valid by construction; the
 public constructors keep every check.
@@ -63,6 +63,25 @@ def _scaled(terms: Mapping[Hashable, Fraction]) -> Tuple[Dict[Hashable, int], in
     return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
 
 
+def _pack(exp: Sequence[int], width: int) -> int:
+    """The key of an exponent tuple: ``exp[i]`` in the ``width``-bit digit
+    from bit ``width * i`` up.  Keys add and subtract as exponents do while
+    every digit stays in 0..2^width - 1."""
+    key = 0
+    for e in reversed(exp):
+        key = key << width | e
+    return key
+
+
+def _unpack(key: int, width: int, n_digits: int) -> Exponent:
+    """The lowest ``n_digits`` digits of a key ``_pack`` made, as a tuple."""
+    mask, out = (1 << width) - 1, []
+    for _ in range(n_digits):
+        out.append(key & mask)
+        key >>= width
+    return tuple(out)
+
+
 def _accumulate(
     lhs: Mapping[Hashable, int],
     rhs: Mapping[Hashable, int],
@@ -74,12 +93,12 @@ def _accumulate(
     term may cancel to 0 and is then still listed.
 
     With ``expand`` None the keys are exponent tuples that add, and every
-    pair of terms is formed.  With ``cap`` the keys are instead packed ints
-    that add, with the total degree in the top digit and digits below it that
-    never carry, and ``cap`` is the smallest key of the degree at which the
-    product is truncated; such keys order by degree first, so the right
-    factor is sorted once and each row stops at the first key whose product
-    reaches ``cap``.
+    pair of terms is formed.  With ``cap`` the keys are instead ``_pack``
+    keys whose digits never carry; the right factor is sorted once and each
+    row stops at the first key whose product reaches ``cap``.  The sweep
+    keeps the total degree in the top digit and caps at the smallest key of
+    the degree it truncates at; the operator action caps above the top
+    digit, cutting nothing.
     Otherwise ``expand(k1, k2)`` lists the (key, int weight) terms a pair of
     keys combines to, such as a normal-ordered operator product.  With
     ``acc`` the terms are added into that dict, which is returned.

@@ -45,19 +45,19 @@ on the box mod m_B^K, where ^{<d} keeps the terms of B-degree below d, so
 the ledger depends on f, e and b alone.  It is at least k-1.
 
 The sweep is fraction-free (Bareiss, Math. Comp. 1968).  A homogeneous part
-is held as int numerators over one denominator, keyed by packed ints: the
-total degree in the top digit, the B-exponents below it (``_pack``).  A
-product of two keys is then one int addition.  f's terms and the
-operator's are packed once, split by B-degree; the operator's are scaled to
-ints over one denominator.  A generator's column is built once, when the
-sweep first reaches it, from those terms with the weights perm(l, i), and
-its expansion conditions are checked there.  Each product is accumulated by
-the int kernel of :mod:`socle.poly` and left as a pending piece at its
-(x-position, B-degree); the pieces there are summed once, over the lcm of
-their denominators, when the sweep visits it.  The sum is made primitive
-(zeros dropped, gcd 1, denominator positive), so every value the sweep reads
-has one canonical form.  Each division by g(l) is checked exactly, by
-cross-multiplication of delta * g(l) against gamma.
+is held as int numerators over one denominator, keyed by ``poly._pack``
+ints: the B-exponents, then the total degree in the top digit, so keys
+order by degree.  A product of two keys is then one int addition.  f's
+terms and the operator's are packed once, split by B-degree; the
+operator's are scaled to ints over one denominator.  A generator's column
+is built once, when the sweep first reaches it, from those terms with the
+weights perm(l, i), and its expansion conditions are checked there.  Each
+product is accumulated by the int kernel of :mod:`socle.poly` and left as a
+pending piece at its (x-position, B-degree); the pieces there are summed
+once, over the lcm of their denominators, when the sweep visits it.  The
+sum is made primitive (zeros dropped, gcd 1, denominator positive), so
+every value the sweep reads has one canonical form.  Each division by g(l)
+is checked exactly, by cross-multiplication of delta * g(l) against gamma.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, DomainError, InternalCheckError
-from .poly import MultiPoly, _accumulate, _scaled
+from .poly import MultiPoly, _accumulate, _pack, _scaled, _unpack
 from .series import TruncatedSeries
 from .weyl import WeylOp, _left_coefficients
 
@@ -273,28 +273,6 @@ def x_window(p: RegularOperator, t: int, f: MultiPoly, precision: int) -> int:
 _Scaled = Tuple[Dict[int, int], int]
 
 
-def _pack(exp: Tuple[int, ...], width: int) -> int:
-    """The packed key of a B-monomial: the exponents of variables 1..m in
-    digits of ``width`` bits, lowest first, and the total degree in the digit
-    above them, from bit ``width * m`` up.  ``exp[0]``, the power of the
-    distinguished variable, is 0 and not stored.
-
-    Keys add as exponents do while no digit reaches 2^width; below precision
-    K with width ``(2K).bit_length()`` the digits of a product of two keys
-    stay under 2K.  Keys order by total degree first, so ``min(keys) >>
-    (width * m)`` is the valuation."""
-    key = sum(exp) << (width * (len(exp) - 1))
-    for i, e in enumerate(exp[1:]):
-        key += e << (width * i)
-    return key
-
-
-def _unpack(key: int, width: int, n_vars: int) -> Tuple[int, ...]:
-    """The exponent tuple of a key ``_pack`` made, over ``n_vars`` variables."""
-    mask = (1 << width) - 1
-    return (0,) + tuple((key >> (width * i)) & mask for i in range(n_vars - 1))
-
-
 def _primitive(nums: Dict[int, int], den: int) -> _Scaled:
     """(nums, den) with zero numerators dropped and the gcd of the rest and
     den divided out, so that the integers stay small."""
@@ -395,6 +373,7 @@ def decompose(f: MultiPoly, p: RegularOperator, precision: int) -> Decomposition
     K = precision
 
     window = x_window(p, t, f, K)
+    # a product of two keys below degree K has digits under 2K, so none carries
     width = (2 * K).bit_length()
     cap = K << (width * (n - 1))  # the smallest key of degree K
 
@@ -404,7 +383,7 @@ def decompose(f: MultiPoly, p: RegularOperator, precision: int) -> Decomposition
         for e, c in terms.items():
             d = sum(e) - e[0]
             if d < K:
-                out.setdefault((e[0], d), {})[_pack((0,) + e[1:], width)] = c
+                out.setdefault((e[0], d), {})[_pack(e[1:] + (d,), width)] = c
         return out
 
     # levels[d][j]: the pieces still to be summed at x-power j and B-degree
@@ -527,7 +506,7 @@ def decompose(f: MultiPoly, p: RegularOperator, precision: int) -> Decomposition
     def series(parts: List[_Scaled]) -> TruncatedSeries:
         # one part per sweep, so the parts share no key
         return TruncatedSeries._trusted(
-            n, K, {_unpack(e, width, n): Fraction(v, den) for nums, den in parts for e, v in nums.items()}
+            n, K, {(0,) + _unpack(e, width, n - 1): Fraction(v, den) for nums, den in parts for e, v in nums.items()}
         )
 
     return Decomposition(

@@ -14,8 +14,10 @@ the fraction-free ``_product_terms`` of :mod:`socle.poly` with
 ``_normal_order`` as its expansion rule: coefficients are scaled to integers
 by the lcm of their denominators, accumulated as ints and divided once per
 output term.  ``_act`` applies operators to polynomials with one product per
-d-exponent, on that derivative of the polynomial.  Results of internal
-arithmetic skip re-validation; the public constructor keeps every check.
+d-exponent, on that derivative of the polynomial, keyed by packed ints
+(``poly._pack``) one bit wider than the largest digit, so that a product is
+one int addition and no digit carries.  Results of internal arithmetic skip
+re-validation; the public constructor keeps every check.
 
 The module also carries the function space operators act on besides
 polynomials: the injective hull of the residue field at the origin, spanned
@@ -39,8 +41,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, lcm, perm, prod
-from operator import add, sub
+from math import comb, lcm, perm
+from operator import add
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .errors import DimensionMismatch, DomainError
@@ -49,12 +51,14 @@ from .poly import (
     MultiPoly,
     _accumulate,
     _coerce,
+    _pack,
     _power,
     _power_factors,
     _product_terms,
     _render,
     _scaled,
     _TermShell,
+    _unpack,
     default_names,
 )
 
@@ -88,20 +92,34 @@ def _normal_order(k1: TermKey, k2: TermKey):
     return out
 
 
-def _act(terms: Mapping[TermKey, int], f: Mapping[Exponent, int]) -> Dict[Exponent, int]:
-    """The int terms of the operator with int ``terms`` applied to the int
-    polynomial terms f (cancelled terms may be listed): one expand-free
-    product per d-exponent, of that derivative of f with the x-parts."""
-    groups: Dict[Exponent, Dict[Exponent, int]] = {}
-    for (xe, de), c in terms.items():
-        groups.setdefault(de, {})[xe] = c
-    acc: Dict[Exponent, int] = {}
-    for de, xs in groups.items():
-        f_de = f
-        if any(de):
-            f_de = {tuple(map(sub, g, de)): v * w for g, v in f.items() if (w := prod(map(perm, g, de)))}
-        _accumulate(f_de, xs, acc=acc)
-    return acc
+def _act(f: Mapping[Exponent, int], *ops: Mapping[TermKey, int]) -> Tuple[int, List[Dict[int, int]]]:
+    """(width, [the int terms of each operator with int terms in ``ops``
+    applied to the int polynomial terms f]), cancelled terms listed, keyed by
+    ``poly._pack`` at ``width``, one bit above the largest digit of f and of
+    every x-part, so that no digit sum carries.  f is packed once; each
+    operator takes one product per d-exponent, of that derivative of f, whose
+    weights perm(g_i, d_i) are read off the digits."""
+    digits = [max(e) for e in f] + [max(xe) for op in ops for xe, _ in op]
+    width = max(digits, default=0).bit_length() + 1
+    mask, fk, out = (1 << width) - 1, {_pack(e, width): v for e, v in f.items()}, []
+    for terms in ops:
+        groups: Dict[Exponent, Dict[int, int]] = {}
+        for (xe, de), c in terms.items():
+            groups.setdefault(de, {})[_pack(xe, width)] = c
+        acc: Dict[int, int] = {}
+        for de, xs in groups.items():
+            f_de = fk
+            if any(de):
+                step, f_de = _pack(de, width), {}
+                spread = [(width * i, di) for i, di in enumerate(de) if di]
+                for key, v in fk.items():
+                    for shift, di in spread:
+                        v *= perm(key >> shift & mask, di)  # 0 once a digit is below di
+                    if v:
+                        f_de[key - step] = v
+            _accumulate(f_de, xs, acc=acc, cap=1 << (width * len(de)))  # above the top digit
+        out.append(acc)
+    return width, out
 
 
 def _apply_inverse(k1: TermKey, a: Exponent):
@@ -189,8 +207,9 @@ class WeylOp(_TermShell):
         if p.n_vars != self.n_vars:
             raise DimensionMismatch("polynomial lives over a different variable count")
         (lhs, den), (rhs, rden) = _scaled(self.terms), _scaled(p.terms)
-        terms = _act(lhs, rhs)
-        return MultiPoly._trusted(self.n_vars, {e: Fraction(v, den * rden) for e, v in terms.items() if v})
+        n = self.n_vars
+        width, (terms,) = _act(rhs, lhs)
+        return MultiPoly._trusted(n, {_unpack(k, width, n): Fraction(v, den * rden) for k, v in terms.items() if v})
 
     def act_on_e(self, v: "EElement") -> "EElement":
         if v.n_vars != self.n_vars:
@@ -206,12 +225,7 @@ class WeylOp(_TermShell):
         return max(sum(de) for _, de in self.terms)
 
     def d_vars_used(self) -> set:
-        used = set()
-        for _, de in self.terms:
-            for i, e in enumerate(de):
-                if e:
-                    used.add(i)
-        return used
+        return {i for _, de in self.terms for i, e in enumerate(de) if e}
 
     def render(self) -> str:
         names = default_names(self.n_vars)
@@ -287,9 +301,10 @@ def check_euler_identity(q: WeylOp, b: MultiPoly):
 
     Every factor lies in the d-only subalgebra, so each product is an int
     polynomial product over one denominator, graded by the power m of d (a
-    last exponent): b*q - P(b) and R are one ``_act`` on b each, and (d*R)_m
-    = d(R_m) + R_(m-1).  The residual is summed term by term, never assumed
-    zero, and ``Fraction`` terms are built once.
+    last exponent, the top digit of the packed keys): b*q - P(b) and R are
+    one ``_act`` on b, and (d*R)_m = d(R_m) + R_(m-1) is formed on packed
+    keys.  The residual is summed term by term, never assumed zero, and
+    ``Fraction`` terms are built once.
     """
     n = q.n_vars
     if b.n_vars != n:
@@ -309,15 +324,17 @@ def check_euler_identity(q: WeylOp, b: MultiPoly):
             for nu in range(min(k, xe[0] + 1)):
                 key = ((xe[0] - nu,) + xe[1:] + (k - 1 - nu,), (i - k,) + z)
                 r_terms[key] = r_terms.get(key, 0) + (-1) ** k * comb(k - 1, nu) * perm(xe[0], nu) * v
-    r_acc, res = _act(r_terms, f0), _act(lhs, f0)
-    for key, v in r_acc.items():  # (d*R)_m = d(R_m) + R_(m-1)
-        up = key[:-1] + (key[-1] + 1,)
-        res[up] = res.get(up, 0) - v
-        if key[0]:
-            down = (key[0] - 1,) + key[1:]
-            res[down] = res.get(down, 0) - v * key[0]
+    # R's last digit is below the order of q, a digit of lhs: its d-step carries nothing
+    width, (r_acc, res) = _act(f0, r_terms, lhs)
+    top, mask = width * n, (1 << width) - 1
+    for key, v in r_acc.items():  # (d*R)_m = d(R_m) + R_(m-1), on packed keys
+        res[key + (1 << top)] = res.get(key + (1 << top), 0) - v
+        if key & mask:
+            res[key - 1] = res.get(key - 1, 0) - v * (key & mask)
     r_op, residual = (
-        WeylOp._trusted(n, {(k[:-1], (k[-1],) + z[1:]): Fraction(v, den) for k, v in acc.items() if v})
+        WeylOp._trusted(
+            n, {(_unpack(k, width, n), (k >> top,) + z[1:]): Fraction(v, den) for k, v in acc.items() if v}
+        )
         for acc in (r_acc, res)
     )
     return p, r_op, residual

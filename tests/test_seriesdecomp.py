@@ -11,19 +11,18 @@ from hypothesis import example, given, settings, strategies as st
 from socle import seriesdecomp
 from socle.errors import DimensionMismatch, DomainError
 from socle.grammar import parse_operator
-from socle.poly import MultiPoly
+from socle.poly import MultiPoly, _pack, _unpack
 from socle.series import TruncatedSeries
 from socle.seriesdecomp import (
     RegularOperator,
     _merge,
-    _pack,
-    _unpack,
     analyze_operator,
     decompose,
     expansion_coeffs,
     expansion_condition_report,
     valuation_growth_probe,
 )
+from socle.weyl import check_euler_identity, formal_adjoint
 
 
 def op_from_text(text, n_vars=None):
@@ -279,6 +278,27 @@ def per_generator_reconstruction(dec):
     for ell, bl in dec.b.items():
         total = total + op.act_on_poly(bl.poly_part() * xpow(n, ell))
     return {j: sl for j, sl in total.x0_slices().items() if j <= dec.x_window}
+
+
+def test_wide_keys_certify_and_reconstruct_the_costliest_accepted_input():
+    # b has 2225 terms, x-powers up to 54, y-powers up to 42 and numerators
+    # of about 3000 bits, so the action and the certificate pack wide keys
+    text, K = "(x+y)*d0^2+y*d0+3", 43
+    p_weyl = parse_operator(text, 2)
+    p = RegularOperator.from_weyl(p_weyl)
+    f = MultiPoly(2, {(8, 3): 1, (2, 1): 1})
+    dec = decompose(f, p, precision=K)
+    b = MultiPoly.zero(2)
+    for ell, bl in dec.b.items():
+        b = b + bl.poly_part() * xpow(2, ell)
+    adjoint, _, residual = check_euler_identity(formal_adjoint(p_weyl), b)
+    assert not residual
+    assert adjoint == p_weyl
+    recon = dec.reconstruction()
+    for j in range(dec.x_window + 1):
+        got = TruncatedSeries.from_poly(recon.get(j, MultiPoly.zero(2)), K)
+        want = TruncatedSeries.from_poly(f.x0_slices().get(j, MultiPoly.zero(2)), K)
+        assert got == want, j
 
 
 @pytest.mark.parametrize(
@@ -558,11 +578,12 @@ def test_packed_keys_round_trip_add_and_order_by_degree(inputs):
     n, K, a, b = inputs
     width = (2 * K).bit_length()
     shift = width * (n - 1)
-    ka, kb = _pack(a, width), _pack(b, width)
-    assert _unpack(ka, width, n) == a and _unpack(kb, width, n) == b
+    # the sweep's key: the B-exponents, then the total degree as the top digit
+    ka, kb = (_pack(e[1:] + (sum(e),), width) for e in (a, b))
+    assert (0,) + _unpack(ka, width, n - 1) == a and (0,) + _unpack(kb, width, n - 1) == b
     # a product adds the keys, and its degree digit is the total degree
     ab = tuple(x + y for x, y in zip(a, b))
-    assert ka + kb == _pack(ab, width) and (ka + kb) >> shift == sum(ab)
+    assert ka + kb == _pack(ab[1:] + (sum(ab),), width) and (ka + kb) >> shift == sum(ab)
     # the degree digit orders keys, so the least key carries the valuation
     if sum(a) < sum(b):
         assert ka < kb

@@ -438,3 +438,61 @@ def test_euler_identity_matches_the_fraction_oracle(case):
         assert x.terms == want.terms
         assert_clean(x)
     assert not got[2]
+
+
+# ------------------------------------------- packed keys at the width boundary
+
+
+@st.composite
+def boundary_cases(draw, d0_only):
+    """An operator and a polynomial in 1-3 variables whose terms pair up so
+    that each digit of an x-part plus the paired exponent is 2^w - 1 or 2^w,
+    for one w in 1..5: a packing one bit narrower carries at 2^w.  Partials
+    are 0, the whole paired exponent (taking that digit to 0) or in between;
+    with ``d0_only`` only the first partial occurs, to order at most 3.  Some
+    cases are instead the zero operator, the zero polynomial or a constant
+    operator."""
+    n, w = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    coeff = big_rationals().filter(bool)
+    op, f = {}, {}
+    for _ in range(draw(st.integers(1, 3))):
+        xe, de, g = [], [], []
+        for i in range(n):
+            total = draw(st.sampled_from((2**w - 1, 2**w)))
+            a = draw(st.integers(0, total))
+            xe.append(a)
+            g.append(total - a)
+            if d0_only:
+                de.append(draw(st.integers(0, 3)) if i == 0 else 0)
+            else:
+                de.append(draw(st.sampled_from((0, total - a, draw(st.integers(0, total - a))))))
+        op[(tuple(xe), tuple(de))] = draw(coeff)
+        f[tuple(g)] = draw(coeff)
+    shape = draw(st.sampled_from(("boundary",) * 5 + ("zero operator", "zero polynomial", "constant operator")))
+    if shape == "zero operator":
+        op = {}
+    elif shape == "zero polynomial":
+        f = {}
+    elif shape == "constant operator":
+        op = {((0,) * n, (0,) * n): draw(coeff)}
+    return WeylOp(n, op), MultiPoly(n, f)
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(boundary_cases(d0_only=False))
+def test_action_at_the_width_boundary_matches_the_fraction_oracle(case):
+    p, f = case
+    got = p.act_on_poly(f)
+    assert got.terms == oracle_action(p, f)
+    assert_clean(got)
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(boundary_cases(d0_only=True))
+def test_euler_identity_at_the_width_boundary_matches_the_fraction_oracle(case):
+    q, b = case
+    got = check_euler_identity(q, b)
+    for x, want in zip(got, oracle_euler_identity(q, b)):
+        assert x.terms == want.terms
+        assert_clean(x)
+    assert not got[2]
