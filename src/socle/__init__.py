@@ -10,8 +10,8 @@ Four layers:
 - de Rham engines: two module specs, E and `Localization(f)` for R[1/f]
   (optionally mod R; R itself at f = 1, a monomial localization at a
   product of distinct variables), each a pole complex that answers every
-  per-kind question the engine asks from its f (basis rule, the class of 1
-  at weight 0, smoothness gate, certificate), read from JSON by
+  per-kind question the engine asks from its f (basis rule, smoothness
+  gate, certificate), read from JSON by
   `spec_from_json` alone; closed forms,
   pole-filtration truncation with a stabilization certificate, the
   rank-one connection route

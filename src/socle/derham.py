@@ -20,15 +20,14 @@ and the engine computes weight 0 only (the tests rank nonzero weights on
 ``_Piece``s directly to see them vanish).  In quotient mode the complex is
 taken modulo the polynomial subcomplex, which i_E preserves: its weight-tau
 piece lies in every F_K and is acyclic for tau != 0, and at weight 0 it is
-k*1 in degree 0.  So the engine takes out A = k * (f^K / f^K) at weight 0
-and A = 0 elsewhere, and a loc-quot table is the loc table minus 1 in
-degree 0.
+k*1 in degree 0.  So the pieces are plain pole complexes in both modes, and
+a loc-quot table is the loc table minus 1 in degree 0 (``derham_truncated``).
 
 The weight-0 piece splits further by the torus of f.  Let L be the lattice
 of w in Z^n for which f is w-homogeneous, <w, a - a'> = 0 for all terms a,
 a' of f; it holds (1, ..., 1).  For xi = sum w_i x_i d_i, Cartan's formula
 L_xi = d i_xi + i_xi d acts on x^e dx_I / f^k by the scalar <w, e + 1_I> -
-k deg_w f, and i_xi maps F_K into F_(K+1) and A into A.  So every class of
+k deg_w f, and i_xi maps F_K into F_(K+1).  So every class of
 nonzero L-weight dies in rank H(F_lo -> F_hi) for lo < hi, and the engine
 ranks only the block of L-weight 0, the x^e dx_I / f^k with e + 1_I - k a_0
 in the span of the differences a - a_0 (``_torus_block``; Dimca,
@@ -43,12 +42,12 @@ whole piece; x_S and c x^a have L = Z^n and at most one element per index
 set, x*y - z*w has rank 3, and the products of the quadrics and the cubic
 through the twisted cubic have rank 2.
 
-With r(K, j) = rank[d C_(j-1) | A_j] at cutoff K, each eliminated once,
-the table of one piece comes from rank-nullity (``_piece_dims``): B_j + A_j
-has rank r(K, j) and Z_j rank |C_j| - r(K, j+1).  That of a consecutive
-pair comes from persistence (``_persistent_dims``): rank H^j(F_(K-1) ->
-F_K) = rank[P_K(j) | Q_(K-1)(j)] - r(K, j), where P_K(j) spans B_K + A_K
-and Q_(K-1)(j), with dim H^j(F_(K-1)) vectors, comes out of the low
+With r(K, j) = rank d C_(j-1) at cutoff K, each eliminated once, the
+table of one piece comes from rank-nullity (``_piece_dims``): B_j has rank
+r(K, j) and Z_j rank |C_j| - r(K, j+1).  That of a consecutive pair comes
+from persistence (``_persistent_dims``): rank H^j(F_(K-1) -> F_K) =
+rank[P_K(j) | Q_(K-1)(j)] - r(K, j), where P_K(j) spans B_K and
+Q_(K-1)(j), with dim H^j(F_(K-1)) vectors, comes out of the low
 complex's own elimination of r(K-1, j+1) (Zomorodian and Carlsson,
 Computing persistent homology, 2005).  Where the complex ignores the cutoff
 (R, a constant f, and E) one piece is exact.
@@ -71,9 +70,9 @@ spec that fails the gate, or has none, keeps the two-pair route.
 Ranks are cleared (Chen and Kerber, Persistent homology computation with a
 twist, 2011): a basis element at a pivot row of r(K, j) is dropped from d_j
 without changing d C_j, and its column is never built.  The elimination
-keeps only column-echelon form, whose pivot vector at row p lies in B + A
-(so d maps it to 0) and touches, besides p, only rows above p, kept ones and
-pivot rows; by induction in decreasing pivot row, C_j = span kept + B + A.
+keeps only column-echelon form, whose pivot vector at row p lies in B (so
+d maps it to 0) and touches, besides p, only rows above p, kept ones and
+pivot rows; by induction in decreasing pivot row, C_j = span kept + B.
 Columns are primitive integer dicts from the start: f is scaled to its
 primitive integer multiple, which scales every column by a unit.  Their
 rows are the packed keys of ``_Piece``.  Most columns need no reduction
@@ -184,7 +183,7 @@ class ModuleSpec:
     it concerns; every spec also has ``n_vars``."""
 
     #: whether the complex is taken modulo the polynomial subcomplex, which
-    #: takes out the class of 1 at weight 0 (module docstring)
+    #: takes the class of 1 out of degree 0 (module docstring)
     quotient_mod_A = False
 
     def closed_form(self) -> DeRhamDims:
@@ -196,12 +195,12 @@ class ModuleSpec:
     #: and no second cutoff is compared
     cutoff_free = False
 
-    def pole_terms(self) -> Dict[Tuple[int, ...], Fraction]:
-        """The pole polynomial f as {exponent: coefficient}.  Every spec is a
-        pole complex: a localization that of its f, and E that of the
-        constant 1 on negative exponents, with a basis rule of its own
-        (``basis``)."""
-        return {(0,) * self.n_vars: Fraction(1)}
+    def pole_terms(self) -> Dict[Tuple[int, ...], int]:
+        """The pole polynomial f as {exponent: coefficient}, scaled to its
+        primitive integer multiple.  Every spec is a pole complex: a
+        localization that of its f, and E that of the constant 1 on negative
+        exponents, with a basis rule of its own (``basis``)."""
+        return {(0,) * self.n_vars: 1}
 
     def basis(self, deg: int, tau: int, cutoff: int, width: int):
         """The numerator exponents of degree ``deg`` in the weight-tau piece
@@ -290,8 +289,10 @@ class Localization(ModuleSpec):
     def cutoff_free(self) -> bool:
         return self.f.homogeneous_degree() == 0  # no poles: R = A_1
 
-    def pole_terms(self) -> Dict[Tuple[int, ...], Fraction]:
-        return self.f.terms
+    def pole_terms(self) -> Dict[Tuple[int, ...], int]:
+        # every column scales by a unit under f -> c f, so f's primitive
+        # integer multiple gives the same ranks with int columns throughout
+        return _content_free(_scaled(self.f.terms)[0])
 
     def smoothness_gate(self) -> Optional[bool]:
         D = self.f.homogeneous_degree()
@@ -330,6 +331,8 @@ def spec_from_json(data: dict) -> ModuleSpec:
     "loc-quot", "f": text, "vars": n (optional)}; the one place that reads
     the kind and the variable count, nonnegative and at most ``VARS_MAX``.
     R and E refuse an "f"; R is the localization at 1."""
+    if not isinstance(data, dict):
+        raise UnsupportedSpecError(f"a module spec is a JSON object, not {type(data).__name__}")
     kind = data.get("kind")
     if kind not in ("R", "E", "loc", "loc-quot"):
         raise UnsupportedSpecError(f"unknown module kind {kind!r}")
@@ -401,9 +404,8 @@ class _Piece:
     Pieces of a pair share one ``width``.  With f given as {exponent: int}
     every entry is an int.
 
-    The rank path asks for r(j) = rank[d C_(j-1) | A_j] in order of j, A the
-    span of 1 = f^cutoff / f^cutoff at weight 0 in quotient mode, else 0.  Each
-    is eliminated once, from the d columns off the pivot rows of r(j-1)
+    The rank path asks for r(j) = rank d C_(j-1) in order of j.  Each is
+    eliminated once, from the d columns off the pivot rows of r(j-1)
     (clearing); its pivot state stays live for ``_persistent_dims`` to
     continue.  A column whose lowest row (``steps``) is no pivot row yet is
     not built but stored as an unbuilt pivot, its basis index, and
@@ -426,7 +428,6 @@ class _Piece:
         n = spec.n_vars
         degree = sum(next(iter(f)))
         self.n, self.f, self.cutoff, self.tau, self.width = n, f, cutoff, tau, width
-        self.one = spec.quotient_mod_A and tau == 0  # whether A_0 = k * 1
         self.units = [1 << (width * (i + 1)) for i in range(n)]
         self.bound = 1 << (width * (n + 1))  # |key| < bound (``_key_width``)
         # the step table of d_j: per index set I, (key step, i, k a_i,
@@ -456,7 +457,7 @@ class _Piece:
         self.kept: List[List[int]] = []  # basis indices off the pivot rows of r(j)
         self.live = None  # (j, pivots) of the latest r(j)
         # i as {key shift: coefficient}, None off the low end of a pair
-        self.image = self.f_power(1) if low_end else None
+        self.image = {self.code(e): c for e, c in f.items()} if low_end else None
         self.cycles: Dict[int, List[dict]] = {}
 
     def _step_table(self, I: Tuple[int, ...], k: int, terms) -> list:
@@ -495,17 +496,6 @@ class _Piece:
     def code(self, e: Sequence[int]) -> int:
         """The packed code of an exponent, the key of x^e with I empty."""
         return sum(map(mul, e, self.units))
-
-    def f_power(self, m: int) -> Dict[int, int]:
-        """f^m as {packed code of the exponent: coefficient}.  A negative m is
-        refused: the seeded 1 = f^K / f^K of a quotient-mode piece at a cutoff
-        K < 0 is no element of its F."""
-        if m < 0:
-            raise InternalCheckError(f"negative power f^{m}: no 1 below cutoff 0")
-        f_m = {(0,) * self.n: 1}
-        for _ in range(m):
-            f_m = _accumulate(f_m, self.f)
-        return {self.code(exp): c for exp, c in f_m.items() if c}
 
     def labels(self, j: int) -> list:
         """The basis of form degree j as (I, e) pairs."""
@@ -563,8 +553,6 @@ class _Piece:
                     _reduce_into(pivots, (build(idx),), build)
                 else:
                     pivots[row] = idx
-        elif self.one:
-            _reduce_into(pivots, [self.f_power(self.cutoff)])
         if tails:
             # the tails are distinct unit vectors, so no column reduces to 0;
             # one that does lost its tail, say to a collision of a key with a
@@ -690,7 +678,7 @@ def assemble_complex(spec: ModuleSpec, cutoff: int, tau: int):
     (module docstring), with f scaled to its primitive integer multiple.
     These are the int columns of ``_Piece``, which the rank path uses.
     """
-    f = _content_free(_scaled(spec.pole_terms())[0])
+    f = spec.pole_terms()
     n = spec.n_vars
     piece = _Piece(spec, f, cutoff, tau, _key_width(n, f, cutoff, tau))
     bases = [piece.labels(j) for j in range(n + 1)]
@@ -712,25 +700,27 @@ def _piece_dims(piece: _Piece) -> List[int]:
 def _persistent_dims(lo: _Piece, hi: _Piece) -> List[int]:
     """Ranks of H^j(F_lo) -> H^j(F_hi) for one weight piece, hi = lo + 1.
 
-    A is 0 in every degree that d reaches, so the cycles Z modulo A are
-    plain cycles.  With i the injective chain map F_lo -> F_hi, which maps
-    A_lo onto A_hi (1 to 1), the image is i(Z_lo) + B_hi + A_hi modulo B_hi
-    + A_hi, so rank H^j = rank[P_hi(j) | Q_lo(j)] - r(hi, j), with P_hi(j)
-    the pivot vectors of r(hi, j), a basis of B_hi + A_hi, and Q_lo(j) =
+    With i the injective chain map F_lo -> F_hi, the image is i(Z_lo) + B_hi
+    modulo B_hi, so rank H^j = rank[P_hi(j) | Q_lo(j)] - r(hi, j), with
+    P_hi(j) the pivot vectors of r(hi, j), a basis of B_hi, and Q_lo(j) =
     ``lo.cycle_images(j)``, a basis of i(Z_lo ∩ span kept).
 
-    That suffices: i of a cleared pivot vector of r(lo, j) lies in B_hi +
-    A_hi, as the vector lies in B_lo + A_lo, so with C_j = span kept + B_lo
-    + A_lo (module docstring) Z_lo = (Z_lo ∩ span kept) + B_lo + A_lo.  And
-    span Q = i(Z_lo ∩ span kept): a combination of the columns d u + u (u
-    shifted) of r(lo, j+1) has no row below ``bound`` exactly when d u = 0,
-    and is then u; the pivots at or above ``bound`` span those u.  A nonzero
-    vector of B_lo + A_lo has its lowest row at a pivot row, which no kept
-    element touches, so the sum is direct and len(Q) = dim H^j(F_lo).
+    That suffices: i of a cleared pivot vector of r(lo, j) lies in B_hi, as
+    the vector lies in B_lo, so with C_j = span kept + B_lo (module
+    docstring) Z_lo = (Z_lo ∩ span kept) + B_lo.  And span Q = i(Z_lo ∩
+    span kept): a combination of the columns d u + u (u shifted) of
+    r(lo, j+1) has no row below ``bound`` exactly when d u = 0, and is then
+    u; the pivots at or above ``bound`` span those u.  A nonzero vector of
+    B_lo has its lowest row at a pivot row, which no kept element touches,
+    so the sum is direct and len(Q) = dim H^j(F_lo).
 
     When the high piece is the low end of the next pair, its pivot vectors
     carry tails that stand for nothing in F_hi, so a Q vector counts only
     when its residual keeps a row below ``bound``.
+
+    Tails stay: rank[P_hi(j) | i(kept_lo(j))] - r(lo, j+1) - r(hi, j) needs
+    none, but took the nodal cubic threefold at cutoff 2 from 167 to 220 MB
+    and from 48-63 s to 66-81 s (fresh processes, 2-core x86-64).
     """
     dims = []
     for j in range(lo.n + 1):
@@ -751,10 +741,10 @@ def jacobian_ring_is_finite(f: MultiPoly) -> bool:
     multiple: a unit scale changes no rank, and distinct terms of a partial
     land on distinct codes.
     """
-    if not f or not f.is_homogeneous():
-        raise DomainError("the gate applies to nonzero homogeneous polynomials")
+    D = f.homogeneous_degree() if f and f.is_homogeneous() else 0
+    if D < 1:
+        raise DomainError("the gate applies to homogeneous polynomials of degree >= 1")
     n = f.n_vars
-    D = f.homogeneous_degree()
     if D == 1:
         return True
     e = n * (D - 2) + 1
@@ -786,8 +776,7 @@ def _pair_tables(spec: ModuleSpec, f, pairs: Sequence[Tuple[int, int]], block=No
 def _cutoff_zero_tables(spec: ModuleSpec, f, pairs: Sequence[Tuple[int, int]], block=None) -> List[List[int]]:
     """dim H(F_0) of the block at cutoff 0 as the table of every pair; the
     route of a spec that passes the smoothness gate and depends on the
-    cutoff.  The seeded class of quotient mode is 1 = f^0, which lies in
-    F_0."""
+    cutoff."""
     return [_piece_dims(_Piece(spec, f, 0, 0, _key_width(spec.n_vars, f, 0, 0), block=block))] * len(pairs)
 
 
@@ -818,9 +807,7 @@ def derham_truncated(spec: ModuleSpec, pole_cutoff: int) -> Tuple[DeRhamDims, Tr
     if pole_cutoff < 1:
         raise DomainError("pole cutoff must be at least 1")
     smooth = _known(spec).smoothness_gate()
-    # every column scales by a unit under f -> c f, so f's primitive integer
-    # multiple gives the same ranks with int columns throughout
-    f = _content_free(_scaled(spec.pole_terms())[0])
+    f = spec.pole_terms()
     exact = spec.cutoff_free
     K = pole_cutoff
     if exact:
@@ -835,6 +822,11 @@ def derham_truncated(spec: ModuleSpec, pole_cutoff: int) -> Tuple[DeRhamDims, Tr
         tables = [_piece_dims(_Piece(spec, f, K, 0, _key_width(spec.n_vars, f, K, 0)))]
     else:
         tables = _pair_tables(spec, f, pairs, _torus_block(f))
+    if spec.quotient_mod_A:
+        # 0 -> A -> F_K -> F_K / A -> 0 with H(A) = k * 1 in degree 0 at
+        # weight 0: [1] != 0 in every H^0(F_K) with K >= 0, and i maps it to
+        # itself, so each table, pair ranks too, loses exactly 1 there
+        tables = [[table[0] - 1, *table[1:]] for table in tables]
     dims_low, dims = tuple(tables[0]), DeRhamDims(tables[-1])
     stabilized = dims_low == dims if len(pairs) == 2 else exact
 

@@ -192,10 +192,10 @@ def _tokenize(text: str) -> List[_Token]:
 class _Parser:
     """Recursive descent over the token list, producing a WeylOp."""
 
-    def __init__(self, tokens: List[_Token], n_vars: int):
+    def __init__(self, tokens: List[_Token], n_vars: int, width: Optional[int] = None):
         self.tokens = tokens
         self.pos = 0
-        self.n_vars = n_vars
+        self.n_vars, self.width = n_vars, width or n_vars  # width: variables of the built operators
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -277,21 +277,21 @@ class _Parser:
     def atom(self, product: Optional[Tuple[WeylOp, int]] = None) -> WeylOp:
         tok = self.advance()
         if tok.kind == "NUM":
-            return WeylOp.one(self.n_vars) * tok.value
+            return WeylOp.one(self.width) * tok.value
         if tok.kind == "XVAR":
             if tok.value >= self.n_vars:
                 raise ParseError(
                     f"variable index {tok.value} outside the declared {self.n_vars} variables",
                     tok.offset,
                 )
-            return WeylOp.x_gen(self.n_vars, tok.value)
+            return WeylOp.x_gen(self.width, tok.value)
         if tok.kind == "DVAR":
             if tok.value >= self.n_vars:
                 raise ParseError(
                     f"partial index {tok.value} outside the declared {self.n_vars} variables",
                     tok.offset,
                 )
-            return WeylOp.d_gen(self.n_vars, tok.value)
+            return WeylOp.d_gen(self.width, tok.value)
         if tok.kind == "OP" and tok.value == "(":
             value = self.expr(product)
             closing = self.advance()
@@ -323,11 +323,13 @@ def parse_operator(text: str, n_vars: Optional[int] = None) -> WeylOp:
 
 
 def parse_poly(text: str, n_vars: Optional[int] = None) -> MultiPoly:
-    """Parse polynomial text: the operator grammar with partials rejected."""
+    """Parse polynomial text: the operator grammar with partials rejected;
+    over 0 variables a constant, parsed over one variable that no token names."""
     tokens = _tokenize(text)
     for t in tokens:
         if t.kind == "DVAR":
             raise ParseError("partials are not allowed in a polynomial", t.offset)
-    op = _parse_tokens(tokens, n_vars)
+    n = _used_vars(tokens) if n_vars is None else n_vars
+    op = _Parser(tokens, n, n or 1).parse()
     # no DVAR tokens, so every d-exponent is zero
-    return MultiPoly(op.n_vars, {xe: c for (xe, _), c in op.terms.items()})
+    return MultiPoly(n, {xe[:n]: c for (xe, _), c in op.terms.items()})

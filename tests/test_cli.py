@@ -589,6 +589,15 @@ def test_no_variables_is_a_point(capsys, kind):
     assert payload["certificate"] == "exact"
 
 
+def test_ring_and_localization_at_one_agree_with_no_variables(capsys):
+    # the constant 1 parses over 0 variables, so --kind loc gives the point
+    _, ring, _ = run(capsys, "derham", "--kind", "R", "--vars", "0")
+    code, out, _ = run(capsys, "derham", "--kind", "loc", "--f", "1", "--vars", "0")
+    assert code == 0
+    assert out.splitlines()[1:] == ring.splitlines()[1:]
+    assert "dims (j = 0..0): [1]" in out.splitlines()
+
+
 def test_decompose_rejects_second_partial(capsys):
     code, _, err = run(capsys, "decompose", "--p", "d0 + d1", "--f", "x")
     assert code == 2

@@ -31,7 +31,7 @@ from socle.derham import (
 )
 from socle.grammar import parse_poly
 from socle.linalg import _content_free, _reduce_into, rank_of_columns
-from socle.poly import MultiPoly, _scaled, graded_piece_basis
+from socle.poly import MultiPoly, graded_piece_basis
 from socle.series import TruncatedSeries
 from socle.structure import BettiProfile, predict
 
@@ -152,7 +152,7 @@ def engine_piece(spec, cutoff, tau, width_cutoff=None, low_end=False, torus=Fals
     f, keys wide enough for cutoffs up to ``width_cutoff`` (default: this one),
     the low end of a pair with ``low_end``, and with ``torus`` only the block
     of f's torus (``_torus_block``), else the whole piece."""
-    f = _content_free(_scaled(spec.pole_terms())[0])
+    f = spec.pole_terms()
     width = socle.derham._key_width(spec.n_vars, f, width_cutoff or cutoff, tau)
     block = socle.derham._torus_block(f) if torus else None
     return socle.derham._Piece(spec, f, cutoff, tau, width, low_end, block)
@@ -303,7 +303,7 @@ def test_nonzero_torus_weights_contribute_nothing(text, weights):
     # gate zero cohomology on F_0; the block of weight 0 is the one
     # ``_torus_block`` enumerates
     spec = spec_from_json({"kind": "loc", "f": text})
-    f = _content_free(_scaled(spec.pole_terms())[0])
+    f = spec.pole_terms()
     n, zero = spec.n_vars, (0,) * len(weights)
     dims, report = derham_truncated(spec, 4)
     pairs = engine_pairs(report)
@@ -401,6 +401,13 @@ def test_jacobian_gate():
     assert jacobian_ring_is_finite(parse_poly("x*y", 2))
     assert not jacobian_ring_is_finite(parse_poly("x*y", 3))
     assert not jacobian_ring_is_finite(parse_poly("x^3 - y^2*z", 3))
+    # a nonzero constant has no partials to count: refused, as zero and a
+    # non-homogeneous f are, at any variable count
+    for f in (MultiPoly.one(2), MultiPoly.one(0), MultiPoly.zero(2), parse_poly("x^2 + y", 2)):
+        with pytest.raises(DomainError, match="gate applies"):
+            jacobian_ring_is_finite(f)
+    # the engine never asks: no gate applies to a constant f
+    assert Localization(MultiPoly.one(2)).smoothness_gate() is None
 
 
 def fraction_gate(f):
@@ -461,6 +468,12 @@ def test_spec_from_json_builds_each_kind():
 )
 def test_spec_from_json_names_a_missing_or_ill_typed_field(data, field):
     with pytest.raises(UnsupportedSpecError, match=repr(field)):
+        spec_from_json(data)
+
+
+@pytest.mark.parametrize("data", [[], ["loc", "x"], "R", None, 3])
+def test_spec_from_json_refuses_anything_but_an_object(data):
+    with pytest.raises(UnsupportedSpecError, match="JSON object"):
         spec_from_json(data)
 
 
@@ -653,7 +666,7 @@ def test_twisted_cubic_products_keep_their_tables(text, want):
     # not smooth, so the tables are pinned, not predicted; their torus has
     # rank 2, and only its block is ranked
     spec = spec_from_json({"kind": "loc-quot", "f": text})
-    f = _content_free(_scaled(spec.pole_terms())[0])
+    f = spec.pole_terms()
     assert socle.derham._torus_block(f) is not None
     dims, report = derham_truncated(spec, 3)
     assert list(dims) == want
@@ -875,15 +888,9 @@ def test_assembled_columns_match_polynomial_products(case):
     for j in range(n - 1):
         d_next = d_map(piece, j + 1)
         assert all(apply(d_next, col) == {} for col in d_map(piece, j).values())
-    # the one polynomial form the engine takes out, 1 = f^K / f^K in degree 0
-    # at weight 0 in quotient mode, is the pivot vector of r(0)
-    pivots = piece.take(0)
-    if spec.quotient_mod_A and tau == 0:
-        (col,) = pivots.values()
-        want = {((), exp): c for exp, c in (f**cutoff).terms.items()}
-        assert {label_at[0][r]: c for r, c in col.items()} == want
-    else:
-        assert pivots == {}
+    # every piece is a plain pole complex, quotient mode too: nothing is
+    # eliminated into r(0)
+    assert piece.take(0) == {}
 
 
 @st.composite
@@ -907,10 +914,11 @@ def engine_pieces(draw):
 def test_one_piece_is_counted_by_rank_nullity(case):
     # dim H(F_K) of a piece built with no chain map, |C_j| - r(j) - r(j+1)
     # with cleared ranks, is the plain rank formula at lo = hi, at every
-    # weight and in both modes
+    # weight and in both modes; a quotient-mode piece is the plain pole
+    # complex, so it holds the class of 1 that the honest quotient lacks
     spec, cutoff, tau = case
     dims = socle.derham._piece_dims(engine_piece(spec, cutoff, tau))
-    assert dims == plain_persistent_dims(spec, cutoff, cutoff, tau)
+    assert dims == with_one(spec, tau, plain_persistent_dims(spec, cutoff, cutoff, tau))
 
 
 @settings(deadline=None, derandomize=True, max_examples=60)
@@ -1003,6 +1011,15 @@ def polynomial_forms(spec, piece, j):
     ]
 
 
+def with_one(spec, tau, table):
+    """An honest quotient table as the engine's pieces count it: the class of
+    1, which only ``derham_truncated`` takes out, added back in degree 0 at
+    weight 0 in quotient mode."""
+    if spec.quotient_mod_A and tau == 0:
+        return [table[0] + 1, *table[1:]]
+    return table
+
+
 def plain_persistent_dims(spec, lo, hi, tau):
     """The persistence formula as plain ranks of the pieces' columns.
 
@@ -1012,16 +1029,17 @@ def plain_persistent_dims(spec, lo, hi, tau):
     labels.  f is the primitive integer multiple of the spec's f, so every
     column is an int dict; a unit scale changes no rank.  A is every
     polynomial form of the weight in quotient mode (``polynomial_forms``), so
-    this ranks the honest quotient, and its agreement with the engine, which
-    takes out only 1 at weight 0, checks that A is acyclic at every nonzero
-    weight.  Rows are the packed keys, shifted by 2 bound in the second block
-    (every |key| < bound), so the blocks never meet.  At lo = hi, where i is
+    this ranks the honest quotient, and its agreement with the engine, whose
+    pieces take out nothing and whose tables lose only 1 at weight 0
+    (``with_one``), checks that A is acyclic at every nonzero weight.  Rows
+    are the packed keys, shifted by 2 bound in the second block (every
+    |key| < bound), so the blocks never meet.  At lo = hi, where i is
     the identity, rank M is dim C_j + rank A_(j+1): the columns (u, d u)
     hold every (d w, 0), as d d = 0, and every (a, d a), as d A lies in A.
     Every rank is a fresh ``rank_of_columns`` call over whole bases: no
     clearing and no shared pivot state.
     """
-    f = _content_free(_scaled(spec.pole_terms())[0])
+    f = spec.pole_terms()
     n = spec.n_vars
     width = socle.derham._key_width(n, f, hi, tau)
     p_lo = socle.derham._Piece(spec, f, lo, tau, width)
@@ -1093,7 +1111,7 @@ def test_truncated_tables_match_the_plain_rank_formula(case):
 @settings(deadline=None, derandomize=True, max_examples=60)
 @given(truncation_inputs())
 def test_cycle_images_count_the_low_cohomology(case):
-    # Z_A ∩ span kept meets B + A only in 0, so a low end hands over exactly
+    # Z ∩ span kept meets B only in 0, so a low end hands over exactly
     # dim H^j(F_lo) cycle images; and each pair's table is the oracle's.  On
     # the two-pair route, whose pairs the report names at every weight, with
     # whole pieces: a block's H(F_lo) holds only its own torus weight
@@ -1123,11 +1141,13 @@ def test_cycle_images_count_the_low_cohomology(case):
     assert sorted(counts) == sorted(
         (lo, tau, j) for lo in lows for tau in taus for j in range(spec.n_vars + 1)
     )
-    own = {(lo, tau): plain_persistent_dims(spec, lo, lo, tau) for lo in lows for tau in taus}
+    own = {
+        (lo, tau): with_one(spec, tau, plain_persistent_dims(spec, lo, lo, tau)) for lo in lows for tau in taus
+    }
     for (lo, tau, j), count in counts.items():
         assert count == own[(lo, tau)][j], (lo, tau, j)
     for (lo, hi, tau), dims in tables.items():
-        assert dims == plain_persistent_dims(spec, lo, hi, tau), (lo, hi, tau)
+        assert dims == with_one(spec, tau, plain_persistent_dims(spec, lo, hi, tau)), (lo, hi, tau)
 
 
 @st.composite
@@ -1174,17 +1194,12 @@ def test_a_lost_tail_is_an_internal_error(monkeypatch):
         two_pair_truncated(spec_from_json({"kind": "loc-quot", "f": "x^2 + y^2 + z^2"}), 4)
 
 
-def test_a_piece_below_cutoff_zero_seeds_no_one():
-    # 1 = f^K / f^K is in F_K only for K >= 0: a quotient-mode weight-0 piece
-    # at a negative cutoff refuses to seed it; at cutoff 0 the seed is 1 = f^0
+def test_a_piece_below_cutoff_zero_ranks():
+    # form degree 0 is empty at cutoff -1, as K*D < 0, and d(dx_I / f) =
+    # -df ^ dx_I / f^2 is +-2 x_i dx_0 dx_1 dx_2 / f^2, i the index off I; a
+    # quotient-mode piece is the same plain pole complex, with no 1 in it
     text = "x^2 + y^2 + z^2"
-    quotient = spec_from_json({"kind": "loc-quot", "f": text})
-    with pytest.raises(InternalCheckError, match="negative power"):
-        engine_piece(quotient, -1, 0).rank(0)
-    assert engine_piece(quotient, 0, 0).take(0) == {0: {0: 1}}
-    # outside quotient mode nothing is seeded, and the piece at cutoff -1
-    # ranks: form degree 0 is empty there, as K*D < 0, and d(dx_I / f) =
-    # -df ^ dx_I / f^2 is +-2 x_i dx_0 dx_1 dx_2 / f^2, i the index off I
-    loc = engine_piece(spec_from_json({"kind": "loc", "f": text}), -1, 0)
-    assert loc.take(0) == {} and not loc.keys[0]
-    assert loc.rank(3) == 3
+    for kind in ("loc", "loc-quot"):
+        piece = engine_piece(spec_from_json({"kind": kind, "f": text}), -1, 0)
+        assert piece.take(0) == {} and not piece.keys[0]
+        assert piece.rank(3) == 3

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from socle.errors import ParseError
+from socle.errors import DomainError, ParseError
 from socle.grammar import _tokenize, parse_operator, parse_poly
 from socle.poly import MultiPoly
 from socle.weyl import WeylOp
@@ -119,6 +119,18 @@ def test_poly_parser_rejects_partials():
     with pytest.raises(ParseError) as exc:
         parse_poly("x*d0", 1)
     assert exc.value.offset == 3
+
+
+def test_a_constant_parses_over_no_variables():
+    # the polynomial ring in 0 variables is the field: a constant parses, a
+    # variable is refused at its offset, and an operator still needs one
+    assert parse_poly("2/3*5 - 1", 0) == MultiPoly.constant(0, Fraction(7, 3))
+    assert parse_poly("(1 - 1)^2", 0) == MultiPoly.zero(0)
+    with pytest.raises(ParseError, match="outside the declared 0 variables") as exc:
+        parse_poly("1 + 2*x1", 0)
+    assert exc.value.offset == 7
+    with pytest.raises(DomainError, match="at least one variable"):
+        parse_operator("1", 0)
 
 
 def test_operator_round_trip():
