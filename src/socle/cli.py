@@ -51,8 +51,9 @@ EXIT_UNSTABLE = 3
 DECOMPOSE_MAX = 10_000
 #: largest estimated sweep size of ``decompose``: the tracked x-window times
 #: the number of pairs of B-monomials whose degrees sum below the precision
-#: (the costliest inputs measured at the bound take about 0.25 s with one
-#: B-variable, 0.04 s with two and 0.025 s with three; 2-core x86-64, Python 3.11)
+#: (the costliest inputs measured at the bound take about 0.15-0.2 s with one
+#: B-variable, 0.035-0.055 s with two and 0.02-0.035 s with three; 2-core
+#: x86-64, Python 3.11)
 DECOMPOSE_SIZE_MAX = 52_000
 
 #: largest weight-0 basis of the top complex of ``derham``, as ``_basis_size``

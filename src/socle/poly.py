@@ -10,13 +10,15 @@ through two plain functions.  ``_sum_terms`` merges the terms as they are,
 with one ``Fraction`` addition per shared key.  ``_product_terms`` is
 fraction-free: each factor's terms are scaled to integers by the lcm of
 their denominators (``_scaled``), multiplied and accumulated as plain ints
-(``_accumulate``, which the series inverse, the sweep of
-:mod:`socle.seriesdecomp` and the operator action of :mod:`socle.weyl` call
-directly), and each surviving term is divided once by the denominator.
-Exponent-tuple products form every pair of terms; a truncated series drops
-the terms past its precision afterwards.  The operator action and the
-sweep share one packed-int key layout (``_pack``), whose products
-``_accumulate`` forms by one int addition each.
+(``_accumulate``, which the series inverse and the operator action of
+:mod:`socle.weyl` call directly), and each surviving term is divided once
+by the denominator.  Exponent-tuple products form every pair of terms; a
+truncated series drops the terms past its precision afterwards.  A factor
+of one term, such as a monomial x^l, only shifts the other factor's keys
+and multiplies its coefficients, with nothing scaled or divided.  The
+operator action and the sweep of :mod:`socle.seriesdecomp` share one
+packed-int key layout (``_pack``), in which a product of two keys is one
+int addition.
 Results of this internal arithmetic are built by ``_trusted`` constructors
 that skip re-validation, since their terms are valid by construction; the
 public constructors keep every check.
@@ -95,10 +97,8 @@ def _accumulate(
     With ``expand`` None the keys are exponent tuples that add, and every
     pair of terms is formed.  With ``cap`` the keys are instead ``_pack``
     keys whose digits never carry; the right factor is sorted once and each
-    row stops at the first key whose product reaches ``cap``.  The sweep
-    keeps the total degree in the top digit and caps at the smallest key of
-    the degree it truncates at; the operator action caps above the top
-    digit, cutting nothing.
+    row stops at the first key whose product reaches ``cap``.  The operator
+    action caps above the top digit, cutting nothing.
     Otherwise ``expand(k1, k2)`` lists the (key, int weight) terms a pair of
     keys combines to, such as a normal-ordered operator product.  With
     ``acc`` the terms are added into that dict, which is returned.
@@ -156,7 +156,19 @@ def _product_terms(
     """The terms of ``left * right``, fraction-free: both factors are scaled
     to integers by ``_scaled``, their products accumulated as plain ints by
     ``_accumulate`` (which takes ``expand``), and each surviving term is
-    divided once by the common denominator."""
+    divided once by the common denominator.
+
+    A factor c*x^a of one term, with exponent keys that add (``expand``
+    None), only shifts the other factor's keys by a and multiplies its
+    coefficients by c, reused as they are when c = 1: the values and the
+    order of the terms are those of the general path, and no term can
+    cancel."""
+    if expand is None and 1 in (len(left), len(right)):
+        single, other = (left, right) if len(left) == 1 else (right, left)
+        ((a, c),) = single.items()
+        if c == 1:
+            return {tuple(map(add, e, a)): v for e, v in other.items()}
+        return {tuple(map(add, e, a)): c * v for e, v in other.items()}
     (lhs, den), (rhs, rden) = _scaled(left), _scaled(right)
     den *= rden
     return {k: Fraction(v, den) for k, v in _accumulate(lhs, rhs, expand).items() if v}

@@ -51,13 +51,18 @@ order by degree.  A product of two keys is then one int addition.  f's
 terms and the operator's are packed once, split by B-degree; the
 operator's are scaled to ints over one denominator.  A generator's column
 is built once, when the sweep first reaches it, from those terms with the
-weights perm(l, i), and its expansion conditions are checked there.  Each
-product is accumulated by the int kernel of :mod:`socle.poly` and left as a
-pending piece at its (x-position, B-degree); the pieces there are summed
-once, over the lcm of their denominators, when the sweep visits it.  The
-sum is made primitive (zeros dropped, gcd 1, denominator positive), so
-every value the sweep reads has one canonical form.  Each division by g(l)
-is checked exactly, by cross-multiplication of delta * g(l) against gamma.
+weights perm(l, i), each entry's terms sorted once, and its expansion
+conditions are checked there.  Each (x-position, B-degree) has one cell:
+int numerators over the lcm of the denominators of what landed there.  A
+product delta * c is summed into its cell in place, term by term, and the
+cell is rescaled only when the product's denominator grows that lcm.  When
+the sweep visits a cell it makes it primitive once (zeros dropped, gcd 1,
+denominator positive), so every value the sweep reads has one canonical
+form.  delta = gamma / g(l) takes two small gcds: with gamma primitive and
+1/g(l) = p/q in lowest terms, the content of gamma * p/q is gcd(p, den of
+gamma) * gcd(q, numerators of gamma), proved prime by prime in
+``_divide``.  Each division by g(l) is checked exactly, by
+cross-multiplication of delta * g(l) against gamma.
 """
 
 from __future__ import annotations
@@ -68,7 +73,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, DomainError, InternalCheckError
-from .poly import MultiPoly, _accumulate, _pack, _scaled, _unpack
+from .poly import MultiPoly, _pack, _scaled, _unpack
 from .series import TruncatedSeries
 from .weyl import WeylOp, _left_coefficients
 
@@ -283,19 +288,37 @@ def _primitive(nums: Dict[int, int], den: int) -> _Scaled:
     return {e: v // g for e, v in nums.items()}, den // g
 
 
-def _merge(pieces: Sequence[_Scaled]) -> _Scaled:
-    """The sum of the pieces, over the lcm of their denominators, made
-    primitive: one canonical pair (den > 0, gcd 1) for each sum of values."""
-    if len(pieces) == 1:
-        return _primitive(*pieces[0])
-    den = math.lcm(*(d for _, d in pieces))
-    out: Dict[int, int] = {}
-    get = out.get
-    for nums, d in pieces:
-        scale = den // d
-        for e, v in nums.items():
-            out[e] = get(e, 0) + v * scale
-    return _primitive(out, den)
+def _cell_scale(cell: List, den: int) -> int:
+    """The factor that puts a piece over ``den`` on the denominator of the
+    cell [nums, cell_den]; when ``den`` does not divide it, the cell first
+    moves to their lcm, its numerators rescaled in place."""
+    nums, cell_den = cell
+    if cell_den % den:
+        grown = cell_den // math.gcd(cell_den, den) * den
+        up = grown // cell_den
+        for e in nums:
+            nums[e] *= up
+        cell[1] = cell_den = grown
+    return cell_den // den
+
+
+def _divide(nums: Dict[int, int], den: int, inv_num: int, inv_den: int) -> _Scaled:
+    """The primitive pair of (nums / den) * (inv_num / inv_den), for a
+    primitive pair (nums, den) with no zero numerator and a nonzero
+    inv_num / inv_den in lowest terms (inv_den > 0).
+
+    Its content, the gcd of den * inv_den and every v * inv_num, is
+    gcd(inv_num, den) * gcd(inv_den, *nums).  Prime by prime, with a, b, c,
+    e the valuations of gcd(*nums), inv_num, den and inv_den, the content's
+    valuation is min(a + b, c + e), where min(a, c) = 0 (primitive) and
+    min(b, e) = 0 (lowest terms).  It equals min(b, c) + min(e, a) in each
+    of the four cases that leaves: a = b = 0 gives 0 on both sides, a = e =
+    0 gives min(b, c), c = b = 0 gives min(a, e), and c = e = 0 gives 0.
+    Both gcds start from an entry of the small inverse, so no gcd pairs two
+    of the pair's large integers."""
+    g_num, g_den = math.gcd(inv_num, den), math.gcd(inv_den, *nums.values())
+    inv_num //= g_num
+    return {e: v // g_den * inv_num for e, v in nums.items()}, den // g_num * (inv_den // g_den)
 
 
 @dataclass(frozen=True)
@@ -375,7 +398,6 @@ def decompose(f: MultiPoly, p: RegularOperator, precision: int) -> Decomposition
     window = x_window(p, t, f, K)
     # a product of two keys below degree K has digits under 2K, so none carries
     width = (2 * K).bit_length()
-    cap = K << (width * (n - 1))  # the smallest key of degree K
 
     def graded(terms: Dict[Tuple[int, ...], Fraction]) -> Dict[Tuple[int, int], Dict[int, Fraction]]:
         """The terms below B-degree K as {(x-power, B-degree): {key: c}}."""
@@ -386,11 +408,11 @@ def decompose(f: MultiPoly, p: RegularOperator, precision: int) -> Decomposition
                 out.setdefault((e[0], d), {})[_pack(e[1:] + (d,), width)] = c
         return out
 
-    # levels[d][j]: the pieces still to be summed at x-power j and B-degree
-    # d; sweep d + 1 sums them when it visits j
-    levels: List[Dict[int, List[_Scaled]]] = [{} for _ in range(K)]
+    # levels[d][j]: the cell [nums, den] of x-power j and B-degree d, the
+    # sum of what has landed there; sweep d + 1 reads it when it visits j
+    levels: List[Dict[int, List]] = [{} for _ in range(K)]
     for (j, d), terms in graded(f.terms).items():
-        levels[d][j] = [_scaled(terms)]
+        levels[d][j] = [*_scaled(terms)]
 
     # the terms x^jx * c of each a_i, over one denominator op_den:
     # {(i, jx, B-degree of c): int numerators of c}
@@ -404,10 +426,11 @@ def decompose(f: MultiPoly, p: RegularOperator, precision: int) -> Decomposition
     for (i, jx, d, key), v in op_nums.items():
         parts.setdefault((i, jx, d), {})[key] = v
 
-    def generator(ell: int) -> Tuple[int, int, List[Tuple[int, int, Dict[int, int], int]]]:
+    def generator(ell: int) -> Tuple[int, int, List[Tuple[int, int, List[Tuple[int, int]], int]]]:
         """1/g(l), for g(l) the pivot's constant term, as (numerator,
         denominator), and every other entry of the column of P(x^l) up to the
-        window, negated, as (B-degree, x-power, numerators, den), in order."""
+        window, negated, as (B-degree, x-power, sorted numerator items, den),
+        in order."""
         weights = [math.perm(ell, i) for i in range(r + 1)]
         sums: Dict[Tuple[int, int], Dict[int, int]] = {}
         for (i, jx, d), nums in parts.items():
@@ -437,9 +460,11 @@ def decompose(f: MultiPoly, p: RegularOperator, precision: int) -> Decomposition
         if Fraction(-pivot_nums[0], pivot_den) != g:
             raise InternalCheckError(f"the pivot of generator {ell} is not g({ell})")
         inverse = 1 / g
-        return inverse.numerator, inverse.denominator, sorted((d, m, *entry) for (m, d), entry in column.items())
+        return inverse.numerator, inverse.denominator, sorted(
+            (d, m, sorted(nums.items()), den) for (m, d), (nums, den) in column.items()
+        )
 
-    generators: Dict[int, Tuple[int, int, List[Tuple[int, int, Dict[int, int], int]]]] = {}
+    generators: Dict[int, Tuple[int, int, List[Tuple[int, int, List[Tuple[int, int]], int]]]] = {}
     e_parts: List[List[_Scaled]] = [[] for _ in range(s)]
     b_parts: Dict[int, List[_Scaled]] = {}
     sweep_vals: List[float] = []
@@ -448,8 +473,8 @@ def decompose(f: MultiPoly, p: RegularOperator, precision: int) -> Decomposition
     for sweep in range(1, K + 1):
         d = sweep - 1
         if d:
-            for j, pieces in levels[d - 1].items():
-                if _merge(pieces)[0]:
+            for j, (nums, _) in levels[d - 1].items():
+                if any(nums.values()):
                     raise InternalCheckError(
                         f"coherence failure: sweep {sweep} found valuation {d - 1} at position {j}"
                     )
@@ -459,10 +484,10 @@ def decompose(f: MultiPoly, p: RegularOperator, precision: int) -> Decomposition
         level = levels[d]
         found = False
         for j in range(window + 1):
-            pieces = level.pop(j, None)
-            if pieces is None:
+            cell = level.pop(j, None)
+            if cell is None:
                 continue
-            gamma_nums, gamma_den = gamma = _merge(pieces)
+            gamma_nums, gamma_den = gamma = _primitive(*cell)
             if not gamma_nums:
                 continue
             found = True
@@ -475,23 +500,32 @@ def decompose(f: MultiPoly, p: RegularOperator, precision: int) -> Decomposition
             inv_num, inv_den, column = generators[ell]
             # delta = gamma / g(l): the pivot's unit part clears B-degree d
             # alone, and its terms of positive degree are spilled with the rest
-            delta_nums, delta_den = delta = _primitive(
-                {e: v * inv_num for e, v in gamma_nums.items()}, gamma_den * inv_den
-            )
+            delta_nums, delta_den = delta = _divide(gamma_nums, gamma_den, inv_num, inv_den)
             # delta * g(l) == gamma, by cross-multiplication
             if delta_nums.keys() != gamma_nums.keys() or any(
                 v * inv_den * gamma_den != gamma_nums[e] * delta_den * inv_num for e, v in delta_nums.items()
             ):
                 raise InternalCheckError("pivot cancellation was not exact")
             b_parts.setdefault(ell, []).append(delta)
-            for dc, m, c_nums, c_den in column:
+            for dc, m, c_items, c_den in column:
                 deg = d + dc
                 if deg >= K:
                     break
                 if deg == d and m <= j:
                     raise InternalCheckError(f"a degree-{d} piece landed at position {m}, not past {j}")
-                piece = (_accumulate(delta_nums, c_nums, cap=cap), delta_den * c_den)
-                levels[deg].setdefault(m, []).append(piece)
+                # delta * c, of B-degree deg < K, so no digit of a key sum
+                # carries: summed into its cell over the cell's denominator
+                cells, piece_den = levels[deg], delta_den * c_den
+                cell = cells.get(m)
+                if cell is None:
+                    cell = cells[m] = [{}, piece_den]
+                scale, nums = _cell_scale(cell, piece_den), cell[0]
+                get = nums.get
+                for k1, v1 in delta_nums.items():
+                    v1 *= scale
+                    for k2, v2 in c_items:
+                        k = k1 + k2
+                        nums[k] = get(k, 0) + v1 * v2
         if found:
             sweep_vals.extend([d] * (waiting + 1))
             waiting = 0
@@ -500,7 +534,7 @@ def decompose(f: MultiPoly, p: RegularOperator, precision: int) -> Decomposition
     if waiting:
         sweep_vals.append(math.inf)
 
-    if any(_merge(pieces)[0] for level in levels for pieces in level.values()):
+    if any(any(nums.values()) for level in levels for nums, _ in level.values()):
         raise InternalCheckError("residual survived all sweeps at the stated precision")
 
     def series(parts: List[_Scaled]) -> TruncatedSeries:

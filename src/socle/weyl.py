@@ -14,10 +14,11 @@ the fraction-free ``_product_terms`` of :mod:`socle.poly` with
 ``_normal_order`` as its expansion rule: coefficients are scaled to integers
 by the lcm of their denominators, accumulated as ints and divided once per
 output term.  ``_act`` applies operators to polynomials with one product per
-d-exponent, on that derivative of the polynomial, keyed by packed ints
-(``poly._pack``) one bit wider than the largest digit, so that a product is
-one int addition and no digit carries.  Results of internal arithmetic skip
-re-validation; the public constructor keeps every check.
+d-exponent, on that derivative of the polynomial, built once for all the
+operators of one call, keyed by packed ints (``poly._pack``) one bit wider
+than the largest digit, so that a product is one int addition and no digit
+carries.  Results of internal arithmetic skip re-validation; the public
+constructor keeps every check.
 
 The module also carries the function space operators act on besides
 polynomials: the injective hull of the residue field at the origin, spanned
@@ -98,18 +99,20 @@ def _act(f: Mapping[Exponent, int], *ops: Mapping[TermKey, int]) -> Tuple[int, L
     ``poly._pack`` at ``width``, one bit above the largest digit of f and of
     every x-part, so that no digit sum carries.  f is packed once; each
     operator takes one product per d-exponent, of that derivative of f, whose
-    weights perm(g_i, d_i) are read off the digits."""
+    weights perm(g_i, d_i) are read off the digits.  Each derivative is
+    built once and read by every operator with that d-exponent."""
     digits = [max(e) for e in f] + [max(xe) for op in ops for xe, _ in op]
     width = max(digits, default=0).bit_length() + 1
     mask, fk, out = (1 << width) - 1, {_pack(e, width): v for e, v in f.items()}, []
+    derivatives: Dict[Exponent, Dict[int, int]] = {}
     for terms in ops:
         groups: Dict[Exponent, Dict[int, int]] = {}
         for (xe, de), c in terms.items():
             groups.setdefault(de, {})[_pack(xe, width)] = c
         acc: Dict[int, int] = {}
         for de, xs in groups.items():
-            f_de = fk
-            if any(de):
+            f_de = fk if not any(de) else derivatives.get(de)
+            if f_de is None:
                 step, f_de = _pack(de, width), {}
                 spread = [(width * i, di) for i, di in enumerate(de) if di]
                 for key, v in fk.items():
@@ -117,6 +120,7 @@ def _act(f: Mapping[Exponent, int], *ops: Mapping[TermKey, int]) -> Tuple[int, L
                         v *= perm(key >> shift & mask, di)  # 0 once a digit is below di
                     if v:
                         f_de[key - step] = v
+                derivatives[de] = f_de
             _accumulate(f_de, xs, acc=acc, cap=1 << (width * len(de)))  # above the top digit
         out.append(acc)
     return width, out
@@ -302,9 +306,10 @@ def check_euler_identity(q: WeylOp, b: MultiPoly):
     Every factor lies in the d-only subalgebra, so each product is an int
     polynomial product over one denominator, graded by the power m of d (a
     last exponent, the top digit of the packed keys): b*q - P(b) and R are
-    one ``_act`` on b, and (d*R)_m = d(R_m) + R_(m-1) is formed on packed
-    keys.  The residual is summed term by term, never assumed zero, and
-    ``Fraction`` terms are built once.
+    one ``_act`` on b, which builds each derivative of b once for both, and
+    (d*R)_m = d(R_m) + R_(m-1) is formed on packed keys.  The residual is
+    summed term by term, never assumed zero, and ``Fraction`` terms are
+    built once.
     """
     n = q.n_vars
     if b.n_vars != n:

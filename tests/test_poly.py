@@ -150,6 +150,20 @@ def poly_pairs(draw):
     return draw(sparse_polys(n)), draw(sparse_polys(n))
 
 
+#: the coefficient of a one-term factor: 1, -1 or a 64-bit rational
+one_term_coefficients = st.sampled_from([Fraction(1), Fraction(-1)]) | big_rationals().filter(bool)
+
+
+@st.composite
+def one_term_pairs(draw):
+    """A polynomial over 0-3 variables and a one-term polynomial c*x^a, in
+    either order."""
+    n = draw(st.integers(0, 3))
+    exp = draw(st.tuples(*[st.integers(0, 3)] * n))
+    single, other = MultiPoly(n, {exp: draw(one_term_coefficients)}), draw(sparse_polys(n))
+    return (single, other) if draw(st.booleans()) else (other, single)
+
+
 def oracle_product(a, b):
     """Plain double loop over Fraction terms, zero sums dropped at the end."""
     out = {}
@@ -172,8 +186,8 @@ def assert_clean(p):
     assert all(type(c) is Fraction and c for c in p.terms.values())
 
 
-@settings(deadline=None, derandomize=True, max_examples=100)
-@given(poly_pairs())
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(poly_pairs() | one_term_pairs())
 def test_products_and_sums_match_the_fraction_oracle(pair):
     a, b = pair
     for got, want in (

@@ -138,6 +138,18 @@ def mixed_precision_series(draw, count):
     ]
 
 
+@st.composite
+def one_term_series_pairs(draw):
+    """Two series in the same variables, one of them with exactly one term
+    c*x^a below its precision, c one of 1, -1 or a 64-bit rational, in
+    either order."""
+    (other,) = draw(mixed_precision_series(1))
+    exp = draw(st.tuples(*[st.integers(0, 4)] * other.n_vars))
+    c = draw(st.sampled_from([Fraction(1), Fraction(-1)]) | big_rationals().filter(bool))
+    single = TruncatedSeries(other.n_vars, draw(st.integers(sum(exp) + 1, sum(exp) + 6)), {exp: c})
+    return [single, other] if draw(st.booleans()) else [other, single]
+
+
 def oracle(base, left, right, sign, precision):
     """base + sign * left * right by a plain double loop over Fractions,
     truncated at ``precision``."""
@@ -156,8 +168,8 @@ def assert_clean(s):
     assert all(sum(e) < s.precision for e in s.terms)
 
 
-@settings(deadline=None, derandomize=True, max_examples=100)
-@given(mixed_precision_series(2))
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(mixed_precision_series(2) | one_term_series_pairs())
 def test_arithmetic_matches_the_truncated_fraction_oracle(series):
     a, b = series
     one = {(0,) * a.n_vars: Fraction(1)}

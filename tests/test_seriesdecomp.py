@@ -3,19 +3,22 @@
 import dataclasses
 import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from socle import seriesdecomp
-from socle.errors import DimensionMismatch, DomainError
+from socle.errors import DimensionMismatch, DomainError, InternalCheckError
 from socle.grammar import parse_operator
 from socle.poly import MultiPoly, _pack, _unpack
 from socle.series import TruncatedSeries
 from socle.seriesdecomp import (
     RegularOperator,
-    _merge,
+    _cell_scale,
+    _divide,
+    _primitive,
     analyze_operator,
     decompose,
     expansion_coeffs,
@@ -385,6 +388,49 @@ def test_decompose_refuses_a_generator_at_an_indicial_root(monkeypatch):
     )
 
 
+def test_a_pivot_off_the_indicial_value_is_an_internal_error(monkeypatch):
+    # x*d0 has g(l) = l; an analysis that reports g(l) = l + 1 disagrees
+    # with the pivot of P(x^3), 3*x^3, when the sweep first builds it
+    p = op_from_text("x*d0", 1)
+    true = analyze_operator(p)
+    off = dataclasses.replace(true, g_coeffs=(true.g_coeffs[0] + 1,) + true.g_coeffs[1:])
+    monkeypatch.setattr(seriesdecomp, "analyze_operator", lambda op: off)
+    with pytest.raises(InternalCheckError, match=r"^the pivot of generator 3 is not g\(3\)$"):
+        decompose(xpow(1, 3), p, precision=2)
+
+
+def test_an_inexact_pivot_division_is_an_internal_error(monkeypatch):
+    # x*d0 on 3*x^3*y + 6*x^3*z: gamma = 3*y + 6*z at x^3 is divided by
+    # g(3) = 3, and the only gcd the sweep takes that is 3 is the content of
+    # that quotient; a gcd that reports 2 there leaves delta = y + 3*z
+    p = op_from_text("x*d0", 3)
+    f = MultiPoly(3, {(3, 1, 0): Fraction(3), (3, 0, 1): Fraction(6)})
+
+    def gcd(*args):
+        g = math.gcd(*args)
+        return 2 if g == 3 else g
+
+    monkeypatch.setattr(seriesdecomp, "math", types.SimpleNamespace(**{**vars(math), "gcd": gcd}))
+    with pytest.raises(InternalCheckError, match=r"^pivot cancellation was not exact$"):
+        decompose(f, p, precision=2)
+
+
+@pytest.mark.parametrize(
+    "precision, message",
+    [
+        (2, r"^coherence failure: sweep 2 found valuation 0 at position 3$"),
+        (1, r"^residual survived all sweeps at the stated precision$"),
+    ],
+)
+def test_a_residual_past_the_window_is_an_internal_error(monkeypatch, precision, message):
+    # a window that stops short of f's x^3 leaves it in the residual: sweep 2
+    # finds it below its degree, and with one sweep it outlives the sweeps
+    p = op_from_text("x*d0", 1)
+    monkeypatch.setattr(seriesdecomp, "x_window", lambda p, t, f, K: 1)
+    with pytest.raises(InternalCheckError, match=message):
+        decompose(xpow(1, 3), p, precision)
+
+
 def test_decompose_error_paths():
     p = op_from_text("x*d0", 1)
     f = xpow(1, 3)
@@ -546,8 +592,16 @@ def scaled_pieces(draw):
 @settings(deadline=None, derandomize=True, max_examples=100)
 @given(scaled_pieces())
 def test_merged_pairs_are_exact_and_primitive(pieces):
-    # the sweep's integers stay small: zeros dropped, common gcd divided out
-    nums, den = _merge(pieces)
+    # pieces summed into one cell as the sweep sums them, the cell's
+    # denominator growing to their lcm, then made primitive when visited:
+    # the sweep's integers stay small, zeros dropped, common gcd divided out
+    cell = [{}, 1]
+    for part_nums, part_den in pieces:
+        scale = _cell_scale(cell, part_den)
+        for e, v in part_nums.items():
+            cell[0][e] = cell[0].get(e, 0) + v * scale
+    assert cell[1] == math.lcm(*(d for _, d in pieces))
+    nums, den = _primitive(*cell)
     want = {}
     for part_nums, part_den in pieces:
         for e, v in part_nums.items():
@@ -555,6 +609,26 @@ def test_merged_pairs_are_exact_and_primitive(pieces):
     assert {e: Fraction(v, den) for e, v in nums.items()} == {e: c for e, c in want.items() if c}
     assert den > 0 and all(nums.values())
     assert math.gcd(den, *nums.values()) == 1
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(
+    st.dictionaries(st.integers(0, 4), st.integers(-BIG, BIG).filter(bool), min_size=1, max_size=5),
+    st.integers(1, BIG),
+    st.integers(-BIG, BIG).filter(bool),
+    st.integers(1, BIG),
+)
+def test_pivot_quotients_are_exact_and_primitive(nums, den, p, q):
+    # delta = gamma / g(l) from two small gcds, for gamma primitive and
+    # 1/g(l) = p/q in lowest terms, is the primitive pair of the quotient
+    gamma_nums, gamma_den = _primitive(nums, den)
+    inverse = Fraction(p, q)
+    delta_nums, delta_den = _divide(gamma_nums, gamma_den, inverse.numerator, inverse.denominator)
+    assert {e: Fraction(v, delta_den) for e, v in delta_nums.items()} == {
+        e: Fraction(v, gamma_den) * inverse for e, v in gamma_nums.items()
+    }
+    assert delta_den > 0 and all(delta_nums.values())
+    assert math.gcd(delta_den, *delta_nums.values()) == 1
 
 
 @st.composite

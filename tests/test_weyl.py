@@ -14,6 +14,7 @@ from socle.poly import MultiPoly
 from socle.weyl import (
     EElement,
     WeylOp,
+    _act,
     check_euler_identity,
     formal_adjoint,
     right_coefficients,
@@ -46,6 +47,8 @@ def test_basic_relation():
     # d x = x d + 1
     d, x = WeylOp.d_gen(1, 0), WeylOp.x_gen(1, 0)
     assert d * x == parse_operator("x*d0 + 1", 1)
+    # one term on each side, and still normal-ordered
+    assert d * x == x * d + 1
 
 
 def test_second_order_relation():
@@ -315,6 +318,22 @@ def test_grouped_action_matches_the_fraction_oracle(case):
     got = p.act_on_poly(f)
     assert got.terms == oracle_action(p, f)
     assert_clean(got)
+
+
+def test_each_derivative_is_shared_by_the_operators_of_one_action():
+    # two operators share the d-exponent (1, 0) and one has no partial: each
+    # result is that of its own call at the same width, term for term
+    f = {(3, 2): 4, (1, 1): -2, (2, 0): 5, (0, 0): 1}
+    ops = [
+        {((1, 0), (1, 0)): 2, ((0, 1), (0, 0)): 3, ((2, 1), (1, 1)): -1},
+        {((2, 0), (1, 0)): -1, ((0, 0), (0, 2)): 5},
+        {((1, 1), (0, 0)): 7},
+    ]
+    width, together = _act(f, *ops)
+    for op, got in zip(ops, together):
+        alone_width, (alone,) = _act(f, op)
+        assert alone_width == width
+        assert list(got.items()) == list(alone.items())
 
 
 @settings(deadline=None, derandomize=True, max_examples=100)
