@@ -100,8 +100,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from itertools import chain, combinations, repeat
+from functools import cache, lru_cache
+from itertools import combinations
 from math import comb, lcm
 from operator import itemgetter, mul, sub
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -404,6 +404,20 @@ class _Piece:
     Pieces of a pair share one ``width``.  With f given as {exponent: int}
     every entry is an int.
 
+    The step table of index set I at pole order k (``steps[j]``, one per
+    set) lists (key step, i, k a_i, sign * c_a) for every term c_a x^a of f
+    and every i not in I, in increasing key step, sign the wedge sign of
+    moving dx_i into place.  The column of x^e dx_I holds sign * c_a * (e_i
+    - k a_i) at the row key + step, and distinct terms land on distinct
+    rows, so its lowest row is key plus the first step with a nonzero
+    factor.  The rows (key step, i, a_i, c_a) of all terms and all i are
+    sorted once per piece.  The bits of a step below ``width`` hold 1 << i
+    and the rest the code of a - 1_i, so steps are distinct, and the table
+    of I, those rows with i not in I and with k a_i and I's signs filled in,
+    is in the order of its own sort.  Each index set's mask and signs are
+    made once (``_wedge``), and one pass per degree lays out the sets'
+    exponents, owners, keys and tables.
+
     The rank path asks for r(j) = rank d C_(j-1) in order of j.  Each is
     eliminated once, from the d columns off the pivot rows of r(j-1)
     (clearing); its pivot state stays live for ``_persistent_dims`` to
@@ -427,15 +441,15 @@ class _Piece:
     ):
         n = spec.n_vars
         degree = sum(next(iter(f)))
-        self.n, self.f, self.cutoff, self.tau, self.width = n, f, cutoff, tau, width
-        self.units = [1 << (width * (i + 1)) for i in range(n)]
+        self.n = n
+        self.units = units = [1 << (width * (i + 1)) for i in range(n)]
         self.bound = 1 << (width * (n + 1))  # |key| < bound (``_key_width``)
-        # the step table of d_j: per index set I, (key step, i, k a_i,
-        # sign * c_a) for every term c_a x^a of f and every i not in I, sorted
-        # by key step.  The column of x^e dx_I holds sign * c_a * (e_i - k a_i)
-        # at the row key + step, and distinct terms land on distinct rows, so
-        # its lowest row is key plus the first step with a nonzero factor
-        terms = [(self.code(fe), fe, c) for fe, c in f.items()]
+        # (key step, i, a_i, c_a) per term c_a x^a of f and i, sorted once
+        rows = []
+        for a, c in f.items():
+            code = self.code(a)
+            rows += [(code + (1 << i) - unit, i, a[i], c) for i, unit in enumerate(units)]
+        rows.sort()
         self.sets, self.exps, self.owner, self.keys, self.steps = [], [], [], [], []
         for j in range(n + 1):
             k = cutoff + j
@@ -448,30 +462,24 @@ class _Piece:
                 exps, codes = [exps] * len(sets), [codes] * len(sets)
             else:
                 sets, exps, codes = self._block_parts(block(k), j)
+            all_exps, owner, keys, steps = [], [], [], []
+            for s, (I, es, cs) in enumerate(zip(sets, exps, codes)):
+                mask, signs = _wedge(I, n)
+                all_exps += es
+                owner += [s] * len(es)
+                keys += [mask + c for c in cs]
+                steps.append([(step, i, k * a, sg * c) for step, i, a, c in rows if (sg := signs[i])])
             self.sets.append(sets)
-            self.exps.append(list(chain.from_iterable(exps)))
-            self.owner.append(list(chain.from_iterable(map(repeat, range(len(sets)), map(len, exps)))))
-            self.keys.append([mask + c for mask, cs in zip(map(_mask, sets), codes) for c in cs])
-            self.steps.append([self._step_table(I, k, terms) for I in sets])
+            self.exps.append(all_exps)
+            self.owner.append(owner)
+            self.keys.append(keys)
+            self.steps.append(steps)
         self.ranks: List[int] = []
         self.kept: List[List[int]] = []  # basis indices off the pivot rows of r(j)
         self.live = None  # (j, pivots) of the latest r(j)
         # i as {key shift: coefficient}, None off the low end of a pair
         self.image = {self.code(e): c for e, c in f.items()} if low_end else None
         self.cycles: Dict[int, List[dict]] = {}
-
-    def _step_table(self, I: Tuple[int, ...], k: int, terms) -> list:
-        """The step table of index set I at pole order k; the sign flips past
-        each index of I, the wedge sign of moving dx_i into place."""
-        table, sign = [], 1
-        for i, unit in enumerate(self.units):
-            if i in I:
-                sign = -sign
-            else:
-                step = (1 << i) - unit
-                table.extend((code + step, i, k * fe[i], sign * c) for code, fe, c in terms)
-        table.sort()
-        return table
 
     def _block_parts(self, gs: list, j: int) -> tuple:
         """The x^e dx_I with |I| = j and e = g - 1_I >= 0, for the exponents g
@@ -579,7 +587,7 @@ class _Piece:
 
     def push(self, v: Dict[int, int]) -> Dict[int, int]:
         """i v, zeros dropped."""
-        return {r: x for r, x in _accumulate(v, self.image, lambda a, b: ((a + b, 1),)).items() if x}
+        return {r: x for r, x in _accumulate(v, self.image, packed=True).items() if x}
 
     def take(self, j: int) -> Dict[int, Union[int, Dict[int, int]]]:
         """The live pivot state of r(j), handed over once; ``builder(j)``
@@ -591,8 +599,18 @@ class _Piece:
         return live[1]
 
 
-def _mask(index_set: Sequence[int]) -> int:
-    return sum(1 << i for i in index_set)
+@lru_cache(maxsize=1 << (VARS_MAX + 1))  # every index set of up to VARS_MAX variables
+def _wedge(I: Tuple[int, ...], n: int) -> Tuple[int, Tuple[int, ...]]:
+    """(mask(I), signs) for an index set I of n variables: signs[i] is the
+    wedge sign of moving dx_i into place in dx_(I+i), which flips past each
+    index of I, and 0 for the i in I."""
+    mask, sign, signs = 0, 1, []
+    for i in I:
+        signs += [sign] * (i - len(signs))
+        signs.append(0)
+        mask, sign = mask | 1 << i, -sign
+    signs += [sign] * (n - len(signs))
+    return mask, tuple(signs)
 
 
 def _torus_block(f) -> Optional[Callable[[int], list]]:

@@ -10,15 +10,15 @@ through two plain functions.  ``_sum_terms`` merges the terms as they are,
 with one ``Fraction`` addition per shared key.  ``_product_terms`` is
 fraction-free: each factor's terms are scaled to integers by the lcm of
 their denominators (``_scaled``), multiplied and accumulated as plain ints
-(``_accumulate``, which the series inverse and the operator action of
-:mod:`socle.weyl` call directly), and each surviving term is divided once
-by the denominator.  Exponent-tuple products form every pair of terms; a
-truncated series drops the terms past its precision afterwards.  A factor
-of one term, such as a monomial x^l, only shifts the other factor's keys
-and multiplies its coefficients, with nothing scaled or divided.  The
-operator action and the sweep of :mod:`socle.seriesdecomp` share one
-packed-int key layout (``_pack``), in which a product of two keys is one
-int addition.
+(``_accumulate``, which the series inverse, the operator action of
+:mod:`socle.weyl` and the chain map of :mod:`socle.derham` call directly),
+and each surviving term is divided once by the denominator.  Products form
+every pair of terms; a truncated series drops the terms past its precision
+afterwards.  A factor of one term, such as a monomial x^l, only shifts the
+other factor's keys and multiplies its coefficients, with nothing scaled or
+divided.  The operator action and the sweep of :mod:`socle.seriesdecomp`
+share one packed-int key layout (``_pack``), in which a product of two keys
+is one int addition (``_accumulate``'s packed path).
 Results of this internal arithmetic are built by ``_trusted`` constructors
 that skip re-validation, since their terms are valid by construction; the
 public constructors keep every check.
@@ -89,29 +89,25 @@ def _accumulate(
     rhs: Mapping[Hashable, int],
     expand: Callable[[Hashable, Hashable], Iterable[Tuple[Hashable, int]]] | None = None,
     acc: Dict[Hashable, int] | None = None,
-    cap: int | None = None,
+    packed: bool = False,
 ) -> Dict[Hashable, int]:
     """The int terms of the product ``lhs * rhs`` of two int term dicts; a
     term may cancel to 0 and is then still listed.
 
     With ``expand`` None the keys are exponent tuples that add, and every
-    pair of terms is formed.  With ``cap`` the keys are instead ``_pack``
-    keys whose digits never carry; the right factor is sorted once and each
-    row stops at the first key whose product reaches ``cap``.  The operator
-    action caps above the top digit, cutting nothing.
-    Otherwise ``expand(k1, k2)`` lists the (key, int weight) terms a pair of
-    keys combines to, such as a normal-ordered operator product.  With
-    ``acc`` the terms are added into that dict, which is returned.
+    pair of terms is formed.  With ``packed`` they are instead ints that
+    add, such as ``_pack`` keys whose digits never carry, and a product of
+    two keys is one int addition.  Otherwise ``expand(k1, k2)`` lists the
+    (key, int weight) terms a pair of keys combines to, such as a
+    normal-ordered operator product.  With ``acc`` the terms are added into
+    that dict, which is returned.
     """
     acc = {} if acc is None else acc
     get = acc.get
-    if cap is not None:
-        ordered = sorted(rhs.items())
+    if packed:
+        right = list(rhs.items())
         for k1, v1 in lhs.items():
-            room = cap - k1
-            for k2, v2 in ordered:
-                if k2 >= room:
-                    break
+            for k2, v2 in right:
                 k = k1 + k2
                 acc[k] = get(k, 0) + v1 * v2
     elif expand is None:

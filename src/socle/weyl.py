@@ -121,7 +121,7 @@ def _act(f: Mapping[Exponent, int], *ops: Mapping[TermKey, int]) -> Tuple[int, L
                     if v:
                         f_de[key - step] = v
                 derivatives[de] = f_de
-            _accumulate(f_de, xs, acc=acc, cap=1 << (width * len(de)))  # above the top digit
+            _accumulate(f_de, xs, acc=acc, packed=True)
         out.append(acc)
     return width, out
 

@@ -200,6 +200,19 @@ def whole_pieces():
     return mock.patch.object(socle.derham, "_torus_block", lambda f: None)
 
 
+def recording_init(args):
+    """``_Piece.__init__`` that also records each piece's constructor
+    arguments (cutoff, tau) in ``args``, keyed by the piece: what the spies
+    of a route read."""
+    init = socle.derham._Piece.__init__
+
+    def recording(self, spec, f, cutoff, tau, *rest, **options):
+        args[self] = (cutoff, tau)
+        init(self, spec, f, cutoff, tau, *rest, **options)
+
+    return recording
+
+
 def d_map(piece, j):
     """d_j of a piece as {key: column} over its whole basis."""
     keys = piece.keys[j]
@@ -253,7 +266,7 @@ def test_filtration_inclusion_is_a_chain_map():
     ):
         lo, hi = (engine_piece(spec, cut, 0, hi_cut) for cut in (lo_cut, hi_cut))
         n = spec.n_vars
-        iotas = [inclusion(lo, hi, j, lo.f) for j in range(n + 1)]
+        iotas = [inclusion(lo, hi, j, spec.pole_terms()) for j in range(n + 1)]
         for j in range(n):
             d_lo, d_hi = d_map(lo, j), d_map(hi, j)
             for key in lo.keys[j]:
@@ -558,18 +571,19 @@ def test_each_cutoff_complex_is_assembled_once(monkeypatch):
     piece = socle.derham._Piece
     d_columns, eliminate = piece.d_columns, piece._eliminate
     for spec, cutoff, want_dims in cases:
-        built, eliminated, stored = [], [], {}
+        built, eliminated, stored, args = [], [], {}, {}
 
         def counting_columns(self, j, kept, *tails):
-            built.extend((self.cutoff, self.tau, j, idx) for idx in kept)
+            built.extend((*args[self], j, idx) for idx in kept)
             return d_columns(self, j, kept, *tails)
 
         def counting_eliminate(self, j):
-            eliminated.append((self.cutoff, self.tau, j))
+            eliminated.append((*args[self], j))
             if j:
-                stored[(self.cutoff, self.tau, j - 1)] = len(self.kept[j - 1])
+                stored[(*args[self], j - 1)] = len(self.kept[j - 1])
             return eliminate(self, j)
 
+        monkeypatch.setattr(piece, "__init__", recording_init(args))
         monkeypatch.setattr(piece, "d_columns", counting_columns)
         monkeypatch.setattr(piece, "_eliminate", counting_eliminate)
         dims, report = two_pair_truncated(spec, cutoff)
@@ -817,17 +831,17 @@ def test_the_cutoff_zero_route_is_taken_exactly_past_the_gate():
     # F_0 alone; R, E and cutoff 1 off the gate on one whole piece, by
     # rank-nullity; every other spec by persistence, on consecutive pairs
     # only
-    routes = []
+    routes, args = [], {}
 
     def spy(name):
         ranks = getattr(socle.derham, name)
 
-        def recording(*args):
+        def recording(*pieces):
             routes.append(name)
             if name == "_persistent_dims":
-                lo, hi = args
-                assert hi.cutoff == lo.cutoff + 1
-            return ranks(*args)
+                lo, hi = pieces
+                assert args[hi][0] == args[lo][0] + 1
+            return ranks(*pieces)
 
         return recording
 
@@ -841,7 +855,9 @@ def test_the_cutoff_zero_route_is_taken_exactly_past_the_gate():
     for spec in specs:
         for cutoff in (1, 2, 3):
             routes.clear()
-            with mock.patch.multiple(socle.derham, **{name: spy(name) for name in names}):
+            with mock.patch.multiple(socle.derham, **{name: spy(name) for name in names}), mock.patch.object(
+                socle.derham._Piece, "__init__", recording_init(args)
+            ):
                 derham_truncated(spec, cutoff)
             if spec.smoothness_gate() is True and not spec.cutoff_free:
                 want = ["_cutoff_zero_tables", "_piece_dims"]
@@ -865,8 +881,8 @@ def test_assembled_columns_match_polynomial_products(case):
     n = spec.n_vars
     piece = engine_piece(spec, cutoff, tau)
     # the engine's f is the primitive integer multiple of the spec's
-    f = MultiPoly(n, piece.f)
-    e0, c0 = next(iter(piece.f.items()))
+    f = MultiPoly(n, spec.pole_terms())
+    e0, c0 = next(iter(spec.pole_terms().items()))
     assert f == spec.f * (c0 / spec.f.terms[e0])
     label_at = [dict(zip(piece.keys[j], piece.labels(j))) for j in range(n + 1)]
     for j in range(n):
@@ -965,6 +981,138 @@ def test_piece_columns_follow_the_closed_form_at_their_keys(case, wider):
             assert {label_at[r]: c for r, c in col.items()} == want
 
 
+def per_set_parts(spec, f, cutoff, tau, width, block):
+    """Per form degree j, (sets, exps, owner, keys, steps) of a piece as the
+    per-set construction builds them: the exponents of each index set I from
+    the spec's basis, or from the block's exponents g as g - 1_I for the
+    j-subsets I of g's support, and per set its own step table, the rows
+    (key step, i, k a_i, wedge sign * c_a) for the terms c_a x^a of f and
+    the i not in I, sorted on their own.  The oracle of ``_Piece``'s one
+    sorted list per piece."""
+    n = spec.n_vars
+    units = [1 << (width * (i + 1)) for i in range(n)]
+
+    def code(e):
+        return sum(x * u for x, u in zip(e, units))
+
+    degree = sum(next(iter(f)))
+    out = []
+    for j in range(n + 1):
+        k = cutoff + j
+        if block is None:
+            exps, _ = spec.basis(tau - j + k * degree, tau, cutoff, width)
+            parts = {I: list(exps) for I in combinations(range(n), j)} if exps else {}
+        else:
+            parts = {}
+            for g in block(k):
+                for I in combinations([i for i, x in enumerate(g) if x], j):
+                    parts.setdefault(I, []).append(tuple(x - (i in I) for i, x in enumerate(g)))
+        sets = sorted(parts)
+        steps = []
+        for I in sets:
+            table, sign = [], 1
+            for i, unit in enumerate(units):
+                if i in I:
+                    sign = -sign
+                else:
+                    table.extend((code(a) + (1 << i) - unit, i, k * a[i], sign * c) for a, c in f.items())
+            steps.append(sorted(table))
+        out.append(
+            (
+                sets,
+                [e for I in sets for e in parts[I]],
+                [s for s, I in enumerate(sets) for _ in parts[I]],
+                [sum(1 << i for i in I) + code(e) for I in sets for e in parts[I]],
+                steps,
+            )
+        )
+    return out
+
+
+@st.composite
+def step_table_pieces(draw):
+    """A piece at a cutoff of 0 to 4: R, or E at a weight that gives it
+    negative exponents, a sparse hypersurface, a dense f
+    (``fermat_plus_terms``), each localization on its torus block half the
+    time, or an f with a larger torus on its block (``larger_torus_inputs``,
+    whose cutoff bounds the piece)."""
+    kind = draw(st.sampled_from(("R", "E", "sparse", "dense", "torus")))
+    if kind in ("R", "E"):
+        cutoff, n = draw(st.integers(0, 4)), draw(st.integers(1, 3))
+        spec = ring(n) if kind == "R" else InjectiveHull(n)
+        return spec, cutoff, draw(st.integers(-cutoff, 0)), False
+    if kind == "torus":
+        spec, top = draw(larger_torus_inputs())
+        return spec, draw(st.integers(0, top)), draw(st.integers(-1, 1)), True
+    spec = draw(hypersurfaces() if kind == "sparse" else fermat_plus_terms())
+    return spec, draw(st.integers(0, 4)), draw(st.integers(-1, 1)), draw(st.booleans())
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(step_table_pieces(), st.integers(0, 1), st.booleans())
+@example((InjectiveHull(3), 4, -4, False), 1, False)
+@example((Localization(parse_poly("x^3 + y^3 + z^3 - x*y*z", 3)), 4, 0, False), 0, True)
+@example((Localization(parse_poly("(x^2 - y*z)*(x*y - z^2)", 3)), 3, 0, True), 1, True)
+def test_piece_parts_match_the_per_set_sorted_tables(case, wider, low_end):
+    # the step tables cut from one sorted list per piece, and the exponents,
+    # owners and keys built in one pass per degree, are the per-set ones,
+    # value for value and in order; so is the chain map of a low end
+    spec, cutoff, tau, torus = case
+    f = spec.pole_terms()
+    width = socle.derham._key_width(spec.n_vars, f, cutoff + wider, tau)
+    block = socle.derham._torus_block(f) if torus else None
+    piece = socle.derham._Piece(spec, f, cutoff, tau, width, low_end, block)
+    sets, exps, owner, keys, steps = map(list, zip(*per_set_parts(spec, f, cutoff, tau, width, block)))
+    assert piece.sets == sets
+    assert piece.exps == exps
+    assert piece.owner == owner
+    assert piece.keys == keys
+    assert piece.steps == steps
+    image = [(piece.code(a), c) for a, c in f.items()] if low_end else None
+    assert (None if piece.image is None else list(piece.image.items())) == image
+
+
+def pushed_by_products(spec, piece, j, coefficients):
+    """i v for the vector v = {basis index: coefficient} of form degree j:
+    per index set I, the polynomial of v's coefficients on it times f, at
+    the keys of x^e dx_I, zeros dropped."""
+    n, labels = spec.n_vars, piece.labels(j)
+    f = MultiPoly(n, spec.pole_terms())
+    by_set = {}
+    for idx, c in coefficients.items():
+        I, e = labels[idx]
+        by_set.setdefault(I, {})[e] = c
+    want = {}
+    for I, terms in by_set.items():
+        for e, c in (MultiPoly(n, terms) * f).terms.items():
+            want[sum(1 << i for i in I) + piece.code(e)] = int(c)
+    return want
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(hypersurfaces() | fermat_plus_terms(), st.integers(0, 3), st.data())
+def test_push_is_the_product_by_the_packed_terms_of_f(spec, cutoff, data):
+    piece = engine_piece(spec, cutoff, 0, cutoff + 1, low_end=True)
+    for j, keys in enumerate(piece.keys):
+        if not keys:
+            continue
+        index, coefficient = st.integers(0, len(keys) - 1), st.integers(-3, 3).filter(bool)
+        v = data.draw(st.dictionaries(index, coefficient, max_size=6))
+        got = piece.push({keys[idx]: c for idx, c in v.items()})
+        assert got == pushed_by_products(spec, piece, j, v), j
+        assert all(type(c) is int and c for c in got.values())
+
+
+def test_push_drops_the_terms_that_cancel():
+    # (x + y)(x - y) = x^2 - y^2: the two products at x*y cancel
+    spec = Localization(parse_poly("x - y", 2))
+    piece = engine_piece(spec, 1, 0, 2, low_end=True)
+    v = {idx: 1 for idx, (I, e) in enumerate(piece.labels(0)) if e in ((1, 0), (0, 1))}
+    got = piece.push({piece.keys[0][idx]: c for idx, c in v.items()})
+    assert got == pushed_by_products(spec, piece, 0, v)
+    assert sorted(got.values()) == [-1, 1] and len(v) == 2
+
+
 @settings(deadline=None, derandomize=True, max_examples=60)
 @given(engine_pieces(), st.booleans())
 # a pivot that a reduction reads is built from a column of content 3
@@ -995,19 +1143,20 @@ def test_unbuilt_pivots_give_the_eager_elimination(case, low_end):
             assert v == eager[row], (j, row)
 
 
-def polynomial_forms(spec, piece, j):
+def polynomial_forms(spec, piece, cutoff, tau, j):
     """The polynomial j-forms x^a dx_I = x^a f^k dx_I / f^k (k = cutoff + j) of
-    the piece's weight, at every weight, as int columns built from labels and
-    the piece's f; none unless the spec is taken modulo them."""
+    the weight tau of a piece at that cutoff, at every weight, as int columns
+    built from labels and the engine's f (``pole_terms``); none unless the
+    spec is taken modulo them."""
     n = spec.n_vars
     if not spec.quotient_mod_A or j > n:
         return []
-    f_k = MultiPoly(n, piece.f) ** (piece.cutoff + j)
+    f_k = MultiPoly(n, spec.pole_terms()) ** (cutoff + j)
     key_at = dict(zip(piece.labels(j), piece.keys[j]))
     return [
         {key_at[(I, tuple(x + y for x, y in zip(a, b)))]: int(c) for b, c in f_k.terms.items()}
         for I in combinations(range(n), j)
-        for a in graded_piece_basis(piece.tau - j, n)
+        for a in graded_piece_basis(tau - j, n)
     ]
 
 
@@ -1057,8 +1206,8 @@ def plain_persistent_dims(spec, lo, hi, tau):
     for j in range(n + 1):
         pushed = [apply(iotas[j + 1], col) for col in d_lo[j]] if iotas else d_lo[j]
         bottom = list(d_hi[j - 1]) if j else []
-        bottom += polynomial_forms(spec, p_hi, j)
-        a_next = polynomial_forms(spec, p_hi, j + 1)
+        bottom += polynomial_forms(spec, p_hi, hi, tau, j)
+        a_next = polynomial_forms(spec, p_hi, hi, tau, j + 1)
         if iotas:
             m = [{**tagged(0, iotas[j][key]), **tagged(1, d_u)} for key, d_u in zip(p_lo.keys[j], pushed)]
             m += [tagged(0, col) for col in bottom] + [tagged(1, col) for col in a_next]
@@ -1118,22 +1267,23 @@ def test_cycle_images_count_the_low_cohomology(case):
     spec, cutoff, window = case
     piece = socle.derham._Piece
     cycle_images, persistent_dims = piece.cycle_images, socle.derham._persistent_dims
-    counts, tables = {}, {}
+    counts, tables, args = {}, {}, {}
 
     def counting_images(self, j):
         images = cycle_images(self, j)
-        counts[(self.cutoff, self.tau, j)] = len(images)
+        counts[(*args[self], j)] = len(images)
         return images
 
     def recording_dims(lo, hi):
         dims = persistent_dims(lo, hi)
-        tables[(lo.cutoff, hi.cutoff, lo.tau)] = dims
+        (lo_cut, tau), (hi_cut, _) = args[lo], args[hi]
+        tables[(lo_cut, hi_cut, tau)] = dims
         return dims
 
     taus = range(window[0], window[1] + 1)
     with whole_pieces(), mock.patch.object(piece, "cycle_images", counting_images), mock.patch.object(
         socle.derham, "_persistent_dims", recording_dims
-    ):
+    ), mock.patch.object(piece, "__init__", recording_init(args)):
         _, report = two_pair_truncated(spec, cutoff)
         for tau in set(taus) - {0}:
             engine_tables(spec, engine_pairs(report), tau)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from socle.errors import DimensionMismatch, DomainError
-from socle.poly import MultiPoly, graded_piece_basis
+from socle.poly import MultiPoly, _accumulate, _pack, _unpack, graded_piece_basis
 from socle.grammar import parse_poly
 
 
@@ -197,6 +197,33 @@ def test_products_and_sums_match_the_fraction_oracle(pair):
     ):
         assert got.terms == want
         assert_clean(got)
+
+
+@st.composite
+def int_term_triples(draw):
+    """Two int term dicts over 0-3 variables and a dict they are added into,
+    with small coefficients, zeros included, so that products cancel."""
+    n = draw(st.integers(0, 3))
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 5)] * n), st.integers(-3, 3), max_size=6)
+    return n, draw(terms), draw(terms), draw(terms)
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(int_term_triples())
+def test_packed_products_match_the_exponent_tuple_products(case):
+    # with every digit sum below 2^width the packed keys add as the exponents
+    # do, so both paths list the same terms, cancelled ones included, in the
+    # same order, into a fresh dict or one given as ``acc``
+    n, lhs, rhs, start = case
+    width = 4  # digit sums are at most 10
+
+    def packed(terms):
+        return {_pack(e, width): v for e, v in terms.items()}
+
+    for acc in (None, start):
+        want = _accumulate(lhs, rhs, acc=None if acc is None else dict(acc))
+        got = _accumulate(packed(lhs), packed(rhs), acc=None if acc is None else packed(acc), packed=True)
+        assert [(_unpack(k, width, n), v) for k, v in got.items()] == list(want.items())
 
 
 @settings(deadline=None, derandomize=True, max_examples=100)
