@@ -22,6 +22,7 @@ from typing import List, Optional
 
 from .catalog import HYPERSURFACES, PROFILES
 from .derham import (
+    check_var_count,
     completion_flattening,
     derham_closed_form,
     derham_rank_one,
@@ -323,7 +324,10 @@ def cmd_decompose(args) -> int:
         raise _InputError("decompose needs --p with an operator expression")
     if args.f is None:
         raise _InputError("decompose needs --f with a polynomial")
-    # one variable count for both expressions, each parsed once
+    # one variable count for both expressions, each parsed once; a count is
+    # bounded before parsing, whose cost grows with it
+    if args.vars is not None:
+        check_var_count(args.vars)
     n = args.vars if args.vars is not None else used_vars(args.p, args.f)
     op = RegularOperator.from_weyl(parse_operator(args.p, n))
     f = parse_poly(args.f, n)

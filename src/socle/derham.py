@@ -75,12 +75,7 @@ d maps it to 0) and touches, besides p, only rows above p, kept ones and
 pivot rows; by induction in decreasing pivot row, C_j = span kept + B.
 Columns are primitive integer dicts from the start: f is scaled to its
 primitive integer multiple, which scales every column by a unit.  Their
-rows are the packed keys of ``_Piece``.  Most columns need no reduction
-step and most pivots are never read, so a column is built only when a step
-reads it (an implicit matrix, as in Bauer, Ripser, 2021): a column whose
-lowest row, read off a step table, is no pivot row yet is stored unbuilt as
-its basis index.  Built, it is the vector that would have been stored, so
-every rank, pivot row and kept list is unchanged.
+rows are the packed keys of ``_Piece``.
 
 Pole-complex entries are written from their closed form, with no polynomial
 products: for g = x^e and f = sum_a c_a x^a the numerator of d(g/f^k) in
@@ -104,7 +99,7 @@ from functools import cache, lru_cache
 from itertools import combinations
 from math import comb, lcm
 from operator import itemgetter, mul, sub
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     DomainError,
@@ -326,6 +321,14 @@ def _known(spec) -> ModuleSpec:
 VARS_MAX = 10
 
 
+def check_var_count(n: int) -> None:
+    """Refuse a variable count that is negative or past ``VARS_MAX``: no
+    variable past x9 can be named."""
+    _check_vars(n)
+    if n > VARS_MAX:
+        raise UnsupportedSpecError(f"at most {VARS_MAX} variables (x0..x9), got {n}")
+
+
 def spec_from_json(data: dict) -> ModuleSpec:
     """The spec of {"kind": "R" | "E", "vars": n} or {"kind": "loc" |
     "loc-quot", "f": text, "vars": n (optional)}; the one place that reads
@@ -349,9 +352,7 @@ def spec_from_json(data: dict) -> ModuleSpec:
 
     n = field("vars", int, required=kind in ("R", "E"))
     if n is not None:
-        _check_vars(n)
-        if n > VARS_MAX:
-            raise UnsupportedSpecError(f"at most {VARS_MAX} variables (x0..x9), got {n}")
+        check_var_count(n)
     if kind in ("R", "E"):
         if data.get("f") is not None:
             raise UnsupportedSpecError(f"module kind {kind!r} takes no 'f'")
@@ -409,29 +410,26 @@ class _Piece:
     and every i not in I, in increasing key step, sign the wedge sign of
     moving dx_i into place.  The column of x^e dx_I holds sign * c_a * (e_i
     - k a_i) at the row key + step, and distinct terms land on distinct
-    rows, so its lowest row is key plus the first step with a nonzero
-    factor.  The rows (key step, i, a_i, c_a) of all terms and all i are
-    sorted once per piece.  The bits of a step below ``width`` hold 1 << i
-    and the rest the code of a - 1_i, so steps are distinct, and the table
-    of I, those rows with i not in I and with k a_i and I's signs filled in,
-    is in the order of its own sort.  Each index set's mask and signs are
-    made once (``_wedge``), and one pass per degree lays out the sets'
-    exponents, owners, keys and tables.
+    rows, so the table's order fixes the column's row order.  The rows (key
+    step, i, a_i, c_a) of all terms and all i are sorted once per piece.
+    The bits of a step below ``width`` hold 1 << i and the rest the code of
+    a - 1_i, so steps are distinct, and the table of I, those rows with i
+    not in I and with k a_i and I's signs filled in, is in the order of its
+    own sort.  Each index set's mask and signs are made once (``_wedge``),
+    and one pass per degree lays out the sets' exponents, owners, keys and
+    tables.
 
     The rank path asks for r(j) = rank d C_(j-1) in order of j.  Each is
     eliminated once, from the d columns off the pivot rows of r(j-1)
-    (clearing); its pivot state stays live for ``_persistent_dims`` to
-    continue.  A column whose lowest row (``steps``) is no pivot row yet is
-    not built but stored as an unbuilt pivot, its basis index, and
-    ``builder(j)`` builds it when a reduction or the cycle split reads it,
-    so each d column is built at most once per piece and degree.
+    (clearing), so each kept d column is built once per piece and degree;
+    its pivot state stays live for ``_persistent_dims`` to continue.
 
     A ``low_end`` of a pair carries the chain map i one cutoff up,
     multiplication of numerators by f (``image``), and gives each d column d
     u the tail u at the row key(u) + 2 bound, where every |key| < ``bound``.
     A pivot row then stays below ``bound`` unless the d-part reduces to 0,
     so those pivots are the ones of r(j).  The pivots at or above ``bound``,
-    popped, built, shifted back and pushed through i, are ``cycles[j-1]``, a
+    popped, shifted back and pushed through i, are ``cycles[j-1]``, a
     basis of i(Z ∩ span kept); a tail u instead of i u holds one entry, not
     the terms of f.
     """
@@ -526,13 +524,6 @@ class _Piece:
             cols.append(col)
         return cols
 
-    def builder(self, j: int):
-        """The builder of the unbuilt pivots of r(j), j >= 1: a basis index of
-        degree j-1 goes to its primitive d column, with its tail on a low end
-        (``_reduce_into``)."""
-        tails = self.image is not None
-        return lambda idx: _content_free(self.d_columns(j - 1, (idx,), tails)[0])
-
     def rank(self, j: int) -> int:
         """r(j), 0 past the top degree; every r(i) with i <= j is then known."""
         while len(self.ranks) <= min(j, self.n):
@@ -540,36 +531,18 @@ class _Piece:
         return self.ranks[j] if j <= self.n else 0
 
     def _eliminate(self, j: int) -> None:
-        pivots: Dict[int, Union[int, Dict[int, int]]] = {}
+        pivots: Dict[int, Dict[int, int]] = {}
         tails = j > 0 and self.image is not None
         if j:
-            kept, build = self.kept[j - 1], self.builder(j)
-            keys, exps, owner, steps = self.keys[j - 1], self.exps[j - 1], self.owner[j - 1], self.steps[j - 1]
-            tail = 2 * self.bound
-            for idx in kept:
-                # the column's lowest row, read off the step table unbuilt
-                e, key = exps[idx], keys[idx]
-                for step, i, ka, _ in steps[owner[idx]]:
-                    if e[i] != ka:
-                        row = key + step
-                        break
-                else:
-                    if not tails:
-                        continue  # the column is 0
-                    row = key + tail
-                if row in pivots:
-                    _reduce_into(pivots, (build(idx),), build)
-                else:
-                    pivots[row] = idx
+            _reduce_into(pivots, self.d_columns(j - 1, self.kept[j - 1], tails))
         if tails:
             # the tails are distinct unit vectors, so no column reduces to 0;
             # one that does lost its tail, say to a collision of a key with a
             # tail row
-            if len(pivots) != len(kept):
+            if len(pivots) != len(self.kept[j - 1]):
                 raise InternalCheckError(f"a column of r({j}) lost its tail")
             bound = self.bound
             cycles = [pivots.pop(p) for p in [p for p in pivots if p >= bound]]
-            cycles = [build(v) if type(v) is int else v for v in cycles]
             self.cycles[j - 1] = [self.push({r - 2 * bound: c for r, c in v.items()}) for v in cycles]
         self.ranks.append(len(pivots))
         self.kept.append([i for i, key in enumerate(self.keys[j]) if key not in pivots])
@@ -589,9 +562,8 @@ class _Piece:
         """i v, zeros dropped."""
         return {r: x for r, x in _accumulate(v, self.image, packed=True).items() if x}
 
-    def take(self, j: int) -> Dict[int, Union[int, Dict[int, int]]]:
-        """The live pivot state of r(j), handed over once; ``builder(j)``
-        builds its unbuilt pivots."""
+    def take(self, j: int) -> Dict[int, Dict[int, int]]:
+        """The live pivot state of r(j), handed over once."""
         self.rank(j)
         live, self.live = self.live, None
         if live is None or live[0] != j:
@@ -744,7 +716,7 @@ def _persistent_dims(lo: _Piece, hi: _Piece) -> List[int]:
     for j in range(lo.n + 1):
         pivots = hi.take(j)
         bottom = len(pivots)
-        _reduce_into(pivots, lo.cycle_images(j), hi.builder(j))
+        _reduce_into(pivots, lo.cycle_images(j))
         dims.append(sum(1 for p in pivots if p < lo.bound) - bottom)
     return dims
 

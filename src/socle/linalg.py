@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Dict, Hashable, Iterable, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, Hashable, Iterable, List, NamedTuple, Tuple
 
 from .poly import _scaled
 
@@ -48,27 +48,20 @@ def _content_free(v: Dict[int, int]) -> Dict[int, int]:
     return v if g == 1 else {r: x // g for r, x in v.items()}
 
 
-def _reduce_into(
-    pivots: Dict[int, Union[int, Dict[int, int]]],
-    columns: Iterable[Dict[int, int]],
-    build: Optional[Callable[[int], Dict[int, int]]] = None,
-) -> None:
+def _reduce_into(pivots: Dict[int, Dict[int, int]], columns: Iterable[Dict[int, int]]) -> None:
     """Add integer columns to an echelon pivot state, in place.
 
     ``pivots`` is {pivot_row: primitive integer vector}; it starts empty,
     and a later call resumes where an earlier one stopped.  Each pivot
     vector is nonzero at its pivot row, which is its lowest row, and has
     every other entry on a higher row; pivot vectors are never changed once
-    stored.  A pivot may also be stored unbuilt, as an int: the first step
-    that reads it replaces it with ``build(it)``, which must be the
-    primitive vector the caller would have stored there; without unbuilt
-    pivots ``build`` is never called.  A column is reduced only while its
-    lowest row is a pivot row (the standard persistence reduction): with pr
-    that row, c = v[pr], w its pivot vector, p = w[pr] and g = gcd(p, c), a
-    step cross-multiplies v <- (p/g) v - (c/g) w, which clears pr and adds
-    entries only above it.  The content is stripped after every step that
-    scales v (p/g != 1) and at the end.  A column that reduces to a nonzero
-    vector becomes a pivot on its lowest row, which is no pivot row.
+    stored.  A column is reduced only while its lowest row is a pivot row
+    (the standard persistence reduction): with pr that row, c = v[pr], w its
+    pivot vector, p = w[pr] and g = gcd(p, c), a step cross-multiplies v <-
+    (p/g) v - (c/g) w, which clears pr and adds entries only above it.  The
+    content is stripped after every step that scales v (p/g != 1) and at the
+    end.  A column that reduces to a nonzero vector becomes a pivot on its
+    lowest row, which is no pivot row.
 
     The columns are never changed: a column is copied on its first write,
     and one that needs neither reduction nor stripping is stored as it is.
@@ -86,8 +79,6 @@ def _reduce_into(
             w = pivots.get(pr)
             if w is None:
                 break
-            if type(w) is int:
-                w = pivots[pr] = build(w)
             c, p = v[pr], w[pr]
             g = gcd(p, c)
             a, b = p // g, c // g

@@ -104,20 +104,20 @@ def _accumulate(
     """
     acc = {} if acc is None else acc
     get = acc.get
+    right = list(rhs.items())
     if packed:
-        right = list(rhs.items())
         for k1, v1 in lhs.items():
             for k2, v2 in right:
                 k = k1 + k2
                 acc[k] = get(k, 0) + v1 * v2
     elif expand is None:
         for e1, v1 in lhs.items():
-            for e2, v2 in rhs.items():
+            for e2, v2 in right:
                 e = tuple(map(add, e1, e2))
                 acc[e] = get(e, 0) + v1 * v2
     else:
         for k1, v1 in lhs.items():
-            for k2, v2 in rhs.items():
+            for k2, v2 in right:
                 v = v1 * v2
                 for k, w in expand(k1, k2):
                     acc[k] = get(k, 0) + v * w
@@ -334,7 +334,7 @@ class MultiPoly(_TermShell):
             raise DomainError(f"bad exponent {exp} for {n_vars} variables")
         return exp
 
-    # ---------------------------------------------------------------- builders
+    # ------------------------------------------------------------ constructors
 
     @classmethod
     def constant(cls, n_vars: int, c) -> "MultiPoly":

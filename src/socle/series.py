@@ -73,7 +73,7 @@ class TruncatedSeries(_TermShell):
     def _shape(self):
         return self.n_vars, self.precision
 
-    # ---------------------------------------------------------------- builders
+    # ------------------------------------------------------------ constructors
 
     @classmethod
     def from_poly(cls, p: MultiPoly, precision: int) -> "TruncatedSeries":

@@ -161,7 +161,7 @@ class WeylOp(_TermShell):
             raise DomainError("negative exponent in operator term")
         return xe, de
 
-    # ---------------------------------------------------------------- builders
+    # ------------------------------------------------------------ constructors
 
     @classmethod
     def one(cls, n_vars: int) -> "WeylOp":

@@ -30,7 +30,7 @@ from socle.derham import (
     spec_from_json,
 )
 from socle.grammar import parse_poly
-from socle.linalg import _content_free, _reduce_into, rank_of_columns
+from socle.linalg import _reduce_into, rank_of_columns
 from socle.poly import MultiPoly, graded_piece_basis
 from socle.series import TruncatedSeries
 from socle.structure import BettiProfile, predict
@@ -137,6 +137,23 @@ def test_truncated_injective_hull_small():
         dims, report = derham_truncated(InjectiveHull(n), pole_cutoff=4)
         assert list(dims) == [0] * n + [1]
         assert report.certificate == "exact"
+
+
+@pytest.mark.parametrize("cutoff", [0, 1, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_an_injective_hull_piece_past_its_cutoff_is_empty(n, cutoff):
+    # E's x^e dx_I, every e_i <= -1, lie in the piece of weight tau only
+    # while -tau <= cutoff: past it every degree is empty, and the table,
+    # ranked on no columns, is 0; at tau = -cutoff the n-forms of deg e =
+    # -cutoff - n are there
+    spec = InjectiveHull(n)
+    for low_end in (False, True):
+        past = engine_piece(spec, cutoff, -cutoff - 1, cutoff + 1, low_end)
+        assert not any(past.keys)
+        assert socle.derham._piece_dims(past) == [0] * (n + 1)
+        if low_end:
+            assert all(past.cycle_images(j) == [] for j in range(n + 1))
+    assert engine_piece(spec, cutoff, -cutoff).keys[n]
 
 
 def test_injective_hull_via_splice():
@@ -307,6 +324,9 @@ def torus_weight_blocks(f, weights, k):
         ("x*y - z*w", [(1, -1, 0, 0), (0, 0, 1, -1)]),
         ("x^2*y", [(1, 0)]),
         ("x*y^2 - z^3", [(2, -1, 0)]),
+        # a solved entry that does not depend on the last pivot and is
+        # negative leaves the last pivot an empty interval (``_torus_block``)
+        ("x*w + y*z + z*w", [(1, -1, 1, -1)]),
     ],
 )
 def test_nonzero_torus_weights_contribute_nothing(text, weights):
@@ -560,10 +580,10 @@ def test_derham_dims_hash_agrees_with_tuple_equality():
 def test_each_cutoff_complex_is_assembled_once(monkeypatch):
     # on the two-pair route the pairs (K-2, K-1) and (K-1, K) share the
     # cutoff K-1 complex: each per-complex rank r(K, j) is eliminated once,
-    # and each d column is built at most once per piece and degree, only when
-    # a reduction reads it; a low end gets its cycle images from those
-    # eliminations, so no piece builds d_n.  The conic passes the gate, so
-    # ``derham_truncated`` ranks it on F_0 alone, to the same report
+    # and each kept d column is built exactly once per piece and degree; a
+    # low end gets its cycle images from those eliminations, so no piece
+    # builds d_n.  The conic passes the gate, so ``derham_truncated`` ranks
+    # it on F_0 alone, to the same report
     cases = [
         (spec_from_json({"kind": "loc-quot", "f": "x^2 + y^2 + z^2"}), 6, [0, 1, 0, 0]),
         (monomial_localization(2, {0, 1}), 4, [1, 2, 1]),
@@ -594,7 +614,7 @@ def test_each_cutoff_complex_is_assembled_once(monkeypatch):
         assert len(set(built)) == len(built)
         assert {where[:3] for where in built} <= set(stored)
         assert sorted(stored) == [(k, 0, j) for k in cutoffs for j in range(n)]
-        assert 0 < len(built) < sum(stored.values())
+        assert len(built) == sum(stored.values())
         assert list(dims) == want_dims
         assert (dims, report) == derham_truncated(spec, cutoff)
         assert report.certificate == "stabilized"
@@ -770,6 +790,8 @@ def larger_torus_inputs(draw):
 @example((Localization(parse_poly("x*y - z*w", 4), quotient_mod_A=True), 4))
 @example((Localization(parse_poly("x^2*y^3", 2)), 4))
 @example((Localization(parse_poly("(x^2 - y*z)*(x*y - z^2)", 3)), 3))
+# an empty interval for the last pivot (``_torus_block``)
+@example((Localization(parse_poly("x*w + y*z + z*w", 4)), 4))
 def test_the_torus_block_gives_the_whole_piece_tables(case):
     # only the block of f's torus carries classes: ranked on it, every
     # report is the one of the whole pieces, on the two-pair route and, past
@@ -1115,32 +1137,29 @@ def test_push_drops_the_terms_that_cancel():
 
 @settings(deadline=None, derandomize=True, max_examples=60)
 @given(engine_pieces(), st.booleans())
-# a pivot that a reduction reads is built from a column of content 3
+# a column of content 3 becomes a primitive pivot
 @example((Localization(parse_poly("x^2", 2)), 1, 0), False)
-def test_unbuilt_pivots_give_the_eager_elimination(case, low_end):
-    # a column whose lowest row is no pivot row is stored as its basis index;
-    # built, the state is the one the eager reduction of every column gives,
-    # so the rank, the pivot rows, the kept list and the cycle split agree
+def test_cleared_pivots_are_the_echelon_form_of_every_column(case, low_end):
+    # r(j), eliminated from the kept columns only, has the pivot rows of the
+    # echelon form of every d column of degree j-1, as clearing drops no
+    # span; each pivot is a primitive int vector on its lowest row, with its
+    # tails above ``bound`` on a low end only; the kept list is the keys off
+    # the pivot rows, and a low end splits off dim(Z ∩ span kept) cycles
     spec, cutoff, tau = case
     piece = engine_piece(spec, cutoff, tau, cutoff + 1, low_end)
-    tails, bound = low_end, piece.bound
+    bound = piece.bound
     for j in range(1, spec.n_vars + 1):
         pivots = piece.take(j)
-        kept = piece.kept[j - 1]
-        eager = {}
-        _reduce_into(eager, piece.d_columns(j - 1, kept, tails))
-        cycles = [eager.pop(p) for p in [p for p in eager if p >= bound]] if tails else []
-        assert piece.cycles.get(j - 1, []) == [
-            piece.push({r - 2 * bound: c for r, c in v.items()}) for v in cycles
-        ]
-        assert sorted(pivots) == sorted(eager) and piece.ranks[j] == len(eager)
-        assert piece.kept[j] == [i for i, key in enumerate(piece.keys[j]) if key not in eager]
+        every = {}
+        _reduce_into(every, piece.d_columns(j - 1, range(len(piece.keys[j - 1]))))
+        assert sorted(pivots) == sorted(every) and piece.ranks[j] == len(every)
         for row, v in pivots.items():
-            if type(v) is int:
-                (column,) = piece.d_columns(j - 1, [v], tails)
-                v = _content_free(column)
-                assert min(v) == row
-            assert v == eager[row], (j, row)
+            assert all(type(x) is int and x for x in v.values())
+            assert math.gcd(*v.values()) == 1 and min(v) == row, (j, row)
+            assert any(r >= bound for r in v) == low_end
+        assert piece.kept[j] == [i for i, key in enumerate(piece.keys[j]) if key not in pivots]
+        if low_end:
+            assert len(piece.cycles[j - 1]) == len(piece.kept[j - 1]) - piece.ranks[j]
 
 
 def polynomial_forms(spec, piece, cutoff, tau, j):
@@ -1332,10 +1351,8 @@ def test_quotient_table_is_the_localization_table_less_the_class_of_one(case):
 def test_a_lost_tail_is_an_internal_error(monkeypatch):
     # with the tails dropped from every built column, a cycle of the low
     # complex reduces to 0 in r(lo, j+1), which the independence check
-    # refuses; x^2 + y^2 + z^2 has such cycles among the columns a reduction
-    # reads (a column stored unbuilt at its tail row never meets another).
-    # It passes the gate, so the two-pair route, the one with tails, is
-    # forced
+    # refuses; x^2 + y^2 + z^2 has such cycles.  It passes the gate, so the
+    # two-pair route, the one with tails, is forced
     d_columns = socle.derham._Piece.d_columns
     monkeypatch.setattr(
         socle.derham._Piece, "d_columns", lambda self, j, kept, tails=False: d_columns(self, j, kept)
