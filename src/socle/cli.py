@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from math import comb
 from typing import List, Optional
 
 from .catalog import HYPERSURFACES, PROFILES
@@ -34,11 +33,9 @@ from .poly import MultiPoly
 from .series import TruncatedSeries
 from .seriesdecomp import (
     RegularOperator,
-    analyze_operator,
     decompose,
     expansion_condition_report,
     valuation_growth_probe,
-    x_window,
 )
 from .structure import predict
 
@@ -46,27 +43,6 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_UNSTABLE = 3
-
-#: largest precision and tracked x-window of ``decompose`` (one variable:
-#: x*d0 on x^9993 takes a few milliseconds)
-DECOMPOSE_MAX = 10_000
-#: largest estimated sweep size of ``decompose``: the tracked x-window times
-#: the number of pairs of B-monomials whose degrees sum below the precision
-#: (the costliest inputs measured at the bound take about 0.15-0.2 s with one
-#: B-variable, 0.035-0.055 s with two and 0.02-0.035 s with three; 2-core
-#: x86-64, Python 3.11)
-DECOMPOSE_SIZE_MAX = 52_000
-
-#: largest weight-0 basis of the top complex of ``derham``, as ``_basis_size``
-#: counts it.  It counts size, not cost, and the cutoff-K basis even where the
-#: smooth route ranks F_0 alone.  Fresh processes at cutoff 3: the Fermat
-#: quartic threefold has 354690 and takes about 0.3 s and 24 MB, the dense
-#: quartic threefold x0^4+...+x4^4+x0*x1*x2*x3+2*x1*x2*x3*x4-x0^2*x3^2+3*x1^3*x4
-#: also 354690 and about 5-6.5 s and 40 MB, both past the smoothness gate; the
-#: three-quadric product (x1^2-x0*x2)*(x1*x2-x0*x3)*(x2^2-x1*x3) has 77920, of
-#: which its torus block ranks 1848, in about 0.3-0.4 s; x0*...*x9 at cutoff 6
-#: has 1024 and takes about 0.3 s (2-core x86-64, Python 3.11)
-DERHAM_BASIS_MAX = 400_000
 
 
 class _InputError(ValueError):
@@ -206,25 +182,6 @@ def cmd_predict(args) -> int:
 # ------------------------------------------------------------------- derham
 
 
-def _basis_size(spec, cutoff: int) -> int:
-    """Size of the weight-0 basis at the cutoff, in closed form.
-
-    A single-term pole polynomial c x^a has, in the block of its torus
-    (``derham._torus_block``), one element x^(ka - 1_I) dx_I / f^k per index
-    set I inside the support of a, so 2^|supp a| in all; R and E, at a = 0,
-    have their one element.  Any other f
-    counts the sum over j of C(n, j) * C(kD - j + n - 1, n - 1) with k =
-    cutoff + j and D = deg f: exact when f's torus is the Euler line, and
-    an upper bound of the block the engine ranks when the torus is larger.
-    """
-    a, *rest = spec.pole_terms()
-    if not rest:
-        return 2 ** sum(map(bool, a))
-    D, n = sum(a), spec.n_vars
-    degrees = [(j, (cutoff + j) * D - j) for j in range(n + 1)]
-    return sum(comb(n, j) * comb(deg + n - 1, n - 1) for j, deg in degrees if deg >= 0)
-
-
 def cmd_derham(args) -> int:
     kind = args.kind
     f_text = args.f
@@ -280,12 +237,6 @@ def cmd_derham(args) -> int:
     if requested < 2:
         raise _InputError("--pole-cutoff must be at least 2")
     effective, capped = _capped_cutoff(requested)
-    size = _basis_size(spec, effective)
-    if size > DERHAM_BASIS_MAX:
-        raise _InputError(
-            f"the complex at pole cutoff {effective} has {size} basis elements, "
-            f"which exceeds {DERHAM_BASIS_MAX}"
-        )
     dims, report = derham_truncated(spec, pole_cutoff=effective)
 
     n = spec.n_vars
@@ -324,36 +275,17 @@ def cmd_decompose(args) -> int:
         raise _InputError("decompose needs --p with an operator expression")
     if args.f is None:
         raise _InputError("decompose needs --f with a polynomial")
-    # one variable count for both expressions, each parsed once; a count is
-    # bounded before parsing, whose cost grows with it
+    # the flags are checked before parsing, whose cost grows with the
+    # variable count and the expressions
     if args.vars is not None:
         check_var_count(args.vars)
-    n = args.vars if args.vars is not None else used_vars(args.p, args.f)
-    op = RegularOperator.from_weyl(parse_operator(args.p, n))
-    f = parse_poly(args.f, n)
     precision = args.prec if args.prec is not None else 6
     if precision < 1:
         raise _InputError("--prec must be at least 1")
-    # the indicial polynomial costs about r(r+1)/2 coefficient steps, before
-    # the root bound can refuse it
-    r = op.order
-    if r * (r + 1) // 2 > DECOMPOSE_SIZE_MAX:
-        raise _InputError(
-            f"operator order {r} needs {r * (r + 1) // 2} indicial steps, "
-            f"which exceeds {DECOMPOSE_SIZE_MAX}"
-        )
-    window = x_window(op, analyze_operator(op, root_limit=DECOMPOSE_MAX).t, f, precision)
-    if max(precision, window) > DECOMPOSE_MAX:
-        raise _InputError(f"precision {precision} or tracked x-window {window} exceeds {DECOMPOSE_MAX}")
-    # each tracked x-power holds a B-series below m_B^K in m = n - 1
-    # variables, and a product of two such series pairs up only the terms
-    # whose degrees sum below K: C(K - 1 + 2m, 2m) pairs
-    pairs = comb(precision - 1 + 2 * (n - 1), 2 * (n - 1))
-    if window * pairs > DECOMPOSE_SIZE_MAX:
-        raise _InputError(
-            f"tracked x-window {window} times {pairs} pairs of B-monomials below "
-            f"m_B^{precision} exceeds {DECOMPOSE_SIZE_MAX}"
-        )
+    # one variable count for both expressions, each parsed once
+    n = args.vars if args.vars is not None else used_vars(args.p, args.f)
+    op = RegularOperator.from_weyl(parse_operator(args.p, n))
+    f = parse_poly(args.f, n)
     dec = decompose(f, op, precision)
     a = dec.analysis
 
@@ -494,7 +426,7 @@ def _suite_decomposition() -> List[dict]:
     )
     checks.append(_check("reconstruction (x+y)d on x^4+2x^2", agree, True))
 
-    a = analyze_operator(p_band)
+    a = dec.analysis
     conditions = all(
         all(
             expansion_condition_report(p_band, a, ell)[key]

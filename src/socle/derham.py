@@ -321,6 +321,31 @@ def _known(spec) -> ModuleSpec:
 VARS_MAX = 10
 
 
+#: largest weight-0 basis that ``derham_truncated`` builds, as ``_basis_size``
+#: counts it; size, not cost.  Fresh processes at cutoff 3: the dense quartic
+#: threefold x0^4+...+x4^4+x0*x1*x2*x3+2*x1*x2*x3*x4-x0^2*x3^2+3*x1^3*x4,
+#: 22402 at cutoff 0, takes about 5-6.5 s and 40 MB; the three-quadric product
+#: (x1^2-x0*x2)*(x1*x2-x0*x3)*(x2^2-x1*x3) has 77920, of which its torus block
+#: ranks 1848, in about 0.3-0.4 s (2-core x86-64, Python 3.11)
+DERHAM_BASIS_MAX = 400_000
+
+
+def _basis_size(f: Dict[Tuple[int, ...], int], cutoff: int) -> int:
+    """Size of the weight-0 basis of the pole complex of f (``pole_terms``)
+    at the cutoff, in closed form.  A single term c x^a has, in the block of
+    its torus (``_torus_block``), one element x^(ka - 1_I) dx_I / f^k per
+    index set I inside the support of a: 2^|supp a|, and 1 for R and E, at
+    a = 0.  Any other f counts the sum over j of C(n, j) * C(kD - j + n - 1,
+    n - 1) with k = cutoff + j and D = deg f: exact when f's torus is the
+    Euler line, an upper bound of the block the engine ranks otherwise."""
+    a, *rest = f
+    if not rest:
+        return 2 ** sum(map(bool, a))
+    D, n = sum(a), len(a)
+    degrees = [(j, (cutoff + j) * D - j) for j in range(n + 1)]
+    return sum(comb(n, j) * comb(deg + n - 1, n - 1) for j, deg in degrees if deg >= 0)
+
+
 def check_var_count(n: int) -> None:
     """Refuse a variable count that is negative or past ``VARS_MAX``: no
     variable past x9 can be named."""
@@ -789,6 +814,11 @@ def derham_truncated(spec: ModuleSpec, pole_cutoff: int) -> Tuple[DeRhamDims, Tr
     lone pair (K, K), as for R, E and cutoff 1, by ``_piece_dims`` on the
     whole piece, other pairs by ``_pair_tables``.
 
+    A basis at the cutoff past ``DERHAM_BASIS_MAX`` raises DomainError,
+    unless the route is the smooth one, which builds F_0 alone.  Past the
+    bound at cutoff 0 too, the gate is not run: F_0's top degree holds every
+    monomial of degree n(D-1) >= n(D-2)+1, the degree the gate lists.
+
     The weight-0 piece and its block are never empty, so every table counts
     a complex that exists: for a localization at f of degree D, form degree
     0 holds the numerators of degree K*D >= 0 at cutoff K >= 0, x^(K a_0)
@@ -796,17 +826,24 @@ def derham_truncated(spec: ModuleSpec, pole_cutoff: int) -> Tuple[DeRhamDims, Tr
     """
     if pole_cutoff < 1:
         raise DomainError("pole cutoff must be at least 1")
-    smooth = _known(spec).smoothness_gate()
-    f = spec.pole_terms()
-    exact = spec.cutoff_free
+    f = _known(spec).pole_terms()
     K = pole_cutoff
+    size = _basis_size(f, K)
+    oversized = size > DERHAM_BASIS_MAX
+    smooth = None if oversized and _basis_size(f, 0) > DERHAM_BASIS_MAX else spec.smoothness_gate()
+    exact = spec.cutoff_free
+    zero_route = smooth and not exact
+    if oversized and not zero_route:
+        raise DomainError(
+            f"the complex at pole cutoff {K} has {size} basis elements, which exceeds {DERHAM_BASIS_MAX}"
+        )
     if exact:
         pairs = [(K, K)]
     elif K >= 3:
         pairs = [(K - 2, K - 1), (K - 1, K)]
     else:
         pairs = [(max(1, K - 1), K)]
-    if smooth and not exact:
+    if zero_route:
         tables = _cutoff_zero_tables(spec, f, pairs, _torus_block(f))
     elif pairs == [(K, K)]:
         tables = [_piece_dims(_Piece(spec, f, K, 0, _key_width(spec.n_vars, f, K, 0)))]

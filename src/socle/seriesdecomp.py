@@ -147,9 +147,21 @@ class OperatorAnalysis:
         return acc
 
 
-def _integer_roots(coeffs: Sequence[Fraction], limit: Optional[int] = None) -> List[int]:
+#: largest precision, tracked x-window and indicial root bound of
+#: ``decompose`` (one variable: x*d0 on x^9993 takes a few milliseconds)
+DECOMPOSE_MAX = 10_000
+#: largest estimated sweep size of ``decompose``: the tracked x-window times
+#: the pairs of B-monomials whose degrees sum below the precision.  It leaves
+#: out the operator order, which raises the cost per unit: at the bound
+#: (x+y)^6*d0^7+y*d0^2+(x+y)*d0+3 on x^8*y^3+x^2*y+y^5 (precision 31), the
+#: costliest input measured, takes about 2.1 s, and (x+y)*d0^2+y*d0+3 on
+#: x^8*y^3+x^2*y (precision 54) 0.2 s (2-core x86-64, Python 3.11)
+DECOMPOSE_SIZE_MAX = 100_000
+
+
+def _integer_roots(coeffs: Sequence[Fraction]) -> List[int]:
     """Nonnegative integer roots of a rational polynomial, by bounded scan;
-    a scan bound above ``limit`` raises DomainError before the scan."""
+    a scan bound above ``DECOMPOSE_MAX`` raises DomainError before the scan."""
     ints = list(_scaled(dict(enumerate(coeffs)))[0].values())
     while ints and ints[-1] == 0:
         ints.pop()
@@ -157,10 +169,10 @@ def _integer_roots(coeffs: Sequence[Fraction], limit: Optional[int] = None) -> L
         raise DomainError("the zero polynomial has every root")
     lead = abs(ints[-1])
     bound = 1 + max(abs(c) for c in ints) // lead
-    if limit is not None and bound > limit:
+    if bound > DECOMPOSE_MAX:
         # past a machine word the digits say nothing the size does not
         shown = bound if bound.bit_length() <= 64 else f"of {bound.bit_length()} bits"
-        raise DomainError(f"indicial root bound {shown} exceeds {limit}")
+        raise DomainError(f"indicial root bound {shown} exceeds {DECOMPOSE_MAX}")
     roots = []
     for ell in range(0, bound + 1):
         acc = 0
@@ -171,9 +183,8 @@ def _integer_roots(coeffs: Sequence[Fraction], limit: Optional[int] = None) -> L
     return roots
 
 
-def analyze_operator(p: RegularOperator, root_limit: Optional[int] = None) -> OperatorAnalysis:
-    """Extract the band offset, indicial polynomial, and thresholds of P;
-    ``root_limit`` bounds the scan for the indicial roots."""
+def analyze_operator(p: RegularOperator) -> OperatorAnalysis:
+    """Extract the band offset, indicial polynomial, and thresholds of P."""
     r = p.order
     # slices of a_i x^(r-i) along powers of x
     shifted_slices: List[Dict[int, MultiPoly]] = []
@@ -206,7 +217,7 @@ def analyze_operator(p: RegularOperator, root_limit: Optional[int] = None) -> Op
                 g[idx] += lam * c
     if not any(g):
         raise InternalCheckError("indicial polynomial vanished; lambdas cannot all be zero")
-    roots = _integer_roots(g, root_limit)
+    roots = _integer_roots(g)
     largest = max(roots) if roots else None
     ell0 = max(r, (largest + 1) if largest is not None else 0)
     return OperatorAnalysis(
@@ -382,7 +393,8 @@ class Decomposition:
 
 def decompose(f: MultiPoly, p: RegularOperator, precision: int) -> Decomposition:
     """Split the polynomial f as e-part plus P(b-part), exact to m_B-order
-    `precision`, over the x-powers 0..``x_window``."""
+    `precision`, over the x-powers 0..``x_window``; an input past
+    ``DECOMPOSE_MAX`` or ``DECOMPOSE_SIZE_MAX`` raises DomainError first."""
     if precision < 1:
         raise DomainError("precision must be at least 1")
     if not isinstance(f, MultiPoly):
@@ -390,12 +402,30 @@ def decompose(f: MultiPoly, p: RegularOperator, precision: int) -> Decomposition
     if f.n_vars != p.n_vars:
         raise DimensionMismatch("f lives over a different variable count")
 
+    # the indicial polynomial takes about r(r+1)/2 steps before the root
+    # bound can refuse it
+    r = p.order
+    if r * (r + 1) // 2 > DECOMPOSE_SIZE_MAX:
+        raise DomainError(
+            f"operator order {r} needs {r * (r + 1) // 2} indicial steps, "
+            f"which exceeds {DECOMPOSE_SIZE_MAX}"
+        )
     analysis = analyze_operator(p)
-    r, t, s = p.order, analysis.t, analysis.s
+    t, s = analysis.t, analysis.s
     n = p.n_vars
     K = precision
 
     window = x_window(p, t, f, K)
+    if max(K, window) > DECOMPOSE_MAX:
+        raise DomainError(f"precision {K} or tracked x-window {window} exceeds {DECOMPOSE_MAX}")
+    # a product of two B-series below m_B^K in m = n - 1 variables pairs up
+    # the terms whose degrees sum below K: C(K - 1 + 2m, 2m) pairs
+    pairs = math.comb(K - 1 + 2 * (n - 1), 2 * (n - 1))
+    if window * pairs > DECOMPOSE_SIZE_MAX:
+        raise DomainError(
+            f"tracked x-window {window} times {pairs} pairs of B-monomials "
+            f"below m_B^{K} exceeds {DECOMPOSE_SIZE_MAX}"
+        )
     # a product of two keys below degree K has digits under 2K, so none carries
     width = (2 * K).bit_length()
 

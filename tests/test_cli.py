@@ -10,9 +10,12 @@ import pytest
 
 from socle.catalog import PROFILES
 from socle import grammar
-from socle.cli import _basis_size, main
+from socle.cli import _build_parser, main
 import socle.derham
-from socle.derham import VARS_MAX, spec_from_json
+from socle.derham import VARS_MAX, derham_truncated, spec_from_json
+from socle.errors import DomainError
+from socle.grammar import parse_operator, parse_poly, used_vars
+from socle.seriesdecomp import RegularOperator, decompose
 from socle.structure import predict
 
 
@@ -140,14 +143,33 @@ def test_derham_cutoff_cap(monkeypatch, capsys):
     assert payload["certificate"] == "provisional"
 
 
+NODAL_CUBIC = "y^2*z-x^3-x^2*z"
+
+
 def test_derham_refuses_an_oversized_complex(capsys):
-    # 2579238 basis elements at cutoff 400; unrefused, this runs for minutes
+    # the nodal cubic fails the smoothness gate, which lists 15 monomials, so
+    # its two-pair route would build 5803292 basis elements at cutoff 400
     start = time.perf_counter()
-    code, out, err = run(capsys, "derham", "--kind", "loc", "--f", "x^2+y^2+z^2", "--pole-cutoff", "400")
+    code, out, err = run(capsys, "derham", "--kind", "loc", "--f", NODAL_CUBIC, "--pole-cutoff", "400")
     assert time.perf_counter() - start < 1
     assert code == 2
     assert not out
-    assert "2579238 basis elements, which exceeds 400000" in err
+    assert err == "error: the complex at pole cutoff 400 has 5803292 basis elements, which exceeds 400000\n"
+
+
+def test_derham_answers_a_smooth_f_at_a_high_cutoff(capsys):
+    # past the gate the conic is ranked on F_0 alone, 38 elements, though its
+    # basis at cutoff 400 has 2579238
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "derham", "--kind", "loc", "--f", "x^2+y^2+z^2", "--pole-cutoff", "400")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "dims (j = 0..3): [1, 1, 0, 0]",
+        "certificate: stabilized",
+        "pole cutoffs compared: [399, 400]",
+        "smooth complement gate: passed",
+    ]
 
 
 def test_derham_refuses_an_oversized_rank_one_precision(capsys):
@@ -240,18 +262,20 @@ def test_a_failed_out_write_is_an_input_error(capsys, tmp_path):
         ({"kind": "loc", "f": "x*z", "vars": 3}, 3),
         ({"kind": "R", "vars": 3}, 4),
         ({"kind": "E", "vars": 2}, 4),
+        # a smooth f, whose route builds F_0 alone
+        ({"kind": "loc", "f": "x^4 + y^4 + z^4 + w^4"}, 0),
     ],
 )
 def test_derham_bound_counts_the_assembled_basis(spec, cutoff):
     # the weight-0 piece the engine ranks at the top cutoff, the block of
     # f's torus: the whole piece for a sum of powers, for R and for E, one
-    # element per index set in the support for x*y and x*z
+    # element per index set in the support for x*y and x*z; at cutoff 0, F_0
     spec = spec_from_json(spec)
     f = spec.pole_terms()
     width = socle.derham._key_width(spec.n_vars, f, cutoff, 0)
     block = None if spec.cutoff_free else socle.derham._torus_block(f)
     piece = socle.derham._Piece(spec, f, cutoff, 0, width, block=block)
-    assert _basis_size(spec, cutoff) == sum(map(len, piece.keys))
+    assert socle.derham._basis_size(f, cutoff) == sum(map(len, piece.keys))
 
 
 def test_derham_ranks_the_ten_variable_monomial_on_its_block(capsys):
@@ -357,15 +381,15 @@ def test_verify_all_stdout_is_pinned(capsys):
 
 # the window is prec * t + deg_x f + order, prec 6 by default; x*d0 has band
 # offset t = 1, and d0 has t = 0, so there only the precision exceeds 10000
-@pytest.mark.parametrize(
-    "p, f, prec",
-    [
-        ("x*d0", "x^100000000", None),
-        ("x*d0", "x^10", "100000000"),
-        ("x*d0", "x^9994", None),
-        ("d0", "x", "10001"),
-    ],
-)
+OVERSIZED = [
+    ("x*d0", "x^100000000", None),
+    ("x*d0", "x^10", "100000000"),
+    ("x*d0", "x^9994", None),
+    ("d0", "x", "10001"),
+]
+
+
+@pytest.mark.parametrize("p, f, prec", OVERSIZED)
 def test_decompose_refuses_oversized_input(capsys, p, f, prec):
     start = time.perf_counter()
     code, out, err = run(capsys, "decompose", "--p", p, "--f", f, *(("--prec", prec) if prec else ()))
@@ -406,19 +430,76 @@ def test_integers_too_long_for_text_are_input_errors(capsys, f):
     assert "Traceback" not in err
 
 
-def test_decompose_parses_each_expression_once(capsys, monkeypatch):
-    parses = []
+@pytest.fixture
+def parses(monkeypatch):
+    """The variable count of each expression parse, in order."""
+    counts = []
     original = grammar._Parser.parse
 
     def counted(parser):
-        parses.append(parser.n_vars)
+        counts.append(parser.n_vars)
         return original(parser)
 
     monkeypatch.setattr(grammar._Parser, "parse", counted)
+    return counts
+
+
+def test_decompose_parses_each_expression_once(capsys, parses):
     code, _, _ = run(capsys, "decompose", "--p", "x*d0 + x1", "--f", "x0^2*x2")
     assert code == 0
     # both in the three variables the two expressions use together
     assert parses == [3, 3]
+
+
+def test_decompose_checks_the_precision_before_parsing(capsys, parses):
+    # unrefused until after parsing, (x+y+z)^58 cost about 0.6 s first
+    start = time.perf_counter()
+    code, out, err = run(capsys, "decompose", "--p", "(x+y+z)^58", "--f", "x", "--prec", "0")
+    assert time.perf_counter() - start < 0.25
+    assert (code, out, err) == (2, "", "error: --prec must be at least 1\n")
+    assert parses == []
+
+
+BINOMIAL = "x0*x1*x2*x3*x4 - x5*x6*x7*x8*x9"
+SWEEP_CASE = ("--p", "(x+y)*d0^2+y*d0+3", "--f", "x^8*y^3+x^2*y")
+# every size refusal of derham and decompose in this file
+LIBRARY_REFUSALS = [
+    # the basis bound after the smoothness gate, and before it
+    ("derham", "--kind", "loc", "--f", NODAL_CUBIC, "--pole-cutoff", "400"),
+    ("derham", "--kind", "loc", "--f", BINOMIAL, "--vars", "10", "--pole-cutoff", "6"),
+    # the operator order
+    ("decompose", "--p", "d0^1000", "--f", "x0", "--prec", "2"),
+    ("decompose", "--p", "d0^3000", "--f", "x0", "--prec", "2"),
+    # the precision or the tracked x-window
+    *[("decompose", "--p", p, "--f", f, *(("--prec", prec) if prec else ())) for p, f, prec in OVERSIZED],
+    # the window times the pairs of B-monomials
+    ("decompose", *SWEEP_CASE, "--prec", "55"),
+    # the indicial root bound, in digits and in bits
+    ("decompose", "--p", "x*d0 - 1000000000", "--f", "x"),
+    ("decompose", "--p", "d0^321", "--f", "x0", "--prec", "2"),
+]
+
+
+def library_call(argv):
+    """The ``derham_truncated`` or ``decompose`` call that the CLI makes
+    for argv, its input parsed."""
+    args = _build_parser().parse_args(argv)
+    if args.command == "derham":
+        spec = spec_from_json({"kind": args.kind, "f": args.f, "vars": args.vars})
+        return lambda: derham_truncated(spec, args.pole_cutoff)
+    n = used_vars(args.p, args.f)
+    op, f = RegularOperator.from_weyl(parse_operator(args.p, n)), parse_poly(args.f, n)
+    return lambda: decompose(f, op, args.prec or 6)
+
+
+@pytest.mark.parametrize("argv", LIBRARY_REFUSALS)
+def test_the_library_refuses_what_the_cli_refuses(capsys, argv):
+    call = library_call(argv)
+    start = time.perf_counter()
+    with pytest.raises(DomainError) as refusal:
+        call()
+    assert time.perf_counter() - start < 1
+    assert run(capsys, *argv) == (2, "", f"error: {refusal.value}\n")
 
 
 @pytest.mark.parametrize(
@@ -448,7 +529,7 @@ def test_decompose_refuses_a_high_order_before_its_indicial_polynomial(capsys, p
     assert time.perf_counter() - start < 0.5
     assert code == 2
     assert not out
-    assert "exceeds 52000" in err
+    assert "exceeds 100000" in err
 
 
 @pytest.mark.parametrize(
@@ -494,18 +575,17 @@ def test_decompose_accepts_input_at_the_bound(capsys):
     assert json.loads(out)["x_window"] == 10000
 
 
-SWEEP_CASE = ("--p", "(x+y)*d0^2+y*d0+3", "--f", "x^8*y^3+x^2*y")
-
-
 def test_decompose_refuses_a_large_sweep(capsys):
-    # window 90 times C(81, 2) pairs of B-monomials is far past the bound;
-    # unrefused, this input takes about 2.5 s
+    # the first precision refused: window 65 times C(56, 2) = 1540 pairs of
+    # B-monomials is 100100; --prec 54 (95040) is accepted
     start = time.perf_counter()
-    code, out, err = run(capsys, "decompose", *SWEEP_CASE, "--prec", "80")
+    code, out, err = run(capsys, "decompose", *SWEEP_CASE, "--prec", "55")
     assert time.perf_counter() - start < 1
     assert code == 2
     assert not out
-    assert "exceeds 52000" in err
+    assert err == (
+        "error: tracked x-window 65 times 1540 pairs of B-monomials below m_B^55 exceeds 100000\n"
+    )
 
 
 def test_decompose_accepts_a_small_sweep(capsys):
@@ -543,8 +623,8 @@ def test_decompose_accepts_a_sweep_in_two_b_variables(capsys):
     ],
 )
 def test_decompose_pins_the_costliest_accepted_inputs(capsys, p, f, prec, digest):
-    # the costliest inputs measured per unit of the sweep estimate, pinned
-    # by the sha256 of their JSON output
+    # the costliest inputs accepted under the earlier sweep bound of 52000,
+    # pinned by the sha256 of their JSON output
     code, out, _ = run(capsys, "decompose", "--p", p, "--f", f, "--prec", prec, "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

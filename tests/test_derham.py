@@ -1,6 +1,7 @@
 """De Rham tables: closed forms, the truncation engine, and their agreement."""
 
 import math
+import time
 from fractions import Fraction
 from itertools import combinations
 from unittest import mock
@@ -757,7 +758,7 @@ def fermat_plus_terms(draw, max_vars=3, max_degree=3):
 
 
 def whole_piece_size(n, D, cutoff):
-    """The size of the whole weight-0 piece at the cutoff (``cli._basis_size``
+    """The size of the whole weight-0 piece at the cutoff (``derham._basis_size``
     for an f whose torus is the Euler line)."""
     return sum(math.comb(n, j) * math.comb((cutoff + j) * D - j + n - 1, n - 1) for j in range(n + 1))
 
@@ -888,6 +889,23 @@ def test_the_cutoff_zero_route_is_taken_exactly_past_the_gate():
             else:
                 want = ["_pair_tables"] + ["_persistent_dims"] * (cutoff - 1)
             assert routes == want, (spec, cutoff)
+
+
+def test_a_basis_past_the_bound_at_cutoff_0_is_refused_before_the_gate(monkeypatch):
+    # the ten-variable binomial has 52698251520 elements at cutoff 0, and
+    # its gate would list C(40, 9), about 2.7e8, monomials of degree 31
+    def gate(f):
+        raise AssertionError("the smoothness gate ran")
+
+    monkeypatch.setattr(socle.derham, "jacobian_ring_is_finite", gate)
+    spec = spec_from_json({"kind": "loc", "f": "x0*x1*x2*x3*x4 - x5*x6*x7*x8*x9", "vars": 10})
+    start = time.perf_counter()
+    with pytest.raises(DomainError) as refusal:
+        derham_truncated(spec, 6)
+    assert time.perf_counter() - start < 1
+    assert str(refusal.value) == (
+        "the complex at pole cutoff 6 has 19848293017344 basis elements, which exceeds 400000"
+    )
 
 
 @st.composite

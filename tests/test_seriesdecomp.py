@@ -284,6 +284,7 @@ def per_generator_reconstruction(dec):
 
 
 def test_wide_keys_certify_and_reconstruct_the_costliest_accepted_input():
+    # the costliest input accepted under the earlier sweep bound of 52000:
     # b has 2225 terms, x-powers up to 54, y-powers up to 42 and numerators
     # of about 3000 bits, so the action and the certificate pack wide keys
     text, K = "(x+y)*d0^2+y*d0+3", 43
