@@ -50,7 +50,8 @@ class _InputError(ValueError):
 
     ``main`` reports every ValueError with exit 2: each library input error
     is a ValueError, and so is Python's refusal to convert an int past its
-    digit limit to or from text."""
+    digit limit from text (``decompose`` lifts the limit while it renders
+    its answer)."""
 
 
 # ----------------------------------------------------------------- plumbing
@@ -289,27 +290,34 @@ def cmd_decompose(args) -> int:
     dec = decompose(f, op, precision)
     a = dec.analysis
 
-    lines = [
-        f"operator: {args.p}   (order r = {op.order}, band offset t = {a.t})",
-        f"f: {args.f}",
-        f"indicial roots handled up to ell0 = {a.ell0}; plain coefficients s = {a.s}",
-        f"precision: m_B^{precision}; tracked x-powers 0..{dec.x_window}",
-    ]
-    if dec.e:
-        for i, series in enumerate(dec.e):
-            lines.append(f"  e_{i} = {series.poly_part().render()}")
-    else:
-        lines.append("  e: (none)")
-    if dec.b:
-        for ell in sorted(dec.b):
-            lines.append(f"  b_{ell} = {dec.b[ell].poly_part().render()}")
-    else:
-        lines.append("  b: (none)")
-    lines.append("residual: zero within the tracked box (certified by the sweep)")
-    payload = dec.to_json()
-    payload["operator"] = args.p
-    payload["f"] = args.f
-    _emit(args, lines, payload)
+    # a computed coefficient may pass Python's int-to-text digit limit, so
+    # the limit is lifted while the answer is rendered; parsing kept it
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        lines = [
+            f"operator: {args.p}   (order r = {op.order}, band offset t = {a.t})",
+            f"f: {args.f}",
+            f"indicial roots handled up to ell0 = {a.ell0}; plain coefficients s = {a.s}",
+            f"precision: m_B^{precision}; tracked x-powers 0..{dec.x_window}",
+        ]
+        if dec.e:
+            for i, series in enumerate(dec.e):
+                lines.append(f"  e_{i} = {series.poly_part().render()}")
+        else:
+            lines.append("  e: (none)")
+        if dec.b:
+            for ell in sorted(dec.b):
+                lines.append(f"  b_{ell} = {dec.b[ell].poly_part().render()}")
+        else:
+            lines.append("  b: (none)")
+        lines.append("residual: zero within the tracked box (certified by the sweep)")
+        payload = dec.to_json()
+        payload["operator"] = args.p
+        payload["f"] = args.f
+        _emit(args, lines, payload)
+    finally:
+        sys.set_int_max_str_digits(limit)
     return EXIT_OK
 
 

@@ -11,8 +11,9 @@ with one ``Fraction`` addition per shared key.  ``_product_terms`` is
 fraction-free: each factor's terms are scaled to integers by the lcm of
 their denominators (``_scaled``), multiplied and accumulated as plain ints
 (``_accumulate``, which the series inverse, the operator action of
-:mod:`socle.weyl` and the chain map of :mod:`socle.derham` call directly),
-and each surviving term is divided once by the denominator.  Products form
+:mod:`socle.weyl` and the chain map of :mod:`socle.derham` call directly;
+where the product commutes, the factor with fewer terms runs its outer
+loop), and each surviving term is divided once by the denominator.  Products form
 every pair of terms; a truncated series drops the terms past its precision
 afterwards.  A factor of one term, such as a monomial x^l, only shifts the
 other factor's keys and multiplies its coefficients, with nothing scaled or
@@ -55,11 +56,14 @@ def _coerce(c) -> Fraction:
 
 
 def _scaled(terms: Mapping[Hashable, Fraction]) -> Tuple[Dict[Hashable, int], int]:
-    """(numerators, den) with ``terms[k] == numerators[k] / den``, where den is
-    the lcm of the denominators."""
+    """(numerators, den) with ``terms[k] == numerators[k] / den``, in the key
+    order of ``terms``, where den is the lcm of the denominators; ``lcm`` is
+    called only for a denominator that does not divide the lcm so far."""
     den = 1
     for c in terms.values():
-        den = lcm(den, c.denominator)
+        d = c.denominator
+        if den % d:
+            den = lcm(den, d)
     if den == 1:
         return {k: c.numerator for k, c in terms.items()}, 1
     return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
@@ -97,13 +101,18 @@ def _accumulate(
     With ``expand`` None the keys are exponent tuples that add, and every
     pair of terms is formed.  With ``packed`` they are instead ints that
     add, such as ``_pack`` keys whose digits never carry, and a product of
-    two keys is one int addition.  Otherwise ``expand(k1, k2)`` lists the
-    (key, int weight) terms a pair of keys combines to, such as a
-    normal-ordered operator product.  With ``acc`` the terms are added into
-    that dict, which is returned.
+    two keys is one int addition.  In these two paths the product
+    commutes, and the factor with fewer terms runs the outer loop (``lhs``
+    on a tie), so both list the terms in one order.  Otherwise
+    ``expand(k1, k2)`` lists the (key, int weight) terms a pair of keys
+    combines to, such as a normal-ordered operator product, which does not
+    commute: ``lhs`` runs the outer loop.  With ``acc`` the terms are added
+    into that dict, which is returned.
     """
     acc = {} if acc is None else acc
     get = acc.get
+    if expand is None and len(rhs) < len(lhs):
+        lhs, rhs = rhs, lhs
     right = list(rhs.items())
     if packed:
         for k1, v1 in lhs.items():

@@ -52,17 +52,25 @@ terms and the operator's are packed once, split by B-degree; the
 operator's are scaled to ints over one denominator.  A generator's column
 is built once, when the sweep first reaches it, from those terms with the
 weights perm(l, i), each entry's terms sorted once, and its expansion
-conditions are checked there.  Each (x-position, B-degree) has one cell:
-int numerators over the lcm of the denominators of what landed there.  A
-product delta * c is summed into its cell in place, term by term, and the
-cell is rescaled only when the product's denominator grows that lcm.  When
-the sweep visits a cell it makes it primitive once (zeros dropped, gcd 1,
-denominator positive), so every value the sweep reads has one canonical
-form.  delta = gamma / g(l) takes two small gcds: with gamma primitive and
-1/g(l) = p/q in lowest terms, the content of gamma * p/q is gcd(p, den of
-gamma) * gcd(q, numerators of gamma), proved prime by prime in
-``_divide``.  Each division by g(l) is checked exactly, by
-cross-multiplication of delta * g(l) against gamma.
+conditions are checked there.  g(l) is evaluated on ints too: the
+indicial coefficients are scaled once per call to ints over one
+denominator, g(l) = g_num / g_den with g_num an int Horner, the pivot is
+checked against it by cross-multiplication, and 1/g(l) = g_den / g_num is
+put in lowest terms by one gcd, its sign in the numerator.  Each
+(x-position, B-degree) has one cell: int numerators over the lcm of the
+denominators of what landed there.  A product delta * c is summed into
+its cell in place, term by term, and the cell is rescaled only when the
+product's denominator grows that lcm.  When the sweep visits a cell it
+makes it primitive once (zeros dropped, gcd 1, denominator positive), so
+every value the sweep reads has one canonical form; the visited cell was
+popped from its level, so its dict is divided in place, and a new dict is
+made only when some numerator is 0.  delta = gamma / g(l) takes two small
+gcds: with gamma primitive and 1/g(l) = p/q in lowest terms, the content
+of gamma * p/q is gcd(p, den of gamma) * gcd(q, numerators of gamma),
+proved prime by prime in ``_divide``.  Each division by g(l) is checked
+exactly, by cross-multiplication of delta * g(l) against gamma.
+``Fraction``s are built only for the answer, each packed key unpacked once
+per call.
 """
 
 from __future__ import annotations
@@ -73,9 +81,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, DomainError, InternalCheckError
-from .poly import MultiPoly, _pack, _scaled, _unpack
+from .poly import MultiPoly, _pack, _scaled, _sum_terms, _unpack
 from .series import TruncatedSeries
-from .weyl import WeylOp, _left_coefficients
+from .weyl import WeylOp, _act, _left_coefficients
 
 
 @dataclass(eq=False, frozen=True)
@@ -291,12 +299,19 @@ _Scaled = Tuple[Dict[int, int], int]
 
 def _primitive(nums: Dict[int, int], den: int) -> _Scaled:
     """(nums, den) with zero numerators dropped and the gcd of the rest and
-    den divided out, so that the integers stay small."""
-    nums = {e: v for e, v in nums.items() if v}
+    den divided out, so that the integers stay small.
+
+    ``nums`` is a dict nothing else holds, a cell popped from its level or
+    a column entry being built, so the gcd is divided out in place; a new
+    dict is made only when some numerator is 0."""
+    if 0 in nums.values():
+        nums = {e: v for e, v in nums.items() if v}
     g = math.gcd(den, *nums.values())
-    if g == 1:
-        return nums, den
-    return {e: v // g for e, v in nums.items()}, den // g
+    if g > 1:
+        for e in nums:
+            nums[e] //= g
+        den //= g
+    return nums, den
 
 
 def _cell_scale(cell: List, den: int) -> int:
@@ -364,14 +379,28 @@ class Decomposition:
         This is an independent route (through the operator algebra, not the
         cached expansion columns); slices beyond the tracked window are
         dropped.  The e_i and b_l are series in B, so the terms of
-        sum e_i x^i, and those of sum b_l x^l, never share a key: both are
-        plain term dicts, and ``act_on_poly`` applies P to the second.
+        sum e_i x^i, and those of sum b_l x^l, never share a key.  P is
+        applied to the second by ``weyl._act``, the kernel that
+        ``act_on_poly`` wraps, on both scaled to ints; a term past the
+        window is dropped there, on its packed key (the x-power is the
+        lowest digit), before any ``Fraction`` is built, and the e_i are
+        added slice by slice.  The terms come in the order of
+        ``act_on_poly(b) + e`` split by ``x0_slices``.
         """
-        n = self.operator.n_vars
-        e = MultiPoly._trusted(n, {(i,) + k[1:]: c for i, s in enumerate(self.e) for k, c in s.terms.items()})
-        b = MultiPoly._trusted(n, {(j,) + k[1:]: c for j, s in self.b.items() for k, c in s.terms.items()})
-        total = self.operator.to_weyl().act_on_poly(b) + e
-        return {j: sl for j, sl in total.x0_slices().items() if j <= self.x_window}
+        n, window = self.operator.n_vars, self.x_window
+        ops, den = _scaled(self.operator.to_weyl().terms)
+        b, b_den = _scaled({(j,) + k[1:]: c for j, s in self.b.items() for k, c in s.terms.items()})
+        width, (terms,) = _act(b, ops)
+        den *= b_den
+        mask = (1 << width) - 1
+        slices: Dict[int, Dict[Tuple[int, ...], Fraction]] = {}
+        for k, v in terms.items():
+            j = k & mask
+            if v and j <= window:
+                slices.setdefault(j, {})[_unpack(k - j, width, n)] = Fraction(v, den)
+        for i, s in enumerate(self.e[: window + 1]):
+            slices[i] = _sum_terms(slices.get(i, {}), {(0,) + k[1:]: c for k, c in s.terms.items()}, 1)
+        return {j: MultiPoly._trusted(n, sl) for j, sl in sorted(slices.items()) if sl}
 
     def to_json(self) -> dict:
         def val_or_null(v):
@@ -455,6 +484,9 @@ def decompose(f: MultiPoly, p: RegularOperator, precision: int) -> Decomposition
     parts: Dict[Tuple[int, int, int], Dict[int, int]] = {}
     for (i, jx, d, key), v in op_nums.items():
         parts.setdefault((i, jx, d), {})[key] = v
+    # g(l) = g_num / g_den, with g_num an int Horner of these ascending ints
+    g_ints, g_den = _scaled(dict(enumerate(analysis.g_coeffs)))
+    g_ints = list(g_ints.values())[::-1]
 
     def generator(ell: int) -> Tuple[int, int, List[Tuple[int, int, List[Tuple[int, int]], int]]]:
         """1/g(l), for g(l) the pivot's constant term, as (numerator,
@@ -486,11 +518,15 @@ def decompose(f: MultiPoly, p: RegularOperator, precision: int) -> Decomposition
                 f"{expansion_condition_report(p, analysis, ell)}"
             )
         pivot_nums, pivot_den = column.pop((j, 0))
-        g = analysis.g_at(ell)
-        if Fraction(-pivot_nums[0], pivot_den) != g:
+        g_num = 0
+        for c in g_ints:
+            g_num = g_num * ell + c
+        # the column is negated: its pivot's constant term is -g(l)
+        if -pivot_nums[0] * g_den != g_num * pivot_den:
             raise InternalCheckError(f"the pivot of generator {ell} is not g({ell})")
-        inverse = 1 / g
-        return inverse.numerator, inverse.denominator, sorted(
+        # 1/g(l) = g_den / g_num in lowest terms, the sign in the numerator
+        h = math.gcd(g_num, g_den) if g_num > 0 else -math.gcd(g_num, g_den)
+        return g_den // h, g_num // h, sorted(
             (d, m, sorted(nums.items()), den) for (m, d), (nums, den) in column.items()
         )
 
@@ -532,8 +568,9 @@ def decompose(f: MultiPoly, p: RegularOperator, precision: int) -> Decomposition
             # alone, and its terms of positive degree are spilled with the rest
             delta_nums, delta_den = delta = _divide(gamma_nums, gamma_den, inv_num, inv_den)
             # delta * g(l) == gamma, by cross-multiplication
+            lhs, rhs = inv_den * gamma_den, delta_den * inv_num
             if delta_nums.keys() != gamma_nums.keys() or any(
-                v * inv_den * gamma_den != gamma_nums[e] * delta_den * inv_num for e, v in delta_nums.items()
+                v * lhs != gamma_nums[e] * rhs for e, v in delta_nums.items()
             ):
                 raise InternalCheckError("pivot cancellation was not exact")
             b_parts.setdefault(ell, []).append(delta)
@@ -567,11 +604,14 @@ def decompose(f: MultiPoly, p: RegularOperator, precision: int) -> Decomposition
     if any(any(nums.values()) for level in levels for nums, _ in level.values()):
         raise InternalCheckError("residual survived all sweeps at the stated precision")
 
+    exps: Dict[int, Tuple[int, ...]] = {}  # each packed key unpacked once
+
     def series(parts: List[_Scaled]) -> TruncatedSeries:
         # one part per sweep, so the parts share no key
-        return TruncatedSeries._trusted(
-            n, K, {(0,) + _unpack(e, width, n - 1): Fraction(v, den) for nums, den in parts for e, v in nums.items()}
-        )
+        return TruncatedSeries._trusted(n, K, {
+            exps.get(e) or exps.setdefault(e, (0,) + _unpack(e, width, n - 1)): Fraction(v, den)
+            for nums, den in parts for e, v in nums.items()
+        })
 
     return Decomposition(
         operator=p,

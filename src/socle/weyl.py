@@ -315,7 +315,8 @@ def check_euler_identity(q: WeylOp, b: MultiPoly):
     if b.n_vars != n:
         raise DimensionMismatch("test polynomial lives over a different variable count")
     p = formal_adjoint(q)
-    f0, den = _scaled({e + (0,): c for e, c in b.terms.items()})  # b, of d-grade 0
+    # b, of d-grade 0: a missing top digit packs as a 0
+    f0, den = _scaled(b.terms)
     op_den = lcm(*(c.denominator for t in (q.terms, p.terms) for c in t.values()))
     den *= op_den
     z, zz = (0,) * n, (0,) * (n + 1)

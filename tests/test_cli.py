@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import sys
 import time
 from pathlib import Path
 
@@ -422,12 +423,37 @@ def test_decompose_refuses_a_huge_indicial_root_bound_briefly(capsys):
 @pytest.mark.parametrize("f", ["3^10000*x", "7" * 5000 + "*x"])
 def test_integers_too_long_for_text_are_input_errors(capsys, f):
     # Python refuses int <-> str conversions past 4300 digits with a
-    # ValueError: on output for 3^10000, on parsing for the 5000-digit literal
+    # ValueError.  Parsing keeps that limit, so the 5000-digit literal is an
+    # input error; decompose lifts it while it renders, so the 4772 digits
+    # of 3^10000 in its answer are printed, and the limit is restored
+    limit = sys.get_int_max_str_digits()
     code, out, err = run(capsys, "decompose", "--p", "x*d0", "--f", f)
+    assert sys.get_int_max_str_digits() == limit
+    if f.startswith("3^"):
+        assert (code, err) == (0, "")
+        (digits,) = (line[8:] for line in out.splitlines() if line.startswith("  b_1 = "))
+        assert len(digits) == 4772 and int(digits[-9:]) == 3**10000 % 10**9
+        return
     assert code == 2
     assert not out
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.slow
+def test_decompose_prints_coefficients_past_the_digit_limit(capsys):
+    # the sweep takes about 2.3 s; its answer, 15 MB of JSON, was refused
+    # with exit 2 when the limit still held while rendering
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(
+        capsys, "decompose", "--p", "(x+y)^5*d0^6+y*d0^2+(x+y)*d0+3",
+        "--f", "x^8*y^3+x^2*y+y^5", "--prec", "32", "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9901d85c5aceddbc2920ec1178e80c203121c64591eecd5673cf1d21cb411327"
+    )
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from socle.errors import DimensionMismatch, DomainError
-from socle.poly import MultiPoly, _accumulate, _pack, _unpack, graded_piece_basis
+from socle.poly import MultiPoly, _accumulate, _pack, _scaled, _unpack, graded_piece_basis
 from socle.grammar import parse_poly
 
 
@@ -197,6 +197,37 @@ def test_products_and_sums_match_the_fraction_oracle(pair):
     ):
         assert got.terms == want
         assert_clean(got)
+
+
+@st.composite
+def fraction_term_dicts(draw):
+    """Fraction terms under distinct keys in a drawn order, whose
+    denominators form a divisibility chain, are pairwise coprime prime
+    powers, or are all 1; the empty dict among them."""
+    size = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(("chain", "coprime", "one")))
+    if kind == "chain":
+        dens = [1]
+        for _ in range(size):
+            dens.append(dens[-1] * draw(st.integers(1, 12)))
+        dens = draw(st.permutations(dens[1:]))
+    elif kind == "coprime":
+        primes = draw(st.permutations((2, 3, 5, 7, 11, 13, 2**31 - 1)))
+        dens = [q ** draw(st.integers(1, 3)) for q in primes[:size]]
+    else:
+        dens = [1] * size
+    keys = draw(st.lists(st.integers(-50, 50), unique=True, min_size=size, max_size=size))
+    return {k: Fraction(draw(st.integers(-BIG, BIG).filter(bool)), d) for k, d in zip(keys, dens)}
+
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(fraction_term_dicts())
+def test_scaled_puts_the_terms_over_the_lcm_of_their_denominators(terms):
+    nums, den = _scaled(terms)
+    assert den == math.lcm(*(c.denominator for c in terms.values()))
+    assert list(nums) == list(terms)
+    assert all(type(v) is int and Fraction(v, den) == terms[k] for k, v in nums.items())
 
 
 @st.composite

@@ -472,6 +472,11 @@ SWEEP_OPERATORS = (
     ("x*d0", 1),
     ("x*d0", 2),
     ("(x0 + x1 + x2 + x3)*d0 + x1*x3", 4),
+    # rational indicial coefficients and negative g(l): g = -1, -3, -6, ...
+    # from l0 = 2 on, over the denominator 2, and g = -4/3, -7/3, ... from
+    # l0 = 1 on, so 1/g(l) has a sign and a denominator
+    ("-1/2*(x0 + x1)*d0^2 + x1*d0 - 7/3", 2),
+    ("-x*d0 - 1/3", 1),
 )
 
 
