@@ -754,7 +754,8 @@ def jacobian_ring_is_finite(f: MultiPoly) -> bool:
     trivially smooth.  The columns x^m * df/dx_i are int dicts on packed
     exponent codes, taken from the partials of f's primitive integer
     multiple: a unit scale changes no rank, and distinct terms of a partial
-    land on distinct codes.
+    land on distinct codes.  They are ranked by ``_reduce_into`` as they
+    are, with no rational scaling.
     """
     D = f.homogeneous_degree() if f and f.is_homogeneous() else 0
     if D < 1:
@@ -772,7 +773,9 @@ def jacobian_ring_is_finite(f: MultiPoly) -> bool:
         dfi = {sum(x * u for x, u in zip(a, units)) - unit: c * a[i] for a, c in g.items() if a[i]}
         if dfi:
             cols.extend({s + code: c for code, c in dfi.items()} for s in shifts)
-    return rank_of_columns(cols) == comb(e + n - 1, n - 1)
+    pivots: Dict[int, Dict[int, int]] = {}
+    _reduce_into(pivots, cols)
+    return len(pivots) == comb(e + n - 1, n - 1)
 
 
 def _pair_tables(spec: ModuleSpec, f, pairs: Sequence[Tuple[int, int]], block=None) -> List[List[int]]:

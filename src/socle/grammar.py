@@ -23,10 +23,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import comb, prod
-from typing import List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import ParseError
-from .linalg import rank_of_columns
+from .linalg import _reduce_into
 from .poly import MultiPoly
 from .weyl import WeylOp
 
@@ -75,12 +75,16 @@ def _exact_power_terms(base: WeylOp) -> bool:
     """Whether every power base^e has exactly C(e+k-1, k-1) terms, k >= 2
     the terms of base: they commute (no variable has both x_i and d_i) and
     their exponent vectors are affinely independent, so distinct multisets
-    of e terms give distinct monomials, each with a nonzero coefficient."""
+    of e terms give distinct monomials, each with a nonzero coefficient.
+    The int steps from the first exponent vector are ranked by
+    ``_reduce_into`` as they are."""
     keys = [x + d for x, d in base.terms]
     if not 2 <= len(keys) <= 2 * base.n_vars + 1 or any(x and d for x, d in _degrees(base)):
         return False
     steps = [{i: v - o for i, (v, o) in enumerate(zip(key, keys[0])) if v != o} for key in keys[1:]]
-    return rank_of_columns(steps) == len(steps)
+    pivots: Dict[int, Dict[int, int]] = {}
+    _reduce_into(pivots, steps)
+    return len(pivots) == len(steps)
 
 
 def _bits(op: WeylOp) -> int:

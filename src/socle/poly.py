@@ -22,7 +22,9 @@ share one packed-int key layout (``_pack``), in which a product of two keys
 is one int addition (``_accumulate``'s packed path).
 Results of this internal arithmetic are built by ``_trusted`` constructors
 that skip re-validation, since their terms are valid by construction; the
-public constructors keep every check.
+public constructors keep every check.  A result that its caller may never
+read can instead be left pending (``_from_ints``): int numerators over one
+denominator, whose ``Fraction`` terms are built on the first read.
 
 Polynomials, truncated series, Weyl operators and the elements of E share one
 shell, ``_TermShell``: the one validating public constructor (each type
@@ -224,9 +226,18 @@ class _TermShell:
     so it takes no scalar sums).  Operands over different variable counts
     raise ``DimensionMismatch``.  Subclasses add their own products, and
     ``TruncatedSeries`` its precision (``_like``, ``_sum``, ``_shape``).
+
+    An element may be pending (``_from_ints``): it holds int numerators,
+    one denominator and a key map in ``_pending`` and leaves the ``terms``
+    slot unset.  Its one producer is the remainder R of
+    ``weyl.check_euler_identity``, which most callers never read.  The
+    first read of ``terms`` reaches ``__getattr__``, which builds the terms
+    the eager ``_trusted`` build would hold, in the same order, and stores
+    them in the slot.  Python calls ``__getattr__`` only when the ordinary
+    lookup fails, so every other read of ``terms`` stays a plain slot read.
     """
 
-    __slots__ = ("n_vars", "terms")
+    __slots__ = ("n_vars", "terms", "_pending")
 
     def __init__(self, n_vars: int, terms: Mapping[Hashable, Fraction] | None = None):
         """The public constructor: the subclass's ``_key(n_vars, key)``
@@ -260,6 +271,35 @@ class _TermShell:
         p.n_vars = n_vars
         p.terms = terms
         return p
+
+    @classmethod
+    def _from_ints(
+        cls,
+        n_vars: int,
+        nums: Mapping[Hashable, int],
+        den: int,
+        key: Callable[[Hashable], Hashable],
+    ):
+        """The pending form of ``_trusted(n_vars, {key(k): Fraction(v, den)
+        for k, v in nums.items() if v})``: int numerators (zeros may stay
+        listed) under the producer's keys, a positive den and a key map.
+        The ``terms`` slot stays unset until its first read, which takes no
+        lock: socle reads no element from two threads."""
+        p = object.__new__(cls)
+        p.n_vars = n_vars
+        p._pending = (nums, den, key)
+        return p
+
+    def __getattr__(self, name):
+        """Build the terms of the pending form on the first read of
+        ``terms`` and store them in the slot.  Python calls this only when
+        the ordinary lookup fails: for ``terms``, while its slot is unset."""
+        if name != "terms":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        nums, den, key = self._pending
+        terms = self.terms = {key(k): Fraction(v, den) for k, v in nums.items() if v}
+        del self._pending
+        return terms
 
     def _like(self, terms: Dict[Hashable, Fraction]):
         """An element of self's type and shape with valid ``terms``."""

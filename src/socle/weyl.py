@@ -34,7 +34,10 @@ variable, the one :class:`socle.seriesdecomp.RegularOperator` differentiates
 in.  The Euler-identity certificate stays inside that d-only subalgebra:
 each of its products is a plain int polynomial product graded by the power
 of d, over one common denominator, and its residual is still computed term
-by term, never assumed to vanish.
+by term, never assumed to vanish.  The residual's ``Fraction`` terms are
+built by the check; those of the remainder R are built on its first read
+(``poly._TermShell._from_ints``), since a caller that wants only the verdict
+never reads R.
 """
 
 from __future__ import annotations
@@ -308,8 +311,11 @@ def check_euler_identity(q: WeylOp, b: MultiPoly):
     last exponent, the top digit of the packed keys): b*q - P(b) and R are
     one ``_act`` on b, which builds each derivative of b once for both, and
     (d*R)_m = d(R_m) + R_(m-1) is formed on packed keys.  The residual is
-    summed term by term, never assumed zero, and ``Fraction`` terms are
-    built once.
+    summed term by term, never assumed zero, and its ``Fraction`` terms are
+    built here.  R is returned pending: its int numerators become
+    ``Fraction`` terms, with unpacked keys, on the first read of
+    ``remainder_op.terms`` (by equality, rendering or arithmetic too), the
+    same terms in the same order as an eager build.
     """
     n = q.n_vars
     if b.n_vars != n:
@@ -337,13 +343,13 @@ def check_euler_identity(q: WeylOp, b: MultiPoly):
         res[key + (1 << top)] = res.get(key + (1 << top), 0) - v
         if key & mask:
             res[key - 1] = res.get(key - 1, 0) - v * (key & mask)
-    r_op, residual = (
-        WeylOp._trusted(
-            n, {(_unpack(k, width, n), (k >> top,) + z[1:]): Fraction(v, den) for k, v in acc.items() if v}
-        )
-        for acc in (r_acc, res)
-    )
-    return p, r_op, residual
+    rest = z[1:]
+
+    def key(k):  # (x-part, d-part) of a packed key, whose top digit is the power of d
+        return _unpack(k, width, n), (k >> top,) + rest
+
+    residual = WeylOp._trusted(n, {key(k): Fraction(v, den) for k, v in res.items() if v})
+    return p, WeylOp._from_ints(n, r_acc, den, key), residual
 
 
 # ---------------------------------------------------------------- E elements

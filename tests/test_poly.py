@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from socle.errors import DimensionMismatch, DomainError
 from socle.poly import MultiPoly, _accumulate, _pack, _scaled, _unpack, graded_piece_basis
 from socle.grammar import parse_poly
+from socle.weyl import WeylOp
 
 
 def random_poly(rng, n_vars, max_deg=3, max_terms=5):
@@ -267,3 +268,53 @@ def test_cancelling_cross_terms_are_never_stored(pair):
     assert got == a * a - b * b
     assert_clean(got)
     assert not (a * b - b * a).terms
+
+
+@st.composite
+def pending_cases(draw):
+    """A ``MultiPoly`` or ``WeylOp`` in 1-3 variables, int numerators on
+    packed keys with zeros among them, a positive den, the key map that
+    unpacks them (a ``WeylOp`` takes its power of the first partial from the
+    top digit, as the Euler certificate's R does), and a second element."""
+    cls, n, width = draw(st.sampled_from((MultiPoly, WeylOp))), draw(st.integers(1, 3)), 3
+    digits = st.tuples(*[st.integers(0, 7)] * (n + (cls is WeylOp)))
+    numerators = st.sampled_from((0, 0, 1, -1)) | st.integers(-BIG, BIG)
+    keys = digits.map(lambda e: _pack(e, width))
+    nums = draw(st.dictionaries(keys, numerators, max_size=8))
+    den = draw(st.integers(1, BIG))
+
+    def key(k):
+        if cls is MultiPoly:
+            return _unpack(k, width, n)
+        return _unpack(k, width, n), (k >> width * n,) + (0,) * (n - 1)
+
+    other = draw(st.dictionaries(keys, big_rationals(), max_size=8))
+    return cls, n, nums, den, key, cls(n, {key(k): c for k, c in other.items()})
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(pending_cases())
+def test_the_pending_form_reads_as_the_eager_build(case):
+    # each check reads a fresh pending element, so its first read of the
+    # terms is the one the check makes
+    cls, n, nums, den, key, other = case
+    eager = cls._trusted(n, {key(k): Fraction(v, den) for k, v in nums.items() if v})
+
+    def pending():
+        return cls._from_ints(n, nums, den, key)
+
+    got = pending()
+    assert list(got.terms.items()) == list(eager.terms.items())
+    assert got.terms is got.terms
+    assert_clean(got)
+    assert bool(pending()) is bool(eager)
+    assert pending() == eager
+    assert eager == pending()
+    assert (pending() == other) is (eager == other)
+    assert list((-pending()).terms.items()) == list((-eager).terms.items())
+    assert list((pending() + other).terms.items()) == list((eager + other).terms.items())
+    assert list((other - pending()).terms.items()) == list((other - eager).terms.items())
+    assert pending().render() == eager.render()
+    for element in (pending(), got):
+        with pytest.raises(AttributeError):
+            element.no_such_attribute

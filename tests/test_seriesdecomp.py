@@ -1,6 +1,7 @@
 """Series splitting along an operator: analysis data, sweeps, reconstruction."""
 
 import dataclasses
+import hashlib
 import math
 import random
 import types
@@ -303,6 +304,26 @@ def test_wide_keys_certify_and_reconstruct_the_costliest_accepted_input():
         got = TruncatedSeries.from_poly(recon.get(j, MultiPoly.zero(2)), K)
         want = TruncatedSeries.from_poly(f.x0_slices().get(j, MultiPoly.zero(2)), K)
         assert got == want, j
+
+
+@pytest.mark.slow
+def test_remainder_of_the_costliest_accepted_input_is_built_on_its_first_read():
+    # the costliest input under the sweep bound of 100000: b has 3391 terms,
+    # and R, built from its int numerators only when read, has 6960 terms
+    # with numerators of up to 4574 bits over a 5120-bit denominator; its
+    # term count and text are pinned to those of the eager build
+    p_weyl = parse_operator("(x+y)*d0^2+y*d0+3", 2)
+    dec = decompose(MultiPoly(2, {(8, 3): 1, (2, 1): 1}), RegularOperator.from_weyl(p_weyl), precision=54)
+    b = MultiPoly.zero(2)
+    for ell, bl in dec.b.items():
+        b = b + bl.poly_part() * xpow(2, ell)
+    adjoint, r_op, residual = check_euler_identity(formal_adjoint(p_weyl), b)
+    assert not residual.terms
+    assert adjoint == p_weyl
+    assert len(r_op.terms) == 6960
+    assert hashlib.sha256(r_op.render().encode()).hexdigest() == (
+        "da2b8c0583f5f717b19b1a96e0cfbe69c1b9bd05633da0ab03f633665de0c774"
+    )
 
 
 @pytest.mark.parametrize(

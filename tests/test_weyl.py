@@ -209,6 +209,18 @@ def test_euler_identity_frozen_example():
     assert residual == WeylOp.zero(1)
 
 
+def test_euler_identity_builds_the_remainder_on_its_first_read():
+    # the residual's terms are built by the check; R's wait in its unset slot
+    q = formal_adjoint(parse_operator("(x+y)*d0^2+y*d0+3", 2))
+    b = parse_poly("x^3*y-1/2*x*y^2+1/3*y", 2)
+    _, r_op, residual = check_euler_identity(q, b)
+    with pytest.raises(AttributeError):
+        object.__getattribute__(r_op, "terms")
+    assert object.__getattribute__(residual, "terms") == {}
+    assert r_op.terms == oracle_euler_identity(q, b)[1].terms
+    assert object.__getattribute__(r_op, "terms") is r_op.terms
+
+
 def test_euler_identity_randomized():
     rng = random.Random(103)
     for _ in range(15):
