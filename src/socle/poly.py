@@ -23,8 +23,9 @@ is one int addition (``_accumulate``'s packed path).
 Results of this internal arithmetic are built by ``_trusted`` constructors
 that skip re-validation, since their terms are valid by construction; the
 public constructors keep every check.  A result that its caller may never
-read can instead be left pending (``_from_ints``): int numerators over one
-denominator, whose ``Fraction`` terms are built on the first read.
+read can instead be left pending (``_TermShell._pending``): a builder of its
+terms, called on the first read, after which the element is an instance of
+its base type, which has no hook on any attribute read.
 
 Polynomials, truncated series, Weyl operators and the elements of E share one
 shell, ``_TermShell``: the one validating public constructor (each type
@@ -37,6 +38,7 @@ operators and E.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from operator import add
 from typing import Callable, Dict, Hashable, Iterable, Mapping, Sequence, Tuple
@@ -227,17 +229,19 @@ class _TermShell:
     raise ``DimensionMismatch``.  Subclasses add their own products, and
     ``TruncatedSeries`` its precision (``_like``, ``_sum``, ``_shape``).
 
-    An element may be pending (``_from_ints``): it holds int numerators,
-    one denominator and a key map in ``_pending`` and leaves the ``terms``
-    slot unset.  Its one producer is the remainder R of
-    ``weyl.check_euler_identity``, which most callers never read.  The
-    first read of ``terms`` reaches ``__getattr__``, which builds the terms
-    the eager ``_trusted`` build would hold, in the same order, and stores
-    them in the slot.  Python calls ``__getattr__`` only when the ordinary
-    lookup fails, so every other read of ``terms`` stays a plain slot read.
+    An element may be pending (``_pending``): it holds a builder of its
+    terms in ``_build`` and leaves the ``terms`` slot unset.  Its one
+    producer is the remainder R of ``weyl.check_euler_identity``, which most
+    callers never read.  A pending element is an instance of a subclass of
+    its type (``_pending_type``) whose one hook, ``__getattribute__``, runs
+    on the first read of any of its attributes (every operation reaches its
+    terms through one): it stores the built terms in the slot, drops the
+    builder and sets ``__class__`` back to the base type.  So the base
+    types define no attribute hook, and CPython keeps its specialized
+    attribute reads on them.
     """
 
-    __slots__ = ("n_vars", "terms", "_pending")
+    __slots__ = ("n_vars", "terms", "_build")
 
     def __init__(self, n_vars: int, terms: Mapping[Hashable, Fraction] | None = None):
         """The public constructor: the subclass's ``_key(n_vars, key)``
@@ -260,7 +264,8 @@ class _TermShell:
         return cls(n_vars, {})
 
     def __repr__(self):
-        return f"{type(self).__name__}({self.n_vars}, {self.render()!r})"
+        text = self.render()  # first: it builds a pending element, which sets its type
+        return f"{type(self).__name__}({self.n_vars}, {text!r})"
 
     @classmethod
     def _trusted(cls, n_vars: int, terms: Dict[Hashable, Fraction]):
@@ -273,33 +278,14 @@ class _TermShell:
         return p
 
     @classmethod
-    def _from_ints(
-        cls,
-        n_vars: int,
-        nums: Mapping[Hashable, int],
-        den: int,
-        key: Callable[[Hashable], Hashable],
-    ):
-        """The pending form of ``_trusted(n_vars, {key(k): Fraction(v, den)
-        for k, v in nums.items() if v})``: int numerators (zeros may stay
-        listed) under the producer's keys, a positive den and a key map.
-        The ``terms`` slot stays unset until its first read, which takes no
-        lock: socle reads no element from two threads."""
-        p = object.__new__(cls)
+    def _pending(cls, n_vars: int, build: Callable[[], Dict[Hashable, Fraction]]):
+        """The pending form of ``_trusted(n_vars, build())``: ``build``
+        runs on the first read of the element, and only then.  That read
+        takes no lock: socle reads no element from two threads."""
+        p = object.__new__(_pending_type(cls))
         p.n_vars = n_vars
-        p._pending = (nums, den, key)
+        p._build = build
         return p
-
-    def __getattr__(self, name):
-        """Build the terms of the pending form on the first read of
-        ``terms`` and store them in the slot.  Python calls this only when
-        the ordinary lookup fails: for ``terms``, while its slot is unset."""
-        if name != "terms":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        nums, den, key = self._pending
-        terms = self.terms = {key(k): Fraction(v, den) for k, v in nums.items() if v}
-        del self._pending
-        return terms
 
     def _like(self, terms: Dict[Hashable, Fraction]):
         """An element of self's type and shape with valid ``terms``."""
@@ -364,6 +350,22 @@ class _TermShell:
         return self._shape() == other._shape() and self.terms == other.terms
 
     __hash__ = None  # mutable dict inside; not intended as a dict key
+
+
+def _build_on_read(self, name):
+    """The hook of a pending element: build its terms, store them in the
+    slot, drop the builder and make the element an instance of its base
+    type, then read ``name`` there."""
+    self.terms = object.__getattribute__(self, "_build")()
+    del self._build
+    self.__class__ = type(self).__base__
+    return getattr(self, name)
+
+
+@lru_cache(maxsize=None)
+def _pending_type(cls: type) -> type:
+    """The subclass of a shell type whose instances are pending."""
+    return type(f"Pending{cls.__name__}", (cls,), {"__slots__": (), "__getattribute__": _build_on_read})
 
 
 class MultiPoly(_TermShell):

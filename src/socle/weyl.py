@@ -31,13 +31,14 @@ rule as ``MultiPoly.render``.
 
 Adjoints and the Euler identity are taken in the partial of the first
 variable, the one :class:`socle.seriesdecomp.RegularOperator` differentiates
-in.  The Euler-identity certificate stays inside that d-only subalgebra:
-each of its products is a plain int polynomial product graded by the power
-of d, over one common denominator, and its residual is still computed term
-by term, never assumed to vanish.  The residual's ``Fraction`` terms are
-built by the check; those of the remainder R are built on its first read
-(``poly._TermShell._from_ints``), since a caller that wants only the verdict
-never reads R.
+in.  The Euler-identity certificate stays inside that d-only subalgebra
+and is decided on the operator's symbols: its residual b*q - P(b) - d*R is
+formed as one operator with int terms acting on b, summed term by term and
+never assumed to vanish, so for every b it has the exact value of the
+products expanded on b's terms.  b enters only through a term that
+survives, which is applied to b, or through a read of the remainder R,
+which is built on that first read (``poly._TermShell._pending``), since a
+caller that wants only the verdict never reads R.
 """
 
 from __future__ import annotations
@@ -306,25 +307,23 @@ def check_euler_identity(q: WeylOp, b: MultiPoly):
     zero.  With q = sum_i (-1)^i d^i a_i, so P = sum_i a_i d^i, the remainder
     is R = sum_m R_m d^m, R_m = sum_{k-1-nu=m} (-1)^k C(k-1, nu) b^(i-k) a_i^(nu).
 
-    Every factor lies in the d-only subalgebra, so each product is an int
-    polynomial product over one denominator, graded by the power m of d (a
-    last exponent, the top digit of the packed keys): b*q - P(b) and R are
-    one ``_act`` on b, which builds each derivative of b once for both, and
-    (d*R)_m = d(R_m) + R_(m-1) is formed on packed keys.  The residual is
-    summed term by term, never assumed zero, and its ``Fraction`` terms are
-    built here.  R is returned pending: its int numerators become
-    ``Fraction`` terms, with unpacked keys, on the first read of
-    ``remainder_op.terms`` (by equality, rendering or arithmetic too), the
-    same terms in the same order as an eager build.
+    Every factor lies in the d-only subalgebra and every term is linear in
+    b, so the identity is decided on the operators' symbols: b*q - P(b) -
+    d*R is formed as one operator on b with int terms over one denominator,
+    graded by the power m of d (a last x-exponent t^m), d*R by d(w x^a t^m
+    d^c) = w a_0 x^(a-e_0) t^m d^c + w x^a t^m d^(c+e_0) + w x^a t^(m+1) d^c.
+    What survives is applied to b by ``_act``, so the residual has the exact
+    value of the products expanded on b; by Lagrange's identity nothing
+    survives, and b is not read.  R is returned pending
+    (``poly._TermShell._pending``): R applied to b is built on its first
+    read (by equality, rendering or arithmetic too), the same terms in the
+    same order as an eager build.
     """
     n = q.n_vars
     if b.n_vars != n:
         raise DimensionMismatch("test polynomial lives over a different variable count")
     p = formal_adjoint(q)
-    # b, of d-grade 0: a missing top digit packs as a 0
-    f0, den = _scaled(b.terms)
     op_den = lcm(*(c.denominator for t in (q.terms, p.terms) for c in t.values()))
-    den *= op_den
     z, zz = (0,) * n, (0,) * (n + 1)
     qs, ps = ({k: c.numerator * (op_den // c.denominator) for k, c in t.items()} for t in (q.terms, p.terms))
     lhs = {(xe + de[:1], zz): v for (xe, de), v in qs.items()}  # b*q - P(b), as an operator on b
@@ -336,20 +335,20 @@ def check_euler_identity(q: WeylOp, b: MultiPoly):
             for nu in range(min(k, xe[0] + 1)):
                 key = ((xe[0] - nu,) + xe[1:] + (k - 1 - nu,), (i - k,) + z)
                 r_terms[key] = r_terms.get(key, 0) + (-1) ** k * comb(k - 1, nu) * perm(xe[0], nu) * v
-    # R's last digit is below the order of q, a digit of lhs: its d-step carries nothing
-    width, (r_acc, res) = _act(f0, r_terms, lhs)
-    top, mask = width * n, (1 << width) - 1
-    for key, v in r_acc.items():  # (d*R)_m = d(R_m) + R_(m-1), on packed keys
-        res[key + (1 << top)] = res.get(key + (1 << top), 0) - v
-        if key & mask:
-            res[key - 1] = res.get(key - 1, 0) - v * (key & mask)
-    rest = z[1:]
+    for (xe, de), w in r_terms.items():  # less d*R, by d(w x^xe t^m d^de) as above
+        d_up, t_up = (de[0] + 1,) + de[1:], xe[:-1] + (xe[-1] + 1,)
+        for key, v in ((((xe[0] - 1,) + xe[1:], de), w * xe[0]), ((xe, d_up), w), ((t_up, de), w)):
+            if v:
+                lhs[key] = lhs.get(key, 0) - v
+    residual, rest = {k: v for k, v in lhs.items() if v}, z[1:]
 
-    def key(k):  # (x-part, d-part) of a packed key, whose top digit is the power of d
-        return _unpack(k, width, n), (k >> top,) + rest
+    def applied(op):  # op on b, as Fraction terms; b is of d-grade 0: a missing top digit packs as a 0
+        f0, den = _scaled(b.terms)
+        width, (acc,) = _act(f0, op)
+        den, top = den * op_den, width * n
+        return {(_unpack(k, width, n), (k >> top,) + rest): Fraction(v, den) for k, v in acc.items() if v}
 
-    residual = WeylOp._trusted(n, {key(k): Fraction(v, den) for k, v in res.items() if v})
-    return p, WeylOp._from_ints(n, r_acc, den, key), residual
+    return p, WeylOp._pending(n, lambda: applied(r_terms)), WeylOp._trusted(n, residual and applied(residual))
 
 
 # ---------------------------------------------------------------- E elements

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from socle.errors import DimensionMismatch, DomainError
 from socle.poly import MultiPoly, _accumulate, _pack, _scaled, _unpack, graded_piece_basis
 from socle.grammar import parse_poly
-from socle.weyl import WeylOp
+from socle.series import TruncatedSeries
+from socle.weyl import EElement, WeylOp
 
 
 def random_poly(rng, n_vars, max_deg=3, max_terms=5):
@@ -301,10 +302,12 @@ def test_the_pending_form_reads_as_the_eager_build(case):
     eager = cls._trusted(n, {key(k): Fraction(v, den) for k, v in nums.items() if v})
 
     def pending():
-        return cls._from_ints(n, nums, den, key)
+        return cls._pending(n, lambda: {key(k): Fraction(v, den) for k, v in nums.items() if v})
 
     got = pending()
+    assert type(got) is not cls
     assert list(got.terms.items()) == list(eager.terms.items())
+    assert type(got) is cls
     assert got.terms is got.terms
     assert_clean(got)
     assert bool(pending()) is bool(eager)
@@ -315,6 +318,12 @@ def test_the_pending_form_reads_as_the_eager_build(case):
     assert list((pending() + other).terms.items()) == list((eager + other).terms.items())
     assert list((other - pending()).terms.items()) == list((other - eager).terms.items())
     assert pending().render() == eager.render()
+    assert repr(pending()) == repr(eager)
     for element in (pending(), got):
         with pytest.raises(AttributeError):
             element.no_such_attribute
+    # the hook lives on the pending subclass only, so reads of the base
+    # types keep the interpreter's specialized attribute lookup
+    for base in (MultiPoly, TruncatedSeries, WeylOp, EElement):
+        assert not hasattr(base, "__getattr__")
+        assert base.__getattribute__ is object.__getattribute__

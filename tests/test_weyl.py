@@ -8,6 +8,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from socle import weyl
 from socle.errors import DomainError
 from socle.grammar import parse_operator, parse_poly
 from socle.poly import MultiPoly
@@ -469,6 +470,55 @@ def test_euler_identity_matches_the_fraction_oracle(case):
         assert x.terms == want.terms
         assert_clean(x)
     assert not got[2]
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(euler_cases())
+def test_euler_identity_reads_b_only_for_the_remainder(case):
+    # Lagrange's identity leaves no term of the residual's operator, so the
+    # check never scales b or applies an operator to it; R still can
+    q, b = case
+
+    def refuse(*args):
+        raise AssertionError("b was read")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weyl, "_act", refuse)
+        mp.setattr(weyl, "_scaled", refuse)
+        _, r_op, residual = check_euler_identity(q, b)
+        assert object.__getattribute__(residual, "terms") == {}
+        with pytest.raises(AttributeError):
+            object.__getattribute__(r_op, "terms")
+    assert r_op.terms == oracle_euler_identity(q, b)[1].terms
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(euler_cases())
+def test_a_wrong_adjoint_leaves_the_residual_of_the_oracle(case):
+    # P is given an extra x0*d0, so the a_1 that R is built from gets an
+    # extra x0: the surviving terms must be applied to b, as the oracle does
+    q, b = case
+    n = q.n_vars
+    x0d0 = WeylOp.x_gen(n, 0) * WeylOp.d_gen(n, 0)
+    adjoint, coefficients = formal_adjoint, right_coefficients
+
+    def wrong_adjoint(op):
+        return adjoint(op) + x0d0
+
+    def wrong_coefficients(op):
+        a = coefficients(op)
+        a[1] = a[1] + MultiPoly.variable(n, 0)
+        return a
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weyl, "formal_adjoint", wrong_adjoint)
+        mp.setitem(globals(), "formal_adjoint", wrong_adjoint)
+        mp.setitem(globals(), "right_coefficients", wrong_coefficients)
+        got, want = check_euler_identity(q, b), oracle_euler_identity(q, b)
+    assert got[2]
+    for x, w in zip(got, want):
+        assert x.terms == w.terms
+        assert_clean(x)
 
 
 # ------------------------------------------- packed keys at the width boundary
